@@ -24,13 +24,6 @@ double unit(std::uint64_t bits) {
 
 }  // namespace
 
-// Host time is measured as process CPU time (every thread of the process,
-// user + system). On a shared virtual machine, wall-clock at pool width 4
-// swings several-fold between runs with hypervisor steal (each fork/join
-// waits for the slowest virtual CPU), while CPU time stays within a few
-// percent; wall-clock is printed alongside. CPU time still charges a pool
-// for the work it wastes: threads that wake for a chunk too small to pay
-// for the hand-off show up as extra CPU per frame.
 double cpu_s() {
   timespec ts{};
   clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);

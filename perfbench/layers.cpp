@@ -4,22 +4,28 @@
 // Each repetition runs the real operation untraced (the reference time for
 // reconciliation), then the same operation rebuilt from its layer calls
 // under spans, then attribution probes on the same frames. Times are
-// process CPU time, like the timed run's. A layer's self time is its
+// process CPU time, so self times on pool threads add up to the
+// operation's (the timed run's host metrics are wall-clock; the fusion
+// speedup below is a wall-clock ratio). A layer's self time is its
 // measured call minus the measured calls it makes:
 //
 //   fusion          FusionPlan::run through a plain SimdLineFilter
-//   sched.account   TimedFusionRunner::run_frame_pair through the workload's
-//                   backend (stream capture off) minus fusion
+//   sched.account   building the workload's backend plus
+//                   TimedFusionRunner::run_frame_pair through it, minus
+//                   fusion (and, on a fleet, minus stream capture)
 //   streaming       capture = run_frame_pair with stream capture on minus
-//                   off; replay = detail::schedule_streaming
+//                   off (on a fleet, from a pair of probes run back to
+//                   back); replay = detail::schedule_streaming
 //   sched.pipeline  detail::schedule_fleet + detail::integrate_fleet_energy
 //                   (run_pipelined's pass 2)
 //   fleet           run_fleet's own work: frame generation, NEON spill
-//                   probes and energy integration
+//                   probes, replay inputs and energy integration
 //
-// The self times of the layers on the workload's path must add up to the
-// untraced operation within kReconcileTolerance; the remainder is reported
-// as unattributed time, and traced minus untraced as tracing overhead.
+// The self times of the layers on the workload's path must be non-negative
+// and add up to the untraced operation within kReconcileTolerance, and the
+// rebuilt operation must match the real one bit for bit; otherwise the run
+// is incorrect (check_balance). The remainder is reported as unattributed
+// time, and traced minus untraced as tracing overhead.
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -42,7 +48,6 @@ using sched::detail::FleetStageCost;
 using sched::detail::StreamOp;
 using vf::SimDuration;
 
-constexpr double kReconcileTolerance = 0.10;
 constexpr int kMinReps = 5;
 constexpr double kRepCapS = 120.0;
 
@@ -82,16 +87,22 @@ Pass1 run_pass1(sched::BackendKind kind, const sched::RunConfig& config,
                 const std::vector<FramePair>& frames, bool capture, Tracer* t,
                 int op, const char* span) {
   Pass1 p;
-  const std::unique_ptr<sched::TransformBackend> backend =
-      sched::make_backend(kind, config);
+  std::unique_ptr<sched::TransformBackend> backend;
+  sched::BatchedFpgaBackend* batched = nullptr;
+  std::unique_ptr<sched::TimedFusionRunner> runner;
+  // Building the backend belongs to the accounting layer: it sets up the
+  // driver and accelerator model the replay runs on.
+  p.seconds += timed(t, span, op, [&] {
+    backend = sched::make_backend(kind, config);
+    batched = dynamic_cast<sched::BatchedFpgaBackend*>(backend.get());
+    if (capture && batched) batched->enable_stream_trace();
+    runner = std::make_unique<sched::TimedFusionRunner>(*backend, config.fuse);
+  });
   p.mode = backend->compute_mode();
-  auto* batched = dynamic_cast<sched::BatchedFpgaBackend*>(backend.get());
-  if (capture && batched) batched->enable_stream_trace();
-  sched::TimedFusionRunner runner(*backend, config.fuse);
   for (const FramePair& pair : frames) {
     sched::FrameRunResult r;
     p.seconds += timed(t, span, op, [&] {
-      r = runner.run_frame_pair(pair.visible, pair.thermal);
+      r = runner->run_frame_pair(pair.visible, pair.thermal);
     });
     p.cost.push_back(split_stage_costs(r));
     p.serial_total += r.times.total();
@@ -243,6 +254,7 @@ struct Rep {
   double fusion = 0, fusion_w1 = 0;      // FusionPlan::run, all pairs
   double fusion_wall = 0, fusion_w1_wall = 0;
   double pass1_off = 0, pass1_on = 0;    // run_frame_pair, capture off / on
+  double capture_pair = 0;               // fleet: capture on minus off, back to back
   double schedule = 0, replay = 0;       // legacy pass 2 / streaming replay
   double fleet_self = 0;
 };
@@ -266,6 +278,8 @@ class Traced {
         frames_(make_frames(seed, w.rows, w.cols, w.window)),
         streams_(w.streams > 0 ? fleet_streams(w, seed)
                                : std::vector<sched::StreamConfig>{}),
+        path_frames_(fleet() ? sched::make_sweep_frames(config_.frame_size, w.window)
+                             : frames_),
         op_{&w, width_, streams_} {}
 
   const std::vector<FramePair>& frames() const { return frames_; }
@@ -273,15 +287,15 @@ class Traced {
   int width() const { return width_; }
   bool fleet() const { return w_.streams > 0; }
 
-  // FusionPlan::run through a plain filter over every pair of the window
-  // (every stream of a fleet fuses the same frames).
+  // FusionPlan::run through a plain filter over every pair the operation
+  // fuses (every stream of a fleet fuses the same frames).
   // Returns CPU seconds; adds wall seconds to *wall.
   double fusion(int op, int width, Counts* counts, double* wall) {
     vf::dwt::SimdLineFilter filter(vf::HostConfig{width});
     const int copies = fleet() ? w_.streams : 1;
     double s = 0.0;
     for (int c = 0; c < copies; ++c) {
-      for (const FramePair& pair : frames_) {
+      for (const FramePair& pair : path_frames_) {
         filter.reset_stats();
         s += timed(t_, width == 1 ? "fusion.w1" : "fusion", op, [&] {
           const vf::dwt::FusionPlan plan(pair.visible.rows(), pair.visible.cols(),
@@ -331,11 +345,12 @@ class Traced {
       double fleet_s = 0.0;  // run_fleet's own work outside pass 1 and replay
       for (const sched::StreamConfig& sc : streams_) {
         // run_fleet generates each stream's frames itself.
+        std::vector<FramePair> fresh;
         fleet_s += timed(t_, "fleet.make_frames", op, [&] {
-          sched::make_sweep_frames(sc.run.frame_size, sc.run.frames);
+          fresh = sched::make_sweep_frames(sc.run.frame_size, sc.run.frames);
         });
-        passes.push_back(run_pass1(sc.backend, sc.run, frames_, /*capture=*/true,
-                                   t_, op, "sched.account"));
+        passes.push_back(run_pass1(sc.backend, sc.run, fresh,
+                                   /*capture=*/true, t_, op, "sched.account"));
         // run_fleet's NEON spill probe: one frame on the NEON cost model.
         sched::RunConfig neon = sc.run;
         fleet_s += timed(t_, "fleet.spill_probe", op, [&] {
@@ -343,14 +358,17 @@ class Traced {
               sched::make_backend(sched::BackendKind::kNeon, neon);
           sched::TimedFusionRunner runner(*b, neon.fuse);
           spill_ops.push_back(sched::detail::stage_cost_ops(split_stage_costs(
-              runner.run_frame_pair(frames_[0].visible, frames_[0].thermal))));
+              runner.run_frame_pair(fresh[0].visible, fresh[0].thermal))));
         });
       }
       for (const Pass1& p : passes) {
         for (const auto& f : p.ops) counts->stream_ops += static_cast<double>(f.size());
       }
-      const std::vector<sched::detail::StreamingStreamInput> in =
-          streaming_inputs(&passes, spill_ops);
+      // run_fleet's glue: assembling the replay's per-stream inputs.
+      std::vector<sched::detail::StreamingStreamInput> in;
+      fleet_s += timed(t_, "fleet.inputs", op, [&] {
+        in = streaming_inputs(&passes, spill_ops);
+      });
       sched::detail::FleetSchedule s;
       rep->replay = timed(t_, "streaming.replay", op, [&] {
         s = streaming_schedule(in);
@@ -375,8 +393,8 @@ class Traced {
           e.loaded_mj == want_fleet->energy_mj;
       rep->fleet_self = fleet_s;
     }
-    // The root's own time (backend construction, cost splitting) is left
-    // unattributed.
+    // The root's own time (cost splitting, input assembly on the single-
+    // camera path, freeing buffers) is left unattributed.
     rep->traced = t_->end(root);
   }
 
@@ -409,14 +427,27 @@ class Traced {
       rep->fleet_self = whole - rep->pass1_off - rep->schedule;
     } else {
       // Pass 1 without capture, and the legacy stage-granular schedule.
+      // Each stream's pass 1 also runs with capture on right beside it, in
+      // alternating order, so the capture cost is a difference of two
+      // neighbouring measurements.
       std::vector<Pass1> passes;
       std::vector<const Pass1*> ptrs;
       std::vector<std::vector<SimDuration>> arr;
       for (std::size_t s = 0; s < streams_.size(); ++s) {
-        passes.push_back(run_pass1(streams_[s].backend, streams_[s].run, frames_,
+        const sched::StreamConfig& sc = streams_[s];
+        auto with_capture = [&] {
+          return run_pass1(sc.backend, sc.run, path_frames_, /*capture=*/true, t_, op,
+                           "probe.pass1_capture")
+              .seconds;
+        };
+        const bool capture_first = (op + static_cast<int>(s)) % 2 == 0;
+        const double on_before = capture_first ? with_capture() : 0.0;
+        passes.push_back(run_pass1(sc.backend, sc.run, path_frames_,
                                    /*capture=*/false, t_, op, "probe.pass1_nocapture"));
+        const double on = capture_first ? on_before : with_capture();
         rep->pass1_off += passes.back().seconds;
-        arr.push_back(arrivals(streams_[s], s));
+        rep->capture_pair += on - passes.back().seconds;
+        arr.push_back(arrivals(sc, s));
       }
       for (const Pass1& p : passes) ptrs.push_back(&p);
       const std::vector<sched::detail::FleetStreamInput> in = legacy_inputs(ptrs, arr);
@@ -502,10 +533,37 @@ class Traced {
   sched::RunConfig config_;
   std::vector<FramePair> frames_;
   std::vector<sched::StreamConfig> streams_;
+  // The frames the operation fuses: run_fleet generates its own with
+  // make_sweep_frames, so the fleet probes fuse those (the rebuilt fleet
+  // operation generates them per stream, as run_fleet does); a single
+  // camera fuses the seeded frames.
+  std::vector<FramePair> path_frames_;
   Operation op_;
 };
 
 }  // namespace
+
+std::string check_balance(const LayerBalance& b) {
+  char buf[200];
+  if (!b.rebuilt_exact) {
+    return "the operation rebuilt from layer calls does not reproduce the "
+           "real one's modeled makespan and energy";
+  }
+  for (const auto& layer : b.path_us) {
+    if (!(layer.second >= 0.0)) {
+      std::snprintf(buf, sizeof(buf), "layer %s has a negative self time (%.3f us/frame)",
+                    layer.first.c_str(), layer.second);
+      return buf;
+    }
+  }
+  if (!(b.op_us > 0.0) || !(std::fabs(b.residual_us) <= kReconcileTolerance * b.op_us)) {
+    std::snprintf(buf, sizeof(buf),
+                  "residual %.3f us/frame is beyond %.0f%% of the %.3f us/frame operation",
+                  b.residual_us, 100.0 * kReconcileTolerance, b.op_us);
+    return buf;
+  }
+  return "";
+}
 
 int Tracer::begin(std::string name, int op) {
   Span s;
@@ -618,7 +676,6 @@ LayerReport run_traced(const Workload& w, std::uint64_t seed, double seconds,
     counts = c;
     reps.push_back(rep);
   }
-  report.correct = report.failed == 0;
 
   // Per-repetition self times (seconds per operation) and their medians.
   const bool on_fleet = w.streams > 0;
@@ -627,8 +684,15 @@ LayerReport run_traced(const Workload& w, std::uint64_t seed, double seconds,
     for (const Rep& r : reps) v.push_back(f(r));
     return median(v);
   };
-  auto account = [&](const Rep& r) { return r.pass1_off - r.fusion; };
-  auto capture = [&](const Rep& r) { return r.pass1_on - r.pass1_off; };
+  // A fleet's pass 1 runs with capture on: its capture cost is the paired
+  // probe, and accounting is the rest of pass 1 beyond fusion. A single
+  // camera's pass 1 runs with capture off.
+  auto capture = [&](const Rep& r) {
+    return on_fleet ? r.capture_pair : r.pass1_on - r.pass1_off;
+  };
+  auto account = [&](const Rep& r) {
+    return on_fleet ? r.pass1_on - capture(r) - r.fusion : r.pass1_off - r.fusion;
+  };
   auto path_sum = [&](const Rep& r) {
     return on_fleet ? r.fusion + account(r) + capture(r) + r.replay + r.fleet_self
                     : r.fusion + account(r) + r.schedule;
@@ -696,19 +760,35 @@ LayerReport run_traced(const Workload& w, std::uint64_t seed, double seconds,
                   m.second.first, m.second.second.c_str());
     report.lines.push_back(line);
   }
+  LayerBalance balance;
+  balance.op_us = op_us;
+  balance.residual_us = residual_us;
+  balance.rebuilt_exact = exact;
+  balance.path_us = {{"fusion", plan_us}, {"sched.account", med(account) * us}};
+  if (on_fleet) {
+    balance.path_us.push_back({"streaming.capture", med(capture) * us});
+    balance.path_us.push_back(
+        {"streaming.replay", med([](const Rep& r) { return r.replay; }) * us});
+    balance.path_us.push_back(
+        {"fleet", med([](const Rep& r) { return r.fleet_self; }) * us});
+  } else {
+    balance.path_us.push_back(
+        {"sched.pipeline", med([](const Rep& r) { return r.schedule; }) * us});
+  }
+  const std::string why = check_balance(balance);
   std::snprintf(line, sizeof(line),
                 "reconciliation: untraced %.2f us/frame, layers on the path "
-                "%.2f, residual %.2f (%.1f%%, tolerance %.0f%%): %s",
+                "%.2f, residual %.2f (%.1f%%, tolerance %.0f%%)",
                 op_us, op_us - residual_us, residual_us, 100.0 * residual_us / op_us,
-                100.0 * kReconcileTolerance,
-                std::fabs(residual_us) <= kReconcileTolerance * op_us ? "reconciled"
-                                                                       : "NOT reconciled");
+                100.0 * kReconcileTolerance);
   report.lines.push_back(line);
   std::snprintf(line, sizeof(line), "tracing overhead: %.2f us/frame (%.1f%% of the op)",
                 overhead_us, 100.0 * overhead_us / op_us);
   report.lines.push_back(line);
   report.lines.push_back(std::string("rebuilt operation matches the real one bit for bit: ") +
                          (exact ? "yes" : "NO"));
+  if (!why.empty()) report.lines.push_back("FAILED layer balance: " + why);
+  report.correct = report.failed == 0 && why.empty();
   return report;
 }
 

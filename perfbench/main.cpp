@@ -115,10 +115,10 @@ double peak_rss_mb() {
 }
 
 // A single-threaded workload stays on whichever virtual CPU it starts on,
-// and on a shared machine one CPU can run a fifth slower than another for a
-// whole run (a busy hyperthread sibling). Such a workload therefore spends
-// an equal share of its timed loop pinned to each CPU it may use, so every
-// run samples every CPU. The destructor restores the initial mask.
+// and on a shared machine one CPU can run a third slower than another for
+// seconds at a time (a busy hyperthread sibling). Such a workload therefore
+// pins each operation to the next CPU it may use in turn, so every run
+// samples every CPU throughout. The destructor restores the initial mask.
 class CpuRotation {
  public:
   CpuRotation() {
@@ -133,7 +133,7 @@ class CpuRotation {
   CpuRotation(const CpuRotation&) = delete;
   CpuRotation& operator=(const CpuRotation&) = delete;
 
-  // Pins the calling thread to the CPU for share `slot` of the run.
+  // Pins the calling thread to CPU number `slot` of those it may use.
   void pin(int slot) {
     if (cpus_.empty() || slot == pinned_) return;
     pinned_ = slot;
@@ -170,15 +170,22 @@ int run_timed(const Workload& w, const Args& a) {
   Operation op{&w, width, w.streams > 0 ? fleet_streams(w, a.seed)
                                         : std::vector<vf::sched::StreamConfig>{}};
 
-  // Set-up: pool spawn, backend construction and the first (cold) operation.
-  const double t0 = cpu_s();
+  // Set-up: pool spawn, backend construction and the first (cold) operation,
+  // in wall-clock time. Peak memory is read right after it, before the
+  // oracle below allocates anything: it is the program's own peak over
+  // set-up and one operation.
+  const double t0 = now_s();
   vf::host::pool(vf::HostConfig{width});
   ModeledSummary summary;
   const Modeled cold = op.run(frames, &summary);
-  const double setup_s = cpu_s() - t0;
+  const double setup_s = now_s() - t0;
+  const double rss = peak_rss_mb();
   if (a.setup_only) {
-    std::printf("%s\n",
-                vf::json::Value::object().set("setup_s", setup_s).dump().c_str());
+    std::printf("%s\n", vf::json::Value::object()
+                            .set("setup_s", setup_s)
+                            .set("peak_rss_mb", rss)
+                            .dump()
+                            .c_str());
     return 0;
   }
 
@@ -212,60 +219,91 @@ int run_timed(const Workload& w, const Args& a) {
   check(cold, 0);
   check(op.run(frames), 1);  // warm-up, untimed
 
-  std::vector<double> cpu_ops, wall_ops;
   CpuRotation rotation;
   const bool rotate = width == 1 && rotation.count() > 1;
-  int slot = 0;
-  std::vector<std::vector<double>> per_slot(
-      static_cast<std::size_t>(std::max(rotation.count(), 1)));
+  std::vector<double> wall_ops, cpu_ops;  // seconds per operation, in order
+  double wall_total = 0.0, cpu_total = 0.0;
   const double start = now_s();
   for (;;) {
     const double elapsed = now_s() - start;
-    const int n = static_cast<int>(cpu_ops.size());
+    const int n = static_cast<int>(wall_ops.size());
     if ((elapsed >= a.seconds && n >= kMinOps) || elapsed >= kLoopCapS) break;
-    if (rotate) {
-      slot = std::min(static_cast<int>(elapsed / a.seconds * rotation.count()),
-                      rotation.count() - 1);
-      rotation.pin(slot);
-    }
+    if (rotate) rotation.pin(n % rotation.count());
     const double t = now_s();
     const double c = cpu_s();
     const Modeled got = op.run(frames);
-    cpu_ops.push_back(cpu_s() - c);
     wall_ops.push_back(now_s() - t);
-    per_slot[static_cast<std::size_t>(slot)].push_back(cpu_ops.back());
+    cpu_ops.push_back(cpu_s() - c);
+    wall_total += wall_ops.back();
+    cpu_total += cpu_ops.back();
     check(got, n + 2);
   }
 
-  const int frames_per_op = w.window * (w.streams > 0 ? w.streams : 1);
-  const int n = static_cast<int>(cpu_ops.size());
-  double cpu_total = 0.0, wall_total = 0.0;
-  for (int i = 0; i < n; ++i) {
-    cpu_total += cpu_ops[static_cast<std::size_t>(i)];
-    wall_total += wall_ops[static_cast<std::size_t>(i)];
+  // Percentiles of the wall time per operation. A shared machine slows down
+  // in stretches of several seconds (neighbours busy on the same cores or
+  // memory); at pool width 4 such a stretch can double every operation in
+  // it. The run is therefore cut into consecutive blocks of at least
+  // kMinOps operations, so that each block's nearest-rank p90 has ten
+  // samples beyond it, and the host metrics come from the block with the
+  // lowest p90: the least disturbed stretch, judged by the slow tail that a
+  // disturbance stretches first. A change to the program moves every block,
+  // that one included. Throughput comes from the median operation of that
+  // block.
+  const int n = static_cast<int>(wall_ops.size());
+  const int blocks = std::max(1, n / kMinOps);
+  // The median operation of ops [lo, hi). In a rotated loop the CPUs can
+  // differ in speed by a third for a whole run, which splits the times into
+  // one cluster per CPU and makes a pooled median jump between clusters;
+  // there each CPU's median is taken on its own and the CPUs are averaged
+  // with equal weight. The p90 lies inside the slowest cluster and is pooled.
+  const int cpus = rotate ? rotation.count() : 1;
+  auto block_median = [&](int lo, int hi) {
+    std::vector<std::vector<double>> per_cpu(static_cast<std::size_t>(cpus));
+    for (int i = lo; i < hi; ++i) {
+      per_cpu[static_cast<std::size_t>(i % cpus)].push_back(
+          wall_ops[static_cast<std::size_t>(i)]);
+    }
+    double sum = 0.0;
+    for (const std::vector<double>& v : per_cpu) sum += percentile(v, 0.50);
+    return sum / cpus;
+  };
+  std::vector<double> block_p50, block_p90;
+  for (int b = 0; b < blocks; ++b) {
+    const int lo = b * n / blocks, hi = (b + 1) * n / blocks;
+    block_p50.push_back(block_median(lo, hi));
+    block_p90.push_back(percentile(
+        std::vector<double>(wall_ops.begin() + lo, wall_ops.begin() + hi), 0.90));
   }
-  const double host_fps = frames_per_op * n / cpu_total;
-  const double p50 = percentile(cpu_ops, 0.50) * 1e3;
-  const double p90 = percentile(cpu_ops, 0.90) * 1e3;
-  const int beyond_p90 = n - static_cast<int>(std::ceil(0.90 * n));
+  const int block_ops = n / blocks;
+  const int beyond_p90 = block_ops - static_cast<int>(std::ceil(0.90 * block_ops));
+  const int frames_per_op = w.window * (w.streams > 0 ? w.streams : 1);
+  const std::size_t best = static_cast<std::size_t>(
+      std::min_element(block_p90.begin(), block_p90.end()) - block_p90.begin());
+  const int best_ops = static_cast<int>((best + 1) * n / blocks - best * n / blocks);
+  const double p50 = block_p50[best] * 1e3;
+  const double p90 = block_p90[best] * 1e3;
+  const double host_fps = frames_per_op * 1e3 / p50;
   const double error_rate = static_cast<double>(failed) / attempted;
-  const double rss = peak_rss_mb();
 
   std::printf("config %s\n", run_header(w, a).dump().c_str());
   std::printf("workload %s: %d operations of %d frame pairs, %.2f s wall "
-              "(closed loop, one client), %d beyond p90\n",
-              w.name, n, frames_per_op, wall_total, beyond_p90);
-  std::printf("host times are process CPU time (all threads); wall-clock "
-              "alongside for reference%s\n",
-              rotate ? "; loop rotated over every CPU" : "");
-  std::printf("  %-22s %14.4f frames/cpu-s   wall %.4f frames/s\n", "host_fps",
-              host_fps, frames_per_op * n / wall_total);
-  std::printf("  %-22s %14.4f cpu-ms (n=%d)  wall %.4f ms\n", "op_ms_p50", p50, n,
-              percentile(wall_ops, 0.50) * 1e3);
-  std::printf("  %-22s %14.4f cpu-ms (n=%d)  wall %.4f ms\n", "op_ms_p90", p90, n,
-              percentile(wall_ops, 0.90) * 1e3);
-  std::printf("  %-22s %14.4f cpu-s (this process)\n", "setup_s", setup_s);
-  std::printf("  %-22s %14.4f MB\n", "peak_rss_mb", rss);
+              "(closed loop, one client)\n",
+              w.name, n, frames_per_op, wall_total);
+  std::printf("host times are wall-clock, from block %zu of %d blocks of at least %d "
+              "operations (%d beyond p90 in each); process CPU time (all "
+              "threads, every operation) alongside%s\n",
+              best + 1, blocks, block_ops, beyond_p90,
+              rotate ? "; loop rotated over every CPU, CPUs weighted equally in the median" : "");
+  std::printf("  %-22s %14.4f frames/s (median op; all-op mean %.4f)   cpu %.4f "
+              "frames/cpu-s\n",
+              "host_fps", host_fps, frames_per_op * n / wall_total,
+              frames_per_op * n / cpu_total);
+  std::printf("  %-22s %14.4f ms (n=%d)   cpu %.4f ms\n", "op_ms_p50", p50, best_ops,
+              percentile(cpu_ops, 0.50) * 1e3);
+  std::printf("  %-22s %14.4f ms (n=%d)   cpu %.4f ms\n", "op_ms_p90", p90, best_ops,
+              percentile(cpu_ops, 0.90) * 1e3);
+  std::printf("  %-22s %14.4f s (this process)\n", "setup_s", setup_s);
+  std::printf("  %-22s %14.4f MB (this process, after set-up)\n", "peak_rss_mb", rss);
   std::printf("  %-22s %14.4f (%d of %d operations failed)\n", "error_rate",
               error_rate, failed, attempted);
   std::printf("  %-22s %14.6f frames/s (modeled)\n", "modeled_fps", summary.fps);
@@ -274,21 +312,20 @@ int run_timed(const Workload& w, const Args& a) {
   std::printf("  %-22s %14.6f ms (modeled)\n", "modeled_p99_ms", summary.p99_ms);
   std::printf("  %-22s %14.6f (modeled; drop frac %.6f)\n", "modeled_served_frac",
               summary.served_frac, 1.0 - summary.served_frac);
-  if (rotate) {
-    std::printf("  per-CPU op_ms_p50:");
-    for (const auto& v : per_slot) {
-      if (!v.empty()) std::printf(" %.3f (n=%zu)", percentile(v, 0.5) * 1e3, v.size());
-    }
-    std::printf("\n");
+  std::printf("  per-block op_ms p50/p90:");
+  for (int b = 0; b < blocks; ++b) {
+    std::printf(" %.3f/%.3f", block_p50[static_cast<std::size_t>(b)] * 1e3,
+                block_p90[static_cast<std::size_t>(b)] * 1e3);
   }
+  std::printf("\n");
   if (!first_failure.empty()) {
     std::printf("FAILED %s\n", first_failure.c_str());
   }
 
   vf::json::Value metrics = vf::json::Value::object();
-  metrics.set("host_fps", metric(host_fps, "frames/cpu-s"));
-  metrics.set("op_ms_p50", metric(p50, "cpu-ms"));
-  metrics.set("op_ms_p90", metric(p90, "cpu-ms"));
+  metrics.set("host_fps", metric(host_fps, "frames/s"));
+  metrics.set("op_ms_p50", metric(p50, "ms"));
+  metrics.set("op_ms_p90", metric(p90, "ms"));
   metrics.set("setup_s", metric(setup_s, "s"));
   metrics.set("peak_rss_mb", metric(rss, "MB"));
   metrics.set("modeled_fps", metric(summary.fps, "frames/model-s"));

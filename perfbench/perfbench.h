@@ -2,11 +2,11 @@
 // seeded inputs, a correctness oracle for every operation, and a traced
 // per-layer mode that times each layer's public entry points from outside.
 //
-// Two clocks are reported side by side. Host time (process CPU time) is
-// what performance work moves; modeled ZC702 time and energy are
-// deterministic and must repeat bit-for-bit across runs, pool widths and
-// (for the single-camera workloads) input seeds, because accounting reads
-// shapes, never pixel values.
+// Two clocks are reported side by side. Host time (wall-clock) is what
+// performance work moves; modeled ZC702 time and energy are deterministic
+// and must repeat bit-for-bit across runs, pool widths and (for the
+// single-camera workloads) input seeds, because accounting reads shapes,
+// never pixel values.
 #pragma once
 
 #include <chrono>
@@ -39,8 +39,9 @@ inline double now_s() {
       .count();
 }
 
-// Process CPU time (all threads, user + system), the clock of every host
-// metric: see inputs.cpp for why wall-clock is only printed alongside.
+// Process CPU time (all threads, user + system). The timed run prints it
+// beside its wall-clock figures; the traced mode times layers with it, so
+// self times on pool threads add up to the operation's.
 double cpu_s();
 
 // --- seeded inputs ------------------------------------------------------------
@@ -138,8 +139,26 @@ class Tracer {
   std::vector<double> open_cpu_;
 };
 
+// The traced run's own check. The self times of the layers on the
+// workload's path must each be non-negative and add up to the untraced
+// operation within kReconcileTolerance of it, and the operation rebuilt
+// from the layer calls must reproduce the real one's modeled makespan and
+// energy bit for bit (so the per-layer figures describe the schedule the
+// program actually runs).
+constexpr double kReconcileTolerance = 0.15;
+struct LayerBalance {
+  double op_us = 0.0;        // untraced operation, per frame
+  double residual_us = 0.0;  // op_us minus the path layers' self times
+  std::vector<std::pair<std::string, double>> path_us;  // self times, per frame
+  bool rebuilt_exact = false;
+};
+// Empty when the balance holds; otherwise the first violation.
+std::string check_balance(const LayerBalance& b);
+
 // Runs the traced mode for `seconds` and returns the per-layer metrics
-// (name -> value, unit) plus the run's human-readable report lines.
+// (name -> value, unit) plus the run's human-readable report lines. The
+// report is incorrect when an operation fails the oracle or the layers do
+// not balance.
 struct LayerReport {
   std::vector<std::pair<std::string, std::pair<double, std::string>>> metrics;
   std::vector<std::string> lines;

@@ -7,9 +7,10 @@
 Builds perfbench/ (and the vf_core library from the checkout's own sources)
 in Release under $CARGO_TARGET_DIR (default .bench_build), runs the
 benchmark's self-tests, then the workload. With --trace 0 it also runs
-several set-up-only processes and reports the median set-up time; with
---trace 1 it writes the span trace under the build directory. The last line
-of standard output is the result JSON.
+several set-up-only processes and reports the median set-up time and peak
+memory over them and the main run (each process reads both before the
+oracle allocates anything); with --trace 1 it writes the span trace under
+the build directory. The last line of standard output is the result JSON.
 """
 import argparse
 import json
@@ -21,7 +22,8 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-SETUP_RUNS = 6  # set-up-only processes; with the main run, 7 samples
+SETUP_RUNS = 16  # set-up-only processes, half before and half after the
+                 # main run; with it, 17 samples
 BUILD_DEADLINE_S = 850.0  # a fresh checkout compiles vf_core first
 RUN_DEADLINE_S = 170.0
 
@@ -93,31 +95,40 @@ def main():
 
     base = [exe, "--workload", args.workload, "--seed", str(args.seed),
             "--seconds", str(args.seconds), "--trace", str(args.trace)]
-    setup = []
+    samples = {"setup_s": [], "peak_rss_mb": []}
+
+    def setup_runs(count):
+        # Set-up time and peak memory are one sample per process; take the
+        # median of several fresh processes, split around the main run, so
+        # neither one cold start nor one busy spell decides them.
+        for _ in range(count):
+            r = run(base + ["--setup-only"], deadline)
+            if r.returncode != 0:
+                sys.stderr.write(r.stdout + r.stderr)
+                fail("set-up run failed")
+            got = last_json(r, "set-up run")[1]
+            for name, values in samples.items():
+                values.append(got[name])
+
     if args.trace:
         trace_dir = os.path.join(build_dir, "traces")
         os.makedirs(trace_dir, exist_ok=True)
         base += ["--trace-file",
                  os.path.join(trace_dir, f"{args.workload}-seed{args.seed}.json")]
     else:
-        # Set-up time is one sample per process; take the median of several
-        # fresh processes so a single cold start does not decide it.
-        for _ in range(SETUP_RUNS):
-            r = run(base + ["--setup-only"], deadline)
-            if r.returncode != 0:
-                sys.stderr.write(r.stdout + r.stderr)
-                fail("set-up run failed")
-            setup.append(last_json(r, "set-up run")[1]["setup_s"])
+        setup_runs(SETUP_RUNS // 2)
 
     r = run(base, deadline)
     sys.stderr.write(r.stderr)
     lines, result = last_json(r, "benchmark")
     for line in lines:
         print(line)
-    if setup:
-        setup.append(result["metrics"]["setup_s"]["value"])
-        result["metrics"]["setup_s"]["value"] = statistics.median(setup)
-        print("setup_s samples (s): " + " ".join(f"{s:.6f}" for s in setup))
+    if not args.trace and r.returncode == 0:
+        setup_runs(SETUP_RUNS - SETUP_RUNS // 2)
+        for name, values in samples.items():
+            values.append(result["metrics"][name]["value"])
+            result["metrics"][name]["value"] = statistics.median(values)
+            print(f"{name} samples: " + " ".join(f"{v:.6f}" for v in values))
     print(json.dumps(result))
     sys.stdout.flush()
     sys.exit(r.returncode)

@@ -1,6 +1,7 @@
 // The benchmark's own self-tests: the oracle must reject a one-bit change,
-// inputs must be a pure function of the seed, and the percentile helper
-// must follow the nearest-rank rule.
+// inputs must be a pure function of the seed, the percentile helper must
+// follow the nearest-rank rule, and the traced run's balance check must
+// reject a perturbed report.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -100,6 +101,27 @@ int run_self_tests() {
     every_field = every_field && !diff_modeled(nudged, m1).empty();
   }
   expect(every_field, "oracle: rejects a one-ulp change of any modeled field");
+
+  // The traced run's balance: a report that reconciles passes, and one
+  // perturbed residual, negative self time or inexact rebuild fails it.
+  LayerBalance balance;
+  balance.op_us = 400.0;
+  balance.path_us = {{"fusion", 150.0}, {"sched.account", 30.0}, {"streaming.replay", 190.0}};
+  balance.residual_us = 30.0;
+  balance.rebuilt_exact = true;
+  expect(check_balance(balance).empty(), "balance: a reconciled report passes");
+  LayerBalance off = balance;
+  off.residual_us = (kReconcileTolerance + 0.01) * off.op_us;
+  LayerBalance under = balance;
+  under.residual_us = -off.residual_us;
+  expect(!check_balance(off).empty() && !check_balance(under).empty(),
+         "balance: a residual beyond the tolerance fails");
+  LayerBalance negative = balance;
+  negative.path_us[1].second = -1.0;
+  expect(!check_balance(negative).empty(), "balance: a negative layer self time fails");
+  LayerBalance inexact = balance;
+  inexact.rebuilt_exact = false;
+  expect(!check_balance(inexact).empty(), "balance: an inexact rebuilt operation fails");
 
   return failures;
 }

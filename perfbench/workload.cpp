@@ -17,6 +17,11 @@ using vf::sched::BackendKind;
 constexpr double kCameraFps = 30.0;
 constexpr double kJitterFrac = 0.2;
 
+// large_640x480 guards intra-frame parallelism. It is run by hand and is not
+// among BENCHMARK.json's workloads: a third workload would cut every run to
+// 40 s or less to fit the benchmark's time budget, leaving too few blocks
+// per run (see run_timed) to ride out a disturbed stretch of a shared
+// machine, in which the p90 at pool width 4 can triple.
 const Workload kWorkloads[] = {
     // name            rows cols window streams max_width
     {"paper_88x72", 72, 88, 64, 0, 4},
