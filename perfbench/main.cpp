@@ -150,6 +150,57 @@ class CpuRotation {
   int pinned_ = -1;
 };
 
+// The vCPUs of a shared host run the same code up to 1.4x slower for
+// minutes at a time (neighbours on the same physical cores and caches),
+// which moves whole runs; process CPU time slows with them, so no clock
+// sees past it. The probe is fixed code of the benchmark's own, timed after
+// every operation on the same CPU: a sort of 16K keys (branches) and a
+// 13-tap filter over 64K floats (vector arithmetic), on data it touches
+// just before, so that it runs from cache whatever the program left there.
+// Every host time is scaled by kProbeRefMs over the probe's time in the
+// same stretch of the run, i.e. reported at the machine speed at which the
+// probe takes kProbeRefMs (about its time on an idle 4-vCPU KVM Xeon). A
+// change to the program moves the scaled times as it moves wall time; the
+// probe does not depend on the program.
+constexpr double kProbeRefMs = 1.4;
+
+class SpeedProbe {
+ public:
+  SpeedProbe() : keys_(16384), x_(65536 + 16), y_(65536) {
+    for (std::size_t i = 0; i < x_.size(); ++i) x_[i] = 0.01f * static_cast<float>(i % 97);
+  }
+
+  double run_ms() {
+    std::uint32_t r = 2463534242u;
+    for (std::uint32_t& k : keys_) {
+      r ^= r << 13;
+      r ^= r >> 17;
+      r ^= r << 5;
+      k = r;
+    }
+    float touch = 0.0f;
+    for (const float v : x_) touch += v;
+    for (float& v : y_) v = touch;
+    const double t = now_s();
+    std::sort(keys_.begin(), keys_.end());
+    for (int rep = 0; rep < 4; ++rep) {
+      for (std::size_t i = 0; i < y_.size(); ++i) {
+        float acc = 0.0f;
+        for (int k = 0; k < 13; ++k) acc += x_[i + k] * (0.1f + 0.01f * k);
+        y_[i] = acc + 0.5f * y_[i];
+      }
+    }
+    const double ms = (now_s() - t) * 1e3;
+    sink_ = y_[keys_[0] % y_.size()];
+    return ms;
+  }
+
+ private:
+  std::vector<std::uint32_t> keys_;
+  std::vector<float> x_, y_;
+  volatile float sink_ = 0.0f;
+};
+
 void print_result(bool correct, int attempted, int failed,
                   const vf::json::Value& metrics) {
   vf::json::Value out = vf::json::Value::object();
@@ -171,15 +222,20 @@ int run_timed(const Workload& w, const Args& a) {
                                         : std::vector<vf::sched::StreamConfig>{}};
 
   // Set-up: pool spawn, backend construction and the first (cold) operation,
-  // in wall-clock time. Peak memory is read right after it, before the
-  // oracle below allocates anything: it is the program's own peak over
-  // set-up and one operation.
+  // in wall-clock time. Peak memory is read right after it, before the probe
+  // and the oracle below allocate anything: it is the program's own peak
+  // over set-up and one operation. Set-up time is scaled by the median of a
+  // few probes taken right after it (see SpeedProbe).
   const double t0 = now_s();
   vf::host::pool(vf::HostConfig{width});
   ModeledSummary summary;
   const Modeled cold = op.run(frames, &summary);
-  const double setup_s = now_s() - t0;
+  const double setup_wall_s = now_s() - t0;
   const double rss = peak_rss_mb();
+  SpeedProbe probe;
+  std::vector<double> setup_probes;
+  for (int i = 0; i < 5; ++i) setup_probes.push_back(probe.run_ms());
+  const double setup_s = setup_wall_s * kProbeRefMs / median(setup_probes);
   if (a.setup_only) {
     std::printf("%s\n", vf::json::Value::object()
                             .set("setup_s", setup_s)
@@ -221,7 +277,8 @@ int run_timed(const Workload& w, const Args& a) {
 
   CpuRotation rotation;
   const bool rotate = width == 1 && rotation.count() > 1;
-  std::vector<double> wall_ops, cpu_ops;  // seconds per operation, in order
+  // Seconds per operation and probe milliseconds, in order.
+  std::vector<double> wall_ops, cpu_ops, probe_ms;
   double wall_total = 0.0, cpu_total = 0.0;
   const double start = now_s();
   for (;;) {
@@ -236,19 +293,21 @@ int run_timed(const Workload& w, const Args& a) {
     cpu_ops.push_back(cpu_s() - c);
     wall_total += wall_ops.back();
     cpu_total += cpu_ops.back();
+    probe_ms.push_back(probe.run_ms());
     check(got, n + 2);
   }
 
   // Percentiles of the wall time per operation. A shared machine slows down
   // in stretches of several seconds (neighbours busy on the same cores or
-  // memory); at pool width 4 such a stretch can double every operation in
-  // it. The run is therefore cut into consecutive blocks of at least
-  // kMinOps operations, so that each block's nearest-rank p90 has ten
-  // samples beyond it, and the host metrics come from the block with the
-  // lowest p90: the least disturbed stretch, judged by the slow tail that a
-  // disturbance stretches first. A change to the program moves every block,
-  // that one included. Throughput comes from the median operation of that
-  // block.
+  // memory); with a multi-thread pool such a stretch can double every
+  // operation in it. The run is therefore cut into consecutive blocks of at
+  // least kMinOps operations, so that each block's nearest-rank p90 has ten
+  // samples beyond it, and each host metric is the median over the blocks of
+  // that block's figure: the typical stretch of the run, which a disturbance
+  // covering less than half of the run does not move. A change to the
+  // program moves every block. Each block's times are scaled by the median
+  // probe of the same block (see SpeedProbe). Throughput comes from the
+  // median operation.
   const int n = static_cast<int>(wall_ops.size());
   const int blocks = std::max(1, n / kMinOps);
   // The median operation of ops [lo, hi). In a rotated loop the CPUs can
@@ -267,21 +326,27 @@ int run_timed(const Workload& w, const Args& a) {
     for (const std::vector<double>& v : per_cpu) sum += percentile(v, 0.50);
     return sum / cpus;
   };
-  std::vector<double> block_p50, block_p90;
+  std::vector<double> block_p50, block_p90, block_scale;
   for (int b = 0; b < blocks; ++b) {
     const int lo = b * n / blocks, hi = (b + 1) * n / blocks;
+    block_scale.push_back(
+        kProbeRefMs / median(std::vector<double>(probe_ms.begin() + lo, probe_ms.begin() + hi)));
     block_p50.push_back(block_median(lo, hi));
     block_p90.push_back(percentile(
         std::vector<double>(wall_ops.begin() + lo, wall_ops.begin() + hi), 0.90));
   }
+  auto scaled = [&](const std::vector<double>& v) {
+    std::vector<double> out;
+    for (int b = 0; b < blocks; ++b) {
+      out.push_back(v[static_cast<std::size_t>(b)] * block_scale[static_cast<std::size_t>(b)]);
+    }
+    return out;
+  };
   const int block_ops = n / blocks;
   const int beyond_p90 = block_ops - static_cast<int>(std::ceil(0.90 * block_ops));
   const int frames_per_op = w.window * (w.streams > 0 ? w.streams : 1);
-  const std::size_t best = static_cast<std::size_t>(
-      std::min_element(block_p90.begin(), block_p90.end()) - block_p90.begin());
-  const int best_ops = static_cast<int>((best + 1) * n / blocks - best * n / blocks);
-  const double p50 = block_p50[best] * 1e3;
-  const double p90 = block_p90[best] * 1e3;
+  const double p50 = median(scaled(block_p50)) * 1e3;
+  const double p90 = median(scaled(block_p90)) * 1e3;
   const double host_fps = frames_per_op * 1e3 / p50;
   const double error_rate = static_cast<double>(failed) / attempted;
 
@@ -289,20 +354,23 @@ int run_timed(const Workload& w, const Args& a) {
   std::printf("workload %s: %d operations of %d frame pairs, %.2f s wall "
               "(closed loop, one client)\n",
               w.name, n, frames_per_op, wall_total);
-  std::printf("host times are wall-clock, from block %zu of %d blocks of at least %d "
-              "operations (%d beyond p90 in each); process CPU time (all "
-              "threads, every operation) alongside%s\n",
-              best + 1, blocks, block_ops, beyond_p90,
+  std::printf("host times are wall-clock scaled to the probe's reference speed "
+              "(%.2f ms per probe; median probe here %.4f ms), the median over %d "
+              "blocks of at least %d operations (%d beyond p90 in each); unscaled "
+              "wall and process CPU time (all threads, every operation) "
+              "alongside%s\n",
+              kProbeRefMs, median(probe_ms), blocks, block_ops, beyond_p90,
               rotate ? "; loop rotated over every CPU, CPUs weighted equally in the median" : "");
-  std::printf("  %-22s %14.4f frames/s (median op; all-op mean %.4f)   cpu %.4f "
+  std::printf("  %-22s %14.4f frames/s (median op; unscaled %.4f)   cpu %.4f "
               "frames/cpu-s\n",
-              "host_fps", host_fps, frames_per_op * n / wall_total,
+              "host_fps", host_fps, frames_per_op / median(block_p50),
               frames_per_op * n / cpu_total);
-  std::printf("  %-22s %14.4f ms (n=%d)   cpu %.4f ms\n", "op_ms_p50", p50, best_ops,
-              percentile(cpu_ops, 0.50) * 1e3);
-  std::printf("  %-22s %14.4f ms (n=%d)   cpu %.4f ms\n", "op_ms_p90", p90, best_ops,
-              percentile(cpu_ops, 0.90) * 1e3);
-  std::printf("  %-22s %14.4f s (this process)\n", "setup_s", setup_s);
+  std::printf("  %-22s %14.4f ms (n=%d)   unscaled %.4f ms   cpu %.4f ms\n", "op_ms_p50",
+              p50, n, median(block_p50) * 1e3, percentile(cpu_ops, 0.50) * 1e3);
+  std::printf("  %-22s %14.4f ms (n=%d)   unscaled %.4f ms   cpu %.4f ms\n", "op_ms_p90",
+              p90, n, median(block_p90) * 1e3, percentile(cpu_ops, 0.90) * 1e3);
+  std::printf("  %-22s %14.4f s (this process; unscaled %.4f s)\n", "setup_s", setup_s,
+              setup_wall_s);
   std::printf("  %-22s %14.4f MB (this process, after set-up)\n", "peak_rss_mb", rss);
   std::printf("  %-22s %14.4f (%d of %d operations failed)\n", "error_rate",
               error_rate, failed, attempted);
@@ -312,10 +380,9 @@ int run_timed(const Workload& w, const Args& a) {
   std::printf("  %-22s %14.6f ms (modeled)\n", "modeled_p99_ms", summary.p99_ms);
   std::printf("  %-22s %14.6f (modeled; drop frac %.6f)\n", "modeled_served_frac",
               summary.served_frac, 1.0 - summary.served_frac);
-  std::printf("  per-block op_ms p50/p90:");
-  for (int b = 0; b < blocks; ++b) {
-    std::printf(" %.3f/%.3f", block_p50[static_cast<std::size_t>(b)] * 1e3,
-                block_p90[static_cast<std::size_t>(b)] * 1e3);
+  std::printf("  per-block unscaled op_ms p50/p90 x scale:");
+  for (std::size_t b = 0; b < block_p50.size(); ++b) {
+    std::printf(" %.3f/%.3f x%.4f", block_p50[b] * 1e3, block_p90[b] * 1e3, block_scale[b]);
   }
   std::printf("\n");
   if (!first_failure.empty()) {

@@ -2,8 +2,9 @@
 // seeded inputs, a correctness oracle for every operation, and a traced
 // per-layer mode that times each layer's public entry points from outside.
 //
-// Two clocks are reported side by side. Host time (wall-clock) is what
-// performance work moves; modeled ZC702 time and energy are deterministic
+// Two clocks are reported side by side. Host time (wall-clock, scaled to a
+// reference machine speed by a fixed probe timed beside every operation) is
+// what performance work moves; modeled ZC702 time and energy are deterministic
 // and must repeat bit-for-bit across runs, pool widths and (for the
 // single-camera workloads) input seeds, because accounting reads shapes,
 // never pixel values.
