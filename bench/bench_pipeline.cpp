@@ -14,9 +14,10 @@
 //      (prep | forward | fusion | inverse) against the serial runner;
 //   3. how the speedup builds with frame depth (pipeline fill amortization);
 //   4. host wall-clock at --threads N against the 1-thread run of the same
-//      workload — the modeled numbers above are bit-identical either way,
-//      so this is the one table where the host machine (not the modeled
-//      ZC702) is the subject.
+//      workload (the pool fuses whole frames of the window in parallel) —
+//      the modeled numbers above are bit-identical either way, so this is
+//      the one table where the host machine (not the modeled ZC702) is the
+//      subject.
 //
 // Flags (shared with every bench): --frames N, --pipeline, --threads N,
 // --kernels K, --json PATH. The smoke run under ctest uses the defaults;
@@ -188,8 +189,10 @@ int main(int argc, char** argv) {
                 TextTable::num(serial_wall / threaded_wall, 2) + "x",
                 modeled_identical ? "yes" : "NO"});
   std::printf("%s\n", wall.to_string().c_str());
-  std::printf("host threads change how fast the numerics compute, never what the\n"
-              "modeled ZC702 reports (accounting replays serially; see DESIGN.md).\n");
+  std::printf("host threads fuse whole frames of the window side by side (one\n"
+              "fork/join per window); they change how fast the numerics compute,\n"
+              "never what the modeled ZC702 reports (accounting replays serially in\n"
+              "frame order; see DESIGN.md section 3).\n");
   if (!modeled_identical) {
     std::fprintf(stderr, "fatal: modeled output changed with --threads\n");
     return 1;

@@ -98,7 +98,9 @@ class Arena {
       Block b;
       // operator new[] only promises max_align_t; over-allocate one stripe
       // and round the base up so every alloc() result is 64-byte aligned.
-      b.storage = std::make_unique<float[]>(want + kAlignFloats);
+      // Default-initialized (not make_unique's zero fill): untouched pages of
+      // a geometrically grown block then never become resident.
+      b.storage.reset(new float[want + kAlignFloats]);
       const auto raw = reinterpret_cast<std::uintptr_t>(b.storage.get());
       const std::uintptr_t aligned = (raw + 63) & ~std::uintptr_t{63};
       b.data = reinterpret_cast<float*>(aligned);

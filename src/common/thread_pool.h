@@ -1,17 +1,20 @@
 // Host-side execution pool for data-parallel numeric work.
 //
 // Everything in bench/ reports *modeled* ZC702 time; this pool only changes
-// how fast the host computes the numerics behind those numbers. The design
-// invariant is therefore: runs at any thread count produce bit-identical
-// results. Two properties deliver that:
+// how fast the host computes the numerics behind those numbers. Its one
+// caller in the library is the frame fan-out (sched::detail::measure_frames):
+// one parallel_for per window of frames, each worker fusing whole frames.
+// Smaller chunks — a transform tree, a line — do not amortize the wake-up
+// and join of a round (DESIGN.md §3). The design invariant is: runs at any
+// thread count produce bit-identical results. Two properties deliver that:
 //
 //   1. static partitioning — parallel_for splits [begin, end) into contiguous
 //      chunks whose boundaries depend only on the range and the pool width,
 //      and every task writes a disjoint output range; no parallel reductions,
 //      no shared accumulators, so floating-point summation order never varies;
 //   2. accounting stays serial — modeled-time bookkeeping (LineFilter
-//      account_*) is never issued from pool workers; callers replay it in
-//      canonical order after the numeric fan-out (see dwt_fusion.cpp).
+//      account_*) is never issued from pool workers; the caller replays it
+//      in canonical frame order after the numeric fan-out.
 //
 // A parallel_for issued from inside a worker runs inline (serial), so nested
 // parallelism degrades gracefully instead of deadlocking.
@@ -23,6 +26,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -66,7 +70,8 @@ class ThreadPool {
   // of C covers q = n/C items plus one of the first n%C remainders, so the
   // partition depends only on (n, C). The calling thread participates; the
   // call returns when every chunk has finished. Reentrant calls from a worker
-  // run the whole range inline.
+  // run the whole range inline. If chunks throw, the first exception caught
+  // is rethrown here once every chunk has finished.
   void parallel_for(int begin, int end, const std::function<void(int, int)>& chunk_fn) {
     const int n = end - begin;
     if (n <= 0) return;
@@ -87,13 +92,16 @@ class ThreadPool {
     }
     wake_cv_.notify_all();
     run_chunks(*job);
+    std::exception_ptr error;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       done_cv_.wait(lock, [&] {
         return job->completed.load(std::memory_order_acquire) == job->chunks;
       });
       current_.reset();
+      error = job->error;
     }
+    if (error) std::rethrow_exception(error);
   }
 
  private:
@@ -104,6 +112,7 @@ class ThreadPool {
     int chunks = 0;
     std::atomic<int> next{0};
     std::atomic<int> completed{0};
+    std::exception_ptr error;  // first chunk failure; guarded by mutex_
   };
 
   static bool& in_worker() {
@@ -120,7 +129,14 @@ class ThreadPool {
       const int b = job.begin + k * q + (k < r ? k : r);
       const int e = b + q + (k < r ? 1 : 0);
       in_worker() = true;
-      (*job.fn)(b, e);
+      try {
+        (*job.fn)(b, e);
+      } catch (...) {
+        // An exception must not escape a worker thread (that terminates the
+        // process); hand it to the caller instead.
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!job.error) job.error = std::current_exception();
+      }
       in_worker() = false;
       if (job.completed.fetch_add(1, std::memory_order_acq_rel) + 1 == job.chunks) {
         std::lock_guard<std::mutex> lock(mutex_);

@@ -195,47 +195,20 @@ void LineFilter::synthesize(const float* ext, int pairs, const float* ca,
   account_synthesize(pairs, taps);
 }
 
-// The three fusion-rule kernels are elementwise, so chunking over the pool
-// cannot change any output bit: every flavour computes element i identically
-// whether it lands in a vector body or a scalar tail. The single account_*
-// call stays on the caller thread either way.
 void LineFilter::magnitude(const float* re, const float* im, int n, float* mag) {
-  const simd::KernelSet& k = kernels();
-  ThreadPool* p = splittable() ? pool() : nullptr;
-  if (p != nullptr) {
-    parallel_chunks(p, 0, n,
-                    [&](int b, int e) { k.magnitude(re + b, im + b, e - b, mag + b); });
-  } else {
-    k.magnitude(re, im, n, mag);
-  }
+  kernels().magnitude(re, im, n, mag);
   account_magnitude(n);
 }
 
 void LineFilter::select(const float* a_re, const float* a_im, const float* b_re,
                         const float* b_im, const float* mag_a, const float* mag_b,
                         int n, float* out_re, float* out_im) {
-  const simd::KernelSet& k = kernels();
-  ThreadPool* p = splittable() ? pool() : nullptr;
-  if (p != nullptr) {
-    parallel_chunks(p, 0, n, [&](int b, int e) {
-      k.select(a_re + b, a_im + b, b_re + b, b_im + b, mag_a + b, mag_b + b, e - b,
-               out_re + b, out_im + b);
-    });
-  } else {
-    k.select(a_re, a_im, b_re, b_im, mag_a, mag_b, n, out_re, out_im);
-  }
+  kernels().select(a_re, a_im, b_re, b_im, mag_a, mag_b, n, out_re, out_im);
   account_select(n);
 }
 
 void LineFilter::average(const float* a, const float* b, int n, float* out) {
-  const simd::KernelSet& k = kernels();
-  ThreadPool* p = splittable() ? pool() : nullptr;
-  if (p != nullptr) {
-    parallel_chunks(p, 0, n,
-                    [&](int b0, int e) { k.average(a + b0, b + b0, e - b0, out + b0); });
-  } else {
-    k.average(a, b, n, out);
-  }
+  kernels().average(a, b, n, out);
 }
 
 // --- 1-D line transforms ----------------------------------------------------
@@ -383,7 +356,6 @@ struct LevelOut {
 // time, energy — matches HostLayout::kNaive (tests/test_host_parallel.cpp).
 LevelOut analyze_level_tiled(const ImageF& padded, const FilterBank& row_bank,
                              const FilterBank& col_bank, LineFilter& f) {
-  ThreadPool* pool = f.pool();
   const simd::KernelSet& k = f.kernels();
   const int rp = padded.rows();
   const int cp = padded.cols();
@@ -391,18 +363,16 @@ LevelOut analyze_level_tiled(const ImageF& padded, const FilterBank& row_bank,
   const int hc = cp / 2;
   const std::size_t plane = static_cast<std::size_t>(rp) * hc;
 
-  // Caller-thread scope: planes shared across pool chunks. Worker-local
-  // extension scratch comes from each worker's own arena inside the lambdas.
   ArenaScope planes;
   float* rowlo = planes.alloc(plane);
   float* rowhi = planes.alloc(plane);
 
   const int row_ext_stride = align16(cp + row_bank.taps());
-  auto row_block = [&](int r0, int r1) {
+  {
     ArenaScope scratch;
     float* ext = scratch.alloc(static_cast<std::size_t>(kLineBlock) * row_ext_stride);
-    for (int r = r0; r < r1; r += kLineBlock) {
-      const int nb = std::min(kLineBlock, r1 - r);
+    for (int r = 0; r < rp; r += kLineBlock) {
+      const int nb = std::min(kLineBlock, rp - r);
       for (int l = 0; l < nb; ++l) {
         fill_analysis_ext(row_bank, padded.row(r + l), cp, ext + l * row_ext_stride);
       }
@@ -411,11 +381,6 @@ LevelOut analyze_level_tiled(const ImageF& padded, const FilterBank& row_bank,
                    rowlo + static_cast<std::size_t>(r) * hc,
                    rowhi + static_cast<std::size_t>(r) * hc, hc);
     }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(0, rp, row_block);
-  } else {
-    row_block(0, rp);
   }
   for (int r = 0; r < rp; ++r) f.account_analyze(hc, row_bank.taps());
   f.barrier();  // the column pass reads the row pass's outputs
@@ -430,11 +395,11 @@ LevelOut analyze_level_tiled(const ImageF& padded, const FilterBank& row_bank,
   float* thl = planes.alloc(half_plane);
   float* thh = planes.alloc(half_plane);
   const int col_ext_stride = align16(rp + col_bank.taps());
-  auto col_block = [&](int c0, int c1) {
+  {
     ArenaScope scratch;
     float* ext = scratch.alloc(static_cast<std::size_t>(kLineBlock) * col_ext_stride);
-    for (int c = c0; c < c1; c += kLineBlock) {
-      const int nb = std::min(kLineBlock, c1 - c);
+    for (int c = 0; c < hc; c += kLineBlock) {
+      const int nb = std::min(kLineBlock, hc - c);
       for (int l = 0; l < nb; ++l) {
         fill_analysis_ext(col_bank, tlo + static_cast<std::size_t>(c + l) * rp, rp,
                           ext + l * col_ext_stride);
@@ -452,11 +417,6 @@ LevelOut analyze_level_tiled(const ImageF& padded, const FilterBank& row_bank,
                    thl + static_cast<std::size_t>(c) * hr,
                    thh + static_cast<std::size_t>(c) * hr, hr);
     }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(0, hc, col_block);
-  } else {
-    col_block(0, hc);
   }
   for (int c = 0; c < hc; ++c) {
     f.account_analyze(hr, col_bank.taps());
@@ -476,12 +436,6 @@ LevelOut analyze_level_tiled(const ImageF& padded, const FilterBank& row_bank,
 }
 
 // One separable analysis level: rows with `row_bank`, columns with `col_bank`.
-//
-// The parallel path fans the numeric line loops out over the filter's pool
-// (rows, then columns — lines within a pass are independent) and then runs
-// the accounting loop serially in the same canonical order the serial path
-// interleaves it. Barrier positions are identical in both paths: the modeled
-// engine sees the exact same request sequence either way.
 LevelOut analyze_level(const ImageF& padded, const FilterBank& row_bank,
                        const FilterBank& col_bank, LineFilter& f,
                        std::vector<float>& scratch) {
@@ -492,26 +446,12 @@ LevelOut analyze_level(const ImageF& padded, const FilterBank& row_bank,
   if (f.splittable() && g_host_layout != HostLayout::kNaive) {
     return analyze_level_tiled(padded, row_bank, col_bank, f);
   }
-  ThreadPool* pool = f.splittable() ? f.pool() : nullptr;
   const int rp = padded.rows();
   const int cp = padded.cols();
   ImageF rowlo(rp, cp / 2), rowhi(rp, cp / 2);
-  if (pool != nullptr) {
-    const simd::KernelSet& k = f.kernels();
-    pool->parallel_for(0, rp, [&](int r0, int r1) {
-      std::vector<float> local;
-      for (int r = r0; r < r1; ++r) {
-        const float* ext = extend_analysis(row_bank, padded.row(r), cp, local);
-        k.analyze(ext, cp / 2, row_bank.lp.data(), row_bank.hp.data(),
-                  row_bank.taps(), rowlo.row(r), rowhi.row(r));
-      }
-    });
-    for (int r = 0; r < rp; ++r) f.account_analyze(cp / 2, row_bank.taps());
-  } else {
-    for (int r = 0; r < rp; ++r) {
-      analyze_line(f, row_bank, padded.row(r), cp, rowlo.row(r), rowhi.row(r),
-                   scratch);
-    }
+  for (int r = 0; r < rp; ++r) {
+    analyze_line(f, row_bank, padded.row(r), cp, rowlo.row(r), rowhi.row(r),
+                 scratch);
   }
   f.barrier();  // the column pass reads the row pass's outputs
   LevelOut out;
@@ -519,48 +459,19 @@ LevelOut analyze_level(const ImageF& padded, const FilterBank& row_bank,
   out.lh = ImageF(rp / 2, cp / 2);
   out.hl = ImageF(rp / 2, cp / 2);
   out.hh = ImageF(rp / 2, cp / 2);
-  if (pool != nullptr) {
-    const simd::KernelSet& k = f.kernels();
-    pool->parallel_for(0, cp / 2, [&](int c0, int c1) {
-      std::vector<float> local, col(rp), lo(rp / 2), hi(rp / 2);
-      for (int c = c0; c < c1; ++c) {
-        for (int r = 0; r < rp; ++r) col[r] = rowlo(r, c);
-        const float* ext = extend_analysis(col_bank, col.data(), rp, local);
-        k.analyze(ext, rp / 2, col_bank.lp.data(), col_bank.hp.data(),
-                  col_bank.taps(), lo.data(), hi.data());
-        for (int r = 0; r < rp / 2; ++r) {
-          out.ll(r, c) = lo[r];
-          out.lh(r, c) = hi[r];
-        }
-        for (int r = 0; r < rp; ++r) col[r] = rowhi(r, c);
-        ext = extend_analysis(col_bank, col.data(), rp, local);
-        k.analyze(ext, rp / 2, col_bank.lp.data(), col_bank.hp.data(),
-                  col_bank.taps(), lo.data(), hi.data());
-        for (int r = 0; r < rp / 2; ++r) {
-          out.hl(r, c) = lo[r];
-          out.hh(r, c) = hi[r];
-        }
-      }
-    });
-    for (int c = 0; c < cp / 2; ++c) {
-      f.account_analyze(rp / 2, col_bank.taps());
-      f.account_analyze(rp / 2, col_bank.taps());
+  std::vector<float> col(rp), lo(rp / 2), hi(rp / 2);
+  for (int c = 0; c < cp / 2; ++c) {
+    for (int r = 0; r < rp; ++r) col[r] = rowlo(r, c);
+    analyze_line(f, col_bank, col.data(), rp, lo.data(), hi.data(), scratch);
+    for (int r = 0; r < rp / 2; ++r) {
+      out.ll(r, c) = lo[r];
+      out.lh(r, c) = hi[r];
     }
-  } else {
-    std::vector<float> col(rp), lo(rp / 2), hi(rp / 2);
-    for (int c = 0; c < cp / 2; ++c) {
-      for (int r = 0; r < rp; ++r) col[r] = rowlo(r, c);
-      analyze_line(f, col_bank, col.data(), rp, lo.data(), hi.data(), scratch);
-      for (int r = 0; r < rp / 2; ++r) {
-        out.ll(r, c) = lo[r];
-        out.lh(r, c) = hi[r];
-      }
-      for (int r = 0; r < rp; ++r) col[r] = rowhi(r, c);
-      analyze_line(f, col_bank, col.data(), rp, lo.data(), hi.data(), scratch);
-      for (int r = 0; r < rp / 2; ++r) {
-        out.hl(r, c) = lo[r];
-        out.hh(r, c) = hi[r];
-      }
+    for (int r = 0; r < rp; ++r) col[r] = rowhi(r, c);
+    analyze_line(f, col_bank, col.data(), rp, lo.data(), hi.data(), scratch);
+    for (int r = 0; r < rp / 2; ++r) {
+      out.hl(r, c) = lo[r];
+      out.hh(r, c) = hi[r];
     }
   }
   f.barrier();  // the next level (or consumer) reads this level's outputs
@@ -576,7 +487,6 @@ LevelOut analyze_level(const ImageF& padded, const FilterBank& row_bank,
 ImageF synthesize_level_tiled(const ImageF& ll, const LevelBands& bands,
                               const FilterBank& row_bank, const FilterBank& col_bank,
                               LineFilter& f) {
-  ThreadPool* pool = f.pool();
   const simd::KernelSet& k = f.kernels();
   const int rp2 = ll.rows();
   const int cp2 = ll.cols();
@@ -597,11 +507,11 @@ ImageF synthesize_level_tiled(const ImageF& ll, const LevelBands& bands,
   float* trowlo = planes.alloc(half_plane);  // cp2 x rp, columns as rows
   float* trowhi = planes.alloc(half_plane);
   const int col_ext_stride = align16(rp + col_bank.synth_taps());
-  auto col_block = [&](int c0, int c1) {
+  {
     ArenaScope scratch;
     float* ext = scratch.alloc(static_cast<std::size_t>(kLineBlock) * col_ext_stride);
-    for (int c = c0; c < c1; c += kLineBlock) {
-      const int nb = std::min(kLineBlock, c1 - c);
+    for (int c = 0; c < cp2; c += kLineBlock) {
+      const int nb = std::min(kLineBlock, cp2 - c);
       for (int l = 0; l < nb; ++l) {
         fill_synthesis_ext(col_bank, tll + static_cast<std::size_t>(c + l) * rp2,
                            tlh + static_cast<std::size_t>(c + l) * rp2, rp,
@@ -619,11 +529,6 @@ ImageF synthesize_level_tiled(const ImageF& ll, const LevelBands& bands,
                       col_bank.cb.data(), col_bank.synth_taps(),
                       trowhi + static_cast<std::size_t>(c) * rp, rp);
     }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(0, cp2, col_block);
-  } else {
-    col_block(0, cp2);
   }
   for (int c = 0; c < cp2; ++c) {
     f.account_synthesize(rp / 2, col_bank.synth_taps());
@@ -637,11 +542,11 @@ ImageF synthesize_level_tiled(const ImageF& ll, const LevelBands& bands,
   simd::transpose_f32(trowhi, cp2, rp, rp, rowhi, cp2);
   ImageF padded(rp, cp);
   const int row_ext_stride = align16(cp + row_bank.synth_taps());
-  auto row_block = [&](int r0, int r1) {
+  {
     ArenaScope scratch;
     float* ext = scratch.alloc(static_cast<std::size_t>(kLineBlock) * row_ext_stride);
-    for (int r = r0; r < r1; r += kLineBlock) {
-      const int nb = std::min(kLineBlock, r1 - r);
+    for (int r = 0; r < rp; r += kLineBlock) {
+      const int nb = std::min(kLineBlock, rp - r);
       for (int l = 0; l < nb; ++l) {
         fill_synthesis_ext(row_bank, rowlo + static_cast<std::size_t>(r + l) * cp2,
                            rowhi + static_cast<std::size_t>(r + l) * cp2, cp,
@@ -650,11 +555,6 @@ ImageF synthesize_level_tiled(const ImageF& ll, const LevelBands& bands,
       k.synthesize_ml(ext, row_ext_stride, nb, cp / 2, row_bank.ca.data(),
                       row_bank.cb.data(), row_bank.synth_taps(), padded.row(r), cp);
     }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(0, rp, row_block);
-  } else {
-    row_block(0, rp);
   }
   for (int r = 0; r < rp; ++r) {
     f.account_synthesize(cp / 2, row_bank.synth_taps());
@@ -680,77 +580,31 @@ ImageF synthesize_level(const ImageF& ll, const LevelBands& bands,
   if (f.splittable() && g_host_layout != HostLayout::kNaive) {
     return synthesize_level_tiled(ll, bands, row_bank, col_bank, f);
   }
-  ThreadPool* pool = f.splittable() ? f.pool() : nullptr;
   const int rp2 = ll.rows();
   const int cp2 = ll.cols();
   const int rp = rp2 * 2;
   ImageF rowlo(rp, cp2), rowhi(rp, cp2);
-  if (pool != nullptr) {
-    const simd::KernelSet& k = f.kernels();
-    pool->parallel_for(0, cp2, [&](int c0, int c1) {
-      std::vector<float> local, lo(rp2), hi(rp2), col(rp);
-      for (int c = c0; c < c1; ++c) {
-        for (int r = 0; r < rp2; ++r) {
-          lo[r] = ll(r, c);
-          hi[r] = bands.lh(r, c);
-        }
-        const float* ext = extend_synthesis(col_bank, lo.data(), hi.data(), rp, local);
-        k.synthesize(ext, rp / 2, col_bank.ca.data(), col_bank.cb.data(),
-                     col_bank.synth_taps(), col.data());
-        for (int r = 0; r < rp; ++r) rowlo(r, c) = col[r];
-        for (int r = 0; r < rp2; ++r) {
-          lo[r] = bands.hl(r, c);
-          hi[r] = bands.hh(r, c);
-        }
-        ext = extend_synthesis(col_bank, lo.data(), hi.data(), rp, local);
-        k.synthesize(ext, rp / 2, col_bank.ca.data(), col_bank.cb.data(),
-                     col_bank.synth_taps(), col.data());
-        for (int r = 0; r < rp; ++r) rowhi(r, c) = col[r];
-      }
-    });
-    for (int c = 0; c < cp2; ++c) {
-      f.account_synthesize(rp / 2, col_bank.synth_taps());
-      f.account_synthesize(rp / 2, col_bank.synth_taps());
+  std::vector<float> lo(rp2), hi(rp2), col(rp);
+  for (int c = 0; c < cp2; ++c) {
+    for (int r = 0; r < rp2; ++r) {
+      lo[r] = ll(r, c);
+      hi[r] = bands.lh(r, c);
     }
-  } else {
-    std::vector<float> lo(rp2), hi(rp2), col(rp);
-    for (int c = 0; c < cp2; ++c) {
-      for (int r = 0; r < rp2; ++r) {
-        lo[r] = ll(r, c);
-        hi[r] = bands.lh(r, c);
-      }
-      synthesize_line(f, col_bank, lo.data(), hi.data(), rp, col.data(), scratch);
-      for (int r = 0; r < rp; ++r) rowlo(r, c) = col[r];
-      for (int r = 0; r < rp2; ++r) {
-        lo[r] = bands.hl(r, c);
-        hi[r] = bands.hh(r, c);
-      }
-      synthesize_line(f, col_bank, lo.data(), hi.data(), rp, col.data(), scratch);
-      for (int r = 0; r < rp; ++r) rowhi(r, c) = col[r];
+    synthesize_line(f, col_bank, lo.data(), hi.data(), rp, col.data(), scratch);
+    for (int r = 0; r < rp; ++r) rowlo(r, c) = col[r];
+    for (int r = 0; r < rp2; ++r) {
+      lo[r] = bands.hl(r, c);
+      hi[r] = bands.hh(r, c);
     }
+    synthesize_line(f, col_bank, lo.data(), hi.data(), rp, col.data(), scratch);
+    for (int r = 0; r < rp; ++r) rowhi(r, c) = col[r];
   }
   f.barrier();  // the row pass reads the column pass's outputs
   const int cp = cp2 * 2;
   ImageF padded(rp, cp);
-  if (pool != nullptr) {
-    const simd::KernelSet& k = f.kernels();
-    pool->parallel_for(0, rp, [&](int r0, int r1) {
-      std::vector<float> local;
-      for (int r = r0; r < r1; ++r) {
-        const float* ext =
-            extend_synthesis(row_bank, rowlo.row(r), rowhi.row(r), cp, local);
-        k.synthesize(ext, cp / 2, row_bank.ca.data(), row_bank.cb.data(),
-                     row_bank.synth_taps(), padded.row(r));
-      }
-    });
-    for (int r = 0; r < rp; ++r) {
-      f.account_synthesize(cp / 2, row_bank.synth_taps());
-    }
-  } else {
-    for (int r = 0; r < rp; ++r) {
-      synthesize_line(f, row_bank, rowlo.row(r), rowhi.row(r), cp, padded.row(r),
-                      scratch);
-    }
+  for (int r = 0; r < rp; ++r) {
+    synthesize_line(f, row_bank, rowlo.row(r), rowhi.row(r), cp, padded.row(r),
+                    scratch);
   }
   f.barrier();  // the next (shallower) level reads this reconstruction
   // Crop back to the pre-padding size of this level.
@@ -789,19 +643,6 @@ FilterBank bank_for_level(const TransformConfig& config, int level, int tree) {
 // and issues the exact account/barrier sequence the serial combined path
 // would have interleaved with the numerics.
 void account_forward_tree(int rows, int cols, const TransformConfig& config,
-                          int row_tree, int col_tree, LineFilter& f) {
-  std::vector<FilterBank> row_banks, col_banks;
-  row_banks.reserve(config.levels);
-  col_banks.reserve(config.levels);
-  for (int level = 0; level < config.levels; ++level) {
-    row_banks.push_back(bank_for_level(config, level, row_tree));
-    col_banks.push_back(bank_for_level(config, level, col_tree));
-  }
-  account_forward_tree(rows, cols, config, row_banks.data(), col_banks.data(),
-                       f);
-}
-
-void account_forward_tree(int rows, int cols, const TransformConfig& config,
                           const FilterBank* row_banks,
                           const FilterBank* col_banks, LineFilter& f) {
   int r = rows, c = cols;
@@ -825,19 +666,6 @@ void account_forward_tree(int rows, int cols, const TransformConfig& config,
 // Dims-based inverse replay for the fused plan, which never materializes a
 // TreePyramid: the per-level pre-padding dims are re-derived from the input
 // size exactly as forward_tree records them in bands.in_rows/in_cols.
-void account_inverse_tree(int rows, int cols, const TransformConfig& config,
-                          int row_tree, int col_tree, LineFilter& f) {
-  std::vector<FilterBank> row_banks, col_banks;
-  row_banks.reserve(config.levels);
-  col_banks.reserve(config.levels);
-  for (int level = 0; level < config.levels; ++level) {
-    row_banks.push_back(bank_for_level(config, level, row_tree));
-    col_banks.push_back(bank_for_level(config, level, col_tree));
-  }
-  account_inverse_tree(rows, cols, config, row_banks.data(), col_banks.data(),
-                       f);
-}
-
 void account_inverse_tree(int rows, int cols, const TransformConfig& config,
                           const FilterBank* row_banks,
                           const FilterBank* col_banks, LineFilter& f) {
@@ -867,35 +695,6 @@ void account_inverse_tree(int rows, int cols, const TransformConfig& config,
 }
 
 }  // namespace detail
-
-namespace {
-
-// Serial replay of one tree's inverse accounting from the pyramid's actual
-// level dims (see detail::account_forward_tree); inverse_tree can be handed
-// a pyramid whose bands were built elsewhere, so it trusts the pyramid over
-// the dims chain.
-void account_inverse_tree(const TreePyramid& pyr, const TransformConfig& config,
-                          int row_tree, int col_tree, LineFilter& f) {
-  int rp2 = pyr.ll.rows(), cp2 = pyr.ll.cols();
-  for (int level = static_cast<int>(pyr.levels.size()) - 1; level >= 0; --level) {
-    const FilterBank row_bank = detail::bank_for_level(config, level, row_tree);
-    const FilterBank col_bank = detail::bank_for_level(config, level, col_tree);
-    for (int i = 0; i < cp2; ++i) {
-      f.account_synthesize(rp2, col_bank.synth_taps());
-      f.account_synthesize(rp2, col_bank.synth_taps());
-    }
-    f.barrier();
-    for (int i = 0; i < 2 * rp2; ++i) {
-      f.account_synthesize(cp2, row_bank.synth_taps());
-    }
-    f.barrier();
-    // The next (shallower) level's ll is this level's cropped reconstruction.
-    rp2 = pyr.levels[level].in_rows;
-    cp2 = pyr.levels[level].in_cols;
-  }
-}
-
-}  // namespace
 
 TreePyramid forward_tree(const ImageF& img, const TransformConfig& config,
                          int row_tree, int col_tree, LineFilter& filter) {
@@ -943,65 +742,21 @@ ImageF inverse_tree(const TreePyramid& pyr, const TransformConfig& config,
 DtcwtPyramid forward_dtcwt(const ImageF& img, const TransformConfig& config,
                            LineFilter& filter) {
   DtcwtPyramid pyr;
-  ThreadPool* pool = filter.splittable() ? filter.pool() : nullptr;
-  if (pool == nullptr) {
-    for (int t = 0; t < 4; ++t) {
-      pyr.tree[t] = forward_tree(img, config, t >> 1, t & 1, filter);
-    }
-    return pyr;
-  }
-  // Tree-parallel path: the four trees are fully independent numerically, so
-  // each runs through a pure KernelLineFilter on the pool (no per-tree
-  // accounting, no nested parallelism). The real filter's accounting —
-  // including any accelerator-model state — is then replayed serially in the
-  // same tree order the serial path uses.
-  const simd::KernelSet& kernels = filter.kernels();
-  pool->parallel_for(0, 4, [&](int t0, int t1) {
-    KernelLineFilter pure(kernels);
-    for (int t = t0; t < t1; ++t) {
-      pyr.tree[t] = forward_tree(img, config, t >> 1, t & 1, pure);
-    }
-  });
   for (int t = 0; t < 4; ++t) {
-    detail::account_forward_tree(img.rows(), img.cols(), config, t >> 1, t & 1,
-                                 filter);
+    pyr.tree[t] = forward_tree(img, config, t >> 1, t & 1, filter);
   }
   return pyr;
 }
 
 ImageF inverse_dtcwt(const DtcwtPyramid& pyr, const TransformConfig& config,
                      LineFilter& filter) {
-  ThreadPool* pool = filter.splittable() ? filter.pool() : nullptr;
-  if (pool == nullptr) {
-    ImageF acc;
-    for (int t = 0; t < 4; ++t) {
-      ImageF rec = inverse_tree(pyr.tree[t], config, t >> 1, t & 1, filter);
-      if (t == 0) {
-        acc = std::move(rec);
-      } else {
-        for (std::size_t i = 0; i < acc.size(); ++i) acc.data()[i] += rec.data()[i];
-      }
-    }
-    for (std::size_t i = 0; i < acc.size(); ++i) acc.data()[i] *= 0.25f;
-    return acc;
-  }
-  ImageF recs[4];
-  const simd::KernelSet& kernels = filter.kernels();
-  pool->parallel_for(0, 4, [&](int t0, int t1) {
-    KernelLineFilter pure(kernels);
-    for (int t = t0; t < t1; ++t) {
-      recs[t] = inverse_tree(pyr.tree[t], config, t >> 1, t & 1, pure);
-    }
-  });
+  ImageF acc;
   for (int t = 0; t < 4; ++t) {
-    account_inverse_tree(pyr.tree[t], config, t >> 1, t & 1, filter);
-  }
-  // Combine in the serial path's exact order (float summation order matters
-  // for bit-identity).
-  ImageF acc = std::move(recs[0]);
-  for (int t = 1; t < 4; ++t) {
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-      acc.data()[i] += recs[t].data()[i];
+    ImageF rec = inverse_tree(pyr.tree[t], config, t >> 1, t & 1, filter);
+    if (t == 0) {
+      acc = std::move(rec);
+    } else {
+      for (std::size_t i = 0; i < acc.size(); ++i) acc.data()[i] += rec.data()[i];
     }
   }
   for (std::size_t i = 0; i < acc.size(); ++i) acc.data()[i] *= 0.25f;

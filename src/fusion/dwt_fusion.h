@@ -77,16 +77,17 @@ struct FilterStats {
 // without perturbing modeled time:
 //
 //   kernels()    pure numeric implementations (a simd::KernelSet). Thread-
-//                safe by construction — the transform's parallel paths call
-//                them from pool workers.
+//                safe by construction — the frame fan-out
+//                (sched::detail::measure_frames) calls them from pool
+//                workers, one whole frame per worker.
 //   account_*()  modeled-time / statistics bookkeeping: exactly one call per
 //                line, in canonical line order, always on the caller thread.
 //                Accounting is inherently order-dependent (double-precision
 //                ledgers, accelerator double-buffer state, event-queue
-//                scheduling), so it is never fanned out; parallel paths run
-//                the numerics first and then replay the account_*/barrier()
-//                sequence serially — which is why modeled output is
-//                bit-identical at any thread count.
+//                scheduling), so it is never fanned out; the fan-out runs
+//                the numerics first and then replays the account_*/barrier()
+//                sequence serially in frame order — which is why modeled
+//                output is bit-identical at any thread count.
 //
 // The combined entry points (analyze/synthesize/magnitude/select) default to
 // kernels() + account_*() and are what the serial path calls; filters whose
@@ -121,16 +122,13 @@ class LineFilter {
   // False when the combined entry points do more than kernels()+account_*()
   // (fixed-point quantizing datapath); such filters always run serial.
   virtual bool splittable() const { return true; }
-  // Host pool for data-parallel numeric work; nullptr = serial execution.
-  // Modeled time is unaffected by the pool (see account_* above).
-  virtual ThreadPool* pool() const { return nullptr; }
 
   // --- combined entry points (kernels + accounting) -------------------------
   virtual void analyze(const float* ext, int out_len, const float* lp, const float* hp,
                        int taps, float* lo, float* hi);
   virtual void synthesize(const float* ext, int pairs, const float* ca, const float* cb,
                           int taps, float* out);
-  // Fusion-rule kernels; whole-subband requests, chunked over pool().
+  // Fusion-rule kernels; whole-subband requests.
   virtual void magnitude(const float* re, const float* im, int n, float* mag);
   virtual void select(const float* a_re, const float* a_im, const float* b_re,
                       const float* b_im, const float* mag_a, const float* mag_b, int n,
@@ -140,27 +138,9 @@ class LineFilter {
   virtual void average(const float* a, const float* b, int n, float* out);
 };
 
-// Pure numeric filter over a fixed KernelSet: no accounting, no pool, no
-// barriers. The per-worker execution vehicle of the tree-parallel paths in
-// forward_dtcwt/inverse_dtcwt (numerics fan out through this; the real
-// filter's accounting is replayed serially afterwards).
-class KernelLineFilter : public LineFilter {
- public:
-  KernelLineFilter() : kernels_(&simd::active_kernels()) {}
-  explicit KernelLineFilter(const simd::KernelSet& kernels) : kernels_(&kernels) {}
-  const simd::KernelSet& kernels() const override { return *kernels_; }
-
- private:
-  const simd::KernelSet* kernels_;
-};
-
 class ScalarLineFilter : public LineFilter {
  public:
-  ScalarLineFilter() = default;
-  explicit ScalarLineFilter(const HostConfig& host) : pool_(host::pool(host)) {}
-
   const simd::KernelSet& kernels() const override { return simd::scalar_kernels(); }
-  ThreadPool* pool() const override { return pool_; }
   void account_analyze(int out_len, int taps) override {
     stats_.analysis_macs += 2LL * out_len * taps;
     stats_.analysis_lines += 1;
@@ -175,16 +155,16 @@ class ScalarLineFilter : public LineFilter {
 
  private:
   FilterStats stats_;
-  ThreadPool* pool_ = nullptr;
 };
 
 class SimdLineFilter : public LineFilter {
  public:
   SimdLineFilter() = default;
-  explicit SimdLineFilter(const HostConfig& host) : pool_(host::pool(host)) {}
+  // The width is ignored: host parallelism is per frame
+  // (sched::detail::measure_frames), so a filter never holds a pool.
+  explicit SimdLineFilter(const HostConfig& host) { (void)host; }
 
   const simd::KernelSet& kernels() const override { return simd::simd_kernels(); }
-  ThreadPool* pool() const override { return pool_; }
   void account_analyze(int out_len, int taps) override {
     stats_.analysis_macs += 2LL * out_len * taps;
     stats_.analysis_lines += 1;
@@ -199,7 +179,6 @@ class SimdLineFilter : public LineFilter {
 
  private:
   FilterStats stats_;
-  ThreadPool* pool_ = nullptr;
 };
 
 // --- 1-D line transforms ----------------------------------------------------
@@ -265,8 +244,6 @@ struct TreePyramid {
 
 // `row_tree`/`col_tree`: 0 = tree A, 1 = tree B (one-sample level-1 delay +
 // reversed q-shift filters at levels >= 2) applied along that dimension.
-// When `filter` is splittable and has a pool, the per-row/per-column numeric
-// loops fan out over the pool (accounting replayed serially per pass).
 TreePyramid forward_tree(const image::ImageF& img, const TransformConfig& config,
                          int row_tree, int col_tree, LineFilter& filter);
 image::ImageF inverse_tree(const TreePyramid& pyr, const TransformConfig& config,
@@ -278,10 +255,7 @@ struct DtcwtPyramid {
   TreePyramid tree[4];
 };
 
-// When `filter` is splittable and has a pool, the four independent trees run
-// their numerics in parallel (through KernelLineFilter) and the filter's
-// account_*/barrier() sequence is replayed serially in tree order — modeled
-// time is bit-identical to the serial path at any thread count.
+// Trees run in order AA, AB, BA, BB, each through `filter`.
 DtcwtPyramid forward_dtcwt(const image::ImageF& img, const TransformConfig& config,
                            LineFilter& filter);
 // Averages the four trees' reconstructions.
@@ -305,17 +279,10 @@ void fill_analysis_ext(const FilterBank& bank, const float* x, int n, float* ext
 // Replay one tree's forward / inverse account_*/barrier() sequence for an
 // input of the given pre-padding dims — the exact sequence the staged
 // forward_tree/inverse_tree emit, derived from shapes alone (accounting
-// never reads sample values).
-void account_forward_tree(int rows, int cols, const TransformConfig& config,
-                          int row_tree, int col_tree, LineFilter& f);
-void account_inverse_tree(int rows, int cols, const TransformConfig& config,
-                          int row_tree, int col_tree, LineFilter& f);
-
-// Bank-cached variants: identical account/barrier sequences, but taking the
-// per-level banks (row_banks[level] / col_banks[level], config.levels each)
-// from the caller instead of rebuilding them per tree. The fused plan replays
-// twelve tree accountings per frame pair; rebuilding the banks dominated the
-// replay cost.
+// never reads sample values). The per-level banks (row_banks[level] /
+// col_banks[level], config.levels each) come from the caller: the fused plan
+// replays twelve tree accountings per frame pair, and rebuilding the banks
+// per tree dominated the replay cost.
 void account_forward_tree(int rows, int cols, const TransformConfig& config,
                           const FilterBank* row_banks,
                           const FilterBank* col_banks, LineFilter& f);

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "src/common/arena.h"
-#include "src/common/thread_pool.h"
 #include "src/simd/kernels.h"
 
 namespace vf::dwt {
@@ -25,15 +24,6 @@ constexpr int kPairIm[2] = {3, 2};
 // lines in a block start aligned (matches the tiled path in dwt_fusion.cpp).
 int align16(int n) { return (n + 15) & ~15; }
 
-template <typename Fn>
-void run_span(ThreadPool* pool, int n, Fn&& fn) {
-  if (pool != nullptr) {
-    pool->parallel_for(0, n, fn);
-  } else if (n > 0) {
-    fn(0, n);
-  }
-}
-
 // Edge-replicating pad of an rows x cols plane into rp x cp (rp, cp each at
 // most one larger) — the same pad_even semantics as the staged path.
 void pad_raw(const float* src, int rows, int cols, int src_stride, int rp,
@@ -51,24 +41,21 @@ void pad_raw(const float* src, int rows, int cols, int src_stride, int rp,
 // as the tiled analyze_level row pass.
 void forward_row_pass(const float* src, int src_stride, int rp, int cp, int hc,
                       const FilterBank& bank, const simd::KernelSet& k,
-                      ThreadPool* pool, float* rowlo, float* rowhi) {
+                      float* rowlo, float* rowhi) {
   const int taps = bank.taps();
   const int ext_stride = align16(cp + taps);
-  auto block = [&](int r0, int r1) {
-    ArenaScope scratch;
-    float* ext = scratch.alloc(static_cast<size_t>(kLineBlock) * ext_stride);
-    for (int r = r0; r < r1; r += kLineBlock) {
-      const int nb = std::min(kLineBlock, r1 - r);
-      for (int l = 0; l < nb; ++l) {
-        detail::fill_analysis_ext(bank, src + static_cast<size_t>(r + l) * src_stride,
-                                  cp, ext + static_cast<size_t>(l) * ext_stride);
-      }
-      k.analyze_ml(ext, ext_stride, nb, hc, bank.lp.data(), bank.hp.data(), taps,
-                   rowlo + static_cast<size_t>(r) * hc,
-                   rowhi + static_cast<size_t>(r) * hc, hc);
+  ArenaScope scratch;
+  float* ext = scratch.alloc(static_cast<size_t>(kLineBlock) * ext_stride);
+  for (int r = 0; r < rp; r += kLineBlock) {
+    const int nb = std::min(kLineBlock, rp - r);
+    for (int l = 0; l < nb; ++l) {
+      detail::fill_analysis_ext(bank, src + static_cast<size_t>(r + l) * src_stride,
+                                cp, ext + static_cast<size_t>(l) * ext_stride);
     }
-  };
-  run_span(pool, rp, block);
+    k.analyze_ml(ext, ext_stride, nb, hc, bank.lp.data(), bank.hp.data(), taps,
+                 rowlo + static_cast<size_t>(r) * hc,
+                 rowhi + static_cast<size_t>(r) * hc, hc);
+  }
 }
 
 }  // namespace
@@ -117,12 +104,17 @@ bool FusionPlan::applicable(const TransformConfig& config, const LineFilter& fil
 
 ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
                        const StageHooks& hooks) const {
+  assert(f.splittable());
+  ImageF out = fuse(a, b, f.kernels());
+  replay(f, hooks);
+  return out;
+}
+
+ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
+                        const simd::KernelSet& k) const {
   assert(a.rows() == rows_ && a.cols() == cols_);
   assert(b.rows() == rows_ && b.cols() == cols_);
-  assert(f.splittable());
 
-  const simd::KernelSet& k = f.kernels();
-  ThreadPool* pool = f.pool();
   const int D = config_.levels;
   const int DL = D - 1;  // deepest level index
   const LevelDims& d0 = dims_[0];
@@ -151,7 +143,7 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
       row0lo[x][s] = outer.alloc(half0);
       row0hi[x][s] = outer.alloc(half0);
       forward_row_pass(in[x], d0.cp, d0.rp, d0.cp, d0.hc, row_banks_[s][0], k,
-                       pool, row0lo[x][s], row0hi[x][s]);
+                       row0lo[x][s], row0hi[x][s]);
     }
   }
 
@@ -237,7 +229,7 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
               src_stride = dl.cp;
             }
             forward_row_pass(src, src_stride, dl.rp, dl.cp, dl.hc,
-                             row_banks_[s][L], k, pool, rowlo[x][s], rowhi[x][s]);
+                             row_banks_[s][L], k, rowlo[x][s], rowhi[x][s]);
           }
         }
 
@@ -248,80 +240,76 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
         const FilterBank& cb1 = col_banks_[col_tree[1]][L];
         const int taps = cb0.taps();
         const int ext_stride = align16(dl.rp + taps);
-        auto col_block = [&](int c0, int c1) {
-          ArenaScope scratch;
-          float* slab_lo[2];
-          float* slab_hi[2];
-          for (int s = 0; s < 2; ++s) {
-            slab_lo[s] = scratch.alloc(static_cast<size_t>(kLineBlock) * dl.rp);
-            slab_hi[s] = scratch.alloc(static_cast<size_t>(kLineBlock) * dl.rp);
+        float* slab_lo[2];
+        float* slab_hi[2];
+        for (int s = 0; s < 2; ++s) {
+          slab_lo[s] = level.alloc(static_cast<size_t>(kLineBlock) * dl.rp);
+          slab_hi[s] = level.alloc(static_cast<size_t>(kLineBlock) * dl.rp);
+        }
+        float* ext_re = level.alloc(static_cast<size_t>(kLineBlock) * ext_stride);
+        float* ext_im = level.alloc(static_cast<size_t>(kLineBlock) * ext_stride);
+        // Block-local band planes for the in-cache select at shallow
+        // levels: blk[frame][sb][0=re, 1=im, 2=mag].
+        float* blk[2][3][3];
+        if (L < DL) {
+          for (int x = 0; x < 2; ++x) {
+            for (int sb = 0; sb < 3; ++sb) {
+              for (int j = 0; j < 3; ++j) {
+                blk[x][sb][j] = level.alloc(static_cast<size_t>(kLineBlock) * dl.hr);
+              }
+            }
           }
-          float* ext_re = scratch.alloc(static_cast<size_t>(kLineBlock) * ext_stride);
-          float* ext_im = scratch.alloc(static_cast<size_t>(kLineBlock) * ext_stride);
-          // Block-local band planes for the in-cache select at shallow
-          // levels: blk[frame][sb][0=re, 1=im, 2=mag].
-          float* blk[2][3][3];
+        }
+        for (int c = 0; c < dl.hc; c += kLineBlock) {
+          const int nb = std::min(kLineBlock, dl.hc - c);
+          const size_t off = static_cast<size_t>(c) * dl.hr;
+          for (int x = 0; x < 2; ++x) {
+            for (int s = 0; s < 2; ++s) {
+              simd::transpose_f32(rowlo[x][s] + c, dl.rp, nb, dl.hc, slab_lo[s], dl.rp);
+              simd::transpose_f32(rowhi[x][s] + c, dl.rp, nb, dl.hc, slab_hi[s], dl.rp);
+            }
+            // Row-lo columns -> ll (both sides) + lh (+ |lh|).
+            for (int l = 0; l < nb; ++l) {
+              detail::fill_analysis_ext(cb0, slab_lo[0] + static_cast<size_t>(l) * dl.rp,
+                                        dl.rp, ext_re + static_cast<size_t>(l) * ext_stride);
+              detail::fill_analysis_ext(cb1, slab_lo[1] + static_cast<size_t>(l) * dl.rp,
+                                        dl.rp, ext_im + static_cast<size_t>(l) * ext_stride);
+            }
+            const bool deep = L == DL;
+            k.analyze_mag_ml(ext_re, ext_im, ext_stride, nb, dl.hr,
+                             cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
+                             cb1.hp.data(), taps, tll[x][0] + off,
+                             deep ? deep_band[0][0][x] + off : blk[x][0][0],
+                             tll[x][1] + off,
+                             deep ? deep_band[0][1][x] + off : blk[x][0][1],
+                             nullptr,
+                             deep ? deep_mag[0][x] + off : blk[x][0][2], dl.hr);
+            // Row-hi columns -> hl + hh (+ magnitudes of both).
+            for (int l = 0; l < nb; ++l) {
+              detail::fill_analysis_ext(cb0, slab_hi[0] + static_cast<size_t>(l) * dl.rp,
+                                        dl.rp, ext_re + static_cast<size_t>(l) * ext_stride);
+              detail::fill_analysis_ext(cb1, slab_hi[1] + static_cast<size_t>(l) * dl.rp,
+                                        dl.rp, ext_im + static_cast<size_t>(l) * ext_stride);
+            }
+            k.analyze_mag_ml(ext_re, ext_im, ext_stride, nb, dl.hr,
+                             cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
+                             cb1.hp.data(), taps,
+                             deep ? deep_band[1][0][x] + off : blk[x][1][0],
+                             deep ? deep_band[2][0][x] + off : blk[x][2][0],
+                             deep ? deep_band[1][1][x] + off : blk[x][1][1],
+                             deep ? deep_band[2][1][x] + off : blk[x][2][1],
+                             deep ? deep_mag[1][x] + off : blk[x][1][2],
+                             deep ? deep_mag[2][x] + off : blk[x][2][2], dl.hr);
+          }
           if (L < DL) {
-            for (int x = 0; x < 2; ++x) {
-              for (int sb = 0; sb < 3; ++sb) {
-                for (int j = 0; j < 3; ++j) {
-                  blk[x][sb][j] = scratch.alloc(static_cast<size_t>(kLineBlock) * dl.hr);
-                }
-              }
+            for (int sb = 0; sb < 3; ++sb) {
+              k.select_ml(blk[0][sb][0], blk[0][sb][1], blk[1][sb][0],
+                          blk[1][sb][1], blk[0][sb][2], blk[1][sb][2], nb,
+                          dl.hr, dl.hr, fused_at(L, sb, 0) + off,
+                          fused_at(L, sb, 1) + off, dl.hr);
             }
           }
-          for (int c = c0; c < c1; c += kLineBlock) {
-            const int nb = std::min(kLineBlock, c1 - c);
-            const size_t off = static_cast<size_t>(c) * dl.hr;
-            for (int x = 0; x < 2; ++x) {
-              for (int s = 0; s < 2; ++s) {
-                simd::transpose_f32(rowlo[x][s] + c, dl.rp, nb, dl.hc, slab_lo[s], dl.rp);
-                simd::transpose_f32(rowhi[x][s] + c, dl.rp, nb, dl.hc, slab_hi[s], dl.rp);
-              }
-              // Row-lo columns -> ll (both sides) + lh (+ |lh|).
-              for (int l = 0; l < nb; ++l) {
-                detail::fill_analysis_ext(cb0, slab_lo[0] + static_cast<size_t>(l) * dl.rp,
-                                          dl.rp, ext_re + static_cast<size_t>(l) * ext_stride);
-                detail::fill_analysis_ext(cb1, slab_lo[1] + static_cast<size_t>(l) * dl.rp,
-                                          dl.rp, ext_im + static_cast<size_t>(l) * ext_stride);
-              }
-              const bool deep = L == DL;
-              k.analyze_mag_ml(ext_re, ext_im, ext_stride, nb, dl.hr,
-                               cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
-                               cb1.hp.data(), taps, tll[x][0] + off,
-                               deep ? deep_band[0][0][x] + off : blk[x][0][0],
-                               tll[x][1] + off,
-                               deep ? deep_band[0][1][x] + off : blk[x][0][1],
-                               nullptr,
-                               deep ? deep_mag[0][x] + off : blk[x][0][2], dl.hr);
-              // Row-hi columns -> hl + hh (+ magnitudes of both).
-              for (int l = 0; l < nb; ++l) {
-                detail::fill_analysis_ext(cb0, slab_hi[0] + static_cast<size_t>(l) * dl.rp,
-                                          dl.rp, ext_re + static_cast<size_t>(l) * ext_stride);
-                detail::fill_analysis_ext(cb1, slab_hi[1] + static_cast<size_t>(l) * dl.rp,
-                                          dl.rp, ext_im + static_cast<size_t>(l) * ext_stride);
-              }
-              k.analyze_mag_ml(ext_re, ext_im, ext_stride, nb, dl.hr,
-                               cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
-                               cb1.hp.data(), taps,
-                               deep ? deep_band[1][0][x] + off : blk[x][1][0],
-                               deep ? deep_band[2][0][x] + off : blk[x][2][0],
-                               deep ? deep_band[1][1][x] + off : blk[x][1][1],
-                               deep ? deep_band[2][1][x] + off : blk[x][2][1],
-                               deep ? deep_mag[1][x] + off : blk[x][1][2],
-                               deep ? deep_mag[2][x] + off : blk[x][2][2], dl.hr);
-            }
-            if (L < DL) {
-              for (int sb = 0; sb < 3; ++sb) {
-                k.select_ml(blk[0][sb][0], blk[0][sb][1], blk[1][sb][0],
-                            blk[1][sb][1], blk[0][sb][2], blk[1][sb][2], nb,
-                            dl.hr, dl.hr, fused_at(L, sb, 0) + off,
-                            fused_at(L, sb, 1) + off, dl.hr);
-              }
-            }
-          }
-        };
-        run_span(pool, dl.hc, col_block);
+        }
       }  // transient level scope
 
       if (L < DL) {
@@ -358,12 +346,12 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
 
         // Column synthesis; at the deepest level the select rule runs fused
         // into the synthesis read of the candidate bands.
-        auto col_block = [&](int c0, int c1) {
+        {
           ArenaScope scratch;
           float* tslab_lo = scratch.alloc(static_cast<size_t>(kLineBlock) * dl.rp);
           float* tslab_hi = scratch.alloc(static_cast<size_t>(kLineBlock) * dl.rp);
-          for (int c = c0; c < c1; c += kLineBlock) {
-            const int nb = std::min(kLineBlock, c1 - c);
+          for (int c = 0; c < cp2; c += kLineBlock) {
+            const int nb = std::min(kLineBlock, cp2 - c);
             const size_t off = static_cast<size_t>(c) * rp2;
             if (L == DL) {
               k.select_synth_ml(t_cur + off, nullptr, nullptr, nullptr,
@@ -394,23 +382,19 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
             simd::transpose_f32(tslab_lo, nb, dl.rp, dl.rp, rowlo + c, cp2);
             simd::transpose_f32(tslab_hi, nb, dl.rp, dl.rp, rowhi + c, cp2);
           }
-        };
-        run_span(pool, cp2, col_block);
+        }
 
         // Row synthesis back to the padded plane of this level.
-        auto row_block = [&](int r0, int r1) {
-          for (int r = r0; r < r1; r += kLineBlock) {
-            const int nb = std::min(kLineBlock, r1 - r);
-            k.select_synth_ml(rowlo + static_cast<size_t>(r) * cp2, nullptr,
-                              nullptr, nullptr,
-                              rowhi + static_cast<size_t>(r) * cp2, nullptr,
-                              nullptr, nullptr, cp2, nb, cp2, rowb->ca.data(),
-                              rowb->cb.data(), rowb->synth_taps(),
-                              rowb->synthesis_offset,
-                              padded + static_cast<size_t>(r) * dl.cp, dl.cp);
-          }
-        };
-        run_span(pool, dl.rp, row_block);
+        for (int r = 0; r < dl.rp; r += kLineBlock) {
+          const int nb = std::min(kLineBlock, dl.rp - r);
+          k.select_synth_ml(rowlo + static_cast<size_t>(r) * cp2, nullptr,
+                            nullptr, nullptr,
+                            rowhi + static_cast<size_t>(r) * cp2, nullptr,
+                            nullptr, nullptr, cp2, nb, cp2, rowb->ca.data(),
+                            rowb->cb.data(), rowb->synth_taps(),
+                            rowb->synthesis_offset,
+                            padded + static_cast<size_t>(r) * dl.cp, dl.cp);
+        }
 
         if (L > 0) {
           // Crop to this level's pre-padding dims and transpose so the next
@@ -440,8 +424,11 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
     for (size_t i = 0; i < n; ++i) acc[i] += r[i];
   }
   for (size_t i = 0; i < n; ++i) acc[i] *= 0.25f;
+  return out;
+}
 
-  // --- serial accounting replay, in the staged path's canonical order ----
+void FusionPlan::replay(LineFilter& f, const StageHooks& hooks) const {
+  const int D = config_.levels;
   if (hooks.before_forward) hooks.before_forward();
   for (int x = 0; x < 2; ++x) {
     for (int t = 0; t < 4; ++t) {
@@ -469,7 +456,6 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
                                  row_banks_[t >> 1].data(),
                                  col_banks_[t & 1].data(), f);
   }
-  return out;
 }
 
 FusionPlan::Traffic FusionPlan::estimate_traffic() const {

@@ -15,19 +15,24 @@
 //     (KernelSet::analyze_mag_ml), and at the deepest level the select rule
 //     is deferred into the inverse synthesis read (select_synth_ml), so the
 //     pass count over band data drops from ~10 to ~3 per frame pair;
-//   * all scratch comes from the per-thread arena; fused bands are stored
-//     transposed so the inverse column pass reads them with no extra
+//   * all scratch comes from the calling thread's arena; fused bands are
+//     stored transposed so the inverse column pass reads them with no extra
 //     transpose.
+//
+// The plan is two halves. fuse() is the numerics: always serial, no filter
+// calls, so one frame pair is one unit of host work that any thread can run
+// (sched::detail::measure_frames fans a window's frames out over the pool,
+// one frame per worker at a time). replay() is the filter's
+// account_*/barrier() bookkeeping, derived from shapes alone and issued in
+// the exact canonical sequence the staged path emits (forward A trees 0-3,
+// forward B trees 0-3, fusion pair/level/subband, inverse trees 0-3).
+// StageHooks let a timed runner interleave its phase transitions with that
+// replay, so every backend observes the same call stream as the staged path.
 //
 // Bit-identity is by construction, not by tolerance: every line flows through
 // the same single-line kernel flavour with the same extended samples as the
-// staged path (the fused kernels delegate per line — see kernels.h), the
-// reconstruction accumulates trees in the same order, and the filter's
-// account_*/barrier() bookkeeping is replayed serially afterwards in the
-// exact canonical sequence the staged path emits (forward A trees 0-3,
-// forward B trees 0-3, fusion pair/level/subband, inverse trees 0-3).
-// StageHooks let a timed runner interleave its phase transitions with that
-// replay, so every backend observes the same call stream as before.
+// staged path (the fused kernels delegate per line — see kernels.h), and the
+// reconstruction accumulates trees in the same order.
 #pragma once
 
 #include <functional>
@@ -52,16 +57,30 @@ class FusionPlan {
 
   FusionPlan(int rows, int cols, const TransformConfig& config);
 
+  int rows() const { return rows_; }
+  int cols() const { return cols_; }
+
   // The plan handles splittable filters (numerics expressible as a
   // KernelSet) with at least one decomposition level; everything else stays
   // on the staged path.
   static bool applicable(const TransformConfig& config,
                          const LineFilter& filter);
 
-  // Fuse one frame pair. Numerics first (pool-parallel over line blocks when
-  // the filter has a pool), then the serial accounting replay.
+  // Fuse one frame pair: fuse() through filter.kernels(), then replay().
   image::ImageF run(const image::ImageF& a, const image::ImageF& b,
                     LineFilter& filter, const StageHooks& hooks = {}) const;
+
+  // The numeric half: the fused image of one frame pair, computed serially
+  // on the calling thread with scratch from its arena. Makes no filter
+  // calls, so it may run on any thread, concurrently with other frames.
+  image::ImageF fuse(const image::ImageF& a, const image::ImageF& b,
+                     const simd::KernelSet& kernels) const;
+
+  // The accounting half: the staged path's canonical account_*/barrier()
+  // sequence for one frame pair of this plan's shape, with `hooks` fired
+  // between the stages. Reads no samples; call it on the thread that owns
+  // the filter, in frame order.
+  void replay(LineFilter& filter, const StageHooks& hooks = {}) const;
 
   // Estimated DRAM traffic per frame pair, derived from the pass structure
   // (each plane-sized read/write a pass makes, x4 bytes; block scratch that

@@ -114,8 +114,6 @@ SimDuration TransformBackend::prep_time(int pixels) const {
 
 namespace detail {
 
-ThreadPool* CpuTimedFilter::pool() const { return owner_->host_pool(); }
-
 void CpuTimedFilter::account_analyze(int out_len, int taps) {
   owner_->charge(
       hw::ps_clock().cycles(model_.analysis_line_cycles(2 * out_len, taps)));
@@ -178,8 +176,6 @@ class FpgaBackend::Filter : public dwt::LineFilter {
   Filter(FpgaBackend* owner, driver::WaveletAccelerator* accel)
       : owner_(owner), accel_(accel), cpu_(arm_cost_model()) {}
 
-  ThreadPool* pool() const override { return owner_->host_pool(); }
-
   // The engine-fit check lives in accounting: it depends only on the request
   // shape, and accounting sees every request exactly once, in order — so the
   // refusal still fires (after the numeric fan-out) for unfittable banks.
@@ -234,8 +230,6 @@ class AdaptiveBackend::Filter : public dwt::LineFilter {
          LineRouter* router)
       : owner_(owner), accel_(accel), router_(router), neon_(neon_cost_model()) {}
 
-  ThreadPool* pool() const override { return owner_->host_pool(); }
-
   void account_analyze(int out_len, int taps) override {
     if (router_->use_fpga(2 * out_len + taps)) {
       check_engine_fit(*accel_, taps, /*synthesis=*/false);
@@ -289,45 +283,121 @@ dwt::LineFilter& AdaptiveBackend::line_filter() { return *filter_; }
 
 // --- probing ----------------------------------------------------------------
 
-FrameRunResult TimedFusionRunner::run_frame_pair(const image::ImageF& visible,
-                                                 const image::ImageF& thermal) {
+void TimedFusionRunner::begin_frame(int pixels) {
   backend_.begin_frame();
   backend_.set_phase(Phase::kPrep);
-  backend_.charge(backend_.prep_time(
-      static_cast<int>(visible.size() + thermal.size())));
+  backend_.charge(backend_.prep_time(pixels));
+}
 
-  FrameRunResult result;
-  if (dwt::host_layout() == dwt::HostLayout::kFused &&
-      dwt::FusionPlan::applicable(config_.transform, backend_.line_filter())) {
-    // Band-streaming plan: numerics run during kPrep (they make no backend
-    // calls), then the accounting replay fires the same phase transitions at
-    // the same points in the modeled call sequence as the staged path below.
-    const dwt::FusionPlan plan(visible.rows(), visible.cols(), config_.transform);
-    dwt::FusionPlan::StageHooks hooks;
-    hooks.before_forward = [this] { backend_.set_phase(Phase::kForward); };
-    hooks.before_fusion = [this] { backend_.set_phase(Phase::kFusion); };
-    hooks.before_inverse = [this] { backend_.set_phase(Phase::kInverse); };
-    result.fused = plan.run(visible, thermal, backend_.line_filter(), hooks);
-  } else {
-    backend_.set_phase(Phase::kForward);
-    const dwt::DtcwtPyramid pa =
-        dwt::forward_dtcwt(visible, config_.transform, backend_.line_filter());
-    const dwt::DtcwtPyramid pb =
-        dwt::forward_dtcwt(thermal, config_.transform, backend_.line_filter());
-
-    backend_.set_phase(Phase::kFusion);
-    dwt::DtcwtPyramid fused;
-    fusion::fuse_pyramids(pa, pb, &fused, backend_.line_filter());
-
-    backend_.set_phase(Phase::kInverse);
-    result.fused =
-        dwt::inverse_dtcwt(fused, config_.transform, backend_.line_filter());
-  }
+FrameRunResult TimedFusionRunner::end_frame() {
   backend_.finish_frame();
+  FrameRunResult result;
   result.times = backend_.frame_times();
   result.pl_times = backend_.frame_pl_times();
   return result;
 }
+
+bool TimedFusionRunner::uses_plan() const {
+  return dwt::host_layout() == dwt::HostLayout::kFused &&
+         dwt::FusionPlan::applicable(config_.transform, backend_.line_filter());
+}
+
+FrameRunResult TimedFusionRunner::replay_frame_pair(const dwt::FusionPlan& plan) {
+  // The accounting replay fires the same phase transitions at the same points
+  // in the modeled call sequence as the staged path in run_frame_pair.
+  begin_frame(2 * plan.rows() * plan.cols());
+  dwt::FusionPlan::StageHooks hooks;
+  hooks.before_forward = [this] { backend_.set_phase(Phase::kForward); };
+  hooks.before_fusion = [this] { backend_.set_phase(Phase::kFusion); };
+  hooks.before_inverse = [this] { backend_.set_phase(Phase::kInverse); };
+  plan.replay(backend_.line_filter(), hooks);
+  return end_frame();
+}
+
+FrameRunResult TimedFusionRunner::run_frame_pair(const image::ImageF& visible,
+                                                 const image::ImageF& thermal) {
+  if (uses_plan()) {
+    // Band-streaming plan: the numerics make no backend calls, so they may
+    // run before the frame's accounting opens.
+    const dwt::FusionPlan plan(visible.rows(), visible.cols(), config_.transform);
+    image::ImageF fused =
+        plan.fuse(visible, thermal, backend_.line_filter().kernels());
+    FrameRunResult result = replay_frame_pair(plan);
+    result.fused = std::move(fused);
+    return result;
+  }
+  begin_frame(static_cast<int>(visible.size() + thermal.size()));
+  backend_.set_phase(Phase::kForward);
+  const dwt::DtcwtPyramid pa =
+      dwt::forward_dtcwt(visible, config_.transform, backend_.line_filter());
+  const dwt::DtcwtPyramid pb =
+      dwt::forward_dtcwt(thermal, config_.transform, backend_.line_filter());
+
+  backend_.set_phase(Phase::kFusion);
+  dwt::DtcwtPyramid fused;
+  fusion::fuse_pyramids(pa, pb, &fused, backend_.line_filter());
+
+  backend_.set_phase(Phase::kInverse);
+  image::ImageF out =
+      dwt::inverse_dtcwt(fused, config_.transform, backend_.line_filter());
+  FrameRunResult result = end_frame();
+  result.fused = std::move(out);
+  return result;
+}
+
+namespace detail {
+
+std::vector<FrameRunResult> measure_frames(TransformBackend& backend,
+                                           const fusion::FuseConfig& config,
+                                           const std::vector<FramePair>& frames,
+                                           const FusedSink& sink) {
+  TimedFusionRunner runner(backend, config);
+  const int n = static_cast<int>(frames.size());
+  std::vector<FrameRunResult> out;
+  out.reserve(frames.size());
+  ThreadPool* pool = backend.host_pool();
+  if (pool == nullptr || !runner.uses_plan()) {
+    for (int i = 0; i < n; ++i) {
+      const FramePair& pair = frames[static_cast<std::size_t>(i)];
+      FrameRunResult r = runner.run_frame_pair(pair.visible, pair.thermal);
+      if (sink) sink(i, std::move(r.fused));
+      r.fused = image::ImageF();
+      out.push_back(std::move(r));
+    }
+    return out;
+  }
+
+  // Consecutive frames of one shape share a plan.
+  std::vector<dwt::FusionPlan> plans;
+  std::vector<std::size_t> plan_of(frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const image::ImageF& v = frames[i].visible;
+    if (plans.empty() || plans.back().rows() != v.rows() ||
+        plans.back().cols() != v.cols()) {
+      plans.emplace_back(v.rows(), v.cols(), config.transform);
+    }
+    plan_of[i] = plans.size() - 1;
+  }
+
+  // One fork/join per window: a frame is the smallest chunk that amortizes
+  // waking a worker (a line never does). Workers only read the frames and
+  // plans and write their own frames' images.
+  const simd::KernelSet& kernels = backend.line_filter().kernels();
+  pool->parallel_for(0, n, [&](int begin, int end) {
+    for (int i = begin; i < end; ++i) {
+      const std::size_t f = static_cast<std::size_t>(i);
+      image::ImageF fused =
+          plans[plan_of[f]].fuse(frames[f].visible, frames[f].thermal, kernels);
+      if (sink) sink(i, std::move(fused));
+    }
+  });
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    out.push_back(runner.replay_frame_pair(plans[plan_of[f]]));
+  }
+  return out;
+}
+
+}  // namespace detail
 
 ProbeResult probe_backend(TransformBackend& backend, const FrameSize& size,
                           int frames, const fusion::FuseConfig& config) {

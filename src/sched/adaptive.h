@@ -9,6 +9,7 @@
 // paper's measured curves — see DESIGN.md §2 and tests/test_sched.cpp.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "src/common/sim_time.h"
 #include "src/fusion/dwt_fusion.h"
 #include "src/fusion/fuse.h"
+#include "src/fusion/fused_plan.h"
 #include "src/hw/driver.h"
 #include "src/hw/resources.h"
 #include "src/image/metrics.h"
@@ -82,7 +84,8 @@ class TransformBackend {
   virtual power::ComputeMode compute_mode() const = 0;
   virtual dwt::LineFilter& line_filter() = 0;
 
-  // Host pool for the numeric half of transform execution. Affects only how
+  // Host pool for the numeric half of a window of frames
+  // (detail::measure_frames fans whole frames out over it). Affects only how
   // fast the host computes; every modeled time above is charged through the
   // serial account_* path and is bit-identical at any pool width.
   ThreadPool* host_pool() const { return host_pool_; }
@@ -151,7 +154,6 @@ class CpuTimedFilter : public dwt::LineFilter {
   CpuTimedFilter(TransformBackend* owner, CpuCostModel model)
       : owner_(owner), model_(model) {}
 
-  ThreadPool* pool() const override;
   void account_analyze(int out_len, int taps) override;
   void account_synthesize(int pairs, int taps) override;
   void account_magnitude(int n) override;
@@ -275,10 +277,49 @@ class TimedFusionRunner {
   FrameRunResult run_frame_pair(const image::ImageF& visible,
                                 const image::ImageF& thermal);
 
+  // True when run_frame_pair executes the band-streaming dwt::FusionPlan,
+  // whose numerics (FusionPlan::fuse) and accounting (replay_frame_pair)
+  // can run apart.
+  bool uses_plan() const;
+
+  // The accounting half of run_frame_pair for a frame pair of `plan`'s shape
+  // whose numerics ran elsewhere through plan.fuse(): the same backend call
+  // sequence, so the same times; `fused` is left empty. Only when
+  // uses_plan().
+  FrameRunResult replay_frame_pair(const dwt::FusionPlan& plan);
+
  private:
+  void begin_frame(int pixels);
+  FrameRunResult end_frame();
+
   TransformBackend& backend_;
   fusion::FuseConfig config_;
 };
+
+namespace detail {
+
+// Receives frame `index`'s fused image. Called once per frame, from the
+// thread that fused it: with a host pool, concurrently for different frames
+// and in no particular order.
+using FusedSink = std::function<void(int index, image::ImageF&& fused)>;
+
+// Pass 1 of run_pipelined and of each run_fleet stream: fuses every frame
+// pair through `backend` and returns each frame's modeled stage times
+// (FrameRunResult::fused left empty; the image goes to `sink`, or is dropped
+// when the sink is empty).
+//
+// When the backend has a host_pool() and runs the fused plan, the window's
+// numerics are one parallel_for over its frames: each worker fuses whole
+// frames (FusionPlan::fuse) with scratch from its own arena. The backend's
+// accounting is then replayed on the caller in frame order, so the returned
+// times and any captured stream trace equal a serial run's bit for bit.
+// Otherwise every frame runs through TimedFusionRunner::run_frame_pair.
+std::vector<FrameRunResult> measure_frames(TransformBackend& backend,
+                                           const fusion::FuseConfig& config,
+                                           const std::vector<FramePair>& frames,
+                                           const FusedSink& sink = {});
+
+}  // namespace detail
 
 struct ProbeResult {
   SimDuration prep, forward, fusion, inverse, total;

@@ -291,10 +291,11 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
     std::abort();
   }
 
-  // Pass 1, per stream: serial numerics through the stream's factory-built
-  // backend; per-frame stage costs split into the PS-resident part and the
-  // PL remainder (exactly run_pipelined's measurement pass). The NEON spill
-  // costs are shape-only, so one probed frame covers the whole stream.
+  // Pass 1, per stream: numerics and the serial accounting replay through
+  // the stream's factory-built backend (detail::measure_frames, exactly
+  // run_pipelined's measurement pass); per-frame stage costs split into the
+  // PS-resident part and the PL remainder. The NEON spill costs are
+  // shape-only, so one probed frame covers the whole stream.
   std::vector<detail::FleetStreamInput> inputs;
   inputs.reserve(streams.size());
   // Cross-frame streaming: per-stream op lists for the batch-granular
@@ -335,13 +336,12 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
       traced = dynamic_cast<BatchedFpgaBackend*>(backend.get());
       if (traced) traced->enable_stream_trace();
     }
-    TimedFusionRunner runner(*backend, sc.run.fuse);
     const std::vector<FramePair> pairs =
         make_sweep_frames(sc.run.frame_size, frames);
     in.cost.reserve(pairs.size());
-    for (const FramePair& pair : pairs) {
-      in.cost.push_back(
-          split_stage_costs(runner.run_frame_pair(pair.visible, pair.thermal)));
+    for (const FrameRunResult& r :
+         detail::measure_frames(*backend, sc.run.fuse, pairs)) {
+      in.cost.push_back(split_stage_costs(r));
     }
 
     const bool cpu_stream = sc.backend == BackendKind::kArm ||

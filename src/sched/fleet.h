@@ -114,8 +114,8 @@ struct FleetResult {
   }
 };
 
-// Runs the fleet: per-stream pass 1 (serial numerics through the stream's
-// factory-built backend, per-frame PS/PL-split stage costs), then the
+// Runs the fleet: per-stream pass 1 (detail::measure_frames through the
+// stream's factory-built backend, per-frame PS/PL-split stage costs), then the
 // event-driven dispatch of every stage onto the shared cores/engines, then
 // stats + energy integration. Deterministic at any --threads.
 FleetResult run_fleet(const std::vector<StreamConfig>& streams,

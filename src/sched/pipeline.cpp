@@ -26,8 +26,6 @@ class BatchedFpgaBackend::Filter : public dwt::LineFilter {
 
   void barrier() override { accel_->barrier(); }
 
-  ThreadPool* pool() const override { return owner_->host_pool(); }
-
   void account_analyze(int out_len, int taps) override {
     detail::check_engine_fit(accel_->engine(), taps, /*synthesis=*/false);
     accel_->submit_line(2 * out_len + taps, 2 * out_len,
@@ -176,8 +174,10 @@ PipelineRunResult run_pipelined(TransformBackend& backend,
   PipelineRunResult result;
   result.frames = static_cast<int>(frames.size());
 
-  // Pass 1: serial numerics + per-frame stage costs split into the work the
-  // PS core must execute and the PL-resident remainder it may overlap.
+  // Pass 1: numerics (fanned out over the host pool, one frame per worker)
+  // and the serial accounting replay, giving per-frame stage costs split into
+  // the work the PS core must execute and the PL-resident remainder it may
+  // overlap.
   //
   // Cross-frame streaming (ISSUE 9) records each frame's op stream during
   // this same pass; backends without a batch trace fall back to the legacy
@@ -188,11 +188,10 @@ PipelineRunResult run_pipelined(TransformBackend& backend,
     streaming_backend = dynamic_cast<BatchedFpgaBackend*>(&backend);
     if (streaming_backend) streaming_backend->enable_stream_trace();
   }
-  TimedFusionRunner runner(backend, options.fuse);
   std::vector<std::array<StageCost, kStages>> cost;
   cost.reserve(frames.size());
-  for (const FramePair& pair : frames) {
-    const FrameRunResult r = runner.run_frame_pair(pair.visible, pair.thermal);
+  for (const FrameRunResult& r :
+       detail::measure_frames(backend, options.fuse, frames)) {
     result.serial_total += r.times.total();
     cost.push_back({{
         {clamp_nonneg(r.times.prep - r.pl_times.prep), r.pl_times.prep, "prep"},

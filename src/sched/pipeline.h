@@ -141,7 +141,8 @@ struct PipelineRunResult {
   }
 };
 
-// Runs every frame pair through `backend` (serial numerics, per-frame
+// Runs every frame pair through `backend` (detail::measure_frames: numerics
+// fanned out over the host pool, accounting replayed serially, per-frame
 // PS/PL-split stage costs), then re-schedules the stages on a Timeline with
 // the 4-stage software pipeline prep -> forward -> fusion -> inverse.
 PipelineRunResult run_pipelined(TransformBackend& backend,

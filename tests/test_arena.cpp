@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "src/common/arena.h"
@@ -96,26 +99,42 @@ TEST(Arena, ThreadArenaIsStable) {
 
 // --- zero-allocation guard ---------------------------------------------------
 
-// After one warm-up pass has reserved every block the transform needs, a
-// full multi-frame pipelined run — forward + inverse DT-CWT, fusion rule,
+// After warm-up has reserved every block the transform needs, a full
+// multi-frame pipelined run — forward + inverse DT-CWT, fusion rule,
 // extension fills, tiled transposes — must perform zero arena block
-// allocations. A regression here means some hot loop went back to heap
-// scratch.
+// allocations, serially and with the frames fanned out over a pool. A
+// regression here means some hot loop went back to heap scratch.
 TEST(ArenaZeroAlloc, SteadyStatePipelineAllocatesNothing) {
-  for (const sched::FrameSize size : {sched::FrameSize{40, 40},
-                                      sched::FrameSize{88, 72}}) {
-    const auto stream = sched::make_sweep_frames(size, 6);
-    sched::RunConfig rc;
-    {
-      sched::BatchedFpgaBackend warmup(rc);
-      (void)sched::run_pipelined(warmup, stream);
+  for (const int width : {1, 2}) {
+    // Each pool thread grows its own arena the first time it fuses a frame,
+    // and which thread claims which chunk of a window is up to the pool, so
+    // warm up until every thread of the pool has fused at least one frame.
+    ThreadPool* pool = host::pool(HostConfig{width});
+    const std::size_t threads =
+        pool ? static_cast<std::size_t>(pool->threads()) : 1u;
+    for (const sched::FrameSize size : {sched::FrameSize{40, 40},
+                                        sched::FrameSize{88, 72}}) {
+      const auto stream = sched::make_sweep_frames(size, 6);
+      sched::RunConfig rc;
+      rc.host.threads = width;
+      std::mutex m;
+      std::set<std::thread::id> fused_on;
+      for (int tries = 0; fused_on.size() < threads && tries < 100; ++tries) {
+        sched::BatchedFpgaBackend warmup(rc);
+        (void)sched::detail::measure_frames(
+            warmup, rc.fuse, stream, [&](int, image::ImageF&&) {
+              std::lock_guard<std::mutex> lock(m);
+              fused_on.insert(std::this_thread::get_id());
+            });
+      }
+      ASSERT_EQ(fused_on.size(), threads) << "width " << width;
+      const long long before = Arena::total_block_allocations();
+      sched::BatchedFpgaBackend backend(rc);
+      const sched::PipelineRunResult run = sched::run_pipelined(backend, stream);
+      EXPECT_GT(run.makespan.sec(), 0.0);
+      EXPECT_EQ(Arena::total_block_allocations(), before)
+          << size.width << "x" << size.height << " width " << width;
     }
-    const long long before = Arena::total_block_allocations();
-    sched::BatchedFpgaBackend backend(rc);
-    const sched::PipelineRunResult run = sched::run_pipelined(backend, stream);
-    EXPECT_GT(run.makespan.sec(), 0.0);
-    EXPECT_EQ(Arena::total_block_allocations(), before)
-        << size.width << "x" << size.height;
   }
 }
 

@@ -3,6 +3,9 @@
 // and determinism at any host pool width.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "src/hw/fixed_point.h"
 #include "src/sched/fleet.h"
 #include "src/sched/pipeline.h"
@@ -196,30 +199,52 @@ TEST(Fleet, SaturatedEngineSpillsFramesToNeonCosts) {
 // --- determinism across host pool widths -------------------------------------
 
 TEST(Fleet, ModeledResultInvariantAcrossThreads) {
-  sched::FleetResult ref;
-  const int widths[] = {1, 2, 8};
-  for (int i = 0; i < 3; ++i) {
-    std::vector<sched::StreamConfig> streams = {
-        camera_stream({64, 48}, 5, 30.0), camera_stream({32, 24}, 5, 60.0)};
-    for (auto& s : streams) s.run.host.threads = widths[i];
-    sched::FleetConfig fleet;
-    fleet.engines = 2;
-    fleet.fixed_point_engines = true;
-    fleet.spill_wait_frac = 0.5;
-    const sched::FleetResult r = sched::run_fleet(streams, fleet);
-    if (i == 0) {
-      ref = r;
-      continue;
+  // Every modeled field of a fleet result, in a fixed order.
+  auto fields = [](const sched::FleetResult& r) {
+    std::vector<double> v = {r.makespan.sec(), double(r.arrived), double(r.admitted),
+                             double(r.dropped), double(r.completed), r.ps_busy.sec(),
+                             r.pl_busy.sec(), r.energy_mj, r.energy_gated_mj};
+    for (const sched::StreamStats& s : r.streams) {
+      v.insert(v.end(), {double(s.arrived), double(s.admitted), double(s.completed),
+                         double(s.dropped), double(s.spilled), s.p50_latency.sec(),
+                         s.p99_latency.sec(), s.max_latency.sec(),
+                         s.last_completion.sec(), s.ps_busy.sec(), s.pl_busy.sec(),
+                         s.energy_mj});
     }
-    EXPECT_TRUE(r.makespan == ref.makespan) << "threads=" << widths[i];
-    EXPECT_EQ(r.dropped, ref.dropped);
-    EXPECT_EQ(r.energy_mj, ref.energy_mj);
-    EXPECT_EQ(r.energy_gated_mj, ref.energy_gated_mj);
-    ASSERT_EQ(r.streams.size(), ref.streams.size());
-    for (std::size_t s = 0; s < r.streams.size(); ++s) {
-      EXPECT_TRUE(r.streams[s].p50_latency == ref.streams[s].p50_latency);
-      EXPECT_TRUE(r.streams[s].p99_latency == ref.streams[s].p99_latency);
-      EXPECT_EQ(r.streams[s].energy_mj, ref.streams[s].energy_mj);
+    return v;
+  };
+  // The legacy stage-granular fleet, and a multi-stream cross-frame fleet
+  // (the streaming replay over captured batch traces).
+  for (const bool cross_frame : {false, true}) {
+    std::vector<double> ref;
+    for (const int width : {1, 2, 8}) {
+      std::vector<sched::StreamConfig> streams = {
+          camera_stream({64, 48}, 5, 30.0), camera_stream({32, 24}, 5, 60.0)};
+      if (cross_frame) {
+        streams.push_back(camera_stream({32, 24}, 7, 30.0));
+        streams.push_back(camera_stream({40, 40}, 3, 30.0));
+        streams[3].backend = sched::BackendKind::kNeon;
+      }
+      for (auto& s : streams) {
+        s.run.host.threads = width;
+        if (cross_frame) s.run.batching.sg_chain_len = 8;
+      }
+      sched::FleetConfig fleet;
+      fleet.engines = 2;
+      fleet.fixed_point_engines = true;
+      fleet.spill_wait_frac = 0.5;
+      fleet.cross_frame = cross_frame;
+      const std::vector<double> got = fields(sched::run_fleet(streams, fleet));
+      if (width == 1) {
+        ref = got;
+        continue;
+      }
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(std::memcmp(&got[i], &ref[i], sizeof(double)), 0)
+            << "cross_frame=" << cross_frame << " threads=" << width << " field " << i
+            << ": " << got[i] << " vs " << ref[i];
+      }
     }
   }
 }

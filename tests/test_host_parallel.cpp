@@ -1,18 +1,22 @@
-// Host-parallel execution contract (thread_pool.h + the parallel transform
-// paths): any --threads width computes bit-identical numerics AND leaves the
-// modeled ZC702 output bit-identical, because accounting replays serially in
-// canonical order. These tests pin both halves of that contract.
+// Host-parallel execution contract (thread_pool.h + the frame fan-out in
+// sched::detail::measure_frames): any --threads width computes bit-identical
+// numerics AND leaves the modeled ZC702 output bit-identical, because each
+// frame's numerics run whole on one worker and accounting replays serially
+// in canonical frame order. These tests pin both halves of that contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <mutex>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "src/common/thread_pool.h"
 #include "src/fusion/fuse.h"
+#include "src/fusion/fused_plan.h"
 #include "src/sched/adaptive.h"
 #include "src/sched/pipeline.h"
 #include "src/simd/dispatch.h"
@@ -84,6 +88,21 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
   EXPECT_EQ(inner_chunks.load(), 4);
 }
 
+TEST(ThreadPool, ChunkExceptionReachesTheCaller) {
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.parallel_for(0, 8,
+                                 [&](int b, int) {
+                                   ++ran;
+                                   if (b >= 4) throw std::runtime_error("chunk");
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 4);  // every chunk still ran to completion
+  std::atomic<int> after{0};
+  pool.parallel_for(0, 8, [&](int b, int e) { after += e - b; });
+  EXPECT_EQ(after.load(), 8);  // and the pool stays usable
+}
+
 TEST(HostPoolRegistry, SerialWidthsHaveNoPool) {
   // Library default is serial: HostConfig{} resolves to 1 thread -> nullptr.
   EXPECT_EQ(host::default_threads(), 1);
@@ -115,78 +134,167 @@ std::uint64_t hash_image(const image::ImageF& img) {
   return fnv1a(img.data(), img.size());
 }
 
+bool same_bits(const image::ImageF& a, const image::ImageF& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
 const int kThreadWidths[] = {1, 2, 8};
 
-// Fused image bits must not depend on the host pool width.
+// Every worker fuses the same frame pair at once, each in its own arena: the
+// concurrent results must all match the serial fuse_frames bits.
 TEST(HostParallelIdentity, FusedImageBitsInvariantAcrossThreads) {
   const auto frames = sched::make_sweep_frames({88, 72}, 1);
-  std::uint64_t ref_hash = 0;
+  dwt::SimdLineFilter serial;
+  const image::ImageF want =
+      fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, serial);
+  const dwt::FusionPlan plan(72, 88, fusion::FuseConfig{}.transform);
   for (int n : kThreadWidths) {
-    dwt::SimdLineFilter filter{HostConfig{n}};
-    const image::ImageF fused =
-        fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, filter);
-    const std::uint64_t h = hash_image(fused);
-    if (n == 1) {
-      ref_hash = h;
-    } else {
-      EXPECT_EQ(h, ref_hash) << "threads=" << n;
+    ThreadPool pool(n);
+    std::vector<image::ImageF> got(static_cast<std::size_t>(2 * n));
+    pool.parallel_for(0, 2 * n, [&](int b, int e) {
+      for (int i = b; i < e; ++i) {
+        got[static_cast<std::size_t>(i)] =
+            plan.fuse(frames[0].visible, frames[0].thermal, serial.kernels());
+      }
+    });
+    for (const image::ImageF& img : got) {
+      EXPECT_EQ(hash_image(img), hash_image(want)) << "threads=" << n;
     }
   }
 }
 
-// MAC statistics are accounting: replayed serially, so totals are exactly
-// equal (not merely close) at any width.
+// MAC statistics are accounting: numerics on pool workers, then the replay
+// on the caller, must count exactly what the serial fuse_frames counts.
 TEST(HostParallelIdentity, FilterStatsInvariantAcrossThreads) {
-  const auto frames = sched::make_sweep_frames({64, 48}, 1);
+  const auto frames = sched::make_sweep_frames({64, 48}, 4);
   dwt::ScalarLineFilter serial;
-  (void)fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, serial);
+  for (const sched::FramePair& pair : frames) {
+    (void)fusion::fuse_frames(pair.visible, pair.thermal, {}, serial);
+  }
+  const dwt::FusionPlan plan(48, 64, fusion::FuseConfig{}.transform);
   for (int n : {2, 8}) {
-    dwt::ScalarLineFilter pooled{HostConfig{n}};
-    const image::ImageF fused =
-        fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, pooled);
-    EXPECT_EQ(pooled.stats().analysis_macs, serial.stats().analysis_macs);
-    EXPECT_EQ(pooled.stats().synthesis_macs, serial.stats().synthesis_macs);
-    EXPECT_EQ(pooled.stats().analysis_lines, serial.stats().analysis_lines);
-    EXPECT_EQ(pooled.stats().synthesis_lines, serial.stats().synthesis_lines);
-    (void)fused;
+    ThreadPool pool(n);
+    dwt::ScalarLineFilter split;
+    pool.parallel_for(0, static_cast<int>(frames.size()), [&](int b, int e) {
+      for (int i = b; i < e; ++i) {
+        const sched::FramePair& pair = frames[static_cast<std::size_t>(i)];
+        (void)plan.fuse(pair.visible, pair.thermal, split.kernels());
+      }
+    });
+    for (std::size_t i = 0; i < frames.size(); ++i) plan.replay(split);
+    EXPECT_EQ(split.stats().analysis_macs, serial.stats().analysis_macs);
+    EXPECT_EQ(split.stats().synthesis_macs, serial.stats().synthesis_macs);
+    EXPECT_EQ(split.stats().analysis_lines, serial.stats().analysis_lines);
+    EXPECT_EQ(split.stats().synthesis_lines, serial.stats().synthesis_lines);
   }
 }
 
-// Every modeled backend: probe totals and energy bit-identical at any width.
+const sched::BackendKind kAllBackends[] = {
+    sched::BackendKind::kArm, sched::BackendKind::kNeon,
+    sched::BackendKind::kFpga, sched::BackendKind::kFpgaBatched,
+    sched::BackendKind::kAdaptive};
+
+// Every modeled backend through the frame fan-out: per-frame stage times and
+// probe energy bit-identical at any width.
 TEST(HostParallelIdentity, ModeledProbeInvariantAcrossThreads) {
   const sched::FrameSize size{88, 72};
-  const int frames = 2;
-  struct Case {
-    const char* name;
-    sched::ProbeResult result[3];
-  };
-  std::vector<Case> cases;
-  for (int i = 0; i < 3; ++i) {
-    const HostConfig host{kThreadWidths[i]};
-    std::size_t c = 0;
-    auto record = [&](const char* name, sched::TransformBackend& b) {
-      if (i == 0) cases.push_back({name, {}});
-      cases[c++].result[i] = sched::probe_backend(b, size, frames);
-    };
-    sched::RunConfig run;
-    run.host = host;
-    const sched::BackendKind kinds[] = {
-        sched::BackendKind::kArm, sched::BackendKind::kNeon,
-        sched::BackendKind::kFpga, sched::BackendKind::kFpgaBatched,
-        sched::BackendKind::kAdaptive};
-    for (const sched::BackendKind kind : kinds) {
+  const auto frames = sched::make_sweep_frames(size, 3);
+  for (const sched::BackendKind kind : kAllBackends) {
+    std::vector<sched::FrameRunResult> ref;
+    for (int n : kThreadWidths) {
+      sched::RunConfig run;
+      run.host.threads = n;
       const auto b = sched::make_backend(kind, run);
-      record(sched::backend_name(kind), *b);
+      const std::vector<sched::FrameRunResult> got =
+          sched::detail::measure_frames(*b, run.fuse, frames);
+      ASSERT_EQ(got.size(), frames.size());
+      if (n == 1) {
+        ref = got;
+        // The fan-out's serial case is the probe's own loop.
+        const auto probe_backend = sched::make_backend(kind, run);
+        const sched::ProbeResult probe =
+            sched::probe_backend(*probe_backend, size, 3);
+        sched::StageTimes sum;
+        for (const auto& r : got) {
+          sum.prep += r.times.prep;
+          sum.forward += r.times.forward;
+          sum.fusion += r.times.fusion;
+          sum.inverse += r.times.inverse;
+        }
+        EXPECT_TRUE(sum.total() == probe.total) << sched::backend_name(kind);
+        continue;
+      }
+      for (std::size_t f = 0; f < got.size(); ++f) {
+        EXPECT_TRUE(got[f].times.prep == ref[f].times.prep) << sched::backend_name(kind);
+        EXPECT_TRUE(got[f].times.forward == ref[f].times.forward)
+            << sched::backend_name(kind) << " threads=" << n;
+        EXPECT_TRUE(got[f].times.fusion == ref[f].times.fusion) << sched::backend_name(kind);
+        EXPECT_TRUE(got[f].times.inverse == ref[f].times.inverse)
+            << sched::backend_name(kind);
+        EXPECT_TRUE(got[f].pl_times.total() == ref[f].pl_times.total())
+            << sched::backend_name(kind);
+      }
     }
   }
-  for (const Case& c : cases) {
-    for (int i = 1; i < 3; ++i) {
-      EXPECT_TRUE(c.result[i].total == c.result[0].total)
-          << c.name << " threads=" << kThreadWidths[i] << " total "
-          << c.result[i].total.sec() << " vs " << c.result[0].total.sec();
-      EXPECT_TRUE(c.result[i].forward == c.result[0].forward) << c.name;
-      EXPECT_TRUE(c.result[i].inverse == c.result[0].inverse) << c.name;
-      EXPECT_EQ(c.result[i].energy_mj, c.result[0].energy_mj) << c.name;
+}
+
+// The frame fan-out itself: through the sink, every frame's fused image
+// arrives exactly once and equals the width-1 run_frame_pair output bit for
+// bit — for a single frame, fewer frames than workers, many frames per
+// worker, an odd shape, and a window that changes shape mid-way.
+TEST(HostParallelIdentity, FrameFanOutMatchesSerialRunFramePair) {
+  std::vector<std::vector<sched::FramePair>> windows;
+  for (const sched::FrameSize size : {sched::FrameSize{88, 72}, sched::FrameSize{33, 25}}) {
+    for (int count : {1, 3, 64}) windows.push_back(sched::make_sweep_frames(size, count));
+  }
+  std::vector<sched::FramePair> mixed = sched::make_sweep_frames({33, 25}, 2);
+  for (auto& pair : sched::make_sweep_frames({88, 72}, 3)) mixed.push_back(std::move(pair));
+  mixed.push_back(sched::make_sweep_frames({33, 25}, 1)[0]);
+  windows.push_back(std::move(mixed));
+
+  for (const std::vector<sched::FramePair>& frames : windows) {
+    const int count = static_cast<int>(frames.size());
+    const std::string label = std::to_string(frames[0].visible.cols()) + "x" +
+                              std::to_string(frames[0].visible.rows()) + " x" +
+                              std::to_string(count);
+    sched::RunConfig serial_run;
+    serial_run.host.threads = 1;
+    const auto serial_backend =
+        sched::make_backend(sched::BackendKind::kFpgaBatched, serial_run);
+    sched::TimedFusionRunner runner(*serial_backend, serial_run.fuse);
+    std::vector<sched::FrameRunResult> want;
+    for (const sched::FramePair& pair : frames) {
+      want.push_back(runner.run_frame_pair(pair.visible, pair.thermal));
+    }
+    for (int n : {1, 2, 4, 8}) {
+      sched::RunConfig run;
+      run.host.threads = n;
+      const auto backend = sched::make_backend(sched::BackendKind::kFpgaBatched, run);
+      std::vector<image::ImageF> got(frames.size());
+      std::vector<std::atomic<int>> calls(frames.size());
+      std::atomic<int> out_of_range{0};
+      const std::vector<sched::FrameRunResult> results = sched::detail::measure_frames(
+          *backend, run.fuse, frames, [&](int i, image::ImageF&& fused) {
+            if (i < 0 || i >= count) {
+              ++out_of_range;
+              return;
+            }
+            ++calls[static_cast<std::size_t>(i)];
+            got[static_cast<std::size_t>(i)] = std::move(fused);
+          });
+      EXPECT_EQ(out_of_range.load(), 0) << label;
+      ASSERT_EQ(results.size(), frames.size()) << label;
+      for (std::size_t f = 0; f < frames.size(); ++f) {
+        EXPECT_EQ(calls[f].load(), 1) << label << " threads=" << n << " frame " << f;
+        EXPECT_TRUE(same_bits(got[f], want[f].fused))
+            << label << " threads=" << n << " frame " << f;
+        EXPECT_EQ(results[f].fused.size(), 0u) << label;
+        EXPECT_TRUE(results[f].times.total() == want[f].times.total())
+            << label << " threads=" << n << " frame " << f;
+        EXPECT_TRUE(results[f].pl_times.total() == want[f].pl_times.total())
+            << label << " threads=" << n << " frame " << f;
+      }
     }
   }
 }
@@ -227,24 +335,22 @@ const dwt::HostLayout kLayouts[] = {dwt::HostLayout::kNaive,
 // arithmetic order is pinned by the _ml delegation contract, so fused bits
 // must match the naive per-line path exactly — at sizes that are all tile
 // tail (1xN), straddle the 8x8 tile edge (9x7, 33x25), have odd rows at
-// scale (88x71), and at the paper's largest frame, for every pool width.
+// scale (88x71), and at the paper's largest frame.
 TEST(HostLayoutIdentity, AllLayoutsFuseIdenticalBits) {
   LayoutRestore restore;
   const sched::FrameSize sizes[] = {{9, 7},  {33, 25}, {1, 16},
                                     {16, 1}, {88, 71}, {88, 72}};
   for (const sched::FrameSize& size : sizes) {
     const auto frames = sched::make_sweep_frames(size, 1);
-    for (int n : kThreadWidths) {
-      std::uint64_t hash[3] = {0, 0, 0};
-      for (int layout = 0; layout < 3; ++layout) {
-        dwt::set_host_layout(kLayouts[layout]);
-        dwt::SimdLineFilter filter{HostConfig{n}};
-        hash[layout] = hash_image(
-            fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, filter));
-        EXPECT_EQ(hash[layout], hash[0])
-            << size.width << "x" << size.height << " threads=" << n
-            << " layout=" << dwt::host_layout_name(kLayouts[layout]);
-      }
+    std::uint64_t hash[3] = {0, 0, 0};
+    for (int layout = 0; layout < 3; ++layout) {
+      dwt::set_host_layout(kLayouts[layout]);
+      dwt::SimdLineFilter filter;
+      hash[layout] = hash_image(
+          fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, filter));
+      EXPECT_EQ(hash[layout], hash[0])
+          << size.width << "x" << size.height
+          << " layout=" << dwt::host_layout_name(kLayouts[layout]);
     }
   }
 }
@@ -257,7 +363,7 @@ TEST(HostLayoutIdentity, FilterStatsInvariantAcrossLayouts) {
   dwt::FilterStats ref;
   for (int layout = 0; layout < 3; ++layout) {
     dwt::set_host_layout(kLayouts[layout]);
-    dwt::ScalarLineFilter filter{HostConfig{2}};
+    dwt::ScalarLineFilter filter;
     (void)fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, filter);
     if (layout == 0) {
       ref = filter.stats();
@@ -275,11 +381,7 @@ TEST(HostLayoutIdentity, FilterStatsInvariantAcrossLayouts) {
 TEST(HostLayoutIdentity, ModeledProbeInvariantAcrossLayouts) {
   LayoutRestore restore;
   const sched::FrameSize size{64, 48};
-  const sched::BackendKind kinds[] = {
-      sched::BackendKind::kArm, sched::BackendKind::kNeon,
-      sched::BackendKind::kFpga, sched::BackendKind::kFpgaBatched,
-      sched::BackendKind::kAdaptive};
-  for (const sched::BackendKind kind : kinds) {
+  for (const sched::BackendKind kind : kAllBackends) {
     sched::ProbeResult res[3];
     for (int layout = 0; layout < 3; ++layout) {
       dwt::set_host_layout(kLayouts[layout]);
@@ -333,11 +435,11 @@ TEST(HostParallelIdentity, ScalarAndSimdDispatchFuseIdentically) {
   KernelSetRestore restore;
   const auto frames = sched::make_sweep_frames({40, 40}, 1);
   ASSERT_TRUE(simd::set_active_kernels("scalar"));
-  dwt::SimdLineFilter f_scalar{HostConfig{2}};
+  dwt::SimdLineFilter f_scalar;
   const std::uint64_t h_scalar = hash_image(
       fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, f_scalar));
   ASSERT_TRUE(simd::set_active_kernels("simd"));
-  dwt::SimdLineFilter f_simd{HostConfig{2}};
+  dwt::SimdLineFilter f_simd;
   const std::uint64_t h_simd = hash_image(
       fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, f_simd));
   EXPECT_EQ(h_scalar, h_simd);
