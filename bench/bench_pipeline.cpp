@@ -14,7 +14,8 @@
 //      (prep | forward | fusion | inverse) against the serial runner;
 //   3. how the speedup builds with frame depth (pipeline fill amortization);
 //   4. host wall-clock at --threads N against the 1-thread run of the same
-//      workload (the pool fuses whole frames of the window in parallel) —
+//      workload (the pool fuses whole frames of the window in parallel),
+//      as the median of warmed repetitions with min and max —
 //      the modeled numbers above are bit-identical either way, so this is
 //      the one table where the host machine (not the modeled ZC702) is the
 //      subject.
@@ -22,8 +23,11 @@
 // Flags (shared with every bench): --frames N, --pipeline, --threads N,
 // --kernels K, --json PATH. The smoke run under ctest uses the defaults;
 // --frames raises the sweep depth.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <optional>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/fusion/fused_plan.h"
@@ -163,30 +167,50 @@ int main(int argc, char** argv) {
 
   // --- 4: host wall-clock vs --threads ---------------------------------------
   // Same workload (FPGA+batch frame stream at 88x72) at 1 host thread and at
-  // the configured width. The modeled columns must agree bit-for-bit — only
-  // the wall-clock column is allowed to move.
+  // the configured width: one warm-up run per width, then the median of
+  // kWallReps timed runs, with min and max beside it (a cold single shot
+  // swings too much to gate on). The modeled columns of every run must
+  // agree bit-for-bit — only the wall-clock columns are allowed to move.
+  constexpr int kWallReps = 5;
   const int threads = host::default_threads();
-  std::printf("[4] host wall-clock, FPGA+batch at 88x72, %d frames\n\n",
-              options.frames);
+  std::printf("[4] host wall-clock, FPGA+batch at 88x72, %d frames, median of %d "
+              "warmed runs\n\n",
+              options.frames, kWallReps);
   const std::vector<sched::FramePair> stream =
       sched::make_sweep_frames({88, 72}, options.frames);
-  auto timed_run = [&stream, &config](int nthreads, sched::PipelineRunResult* out) {
+  struct WallStats {
+    double median, min, max;
+  };
+  bool modeled_identical = true;
+  std::optional<sched::PipelineRunResult> reference;  // the first run
+  auto timed_runs = [&](int nthreads) {
     sched::RunConfig rc = config;
     rc.host.threads = nthreads;
-    sched::BatchedFpgaBackend backend(rc);
-    return wall_seconds([&] { *out = sched::run_pipelined(backend, stream); });
+    std::vector<double> walls;
+    for (int i = 0; i <= kWallReps; ++i) {
+      sched::BatchedFpgaBackend backend(rc);
+      sched::PipelineRunResult r;
+      const double wall = wall_seconds([&] { r = sched::run_pipelined(backend, stream); });
+      if (i > 0) walls.push_back(wall);  // run 0 is the warm-up
+      if (!reference) reference = r;
+      modeled_identical = modeled_identical && r.makespan == reference->makespan &&
+                          r.serial_total == reference->serial_total &&
+                          r.energy_mj == reference->energy_mj;
+    }
+    std::sort(walls.begin(), walls.end());
+    return WallStats{walls[walls.size() / 2], walls.front(), walls.back()};
   };
-  sched::PipelineRunResult serial_run, threaded_run;
-  const double serial_wall = timed_run(1, &serial_run);
-  const double threaded_wall = timed_run(threads, &threaded_run);
-  const bool modeled_identical =
-      serial_run.makespan == threaded_run.makespan &&
-      serial_run.serial_total == threaded_run.serial_total &&
-      serial_run.energy_mj == threaded_run.energy_mj;
-  TextTable wall({"host threads", "wall (ms)", "speedup", "modeled identical"});
-  wall.add_row({"1", TextTable::num(serial_wall * 1e3, 1), "1.00x", "-"});
-  wall.add_row({std::to_string(threads), TextTable::num(threaded_wall * 1e3, 1),
-                TextTable::num(serial_wall / threaded_wall, 2) + "x",
+  const WallStats serial_wall = timed_runs(1);
+  const WallStats threaded_wall = timed_runs(threads);
+  TextTable wall({"host threads", "median (ms)", "min (ms)", "max (ms)", "speedup",
+                  "modeled identical"});
+  wall.add_row({"1", TextTable::num(serial_wall.median * 1e3, 1),
+                TextTable::num(serial_wall.min * 1e3, 1),
+                TextTable::num(serial_wall.max * 1e3, 1), "1.00x", "-"});
+  wall.add_row({std::to_string(threads), TextTable::num(threaded_wall.median * 1e3, 1),
+                TextTable::num(threaded_wall.min * 1e3, 1),
+                TextTable::num(threaded_wall.max * 1e3, 1),
+                TextTable::num(serial_wall.median / threaded_wall.median, 2) + "x",
                 modeled_identical ? "yes" : "NO"});
   std::printf("%s\n", wall.to_string().c_str());
   std::printf("host threads fuse whole frames of the window side by side (one\n"
@@ -200,9 +224,14 @@ int main(int argc, char** argv) {
   jrun.set("host_wall_clock",
            json::Value::object()
                .set("threads", threads)
-               .set("wall_s_1_thread", serial_wall)
-               .set("wall_s_n_threads", threaded_wall)
-               .set("speedup", serial_wall / threaded_wall)
+               .set("reps", kWallReps)
+               .set("wall_s_1_thread", serial_wall.median)
+               .set("wall_s_n_threads", threaded_wall.median)
+               .set("wall_min_1_thread", serial_wall.min)
+               .set("wall_max_1_thread", serial_wall.max)
+               .set("wall_min_n_threads", threaded_wall.min)
+               .set("wall_max_n_threads", threaded_wall.max)
+               .set("speedup", serial_wall.median / threaded_wall.median)
                .set("modeled_identical", modeled_identical));
 
   // --- 5: host memory layout sweep -------------------------------------------

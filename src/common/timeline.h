@@ -26,9 +26,12 @@ using ResourceId = int;
 
 class Timeline {
  public:
+  // `label` names what the event models ("drv", "comp", "fwd", ...). It
+  // must point at a string that outlives the timeline (callers pass
+  // literals), so scheduling an event never allocates or copies text.
   struct Event {
     ResourceId resource = 0;
-    std::string label;
+    const char* label = "";
     SimDuration start, end;
     SimDuration duration() const { return end - start; }
   };
@@ -43,7 +46,7 @@ class Timeline {
   // Schedules a task on `r` that may not start before `ready`; it starts at
   // max(ready, the resource's free time) and occupies the resource for
   // `duration`. Returns the placed event (with resolved start/end).
-  Event schedule(ResourceId r, std::string label, SimDuration ready,
+  Event schedule(ResourceId r, const char* label, SimDuration ready,
                  SimDuration duration);
 
   // Earliest time a new event could start on `r` (ignoring ready deps).
@@ -57,12 +60,18 @@ class Timeline {
 
   const std::vector<Event>& events() const { return events_; }
 
+  // Room for `n` events without regrowing the event log.
+  void reserve_events(std::size_t n) { events_.reserve(n); }
+
   // Merged busy intervals of the given resources, sorted by start time, with
   // overlapping/adjacent intervals coalesced. This is the power-integration
   // view: during any merged interval at least one of the resources is
   // active, so a per-interval draw is charged once, not once per resource.
-  std::vector<std::pair<SimDuration, SimDuration>> busy_intervals(
-      const std::vector<ResourceId>& resources) const;
+  // Duplicate and unknown ids are ignored; zero-length events occupy no
+  // time. One resource's events are placed in start order and never
+  // overlap, so this merges the per-resource lists in linear time.
+  using Interval = std::pair<SimDuration, SimDuration>;
+  std::vector<Interval> busy_intervals(const std::vector<ResourceId>& resources) const;
 
   void clear();
 

@@ -91,13 +91,21 @@ class PowerRecorder {
                     const std::vector<ResourceId>& pl_resources,
                     ComputeMode idle = ComputeMode::kArmOnly,
                     ComputeMode active = ComputeMode::kArmFpga) {
+    run_intervals(timeline.busy_intervals(pl_resources), timeline.makespan(),
+                  idle, active);
+  }
+
+  // run_timeline over precomputed Timeline::busy_intervals, so several
+  // recorders can integrate one merge: `active` power inside `intervals`,
+  // `idle` power in the gaps up to `makespan`.
+  void run_intervals(const std::vector<Timeline::Interval>& intervals,
+                     SimDuration makespan, ComputeMode idle, ComputeMode active) {
     SimDuration cursor;
-    for (const auto& [start, end] : timeline.busy_intervals(pl_resources)) {
+    for (const auto& [start, end] : intervals) {
       if (start > cursor) run_segment(idle, start - cursor);
       run_segment(active, end - start);
       cursor = end;
     }
-    const SimDuration makespan = timeline.makespan();
     if (makespan > cursor) run_segment(idle, makespan - cursor);
   }
 

@@ -228,11 +228,12 @@ FleetEnergy integrate_fleet_energy(const Timeline& timeline,
                                    power::ComputeMode mode) {
   const power::PowerModel pm;
   FleetEnergy energy;
+  const std::vector<Timeline::Interval> busy = timeline.busy_intervals(engines);
   power::PowerRecorder loaded(pm, SimDuration::milliseconds(1));
-  loaded.run_timeline(timeline, engines, /*idle=*/mode, /*active=*/mode);
+  loaded.run_intervals(busy, timeline.makespan(), /*idle=*/mode, /*active=*/mode);
   energy.loaded_mj = loaded.exact_energy_mj();
   power::PowerRecorder gated(pm, SimDuration::milliseconds(1));
-  gated.run_timeline(timeline, engines, power::ComputeMode::kArmOnly, mode);
+  gated.run_intervals(busy, timeline.makespan(), power::ComputeMode::kArmOnly, mode);
   energy.gated_mj = gated.exact_energy_mj();
   return energy;
 }
@@ -305,6 +306,15 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
   std::vector<detail::StreamingStreamInput> sinputs;
   if (fleet.cross_frame) sinputs.reserve(streams.size());
   power::ComputeMode mode = power::ComputeMode::kArmOnly;
+  // The synthetic frames depend only on (frame size, window length), so
+  // streams of one shape share them; each stream still fuses and replays
+  // its own window.
+  struct SweepWindow {
+    FrameSize size;
+    int frames;
+    std::vector<FramePair> pairs;
+  };
+  std::vector<SweepWindow> windows;
   for (std::size_t s = 0; s < streams.size(); ++s) {
     const StreamConfig& sc = streams[s];
     detail::FleetStreamInput in;
@@ -336,8 +346,16 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
       traced = dynamic_cast<BatchedFpgaBackend*>(backend.get());
       if (traced) traced->enable_stream_trace();
     }
-    const std::vector<FramePair> pairs =
-        make_sweep_frames(sc.run.frame_size, frames);
+    auto window = std::find_if(windows.begin(), windows.end(), [&](const SweepWindow& w) {
+      return w.size.width == sc.run.frame_size.width &&
+             w.size.height == sc.run.frame_size.height && w.frames == frames;
+    });
+    if (window == windows.end()) {
+      windows.push_back({sc.run.frame_size, frames,
+                         make_sweep_frames(sc.run.frame_size, frames)});
+      window = windows.end() - 1;
+    }
+    const std::vector<FramePair>& pairs = window->pairs;
     in.cost.reserve(pairs.size());
     for (const FrameRunResult& r :
          detail::measure_frames(*backend, sc.run.fuse, pairs)) {

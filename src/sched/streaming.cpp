@@ -95,20 +95,39 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
   struct StreamState {
     int arrival_ptr = 0;
     int queue_len = 0;   // admitted frames whose first op has not dispatched
-    int in_flight = 0;   // started, last op not yet committed
     int next_start = 0;  // index into `admitted` of the first unstarted frame
     std::vector<int> admitted;
+    // Started frames whose last op has not committed, in start (= frame)
+    // order; at most pipeline_depth long. Frames may finish out of order,
+    // so a finished frame is erased wherever it sits.
+    std::vector<int> in_flight;
     std::vector<FrameState> fs;
   };
   std::vector<StreamState> state(static_cast<std::size_t>(ns));
   out.frames.resize(static_cast<std::size_t>(ns));
   out.stream_ps_busy.assign(static_cast<std::size_t>(ns), SimDuration::zero());
   out.stream_pl_busy.assign(static_cast<std::size_t>(ns), SimDuration::zero());
+  // A batch places four events (drv/desc, in, comp, out), any other op at
+  // most one; reserving that bound up front (a frame runs its normal or its
+  // spill ops) keeps the event log from regrowing as the window lengthens.
+  auto events_of = [](const std::vector<StreamOp>& ops) {
+    std::size_t n = 0;
+    for (const StreamOp& op : ops) n += op.kind == StreamOp::Kind::kBatch ? 4 : 1;
+    return n;
+  };
+  std::size_t events = 0;
   for (int s = 0; s < ns; ++s) {
-    const std::size_t n = streams[static_cast<std::size_t>(s)].arrivals.size();
+    const StreamingStreamInput& in = streams[static_cast<std::size_t>(s)];
+    const std::size_t n = in.arrivals.size();
     state[static_cast<std::size_t>(s)].fs.resize(n);
     out.frames[static_cast<std::size_t>(s)].resize(n);
+    for (std::size_t f = 0; f < n && f < in.frame_ops.size(); ++f) {
+      std::size_t e = events_of(in.frame_ops[f]);
+      if (f < in.spill_ops.size()) e = std::max(e, events_of(in.spill_ops[f]));
+      events += e;
+    }
   }
+  out.timeline.reserve_events(events);
 
   auto stream_at = [&](int s) -> const StreamingStreamInput& {
     return streams[static_cast<std::size_t>(s)];
@@ -192,31 +211,36 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
   // with the earliest feasible start (ties: lower stream, then older
   // frame), unless the next arrival comes strictly earlier — the
   // admission/drop decision is made at the arrival instant, after earlier
-  // work has left the queue (same contract as schedule_fleet).
+  // work has left the queue (same contract as schedule_fleet). A stream's
+  // candidates are its in-flight frames plus, while the pipeline-depth
+  // window has room, its oldest unstarted frame, so each dispatch looks at
+  // no more than pipeline_depth + 1 frames per stream however long the
+  // window is.
   for (;;) {
     int bs = -1, bframe = -1;
     SimDuration bready, bstart;
+    auto consider = [&](int s, int f) {
+      const FrameState& fs =
+          state[static_cast<std::size_t>(s)].fs[static_cast<std::size_t>(f)];
+      if (fs.op_ptr >= static_cast<int>(frame_ops(s, f).size())) return;
+      SimDuration ready;
+      const SimDuration start = op_times(s, f, &ready);
+      const bool better =
+          bs < 0 || start < bstart ||
+          (start == bstart && (s < bs || (s == bs && f < bframe)));
+      if (better) {
+        bs = s;
+        bframe = f;
+        bready = ready;
+        bstart = start;
+      }
+    };
     for (int s = 0; s < ns; ++s) {
-      StreamState& st = state[static_cast<std::size_t>(s)];
-      const int candidates = st.next_start < static_cast<int>(st.admitted.size()) &&
-                                     st.in_flight < pipeline_depth
-                                 ? st.next_start + 1
-                                 : st.next_start;
-      for (int i = 0; i < candidates; ++i) {
-        const int f = st.admitted[static_cast<std::size_t>(i)];
-        const FrameState& fs = st.fs[static_cast<std::size_t>(f)];
-        if (fs.op_ptr >= static_cast<int>(frame_ops(s, f).size())) continue;
-        SimDuration ready;
-        const SimDuration start = op_times(s, f, &ready);
-        const bool better =
-            bs < 0 || start < bstart ||
-            (start == bstart && (s < bs || (s == bs && f < bframe)));
-        if (better) {
-          bs = s;
-          bframe = f;
-          bready = ready;
-          bstart = start;
-        }
+      const StreamState& st = state[static_cast<std::size_t>(s)];
+      for (const int f : st.in_flight) consider(s, f);
+      if (st.next_start < static_cast<int>(st.admitted.size()) &&
+          static_cast<int>(st.in_flight.size()) < pipeline_depth) {
+        consider(s, st.admitted[static_cast<std::size_t>(st.next_start)]);
       }
     }
 
@@ -259,7 +283,7 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
     if (!fs.started) {
       fs.started = true;
       --st.queue_len;
-      ++st.in_flight;
+      st.in_flight.push_back(bframe);
       ++st.next_start;
       // Spill decision at first dispatch (schedule_fleet's policy): when
       // the shortest engine wait measured from the arrival already exceeds
@@ -348,7 +372,7 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
     ++fs.op_ptr;
     apply_boundaries(bs, bframe);
     if (fs.op_ptr >= static_cast<int>(frame_ops(bs, bframe).size())) {
-      --st.in_flight;
+      st.in_flight.erase(std::find(st.in_flight.begin(), st.in_flight.end(), bframe));
       outcome.completion = max_of(fs.ps_end, fs.last_out_end);
       outcome.latency =
           outcome.completion - in.arrivals[static_cast<std::size_t>(bframe)];

@@ -11,14 +11,14 @@ ResourceId Timeline::add_resource(std::string name) {
   return static_cast<ResourceId>(resources_.size()) - 1;
 }
 
-Timeline::Event Timeline::schedule(ResourceId r, std::string label,
+Timeline::Event Timeline::schedule(ResourceId r, const char* label,
                                    SimDuration ready, SimDuration duration) {
   assert(r >= 0 && r < resource_count());
   assert(duration >= SimDuration::zero());
   Resource& res = resources_[r];
   Event ev;
   ev.resource = r;
-  ev.label = std::move(label);
+  ev.label = label;
   ev.start = std::max(ready, res.free_at);
   ev.end = ev.start + duration;
   res.free_at = ev.end;
@@ -28,26 +28,45 @@ Timeline::Event Timeline::schedule(ResourceId r, std::string label,
   return ev;
 }
 
-std::vector<std::pair<SimDuration, SimDuration>> Timeline::busy_intervals(
+std::vector<Timeline::Interval> Timeline::busy_intervals(
     const std::vector<ResourceId>& resources) const {
-  std::vector<std::pair<SimDuration, SimDuration>> spans;
+  // One span list per distinct requested resource. Each list is already in
+  // start order: an event starts no earlier than its resource's previous end.
+  std::vector<int> list_of(resources_.size(), -1);
+  std::vector<std::vector<Interval>> lists;
+  for (ResourceId r : resources) {
+    if (r < 0 || r >= resource_count() || list_of[r] >= 0) continue;
+    list_of[r] = static_cast<int>(lists.size());
+    lists.emplace_back();
+  }
   for (const Event& ev : events_) {
-    if (ev.end == ev.start) continue;  // zero-length events occupy no time
-    for (ResourceId r : resources) {
-      if (ev.resource == r) {
-        spans.emplace_back(ev.start, ev.end);
-        break;
-      }
+    const int k = list_of[ev.resource];
+    if (k >= 0 && ev.end > ev.start) {  // zero-length events occupy no time
+      lists[static_cast<std::size_t>(k)].emplace_back(ev.start, ev.end);
     }
   }
-  std::sort(spans.begin(), spans.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::pair<SimDuration, SimDuration>> merged;
-  for (const auto& span : spans) {
-    if (!merged.empty() && span.first <= merged.back().second) {
-      merged.back().second = std::max(merged.back().second, span.second);
+  // K-way merge by start, coalescing as the spans come out. The union of
+  // the spans is unique, so the result does not depend on how equal starts
+  // are ordered.
+  std::vector<std::size_t> head(lists.size(), 0);
+  std::vector<Interval> merged;
+  for (;;) {
+    const Interval* next = nullptr;
+    std::size_t from = 0;
+    for (std::size_t k = 0; k < lists.size(); ++k) {
+      if (head[k] == lists[k].size()) continue;
+      const Interval& span = lists[k][head[k]];
+      if (!next || span.first < next->first) {
+        next = &span;
+        from = k;
+      }
+    }
+    if (!next) break;
+    ++head[from];
+    if (!merged.empty() && next->first <= merged.back().second) {
+      merged.back().second = std::max(merged.back().second, next->second);
     } else {
-      merged.push_back(span);
+      merged.push_back(*next);
     }
   }
   return merged;

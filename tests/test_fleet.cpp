@@ -3,12 +3,15 @@
 // and determinism at any host pool width.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "src/hw/fixed_point.h"
+#include "src/power/recorder.h"
 #include "src/sched/fleet.h"
 #include "src/sched/pipeline.h"
+#include "src/sched/streaming.h"
 
 namespace vf {
 namespace {
@@ -247,6 +250,107 @@ TEST(Fleet, ModeledResultInvariantAcrossThreads) {
       }
     }
   }
+}
+
+// --- energy integration ------------------------------------------------------
+
+// integrate_fleet_energy merges the PL-side busy intervals once and feeds
+// both integrals from that merge; it must equal the two per-mode timeline
+// replays it stands for, bit for bit. The schedule is a cross-frame replay of
+// captured batch traces, so engines and DMA channels overlap and leave gaps.
+TEST(Fleet, EnergyIntegrationMatchesPerModeTimelineReplay) {
+  std::vector<sched::detail::StreamingStreamInput> inputs;
+  const std::vector<sched::FrameSize> sizes = {{32, 24}, {40, 40}, {32, 24}};
+  for (std::size_t s = 0; s < sizes.size(); ++s) {
+    sched::RunConfig run;
+    run.frame_size = sizes[s];
+    run.frames = 5;
+    run.batching.sg_chain_len = 4;
+    sched::BatchedFpgaBackend backend(run);
+    backend.enable_stream_trace();
+    sched::detail::measure_frames(backend, run.fuse,
+                                  sched::make_sweep_frames(run.frame_size, run.frames));
+    sched::detail::StreamingStreamInput in;
+    in.frame_ops = backend.take_stream_trace();
+    in.period = SimDuration::milliseconds(20);
+    for (int f = 0; f < run.frames; ++f) {
+      in.arrivals.push_back(in.period * static_cast<double>(f) +
+                            SimDuration::milliseconds(static_cast<double>(s)));
+    }
+    in.home_engine = static_cast<int>(s);
+    in.engine = run.engine;
+    in.costs = run.driver_costs;
+    in.sg_chain_len = run.batching.sg_chain_len;
+    inputs.push_back(std::move(in));
+  }
+  const sched::detail::FleetSchedule sched = sched::detail::schedule_streaming(
+      inputs, /*cores=*/2, /*engines=*/2, /*pipeline_depth=*/4,
+      /*steal_engines=*/true, /*spill_wait_frac=*/0.0);
+  std::vector<ResourceId> pl = sched.engines;
+  pl.insert(pl.end(), sched.dmas.begin(), sched.dmas.end());
+  ASSERT_EQ(pl.size(), 4u);
+  std::size_t pl_events = 0;
+  for (const Timeline::Event& ev : sched.timeline.events()) {
+    if (std::find(pl.begin(), pl.end(), ev.resource) != pl.end()) ++pl_events;
+  }
+  const std::size_t intervals = sched.timeline.busy_intervals(pl).size();
+  EXPECT_GT(intervals, 1u);          // idle gaps between PL bursts
+  EXPECT_LT(intervals, pl_events);   // and spans that coalesce
+
+  for (const power::ComputeMode mode :
+       {power::ComputeMode::kArmFpga, power::ComputeMode::kArmNeon}) {
+    const sched::detail::FleetEnergy got =
+        sched::detail::integrate_fleet_energy(sched.timeline, pl, mode);
+    const power::PowerModel pm;
+    power::PowerRecorder loaded(pm, SimDuration::milliseconds(1));
+    loaded.run_timeline(sched.timeline, pl, mode, mode);
+    power::PowerRecorder gated(pm, SimDuration::milliseconds(1));
+    gated.run_timeline(sched.timeline, pl, power::ComputeMode::kArmOnly, mode);
+    const double want_loaded = loaded.exact_energy_mj();
+    const double want_gated = gated.exact_energy_mj();
+    EXPECT_EQ(std::memcmp(&got.loaded_mj, &want_loaded, sizeof(double)), 0)
+        << got.loaded_mj << " vs " << want_loaded;
+    EXPECT_EQ(std::memcmp(&got.gated_mj, &want_gated, sizeof(double)), 0)
+        << got.gated_mj << " vs " << want_gated;
+    if (mode == power::ComputeMode::kArmFpga) {
+      EXPECT_LT(got.gated_mj, got.loaded_mj);
+    }
+  }
+}
+
+// --- per-stream frames ---------------------------------------------------------
+
+// run_fleet generates each distinct (frame size, window) once and shares it
+// between the streams of that shape; a stream of another shape in between
+// must still fuse its own frames. On the legacy path, with a core and an
+// engine of its own, an unbounded queue and no spill, a stream's schedule
+// does not depend on the others, so its busy times equal a 1-stream fleet
+// of the same config exactly.
+TEST(Fleet, MixedShapeStreamsFuseTheirOwnFrames) {
+  std::vector<sched::StreamConfig> streams = {camera_stream({32, 24}, 3, 0.0),
+                                              camera_stream({88, 72}, 2, 0.0),
+                                              camera_stream({32, 24}, 3, 0.0)};
+  for (auto& s : streams) s.queue_depth = 0;
+  sched::FleetConfig fleet;
+  fleet.engines = 3;
+  fleet.cores = 3;
+  fleet.steal_engines = false;
+  fleet.fixed_point_engines = true;
+  const sched::FleetResult mixed = sched::run_fleet(streams, fleet);
+  ASSERT_EQ(mixed.streams.size(), streams.size());
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    const sched::FleetResult alone = sched::run_fleet({streams[s]}, fleet);
+    ASSERT_EQ(alone.streams.size(), 1u);
+    EXPECT_EQ(mixed.streams[s].completed, alone.streams[0].completed);
+    EXPECT_TRUE(mixed.streams[s].ps_busy == alone.streams[0].ps_busy)
+        << "stream " << s << ": " << mixed.streams[s].ps_busy.sec() << " vs "
+        << alone.streams[0].ps_busy.sec();
+    EXPECT_TRUE(mixed.streams[s].pl_busy == alone.streams[0].pl_busy)
+        << "stream " << s << ": " << mixed.streams[s].pl_busy.sec() << " vs "
+        << alone.streams[0].pl_busy.sec();
+  }
+  // The shapes really differ, so a stream fusing another's frames would show.
+  EXPECT_GT(mixed.streams[1].pl_busy, mixed.streams[0].pl_busy);
 }
 
 // Arrival jitter is part of the model, not noise: the same stream config

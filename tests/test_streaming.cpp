@@ -9,6 +9,9 @@
 // break-point move at small frames) hold.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "src/hw/driver.h"
 #include "src/sched/fleet.h"
 #include "src/sched/pipeline.h"
@@ -263,6 +266,75 @@ TEST(Streaming, FleetCrossFrameOffKeepsLegacySchedule) {
   const sched::FleetResult b = sched::run_fleet({stream}, off);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.energy_mj, b.energy_mj);
+}
+
+// A long saturated cross-frame fleet: six 300 fps cameras of 48 frames on
+// two engines, a bounded queue and the NEON spill, so frames drop, spill,
+// and (3 of them) finish after a later frame of their own stream. Every
+// modeled field is locked to the values this configuration produced before
+// the dispatch loop stopped rescanning each stream's whole admitted list.
+TEST(Streaming, SaturatedLongWindowFleetLocked) {
+  std::vector<sched::StreamConfig> streams;
+  for (int s = 0; s < 6; ++s) {
+    sched::StreamConfig c;
+    c.run = streaming_config({32, 24}, 48, 8);
+    c.arrival.fps = 300.0;
+    c.arrival.jitter_frac = 0.5;
+    c.arrival.offset = SimDuration::milliseconds(s);
+    c.queue_depth = 4;
+    streams.push_back(c);
+  }
+  sched::FleetConfig fleet;
+  fleet.engines = 2;
+  fleet.cores = 6;
+  fleet.pipeline_depth = 8;
+  fleet.fixed_point_engines = true;
+  fleet.spill_wait_frac = 0.5;
+  fleet.cross_frame = true;
+  const sched::FleetResult r = sched::run_fleet(streams, fleet);
+
+  std::vector<double> got = {r.makespan.sec(), double(r.arrived), double(r.admitted),
+                             double(r.dropped), double(r.completed), r.ps_busy.sec(),
+                             r.pl_busy.sec(), r.energy_mj, r.energy_gated_mj};
+  int spilled = 0;
+  for (const sched::StreamStats& s : r.streams) {
+    spilled += s.spilled;
+    got.insert(got.end(), {double(s.arrived), double(s.admitted), double(s.completed),
+                           double(s.dropped), double(s.spilled), s.p50_latency.sec(),
+                           s.p99_latency.sec(), s.max_latency.sec(),
+                           s.last_completion.sec(), s.ps_busy.sec(), s.pl_busy.sec(),
+                           s.energy_mj});
+  }
+  EXPECT_GT(r.dropped, 0);
+  EXPECT_GT(spilled, 0);
+  // Fleet totals, then per stream: counts and latencies, completion and
+  // busy times, energy (%.17g).
+  const std::vector<double> want = {
+      0.26530984662927781, 288, 245, 43, 245,
+      1.2522137101687487, 0.1841284799999903, 146.5836902626755, 144.0440015263398,
+      48, 48, 48, 0, 0,
+      0.020997025936418938, 0.027796246542776168, 0.027796246542776168, 0.17065940747309891,
+      0.15473988742964206, 0.039964800000006115, 19.870287032037751,
+      48, 48, 48, 0, 4,
+      0.02559252679629459, 0.091650137922526881, 0.091650137922526881, 0.25087029131100491,
+      0.23510826821761788, 0.036512160000006469, 27.719804508555249,
+      48, 48, 48, 0, 0,
+      0.022201120241814004, 0.027216071673186959, 0.027216071673186959, 0.17300528127362355,
+      0.15426118198874306, 0.039974880000006194, 19.822462184346083,
+      48, 40, 40, 8, 5,
+      0.023454169780315712, 0.11506901363182426, 0.11506901363182426, 0.24827881881120481,
+      0.23199957073167921, 0.028933680000006172, 26.629141068391956,
+      48, 34, 34, 14, 6,
+      0.026416337012927636, 0.11711484107003599, 0.11711484107003599, 0.24985006429548248,
+      0.23117059181986152, 0.023108160000004572, 25.950026429819072,
+      48, 27, 27, 21, 8,
+      0.034671829128465191, 0.11982215912580471, 0.11982215912580471, 0.26530984662927781,
+      0.2449342099812096, 0.015634800000002804, 26.591969039530156};
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
+        << "field " << i << ": " << got[i] << " vs " << want[i];
+  }
 }
 
 // --- op-list construction -----------------------------------------------------

@@ -1,6 +1,9 @@
 // Event-queue timeline, batched double buffering, and frame pipelining.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/common/rng.h"
 #include "src/common/timeline.h"
 #include "src/hw/driver.h"
 #include "src/sched/pipeline.h"
@@ -78,6 +81,73 @@ TEST(Timeline, DeterministicAcrossRepeatedConstruction) {
     EXPECT_EQ(t1.events()[i].end.sec(), t2.events()[i].end.sec());
   }
   EXPECT_EQ(t1.makespan().sec(), t2.makespan().sec());
+}
+
+// busy_intervals merges per-resource span lists; it must equal the plain
+// algorithm (collect the spans, sort them by start, coalesce) exactly, on
+// the shapes that make a merge go wrong: zero-length events, equal starts
+// across resources, intervals that only touch, duplicate ids in the query,
+// a resource without events, and an empty query.
+TEST(Timeline, BusyIntervalsMatchSortedReference) {
+  using Interval = Timeline::Interval;
+  auto reference = [](const Timeline& tl, const std::vector<ResourceId>& ids) {
+    std::vector<Interval> spans;
+    for (const Timeline::Event& ev : tl.events()) {
+      if (ev.end == ev.start) continue;
+      if (std::find(ids.begin(), ids.end(), ev.resource) == ids.end()) continue;
+      spans.emplace_back(ev.start, ev.end);
+    }
+    std::sort(spans.begin(), spans.end(),
+              [](const Interval& a, const Interval& b) { return a.first < b.first; });
+    std::vector<Interval> merged;
+    for (const Interval& span : spans) {
+      if (!merged.empty() && span.first <= merged.back().second) {
+        merged.back().second = std::max(merged.back().second, span.second);
+      } else {
+        merged.push_back(span);
+      }
+    }
+    return merged;
+  };
+
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    Timeline tl;
+    std::vector<ResourceId> used;
+    for (int r = 0; r < 4; ++r) used.push_back(tl.add_resource("R"));
+    const ResourceId idle = tl.add_resource("idle");  // never scheduled
+    const int events = 1 + static_cast<int>(rng.next_u64() % 300);
+    for (int i = 0; i < events; ++i) {
+      const ResourceId r = used[rng.next_u64() % used.size()];
+      // A coarse grid makes equal starts and touching ends common; one
+      // event in five is zero-length.
+      const SimDuration ready = SimDuration::microseconds(
+          static_cast<double>(rng.next_u64() % 64) * 4.0);
+      const SimDuration duration =
+          rng.next_u64() % 5 == 0
+              ? SimDuration::zero()
+              : SimDuration::microseconds(static_cast<double>(rng.next_u64() % 6) * 4.0);
+      tl.schedule(r, "e", ready, duration);
+    }
+
+    std::vector<std::vector<ResourceId>> queries = {
+        {}, {idle}, {0, 0}, {3, 1, 3, 1}, {2, idle, 2}, {0, 1, 2, 3, idle}};
+    for (int mask = 1; mask < 16; ++mask) {
+      std::vector<ResourceId> q;
+      for (int r = 0; r < 4; ++r) {
+        if (mask & (1 << r)) q.push_back(used[static_cast<std::size_t>(r)]);
+      }
+      queries.push_back(q);
+    }
+    for (const std::vector<ResourceId>& q : queries) {
+      const std::vector<Interval> want = reference(tl, q);
+      const std::vector<Interval> got = tl.busy_intervals(q);
+      ASSERT_EQ(got.size(), want.size()) << "seed " << seed << ", " << q.size() << " ids";
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(got[i] == want[i]) << "seed " << seed << ", interval " << i;
+      }
+    }
+  }
 }
 
 // --- batched accelerator ----------------------------------------------------
