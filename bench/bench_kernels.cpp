@@ -96,7 +96,7 @@ void BM_Select(benchmark::State& state, const vf::simd::KernelSet& k) {
 }
 
 // Multi-line variants: a kMaxLinesPerCall block of independent lines per
-// dispatch, the shape the tiled DT-CWT host path feeds them. Contrast with
+// dispatch, the shape the band-streaming plan feeds them. Contrast with
 // the single-line rows to see the per-call amortization.
 
 void BM_AnalyzeMl(benchmark::State& state, const vf::simd::KernelSet& k) {

@@ -21,11 +21,10 @@
 //      subject.
 //
 // Flags (shared with every bench): --frames N, --pipeline, --threads N,
-// --kernels K, --json PATH. The smoke run under ctest uses the defaults;
-// --frames raises the sweep depth.
+// --json PATH, --cross-frame, --sg-chain N. The smoke run under ctest uses
+// the defaults; --frames raises the sweep depth.
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -234,139 +233,23 @@ int main(int argc, char** argv) {
                .set("speedup", serial_wall.median / threaded_wall.median)
                .set("modeled_identical", modeled_identical));
 
-  // --- 5: host memory layout sweep -------------------------------------------
-  // Same FPGA+batch stream under HostLayout::kNaive (per-line dispatch,
-  // stride-W column gathers, vector scratch), kTiled (arena scratch, blocked
-  // transpose, multi-line kernels), and kFused (the band-streaming execution
-  // plan: both frames' transforms interleaved band-by-band, fused bands
-  // streamed straight into inverse synthesis). Wall clock is the subject;
-  // every modeled field and the fused bits must be identical — layout is a
-  // host detail the modeled ZC702 cannot see.
-  std::printf("\n[5] host memory layout, FPGA+batch at 88x72, %d frames\n\n",
-              options.frames);
-  auto timed_layout = [&](dwt::HostLayout layout, sched::PipelineRunResult* out) {
-    dwt::set_host_layout(layout);
-    sched::BatchedFpgaBackend backend(config);
-    const double wall =
-        wall_seconds([&] { *out = sched::run_pipelined(backend, stream); });
-    dwt::set_host_layout(dwt::HostLayout::kFused);
-    return wall;
-  };
-  // Fused bits across layouts, checked on the host transform directly.
-  auto fused_hash = [&](dwt::HostLayout layout) {
-    dwt::set_host_layout(layout);
-    dwt::SimdLineFilter filter(config.host);
-    const image::ImageF fused = fusion::fuse_frames(stream[0].visible,
-                                                    stream[0].thermal,
-                                                    config.fuse, filter);
-    dwt::set_host_layout(dwt::HostLayout::kFused);
-    unsigned long long h = 1469598103934665603ull;  // FNV-1a over the bits
-    for (std::size_t i = 0; i < fused.size(); ++i) {
-      unsigned int bits;
-      std::memcpy(&bits, &fused.data()[i], sizeof(bits));
-      for (int b = 0; b < 4; ++b) {
-        h ^= (bits >> (8 * b)) & 0xffu;
-        h *= 1099511628211ull;
-      }
-    }
-    return h;
-  };
-  // Host-transform-only wall clock: repeated fuse_frames with no modeled
-  // backend, so the layout's effect is not diluted by the (layout-invariant)
-  // event-queue bookkeeping that dominates run_pipelined's host time.
-  auto host_only_us = [&](dwt::HostLayout hl) {
-    dwt::set_host_layout(hl);
-    dwt::SimdLineFilter filter(config.host);
-    auto fuse_once = [&] {
-      (void)fusion::fuse_frames(stream[0].visible, stream[0].thermal,
-                                config.fuse, filter);
-    };
-    for (int i = 0; i < 10; ++i) fuse_once();  // warm the arenas
-    const int iters = std::max(20, 10 * options.frames);
-    const double wall = wall_seconds([&] {
-      for (int i = 0; i < iters; ++i) fuse_once();
-    });
-    dwt::set_host_layout(dwt::HostLayout::kFused);
-    return wall / iters * 1e6;
-  };
-  const dwt::HostLayout layouts[] = {dwt::HostLayout::kNaive,
-                                     dwt::HostLayout::kTiled,
-                                     dwt::HostLayout::kFused};
-  sched::PipelineRunResult layout_run[3];
-  double layout_wall[3];
-  double layout_host_us[3];
-  unsigned long long layout_hash[3];
-  bool layout_modeled_identical = true, layout_fused_identical = true;
-  for (int i = 0; i < 3; ++i) {
-    layout_wall[i] = timed_layout(layouts[i], &layout_run[i]);
-    layout_host_us[i] = host_only_us(layouts[i]);
-    layout_hash[i] = fused_hash(layouts[i]);
-    if (i > 0) {
-      layout_modeled_identical =
-          layout_modeled_identical &&
-          layout_run[i].makespan == layout_run[0].makespan &&
-          layout_run[i].serial_total == layout_run[0].serial_total &&
-          layout_run[i].energy_mj == layout_run[0].energy_mj;
-      layout_fused_identical =
-          layout_fused_identical && layout_hash[i] == layout_hash[0];
-    }
-  }
-  TextTable layout({"layout", "wall (ms)", "speedup", "host-only (us/pair)",
-                    "host speedup", "modeled identical", "fused identical"});
-  for (int i = 0; i < 3; ++i) {
-    layout.add_row({dwt::host_layout_name(layouts[i]),
-                    TextTable::num(layout_wall[i] * 1e3, 1),
-                    TextTable::num(layout_wall[0] / layout_wall[i], 2) + "x",
-                    TextTable::num(layout_host_us[i], 1),
-                    TextTable::num(layout_host_us[0] / layout_host_us[i], 2) + "x",
-                    i == 0 ? "-" : (layout_modeled_identical ? "yes" : "NO"),
-                    i == 0 ? "-" : (layout_fused_identical ? "yes" : "NO")});
-  }
-  std::printf("%s\n", layout.to_string().c_str());
-  std::printf("the layouts change where scratch lives and how lines reach the\n"
-              "kernels — never which samples a line sees or the kernel flavour\n"
-              "per line, so both columns on the right must read yes. the\n"
-              "host-only column times fuse_frames without the (layout-\n"
-              "invariant) event-queue bookkeeping of the pipelined column.\n");
-  if (!layout_modeled_identical || !layout_fused_identical) {
-    std::fprintf(stderr, "fatal: output changed with host memory layout\n");
-    return 1;
-  }
-  jrun.set("host_layout_sweep",
-           json::Value::object()
-               .set("wall_s_naive", layout_wall[0])
-               .set("wall_s_tiled", layout_wall[1])
-               .set("wall_s_fused", layout_wall[2])
-               .set("speedup", layout_wall[0] / layout_wall[1])
-               .set("speedup_fused_vs_naive", layout_wall[0] / layout_wall[2])
-               .set("speedup_fused_vs_tiled", layout_wall[1] / layout_wall[2])
-               .set("host_us_naive", layout_host_us[0])
-               .set("host_us_tiled", layout_host_us[1])
-               .set("host_us_fused", layout_host_us[2])
-               .set("host_speedup_fused_vs_tiled",
-                    layout_host_us[1] / layout_host_us[2])
-               .set("modeled_identical", layout_modeled_identical)
-               .set("fused_identical", layout_fused_identical));
-
   // --- 5b: estimated DRAM traffic and arithmetic intensity -------------------
   // Derived from the pass structure (pass counts x band sizes, 4 bytes per
   // element move — see FusionPlan::estimate_traffic), not measured: the
-  // point is the pass-count ratio the fused plan removes, and the implied
-  // host bandwidth each layout would need at its measured wall-clock, which
-  // can be sanity-checked against bench_membw's STREAM numbers.
+  // point is the pass-count ratio the fused plan removes over a staged
+  // pass, and the host bandwidth the plan implies at section [4]'s width-1
+  // median wall-clock, which can be sanity-checked against bench_membw's
+  // STREAM numbers.
   {
     const dwt::FusionPlan plan(72, 88, config.fuse.transform);
     const dwt::FusionPlan::Traffic traffic = plan.estimate_traffic();
-    const double frames_run = static_cast<double>(options.frames);
-    const double tiled_gbps =
-        traffic.staged_bytes * frames_run / layout_wall[1] * 1e-9;
-    const double fused_gbps =
-        traffic.fused_bytes * frames_run / layout_wall[2] * 1e-9;
-    TextTable tt({"layout", "est. MB/frame pair", "flops/byte",
+    const double fused_gbps = traffic.fused_bytes *
+                              static_cast<double>(options.frames) /
+                              serial_wall.median * 1e-9;
+    TextTable tt({"pass", "est. MB/frame pair", "flops/byte",
                   "implied GB/s at measured wall"});
-    tt.add_row({"tiled", TextTable::num(traffic.staged_bytes * 1e-6, 3),
-                TextTable::num(traffic.flops / traffic.staged_bytes, 2),
-                TextTable::num(tiled_gbps, 2)});
+    tt.add_row({"staged", TextTable::num(traffic.staged_bytes * 1e-6, 3),
+                TextTable::num(traffic.flops / traffic.staged_bytes, 2), "-"});
     tt.add_row({"fused", TextTable::num(traffic.fused_bytes * 1e-6, 3),
                 TextTable::num(traffic.flops / traffic.fused_bytes, 2),
                 TextTable::num(fused_gbps, 2)});
@@ -386,10 +269,9 @@ int main(int argc, char** argv) {
                  .set("flops_per_frame_pair", traffic.flops)
                  .set("arith_intensity_staged", traffic.flops / traffic.staged_bytes)
                  .set("arith_intensity_fused", traffic.flops / traffic.fused_bytes)
-                 // "wall" in the key exempts these from the baseline drift
-                 // check — they are derived from host wall-clock, unlike the
+                 // "wall" in the key exempts it from the baseline drift
+                 // check — it is derived from host wall-clock, unlike the
                  // modeled byte/flop counts above.
-                 .set("wall_implied_gbps_tiled", tiled_gbps)
                  .set("wall_implied_gbps_fused", fused_gbps));
   }
 

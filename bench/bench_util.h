@@ -37,25 +37,22 @@ inline constexpr int kPaperFrameCount = 10;  // "10 input frames were decomposed
 //                  bench supports it (ignored otherwise)
 //   --threads N    host pool width for the numeric work (default: all
 //                  hardware threads; modeled time is bit-identical at any N)
-//   --kernels K    kernel flavour: scalar | simd (default) | autovec
 //   --json PATH    also write the bench's results as JSON
 //   --cross-frame  cross-frame line streaming where the bench supports it
 //                  (run_pipelined/run_fleet batched-FPGA paths; ignored
 //                  otherwise — modeled outputs stay legacy without it)
 //   --sg-chain N   scatter-gather descriptor chain length (default 1 = flat
 //                  per-batch driver entries, the legacy schedule)
-//   --layout L     host memory layout: fused (default) | tiled | naive
-//                  (dwt::HostLayout; modeled time is bit-identical across
-//                  layouts, only host wall-clock changes)
+//
+// There is one host path (DESIGN.md §7) and one kernel flavour
+// (simd::active_kernels()), so no flag selects either.
 struct BenchOptions {
   int frames = kPaperFrameCount;
   bool pipeline = false;
   int threads = 0;  // 0 = hardware_concurrency
-  std::string kernels;
   std::string json_path;
   bool cross_frame = false;
   int sg_chain_len = 1;
-  std::string layout;
 };
 
 inline BenchOptions parse_bench_options(int argc, char** argv) {
@@ -75,15 +72,6 @@ inline BenchOptions parse_bench_options(int argc, char** argv) {
         std::fprintf(stderr, "--threads wants a positive count, got '%s'\n", argv[i]);
         std::exit(2);
       }
-    } else if (std::strcmp(argv[i], "--kernels") == 0 && i + 1 < argc) {
-      options.kernels = argv[++i];
-      if (!simd::set_active_kernels(options.kernels.c_str())) {
-        std::fprintf(stderr,
-                     "unknown kernel flavour '%s' (supported: scalar, simd, "
-                     "autovec)\n",
-                     options.kernels.c_str());
-        std::exit(2);
-      }
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       options.json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--cross-frame") == 0) {
@@ -95,20 +83,10 @@ inline BenchOptions parse_bench_options(int argc, char** argv) {
                      argv[i]);
         std::exit(2);
       }
-    } else if (std::strcmp(argv[i], "--layout") == 0 && i + 1 < argc) {
-      options.layout = argv[++i];
-      if (options.layout != "fused" && options.layout != "tiled" &&
-          options.layout != "naive") {
-        std::fprintf(stderr,
-                     "unknown layout '%s' (supported: fused, tiled, naive)\n",
-                     options.layout.c_str());
-        std::exit(2);
-      }
     } else {
       std::fprintf(stderr,
                    "unknown argument '%s' (supported: --frames N, --pipeline, "
-                   "--threads N, --kernels scalar|simd|autovec, --json PATH, "
-                   "--cross-frame, --sg-chain N, --layout fused|tiled|naive)\n",
+                   "--threads N, --json PATH, --cross-frame, --sg-chain N)\n",
                    argv[i]);
       std::exit(2);
     }
@@ -128,7 +106,6 @@ inline json::Value json_run_header(const char* bench, const BenchOptions& option
   json::Value host = json::Value::object();
   host.set("threads", host::default_threads());
   host.set("kernels", simd::active_kernels().name);
-  host.set("layout", dwt::host_layout_name(dwt::host_layout()));
   host.set("simd_isa", simd::simd_isa_name());
   run.set("host", std::move(host));
   run.set("frames", options.frames);
@@ -162,15 +139,13 @@ using EngineChoice = sched::BackendKind;
 
 inline const char* engine_label(EngineChoice e) { return sched::backend_name(e); }
 
-// The harness flags (--frames/--threads/--kernels) folded into the one
-// RunConfig every backend is built from, so each sweep explicitly carries
-// the host pool it numerics on.
+// The harness flags (--frames/--threads/--cross-frame/--sg-chain) folded into
+// the one RunConfig every backend is built from, so each sweep explicitly
+// carries the host pool it runs the numerics on.
 inline sched::RunConfig bench_run_config(const BenchOptions& options) {
   sched::RunConfig config;
   config.frames = options.frames;
   config.host.threads = host::default_threads();
-  config.kernels = options.kernels;
-  config.host_layout = options.layout;
   config.cross_frame = options.cross_frame;
   config.batching.sg_chain_len = options.sg_chain_len;
   return config;

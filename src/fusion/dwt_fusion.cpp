@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "src/common/arena.h"
-#include "src/simd/kernels.h"
 
 namespace vf::dwt {
 
@@ -243,23 +241,6 @@ const float* extend_synthesis(const FilterBank& bank, const float* lo,
   return scratch.data();
 }
 
-// Run-based forms of the two extensions for the tiled path: same values as
-// extend_analysis/extend_synthesis (ext[k] = x[(k - offset) mod n]), but the
-// analysis fill is a handful of memcpy runs instead of a per-sample modulo,
-// and the synthesis fill keeps the wrap as an increment-and-reset counter.
-// On the 5..16-tap banks the extension is rebuilt once per line, so this is
-// one of the three host hot spots (with the column stride and the per-line
-// dispatch).
-void fill_synthesis_ext(const FilterBank& bank, const float* lo, const float* hi,
-                        int n, float* ext) {
-  const int ext_len = n + bank.synth_taps();
-  int src = wrap(-bank.synthesis_offset, n);
-  for (int k = 0; k < ext_len; ++k) {
-    ext[k] = (src & 1) ? hi[src >> 1] : lo[src >> 1];
-    if (++src == n) src = 0;
-  }
-}
-
 }  // namespace
 
 void detail::fill_analysis_ext(const FilterBank& bank, const float* x, int n,
@@ -292,32 +273,8 @@ void synthesize_line(LineFilter& f, const FilterBank& bank, const float* lo,
 // --- 2-D transform ----------------------------------------------------------
 
 namespace {
-HostLayout g_host_layout = HostLayout::kFused;
-}  // namespace
 
-HostLayout host_layout() { return g_host_layout; }
-void set_host_layout(HostLayout layout) { g_host_layout = layout; }
-const char* host_layout_name(HostLayout layout) {
-  switch (layout) {
-    case HostLayout::kFused:
-      return "fused";
-    case HostLayout::kTiled:
-      return "tiled";
-    case HostLayout::kNaive:
-      return "naive";
-  }
-  return "?";
-}
-
-namespace {
-
-using detail::fill_analysis_ext;
 using image::ImageF;
-
-// Lines per multi-line kernel dispatch, and the alignment that keeps every
-// arena-resident extension line on its own 64-byte boundary.
-constexpr int kLineBlock = simd::kMaxLinesPerCall;
-inline int align16(int n) { return (n + 15) & ~15; }
 
 // Pads to even dimensions by replicating the last row/column. Callers must
 // check needs_padding() first; this always allocates.
@@ -343,109 +300,10 @@ struct LevelOut {
   ImageF ll, lh, hl, hh;
 };
 
-// Cache-aware analysis level for splittable filters (HostLayout::kTiled).
-//
-// Memory story: every intermediate lives in the per-thread arena. The row
-// pass filters blocks of kLineBlock contiguous rows through analyze_ml; the
-// column pass transposes the row outputs once (8x8 blocked, simd::
-// transpose_f32) so each column is a contiguous line, filters blocks of
-// columns through the same multi-line kernel, and transposes the four
-// subband planes back. Per line the extended samples and the kernel flavour
-// are exactly the naive path's, and the account_*/barrier() replay below is
-// the same canonical sequence, so every output bit — fused image, modeled
-// time, energy — matches HostLayout::kNaive (tests/test_host_parallel.cpp).
-LevelOut analyze_level_tiled(const ImageF& padded, const FilterBank& row_bank,
-                             const FilterBank& col_bank, LineFilter& f) {
-  const simd::KernelSet& k = f.kernels();
-  const int rp = padded.rows();
-  const int cp = padded.cols();
-  const int hr = rp / 2;
-  const int hc = cp / 2;
-  const std::size_t plane = static_cast<std::size_t>(rp) * hc;
-
-  ArenaScope planes;
-  float* rowlo = planes.alloc(plane);
-  float* rowhi = planes.alloc(plane);
-
-  const int row_ext_stride = align16(cp + row_bank.taps());
-  {
-    ArenaScope scratch;
-    float* ext = scratch.alloc(static_cast<std::size_t>(kLineBlock) * row_ext_stride);
-    for (int r = 0; r < rp; r += kLineBlock) {
-      const int nb = std::min(kLineBlock, rp - r);
-      for (int l = 0; l < nb; ++l) {
-        fill_analysis_ext(row_bank, padded.row(r + l), cp, ext + l * row_ext_stride);
-      }
-      k.analyze_ml(ext, row_ext_stride, nb, hc, row_bank.lp.data(),
-                   row_bank.hp.data(), row_bank.taps(),
-                   rowlo + static_cast<std::size_t>(r) * hc,
-                   rowhi + static_cast<std::size_t>(r) * hc, hc);
-    }
-  }
-  for (int r = 0; r < rp; ++r) f.account_analyze(hc, row_bank.taps());
-  f.barrier();  // the column pass reads the row pass's outputs
-
-  float* tlo = planes.alloc(plane);
-  float* thi = planes.alloc(plane);
-  simd::transpose_f32(rowlo, rp, hc, hc, tlo, rp);
-  simd::transpose_f32(rowhi, rp, hc, hc, thi, rp);
-  const std::size_t half_plane = static_cast<std::size_t>(hr) * hc;
-  float* tll = planes.alloc(half_plane);
-  float* tlh = planes.alloc(half_plane);
-  float* thl = planes.alloc(half_plane);
-  float* thh = planes.alloc(half_plane);
-  const int col_ext_stride = align16(rp + col_bank.taps());
-  {
-    ArenaScope scratch;
-    float* ext = scratch.alloc(static_cast<std::size_t>(kLineBlock) * col_ext_stride);
-    for (int c = 0; c < hc; c += kLineBlock) {
-      const int nb = std::min(kLineBlock, hc - c);
-      for (int l = 0; l < nb; ++l) {
-        fill_analysis_ext(col_bank, tlo + static_cast<std::size_t>(c + l) * rp, rp,
-                          ext + l * col_ext_stride);
-      }
-      k.analyze_ml(ext, col_ext_stride, nb, hr, col_bank.lp.data(),
-                   col_bank.hp.data(), col_bank.taps(),
-                   tll + static_cast<std::size_t>(c) * hr,
-                   tlh + static_cast<std::size_t>(c) * hr, hr);
-      for (int l = 0; l < nb; ++l) {
-        fill_analysis_ext(col_bank, thi + static_cast<std::size_t>(c + l) * rp, rp,
-                          ext + l * col_ext_stride);
-      }
-      k.analyze_ml(ext, col_ext_stride, nb, hr, col_bank.lp.data(),
-                   col_bank.hp.data(), col_bank.taps(),
-                   thl + static_cast<std::size_t>(c) * hr,
-                   thh + static_cast<std::size_t>(c) * hr, hr);
-    }
-  }
-  for (int c = 0; c < hc; ++c) {
-    f.account_analyze(hr, col_bank.taps());
-    f.account_analyze(hr, col_bank.taps());
-  }
-  LevelOut out;
-  out.ll = ImageF(hr, hc);
-  out.lh = ImageF(hr, hc);
-  out.hl = ImageF(hr, hc);
-  out.hh = ImageF(hr, hc);
-  simd::transpose_f32(tll, hc, hr, hr, out.ll.data(), hc);
-  simd::transpose_f32(tlh, hc, hr, hr, out.lh.data(), hc);
-  simd::transpose_f32(thl, hc, hr, hr, out.hl.data(), hc);
-  simd::transpose_f32(thh, hc, hr, hr, out.hh.data(), hc);
-  f.barrier();  // the next level (or consumer) reads this level's outputs
-  return out;
-}
-
 // One separable analysis level: rows with `row_bank`, columns with `col_bank`.
 LevelOut analyze_level(const ImageF& padded, const FilterBank& row_bank,
                        const FilterBank& col_bank, LineFilter& f,
                        std::vector<float>& scratch) {
-  // kFused steers the frame-pair entry points (fuse_frames, the timed
-  // runners) into the band-streaming plan before they reach these standalone
-  // per-tree passes; a transform invoked outside a fusion pair under kFused
-  // still deserves the cache-aware layout, so only kNaive opts out here.
-  if (f.splittable() && g_host_layout != HostLayout::kNaive) {
-    return analyze_level_tiled(padded, row_bank, col_bank, f);
-  }
   const int rp = padded.rows();
   const int cp = padded.cols();
   ImageF rowlo(rp, cp / 2), rowhi(rp, cp / 2);
@@ -478,108 +336,10 @@ LevelOut analyze_level(const ImageF& padded, const FilterBank& row_bank,
   return out;
 }
 
-// Cache-aware synthesis level (HostLayout::kTiled): mirror of
-// analyze_level_tiled. The four subband planes are transposed once so the
-// column-pass lo/hi inputs are contiguous rows, blocks of columns run
-// through synthesize_ml into a transposed intermediate, and one transpose
-// back feeds the row pass. Same per-line samples, kernel flavour, and
-// account/barrier sequence as the naive path.
-ImageF synthesize_level_tiled(const ImageF& ll, const LevelBands& bands,
-                              const FilterBank& row_bank, const FilterBank& col_bank,
-                              LineFilter& f) {
-  const simd::KernelSet& k = f.kernels();
-  const int rp2 = ll.rows();
-  const int cp2 = ll.cols();
-  const int rp = rp2 * 2;
-  const int cp = cp2 * 2;
-  const std::size_t sub_plane = static_cast<std::size_t>(rp2) * cp2;
-  const std::size_t half_plane = static_cast<std::size_t>(rp) * cp2;
-
-  ArenaScope planes;
-  float* tll = planes.alloc(sub_plane);
-  float* tlh = planes.alloc(sub_plane);
-  float* thl = planes.alloc(sub_plane);
-  float* thh = planes.alloc(sub_plane);
-  simd::transpose_f32(ll.data(), rp2, cp2, cp2, tll, rp2);
-  simd::transpose_f32(bands.lh.data(), rp2, cp2, cp2, tlh, rp2);
-  simd::transpose_f32(bands.hl.data(), rp2, cp2, cp2, thl, rp2);
-  simd::transpose_f32(bands.hh.data(), rp2, cp2, cp2, thh, rp2);
-  float* trowlo = planes.alloc(half_plane);  // cp2 x rp, columns as rows
-  float* trowhi = planes.alloc(half_plane);
-  const int col_ext_stride = align16(rp + col_bank.synth_taps());
-  {
-    ArenaScope scratch;
-    float* ext = scratch.alloc(static_cast<std::size_t>(kLineBlock) * col_ext_stride);
-    for (int c = 0; c < cp2; c += kLineBlock) {
-      const int nb = std::min(kLineBlock, cp2 - c);
-      for (int l = 0; l < nb; ++l) {
-        fill_synthesis_ext(col_bank, tll + static_cast<std::size_t>(c + l) * rp2,
-                           tlh + static_cast<std::size_t>(c + l) * rp2, rp,
-                           ext + l * col_ext_stride);
-      }
-      k.synthesize_ml(ext, col_ext_stride, nb, rp / 2, col_bank.ca.data(),
-                      col_bank.cb.data(), col_bank.synth_taps(),
-                      trowlo + static_cast<std::size_t>(c) * rp, rp);
-      for (int l = 0; l < nb; ++l) {
-        fill_synthesis_ext(col_bank, thl + static_cast<std::size_t>(c + l) * rp2,
-                           thh + static_cast<std::size_t>(c + l) * rp2, rp,
-                           ext + l * col_ext_stride);
-      }
-      k.synthesize_ml(ext, col_ext_stride, nb, rp / 2, col_bank.ca.data(),
-                      col_bank.cb.data(), col_bank.synth_taps(),
-                      trowhi + static_cast<std::size_t>(c) * rp, rp);
-    }
-  }
-  for (int c = 0; c < cp2; ++c) {
-    f.account_synthesize(rp / 2, col_bank.synth_taps());
-    f.account_synthesize(rp / 2, col_bank.synth_taps());
-  }
-  f.barrier();  // the row pass reads the column pass's outputs
-
-  float* rowlo = planes.alloc(half_plane);  // rp x cp2
-  float* rowhi = planes.alloc(half_plane);
-  simd::transpose_f32(trowlo, cp2, rp, rp, rowlo, cp2);
-  simd::transpose_f32(trowhi, cp2, rp, rp, rowhi, cp2);
-  ImageF padded(rp, cp);
-  const int row_ext_stride = align16(cp + row_bank.synth_taps());
-  {
-    ArenaScope scratch;
-    float* ext = scratch.alloc(static_cast<std::size_t>(kLineBlock) * row_ext_stride);
-    for (int r = 0; r < rp; r += kLineBlock) {
-      const int nb = std::min(kLineBlock, rp - r);
-      for (int l = 0; l < nb; ++l) {
-        fill_synthesis_ext(row_bank, rowlo + static_cast<std::size_t>(r + l) * cp2,
-                           rowhi + static_cast<std::size_t>(r + l) * cp2, cp,
-                           ext + l * row_ext_stride);
-      }
-      k.synthesize_ml(ext, row_ext_stride, nb, cp / 2, row_bank.ca.data(),
-                      row_bank.cb.data(), row_bank.synth_taps(), padded.row(r), cp);
-    }
-  }
-  for (int r = 0; r < rp; ++r) {
-    f.account_synthesize(cp / 2, row_bank.synth_taps());
-  }
-  f.barrier();  // the next (shallower) level reads this reconstruction
-  if (bands.in_rows == rp && bands.in_cols == cp) return padded;
-  ImageF out(bands.in_rows, bands.in_cols);
-  for (int r = 0; r < bands.in_rows; ++r) {
-    std::memcpy(out.row(r), padded.row(r),
-                static_cast<std::size_t>(bands.in_cols) * sizeof(float));
-  }
-  return out;
-}
-
 // Inverse of analyze_level; returns the padded-size image.
 ImageF synthesize_level(const ImageF& ll, const LevelBands& bands,
                         const FilterBank& row_bank, const FilterBank& col_bank,
                         LineFilter& f, std::vector<float>& scratch) {
-  // kFused steers the frame-pair entry points (fuse_frames, the timed
-  // runners) into the band-streaming plan before they reach these standalone
-  // per-tree passes; a transform invoked outside a fusion pair under kFused
-  // still deserves the cache-aware layout, so only kNaive opts out here.
-  if (f.splittable() && g_host_layout != HostLayout::kNaive) {
-    return synthesize_level_tiled(ll, bands, row_bank, col_bank, f);
-  }
   const int rp2 = ll.rows();
   const int cp2 = ll.cols();
   const int rp = rp2 * 2;

@@ -157,7 +157,9 @@ class ScalarLineFilter : public LineFilter {
   FilterStats stats_;
 };
 
-class SimdLineFilter : public LineFilter {
+// ScalarLineFilter with the bit-identical SIMD kernels in place of the
+// scalar ones.
+class SimdLineFilter : public ScalarLineFilter {
  public:
   SimdLineFilter() = default;
   // The width is ignored: host parallelism is per frame
@@ -165,20 +167,6 @@ class SimdLineFilter : public LineFilter {
   explicit SimdLineFilter(const HostConfig& host) { (void)host; }
 
   const simd::KernelSet& kernels() const override { return simd::simd_kernels(); }
-  void account_analyze(int out_len, int taps) override {
-    stats_.analysis_macs += 2LL * out_len * taps;
-    stats_.analysis_lines += 1;
-  }
-  void account_synthesize(int pairs, int taps) override {
-    stats_.synthesis_macs += 2LL * pairs * taps;
-    stats_.synthesis_lines += 1;
-  }
-
-  void reset_stats() { stats_ = {}; }
-  const FilterStats& stats() const { return stats_; }
-
- private:
-  FilterStats stats_;
 };
 
 // --- 1-D line transforms ----------------------------------------------------
@@ -192,37 +180,19 @@ void synthesize_line(LineFilter& f, const FilterBank& bank, const float* lo,
 
 // --- 2-D multi-level transform ----------------------------------------------
 
-// Memory layout of the 2-D passes for splittable filters:
+// Two host paths, one per job:
 //
-//   kFused  (default) — the band-streaming execution plan
-//           (src/fusion/fused_plan.h): fuse_frames and the timed runners
-//           interleave the two frames' transforms band-by-band and consume
-//           each band with the magnitude/select rule while it is hot in
-//           cache, streaming fused bands straight into inverse synthesis —
-//           the second pyramid is never materialized. Standalone
-//           forward_tree/forward_dtcwt calls (no frame pair to fuse against)
-//           execute the tiled layout below.
-//   kTiled  — PR 8's staged path: per-thread arena scratch
-//           (src/common/arena.h), run-based periodic extension (memcpy runs
-//           instead of a per-sample modulo), and a cache-blocked transpose so
-//           the column pass filters contiguous rows through the multi-line
-//           kernels (KernelSet::analyze_ml/synthesize_ml, up to
-//           simd::kMaxLinesPerCall lines per dispatch).
-//   kNaive  — the historical per-line path: stride-W column gathers into
-//           std::vector scratch, one kernel dispatch per line.
+//   * frame pairs — fusion::fuse_frames and the timed runners — run the
+//     band-streaming plan (src/fusion/fused_plan.h) whenever
+//     FusionPlan::applicable holds;
+//   * everything else — standalone forward_tree/forward_dtcwt and their
+//     inverses, the non-splittable fixed-point filter, and the staged
+//     reference the plan is tested against — runs the per-line passes
+//     below: one analyze_line/synthesize_line per row and column.
 //
-// All layouts feed every line the same extended samples through the same
-// per-line kernel flavour and replay the same account_*/barrier() sequence,
-// so fused bits and modeled time/energy are bit-identical (locked by
-// tests/test_host_parallel.cpp); the toggle exists for the bench_pipeline
-// layout sweep and the equivalence tests. Process-wide, like
-// set_active_kernels: select at startup, before spawning parallel work.
-// Non-splittable filters (the fixed-point datapath) always run the naive
-// combined path regardless of this setting.
-enum class HostLayout { kFused, kTiled, kNaive };
-HostLayout host_layout();
-void set_host_layout(HostLayout layout);
-const char* host_layout_name(HostLayout layout);
+// Both feed every line the same extended samples through the same per-line
+// kernel flavour and emit the same account_*/barrier() sequence, so fused
+// bits and modeled time/energy are identical (tests/test_host_parallel.cpp).
 
 struct TransformConfig {
   int levels = 3;
@@ -265,7 +235,7 @@ image::ImageF inverse_dtcwt(const DtcwtPyramid& pyr, const TransformConfig& conf
 // --- shared transform internals ---------------------------------------------
 // Used by the band-streaming fused plan (src/fusion/fused_plan.cpp), which
 // must produce the exact per-line inputs and the exact account_*/barrier()
-// sequence of the staged path above.
+// sequence of the per-line path above.
 namespace detail {
 
 // The bank a given tree applies at a given level (tree B = one-sample delay
@@ -273,7 +243,8 @@ namespace detail {
 FilterBank bank_for_level(const TransformConfig& config, int level, int tree);
 
 // Run-based periodic extension of one analysis line (ext needs
-// n + bank.taps() floats).
+// n + bank.taps() floats): the same samples as analyze_line's extension,
+// copied as a handful of memcpy runs.
 void fill_analysis_ext(const FilterBank& bank, const float* x, int n, float* ext);
 
 // Replay one tree's forward / inverse account_*/barrier() sequence for an

@@ -1,5 +1,6 @@
 #include "src/fusion/fuse.h"
 
+#include <stdexcept>
 #include <vector>
 
 #include "src/common/arena.h"
@@ -45,11 +46,28 @@ ImageF& band(dwt::LevelBands& lv, int which) {
   return which == 0 ? lv.lh : which == 1 ? lv.hl : lv.hh;
 }
 
+// Same level count, and the same input dims at every level.
+bool same_shape(const dwt::TreePyramid& a, const dwt::TreePyramid& b) {
+  if (a.levels.size() != b.levels.size()) return false;
+  for (std::size_t lv = 0; lv < a.levels.size(); ++lv) {
+    if (a.levels[lv].in_rows != b.levels[lv].in_rows ||
+        a.levels[lv].in_cols != b.levels[lv].in_cols) {
+      return false;
+    }
+  }
+  return a.ll.rows() == b.ll.rows() && a.ll.cols() == b.ll.cols();
+}
+
 }  // namespace
 
 void fuse_pyramids(const dwt::DtcwtPyramid& a, const dwt::DtcwtPyramid& b,
                    dwt::DtcwtPyramid* out, dwt::LineFilter& filter) {
   const int levels = static_cast<int>(a.tree[0].levels.size());
+  for (int t = 0; t < 4; ++t) {
+    if (!same_shape(a.tree[t], b.tree[t])) {
+      throw std::invalid_argument("fuse_pyramids: the two pyramids differ in shape");
+    }
+  }
   for (int t = 0; t < 4; ++t) {
     out->tree[t].levels.resize(levels);
     for (int lv = 0; lv < levels; ++lv) {
@@ -79,8 +97,7 @@ void fuse_pyramids(const dwt::DtcwtPyramid& a, const dwt::DtcwtPyramid& b,
 
 image::ImageF fuse_frames(const image::ImageF& a, const image::ImageF& b,
                           const FuseConfig& config, dwt::LineFilter& filter) {
-  if (dwt::host_layout() == dwt::HostLayout::kFused &&
-      dwt::FusionPlan::applicable(config.transform, filter)) {
+  if (dwt::FusionPlan::applicable(config.transform, filter)) {
     const dwt::FusionPlan plan(a.rows(), a.cols(), config.transform);
     return plan.run(a, b, filter);
   }

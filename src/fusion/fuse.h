@@ -27,7 +27,10 @@ struct FusionOutcome {
 
 // DT-CWT max-magnitude fusion (the paper's pipeline). All transform lines and
 // fusion-rule kernels execute through `filter`, so backends can account
-// modeled time and MACs.
+// modeled time and MACs. Runs the band-streaming dwt::FusionPlan when
+// FusionPlan::applicable, else the staged forward_dtcwt -> fuse_pyramids ->
+// inverse_dtcwt pass. Throws std::invalid_argument when a and b differ in
+// shape.
 image::ImageF fuse_frames(const image::ImageF& a, const image::ImageF& b,
                           const FuseConfig& config, dwt::LineFilter& filter);
 
@@ -39,8 +42,9 @@ FusionOutcome fuse_frames_with_quality(const image::ImageF& a, const image::Imag
 image::ImageF fuse_frames_dwt(const image::ImageF& a, const image::ImageF& b,
                               const DwtFuseConfig& config, dwt::LineFilter& filter);
 
-// Fuses an already-computed pyramid pair in place (used by the scheduler's
-// timed runner so the transform and fusion phases can be clocked separately).
+// Fuses an already-computed pyramid pair into `out`: the fusion stage of the
+// staged pass. Throws std::invalid_argument when the pyramids differ in
+// shape (level count or any level's dims).
 void fuse_pyramids(const dwt::DtcwtPyramid& a, const dwt::DtcwtPyramid& b,
                    dwt::DtcwtPyramid* out, dwt::LineFilter& filter);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "src/common/arena.h"
 #include "src/simd/kernels.h"
@@ -21,7 +23,7 @@ constexpr int kPairRe[2] = {0, 1};
 constexpr int kPairIm[2] = {3, 2};
 
 // Extension buffers are padded to a 64-byte line boundary so consecutive
-// lines in a block start aligned (matches the tiled path in dwt_fusion.cpp).
+// lines in a block start aligned.
 int align16(int n) { return (n + 15) & ~15; }
 
 // Edge-replicating pad of an rows x cols plane into rp x cp (rp, cp each at
@@ -37,8 +39,8 @@ void pad_raw(const float* src, int rows, int cols, int src_stride, int rp,
 }
 
 // One forward row pass: rp lines of `src` (stride src_stride, cp samples
-// each) -> rowlo/rowhi (rp x hc, stride hc). Same ext fill + kernel dispatch
-// as the tiled analyze_level row pass.
+// each) -> rowlo/rowhi (rp x hc, stride hc). Per line, the same extended
+// samples and kernel flavour as the per-line analyze_line.
 void forward_row_pass(const float* src, int src_stride, int rp, int cp, int hc,
                       const FilterBank& bank, const simd::KernelSet& k,
                       float* rowlo, float* rowhi) {
@@ -62,7 +64,11 @@ void forward_row_pass(const float* src, int src_stride, int rp, int cp, int hc,
 
 FusionPlan::FusionPlan(int rows, int cols, const TransformConfig& config)
     : rows_(rows), cols_(cols), config_(config) {
-  assert(rows >= 1 && cols >= 1 && config.levels >= 1);
+  if (rows < 1 || cols < 1 || config.levels < 1) {
+    throw std::invalid_argument("FusionPlan: needs rows, cols and levels >= 1, got " +
+                                std::to_string(rows) + "x" + std::to_string(cols) +
+                                " at " + std::to_string(config.levels) + " levels");
+  }
   int r = rows, c = cols;
   dims_.reserve(config.levels);
   for (int level = 0; level < config.levels; ++level) {
@@ -112,8 +118,14 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
 
 ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
                         const simd::KernelSet& k) const {
-  assert(a.rows() == rows_ && a.cols() == cols_);
-  assert(b.rows() == rows_ && b.cols() == cols_);
+  if (a.rows() != rows_ || a.cols() != cols_ || b.rows() != rows_ ||
+      b.cols() != cols_) {
+    throw std::invalid_argument(
+        "FusionPlan::fuse: frames " + std::to_string(a.rows()) + "x" +
+        std::to_string(a.cols()) + " and " + std::to_string(b.rows()) + "x" +
+        std::to_string(b.cols()) + " do not match the plan's " +
+        std::to_string(rows_) + "x" + std::to_string(cols_) + " (rows x cols)");
+  }
 
   const int D = config_.levels;
   const int DL = D - 1;  // deepest level index
@@ -480,7 +492,7 @@ FusionPlan::Traffic FusionPlan::estimate_traffic() const {
     t.flops += 2.0 * 3.0 * (2.0 * 4.0 * Q + Q);
     if (L == DL) t.flops += 4.0 * 2.0 * Q;
 
-    // Staged (kTiled): per tree-level, forward = row pass (r+w) + transpose
+    // Staged: per tree-level, forward = row pass (r+w) + transpose
     // of both half-planes (r+w) + column pass (r+w) + transpose of the four
     // quarter planes back (r+w) = 8P element moves; x8 trees. Inverse
     // mirrors it with 4 transposes of quarter/half planes = 8P; x4 trees.

@@ -1,11 +1,11 @@
 // Band-streaming fused execution plan for the host fusion hot path.
 //
-// The staged path (fuse_frames under HostLayout::kTiled) runs four full-image
-// passes — forward A, forward B, magnitude/select, inverse — and materializes
-// two complete DtcwtPyramids in between, so every band plane crosses DRAM
-// several times. The paper's PL engine wins precisely by not doing that: it
-// streams lines through a fused analyze→fuse→synthesize datapath. FusionPlan
-// is the host-side equivalent:
+// The staged path (forward_dtcwt -> fuse_pyramids -> inverse_dtcwt) runs four
+// full-image passes — forward A, forward B, magnitude/select, inverse — and
+// materializes two complete DtcwtPyramids in between, so every band plane
+// crosses DRAM several times. The paper's PL engine wins precisely by not
+// doing that: it streams lines through a fused analyze→fuse→synthesize
+// datapath. FusionPlan is the host-side equivalent:
 //
 //   * the two frames' transforms run band-by-band, interleaved: level L of
 //     frame A and frame B are produced back-to-back (per kLineBlock column
@@ -55,6 +55,8 @@ class FusionPlan {
     std::function<void()> before_inverse;
   };
 
+  // Throws std::invalid_argument unless rows, cols and config.levels are
+  // all at least 1.
   FusionPlan(int rows, int cols, const TransformConfig& config);
 
   int rows() const { return rows_; }
@@ -73,6 +75,7 @@ class FusionPlan {
   // The numeric half: the fused image of one frame pair, computed serially
   // on the calling thread with scratch from its arena. Makes no filter
   // calls, so it may run on any thread, concurrently with other frames.
+  // Throws std::invalid_argument unless both frames have the plan's shape.
   image::ImageF fuse(const image::ImageF& a, const image::ImageF& b,
                      const simd::KernelSet& kernels) const;
 
@@ -84,10 +87,13 @@ class FusionPlan {
 
   // Estimated DRAM traffic per frame pair, derived from the pass structure
   // (each plane-sized read/write a pass makes, x4 bytes; block scratch that
-  // stays cache-resident is not charged). `staged_bytes` models the kTiled
-  // layout, `fused_bytes` this plan; `flops` counts the transform MACs (x2)
-  // plus the fusion-rule ops, for arithmetic-intensity reporting in
-  // bench_pipeline --json.
+  // stays cache-resident is not charged). `staged_bytes` models a staged
+  // pass over whole planes — per tree-level a row pass, a column pass and
+  // the transposes that make columns contiguous, then a separate fusion
+  // pass — as the reference this plan is measured against; `fused_bytes`
+  // models this plan. `flops` counts the transform MACs (x2) plus the
+  // fusion-rule ops, for arithmetic-intensity reporting in bench_pipeline
+  // --json.
   struct Traffic {
     double staged_bytes = 0.0;
     double fused_bytes = 0.0;

@@ -297,14 +297,9 @@ FrameRunResult TimedFusionRunner::end_frame() {
   return result;
 }
 
-bool TimedFusionRunner::uses_plan() const {
-  return dwt::host_layout() == dwt::HostLayout::kFused &&
-         dwt::FusionPlan::applicable(config_.transform, backend_.line_filter());
-}
-
 FrameRunResult TimedFusionRunner::replay_frame_pair(const dwt::FusionPlan& plan) {
-  // The accounting replay fires the same phase transitions at the same points
-  // in the modeled call sequence as the staged path in run_frame_pair.
+  // Phase transitions fire where the staged pass would make them: before
+  // forward_dtcwt, before fuse_pyramids, before inverse_dtcwt.
   begin_frame(2 * plan.rows() * plan.cols());
   dwt::FusionPlan::StageHooks hooks;
   hooks.before_forward = [this] { backend_.set_phase(Phase::kForward); };
@@ -316,32 +311,12 @@ FrameRunResult TimedFusionRunner::replay_frame_pair(const dwt::FusionPlan& plan)
 
 FrameRunResult TimedFusionRunner::run_frame_pair(const image::ImageF& visible,
                                                  const image::ImageF& thermal) {
-  if (uses_plan()) {
-    // Band-streaming plan: the numerics make no backend calls, so they may
-    // run before the frame's accounting opens.
-    const dwt::FusionPlan plan(visible.rows(), visible.cols(), config_.transform);
-    image::ImageF fused =
-        plan.fuse(visible, thermal, backend_.line_filter().kernels());
-    FrameRunResult result = replay_frame_pair(plan);
-    result.fused = std::move(fused);
-    return result;
-  }
-  begin_frame(static_cast<int>(visible.size() + thermal.size()));
-  backend_.set_phase(Phase::kForward);
-  const dwt::DtcwtPyramid pa =
-      dwt::forward_dtcwt(visible, config_.transform, backend_.line_filter());
-  const dwt::DtcwtPyramid pb =
-      dwt::forward_dtcwt(thermal, config_.transform, backend_.line_filter());
-
-  backend_.set_phase(Phase::kFusion);
-  dwt::DtcwtPyramid fused;
-  fusion::fuse_pyramids(pa, pb, &fused, backend_.line_filter());
-
-  backend_.set_phase(Phase::kInverse);
-  image::ImageF out =
-      dwt::inverse_dtcwt(fused, config_.transform, backend_.line_filter());
-  FrameRunResult result = end_frame();
-  result.fused = std::move(out);
+  // The numerics make no backend calls, so they may run before the frame's
+  // accounting opens.
+  const dwt::FusionPlan plan(visible.rows(), visible.cols(), config_.transform);
+  image::ImageF fused = plan.fuse(visible, thermal, backend_.line_filter().kernels());
+  FrameRunResult result = replay_frame_pair(plan);
+  result.fused = std::move(fused);
   return result;
 }
 
@@ -355,18 +330,6 @@ std::vector<FrameRunResult> measure_frames(TransformBackend& backend,
   const int n = static_cast<int>(frames.size());
   std::vector<FrameRunResult> out;
   out.reserve(frames.size());
-  ThreadPool* pool = backend.host_pool();
-  if (pool == nullptr || !runner.uses_plan()) {
-    for (int i = 0; i < n; ++i) {
-      const FramePair& pair = frames[static_cast<std::size_t>(i)];
-      FrameRunResult r = runner.run_frame_pair(pair.visible, pair.thermal);
-      if (sink) sink(i, std::move(r.fused));
-      r.fused = image::ImageF();
-      out.push_back(std::move(r));
-    }
-    return out;
-  }
-
   // Consecutive frames of one shape share a plan.
   std::vector<dwt::FusionPlan> plans;
   std::vector<std::size_t> plan_of(frames.size());
@@ -379,18 +342,23 @@ std::vector<FrameRunResult> measure_frames(TransformBackend& backend,
     plan_of[i] = plans.size() - 1;
   }
 
-  // One fork/join per window: a frame is the smallest chunk that amortizes
-  // waking a worker (a line never does). Workers only read the frames and
-  // plans and write their own frames' images.
+  // With a pool, one fork/join per window: a frame is the smallest chunk
+  // that amortizes waking a worker (a line never does). Workers only read
+  // the frames and plans and write their own frames' images.
   const simd::KernelSet& kernels = backend.line_filter().kernels();
-  pool->parallel_for(0, n, [&](int begin, int end) {
+  const auto fuse_range = [&](int begin, int end) {
     for (int i = begin; i < end; ++i) {
       const std::size_t f = static_cast<std::size_t>(i);
       image::ImageF fused =
           plans[plan_of[f]].fuse(frames[f].visible, frames[f].thermal, kernels);
       if (sink) sink(i, std::move(fused));
     }
-  });
+  };
+  if (ThreadPool* pool = backend.host_pool()) {
+    pool->parallel_for(0, n, fuse_range);
+  } else {
+    fuse_range(0, n);
+  }
   for (std::size_t f = 0; f < frames.size(); ++f) {
     out.push_back(runner.replay_frame_pair(plans[plan_of[f]]));
   }

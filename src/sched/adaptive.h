@@ -274,18 +274,15 @@ class TimedFusionRunner {
                              fusion::FuseConfig config = {})
       : backend_(backend), config_(config) {}
 
+  // Fuses one frame pair through the band-streaming dwt::FusionPlan and
+  // replays its accounting (replay_frame_pair). Throws
+  // std::invalid_argument when the two frames differ in shape.
   FrameRunResult run_frame_pair(const image::ImageF& visible,
                                 const image::ImageF& thermal);
 
-  // True when run_frame_pair executes the band-streaming dwt::FusionPlan,
-  // whose numerics (FusionPlan::fuse) and accounting (replay_frame_pair)
-  // can run apart.
-  bool uses_plan() const;
-
   // The accounting half of run_frame_pair for a frame pair of `plan`'s shape
   // whose numerics ran elsewhere through plan.fuse(): the same backend call
-  // sequence, so the same times; `fused` is left empty. Only when
-  // uses_plan().
+  // sequence, so the same times; `fused` is left empty.
   FrameRunResult replay_frame_pair(const dwt::FusionPlan& plan);
 
  private:
@@ -308,12 +305,12 @@ using FusedSink = std::function<void(int index, image::ImageF&& fused)>;
 // (FrameRunResult::fused left empty; the image goes to `sink`, or is dropped
 // when the sink is empty).
 //
-// When the backend has a host_pool() and runs the fused plan, the window's
-// numerics are one parallel_for over its frames: each worker fuses whole
-// frames (FusionPlan::fuse) with scratch from its own arena. The backend's
-// accounting is then replayed on the caller in frame order, so the returned
-// times and any captured stream trace equal a serial run's bit for bit.
-// Otherwise every frame runs through TimedFusionRunner::run_frame_pair.
+// The window's numerics run first, frame by frame (FusionPlan::fuse, one
+// plan per run of same-shape frames). When the backend has a host_pool()
+// they are one parallel_for over the frames: each worker fuses whole frames
+// with scratch from its own arena. The backend's accounting is then
+// replayed on the caller in frame order, so the returned times and any
+// captured stream trace equal a serial run's bit for bit.
 std::vector<FrameRunResult> measure_frames(TransformBackend& backend,
                                            const fusion::FuseConfig& config,
                                            const std::vector<FramePair>& frames,

@@ -1,13 +1,8 @@
 // make_backend(): the one construction path for transform backends (PR 7
 // API redesign). Everything — benches, tests, calibrate, the fleet
 // scheduler — builds backends through here.
-#include <cstdio>
-#include <cstdlib>
-
-#include "src/fusion/dwt_fusion.h"
 #include "src/sched/pipeline.h"
 #include "src/sched/run_config.h"
-#include "src/simd/dispatch.h"
 
 namespace vf::sched {
 
@@ -29,26 +24,6 @@ const char* backend_name(BackendKind kind) {
 
 std::unique_ptr<TransformBackend> make_backend(BackendKind kind,
                                                const RunConfig& config) {
-  if (!config.kernels.empty() &&
-      !simd::set_active_kernels(config.kernels.c_str())) {
-    // A silent fallback would misreport which numerics produced the run.
-    std::fprintf(stderr, "fatal: unknown kernel flavour '%s' in RunConfig\n",
-                 config.kernels.c_str());
-    std::abort();
-  }
-  if (!config.host_layout.empty()) {
-    if (config.host_layout == "fused") {
-      dwt::set_host_layout(dwt::HostLayout::kFused);
-    } else if (config.host_layout == "tiled") {
-      dwt::set_host_layout(dwt::HostLayout::kTiled);
-    } else if (config.host_layout == "naive") {
-      dwt::set_host_layout(dwt::HostLayout::kNaive);
-    } else {
-      std::fprintf(stderr, "fatal: unknown host layout '%s' in RunConfig\n",
-                   config.host_layout.c_str());
-      std::abort();
-    }
-  }
   switch (kind) {
     case BackendKind::kArm:
       return std::make_unique<ArmBackend>(config);

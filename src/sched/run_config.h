@@ -46,14 +46,11 @@ struct RunConfig {
   int frames = 10;  // the paper's "10 input frames"
   fusion::FuseConfig fuse;
 
-  // Host execution. Affects only how fast the host computes the numerics;
-  // modeled time/energy is bit-identical at any width, flavour, or layout
-  // (DESIGN.md §3, §7). An empty `kernels` keeps the current dispatch set;
-  // an empty `host_layout` keeps the current layout ("fused" | "tiled" |
-  // "naive", see dwt::HostLayout).
+  // Host execution: the pool width for the numerics. Affects only how fast
+  // the host computes them; modeled time/energy is bit-identical at any
+  // width (DESIGN.md §3). Every backend runs the one host path (the
+  // band-streaming plan, DESIGN.md §7) with simd::active_kernels().
   HostConfig host;
-  std::string kernels;
-  std::string host_layout;
 
   // Modeled hardware the stream runs on.
   hw::WaveletEngineConfig engine;
@@ -89,10 +86,8 @@ const char* backend_name(BackendKind kind);
 
 class TransformBackend;
 
-// The one construction path for backends. Applies config.kernels to the
-// dispatch table when non-empty (aborts on an unknown flavour — a silent
-// fallback would misreport what ran), then builds the requested backend
-// from the RunConfig fields it understands.
+// The one construction path for backends: builds the requested backend from
+// the RunConfig fields it understands. Touches no process-wide state.
 std::unique_ptr<TransformBackend> make_backend(BackendKind kind,
                                                const RunConfig& config);
 

@@ -1,7 +1,5 @@
 #include "src/simd/dispatch.h"
 
-#include <cstring>
-
 namespace vf::simd {
 
 const KernelSet& scalar_kernels() {
@@ -58,23 +56,6 @@ const KernelSet& autovec_kernels() {
   return set;
 }
 
-namespace {
-const KernelSet* g_active = &simd_kernels();
-}  // namespace
-
-const KernelSet& active_kernels() { return *g_active; }
-
-bool set_active_kernels(const char* name) {
-  if (std::strcmp(name, "scalar") == 0) {
-    g_active = &scalar_kernels();
-  } else if (std::strcmp(name, "simd") == 0) {
-    g_active = &simd_kernels();
-  } else if (std::strcmp(name, "autovec") == 0) {
-    g_active = &autovec_kernels();
-  } else {
-    return false;
-  }
-  return true;
-}
+const KernelSet& active_kernels() { return simd_kernels(); }
 
 }  // namespace vf::simd

@@ -1,18 +1,17 @@
-// Startup-time kernel dispatch: one resolved implementation per kernel
-// family, selectable between the scalar / simd / autovec flavours.
+// Kernel dispatch: one resolved implementation per kernel family, in three
+// named flavours (scalar / simd / autovec).
 //
-// The default set is "simd" — bit-identical to scalar (kernels.cpp keeps the
-// scalar accumulation order in every ISA path), so flipping the dispatch
-// never changes any modeled or fused output. "autovec" is an explicit
-// opt-in (bench --kernels autovec): it is within 1 ulp of scalar but not
-// guaranteed bit-identical on every compiler, so it must never become the
-// silent default underneath the determinism tests.
+// "simd" is the set every backend runs (active_kernels()). It is
+// bit-identical to scalar (kernels.cpp keeps the scalar accumulation order
+// in every ISA path), and scalar is the reference the tests and
+// bench_kernels compare it against. "autovec" is within 1 ulp of scalar but
+// not guaranteed bit-identical on every compiler, so it is only called by
+// name (test_kernels, bench_kernels), never run underneath the determinism
+// tests. The flavour is fixed at build time: nothing selects it at run time.
 //
 // LineFilter::kernels() (dwt_fusion.h) returns one of these sets; everything
 // the transform executes — including from thread-pool workers — goes through
-// the set's function pointers, which is how `--kernels` reaches every
-// backend, and how src/sched/pipeline.cpp's fusion-rule path stopped
-// hard-coding complex_magnitude_scalar.
+// the set's function pointers.
 #pragma once
 
 #include "src/simd/kernels.h"
@@ -32,8 +31,8 @@ struct KernelSet {
   void (*average)(const float* a, const float* b, int n, float* out);
   // Multi-line forms (kernels.h): per line they run the exact single-line
   // flavour above, so they inherit its bit-identity/1-ulp contract; the
-  // tiled DT-CWT host path (dwt_fusion.cpp) feeds them blocks of up to
-  // kMaxLinesPerCall lines.
+  // band-streaming plan (src/fusion/fused_plan.cpp) feeds them blocks of up
+  // to kMaxLinesPerCall lines.
   void (*analyze_ml)(const float* x, int x_stride, int nlines, int out_len,
                      const float* lp, const float* hp, int taps, float* lo,
                      float* hi, int out_stride);
@@ -70,10 +69,7 @@ const KernelSet& scalar_kernels();
 const KernelSet& simd_kernels();
 const KernelSet& autovec_kernels();
 
-// Process-wide active set (default: simd). set_active_kernels returns false
-// on an unknown name and leaves the selection unchanged. Not synchronized:
-// select at startup (bench_util's --kernels), before spawning parallel work.
+// The set every backend runs: simd_kernels().
 const KernelSet& active_kernels();
-bool set_active_kernels(const char* name);
 
 }  // namespace vf::simd

@@ -101,7 +101,7 @@ TEST(Arena, ThreadArenaIsStable) {
 
 // After warm-up has reserved every block the transform needs, a full
 // multi-frame pipelined run — forward + inverse DT-CWT, fusion rule,
-// extension fills, tiled transposes — must perform zero arena block
+// extension fills, block transposes — must perform zero arena block
 // allocations, serially and with the frames fanned out over a pool. A
 // regression here means some hot loop went back to heap scratch.
 TEST(ArenaZeroAlloc, SteadyStatePipelineAllocatesNothing) {

@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "src/fusion/fuse.h"
+#include "src/fusion/fused_plan.h"
 #include "src/fusion/laplacian.h"
+#include "src/hw/fixed_point.h"
 #include "src/sched/adaptive.h"
+#include "src/sched/pipeline.h"
 
 namespace {
 
@@ -82,6 +86,35 @@ TEST(Fusion, BackendsProduceIdenticalFusedOutput) {
   const auto x = rx.run_frame_pair(pairs[0].visible, pairs[0].thermal);
   EXPECT_EQ(0.0, max_abs_diff(a.fused, f.fused));
   EXPECT_EQ(0.0, max_abs_diff(a.fused, x.fused));
+}
+
+// Fusing frames of different shapes is a caller error, not undefined
+// behaviour: every entry point throws std::invalid_argument — the plan
+// (fuse_frames, the pipelined runner at any pool width) and the staged pass
+// the non-splittable fixed-point filter takes.
+TEST(Fusion, MismatchedFrameShapesAreRejected) {
+  const ImageF big = sched::make_sweep_frames({88, 72}, 1)[0].visible;
+  const ImageF small = sched::make_sweep_frames({64, 48}, 1)[0].thermal;
+  const fusion::FuseConfig config;
+  dwt::SimdLineFilter filter;
+  EXPECT_THROW(fusion::fuse_frames(big, small, config, filter), std::invalid_argument);
+  EXPECT_THROW(fusion::fuse_frames(small, big, config, filter), std::invalid_argument);
+  hw::FixedPointLineFilter fixed({18, 15});
+  EXPECT_THROW(fusion::fuse_frames(big, small, config, fixed), std::invalid_argument);
+
+  std::vector<sched::FramePair> stream = sched::make_sweep_frames({88, 72}, 3);
+  stream[1].thermal = small;
+  for (int width : {1, 2}) {
+    sched::RunConfig run;
+    run.host.threads = width;
+    sched::BatchedFpgaBackend backend(run);
+    EXPECT_THROW(sched::run_pipelined(backend, stream), std::invalid_argument)
+        << "threads=" << width;
+  }
+
+  dwt::TransformConfig flat;
+  flat.levels = 0;
+  EXPECT_THROW(dwt::FusionPlan(72, 88, flat), std::invalid_argument);
 }
 
 }  // namespace

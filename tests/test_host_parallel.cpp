@@ -2,7 +2,9 @@
 // sched::detail::measure_frames): any --threads width computes bit-identical
 // numerics AND leaves the modeled ZC702 output bit-identical, because each
 // frame's numerics run whole on one worker and accounting replays serially
-// in canonical frame order. These tests pin both halves of that contract.
+// in canonical frame order. These tests pin both halves of that contract,
+// and pin the fused plan to the staged per-line reference it replaces for
+// frame pairs: same calls, same bits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -321,128 +324,133 @@ TEST(HostParallelIdentity, PipelinedRunInvariantAcrossThreads) {
   }
 }
 
-// --- bit-identity across host memory layouts ---------------------------------
+// --- one host path: the fused plan against the staged reference ------------
 
-struct LayoutRestore {
-  ~LayoutRestore() { dwt::set_host_layout(dwt::HostLayout::kFused); }
+// The staged pass with the timed runner's phase points: each stage of
+// forward_dtcwt x2 -> fuse_pyramids -> inverse_dtcwt preceded by its hook.
+image::ImageF staged_fuse(const image::ImageF& a, const image::ImageF& b,
+                          const dwt::TransformConfig& config, dwt::LineFilter& f,
+                          const dwt::FusionPlan::StageHooks& hooks = {}) {
+  if (hooks.before_forward) hooks.before_forward();
+  const dwt::DtcwtPyramid pa = dwt::forward_dtcwt(a, config, f);
+  const dwt::DtcwtPyramid pb = dwt::forward_dtcwt(b, config, f);
+  if (hooks.before_fusion) hooks.before_fusion();
+  dwt::DtcwtPyramid fused;
+  fusion::fuse_pyramids(pa, pb, &fused, f);
+  if (hooks.before_inverse) hooks.before_inverse();
+  return dwt::inverse_dtcwt(fused, config, f);
+}
+
+// One filter call as a backend sees it: 'a'nalyze, 's'ynthesize,
+// 'm'agnitude, 'x' select, 'b'arrier, or a stage hook 'F'/'U'/'I'.
+struct Call {
+  char what;
+  int n, taps;
+  bool operator==(const Call& o) const {
+    return what == o.what && n == o.n && taps == o.taps;
+  }
 };
 
-const dwt::HostLayout kLayouts[] = {dwt::HostLayout::kNaive,
-                                    dwt::HostLayout::kTiled,
-                                    dwt::HostLayout::kFused};
+// Logs every account_* call with its arguments, every barrier() and every
+// stage hook. Every backend's modeled time is a function of this sequence.
+class RecordingFilter : public dwt::LineFilter {
+ public:
+  void barrier() override { log.push_back({'b', 0, 0}); }
+  void account_analyze(int out_len, int taps) override {
+    log.push_back({'a', out_len, taps});
+  }
+  void account_synthesize(int pairs, int taps) override {
+    log.push_back({'s', pairs, taps});
+  }
+  void account_magnitude(int n) override { log.push_back({'m', n, 0}); }
+  void account_select(int n) override { log.push_back({'x', n, 0}); }
 
-// The tiled and band-streaming-fused paths are pure layout changes: per-line
-// arithmetic order is pinned by the _ml delegation contract, so fused bits
-// must match the naive per-line path exactly — at sizes that are all tile
-// tail (1xN), straddle the 8x8 tile edge (9x7, 33x25), have odd rows at
-// scale (88x71), and at the paper's largest frame.
-TEST(HostLayoutIdentity, AllLayoutsFuseIdenticalBits) {
-  LayoutRestore restore;
-  const sched::FrameSize sizes[] = {{9, 7},  {33, 25}, {1, 16},
-                                    {16, 1}, {88, 71}, {88, 72}};
-  for (const sched::FrameSize& size : sizes) {
+  dwt::FusionPlan::StageHooks hooks() {
+    return {[this] { log.push_back({'F', 0, 0}); },
+            [this] { log.push_back({'U', 0, 0}); },
+            [this] { log.push_back({'I', 0, 0}); }};
+  }
+
+  std::vector<Call> log;
+};
+
+// Shapes that are all block tail (1x16, 16x1), straddle the 8-line block
+// edge (9x7, 33x25), have odd rows at scale (88x71), and the paper's
+// largest frame.
+const sched::FrameSize kPathSizes[] = {{9, 7},  {33, 25}, {1, 16},
+                                       {16, 1}, {88, 71}, {88, 72}};
+
+// FusionPlan::run must issue exactly the staged pass's calls, in the same
+// order, with the hooks at the same points, and fuse the same bits.
+TEST(HostPathIdentity, PlanReplaysTheStagedCallSequence) {
+  for (const sched::FrameSize& size : kPathSizes) {
     const auto frames = sched::make_sweep_frames(size, 1);
-    std::uint64_t hash[3] = {0, 0, 0};
-    for (int layout = 0; layout < 3; ++layout) {
-      dwt::set_host_layout(kLayouts[layout]);
-      dwt::SimdLineFilter filter;
-      hash[layout] = hash_image(
-          fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, filter));
-      EXPECT_EQ(hash[layout], hash[0])
-          << size.width << "x" << size.height
-          << " layout=" << dwt::host_layout_name(kLayouts[layout]);
+    for (int levels = 1; levels <= 4; ++levels) {
+      const std::string label = size.label() + " levels=" + std::to_string(levels);
+      dwt::TransformConfig config;
+      config.levels = levels;
+      RecordingFilter staged, planned;
+      const image::ImageF want = staged_fuse(frames[0].visible, frames[0].thermal,
+                                             config, staged, staged.hooks());
+      const dwt::FusionPlan plan(size.height, size.width, config);
+      const image::ImageF got =
+          plan.run(frames[0].visible, frames[0].thermal, planned, planned.hooks());
+      EXPECT_TRUE(same_bits(got, want)) << label;
+      ASSERT_EQ(planned.log.size(), staged.log.size()) << label;
+      const auto diff = std::mismatch(planned.log.begin(), planned.log.end(),
+                                      staged.log.begin());
+      EXPECT_TRUE(diff.first == planned.log.end())
+          << label << ": first difference at call "
+          << (diff.first - planned.log.begin());
     }
   }
 }
 
-// MAC statistics across layouts: the fused plan's accounting replay must
-// emit exactly the staged sequence (same line counts, same per-line shapes).
-TEST(HostLayoutIdentity, FilterStatsInvariantAcrossLayouts) {
-  LayoutRestore restore;
-  const auto frames = sched::make_sweep_frames({33, 25}, 1);
-  dwt::FilterStats ref;
-  for (int layout = 0; layout < 3; ++layout) {
-    dwt::set_host_layout(kLayouts[layout]);
-    dwt::ScalarLineFilter filter;
-    (void)fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, filter);
-    if (layout == 0) {
-      ref = filter.stats();
-      continue;
+// fuse_frames takes the plan; with scalar kernels it must match the staged
+// scalar reference bit for bit and count the same MACs and lines.
+TEST(HostPathIdentity, FuseFramesMatchesTheStagedBitsAndStats) {
+  for (const sched::FrameSize& size : kPathSizes) {
+    const auto frames = sched::make_sweep_frames(size, 1);
+    for (int levels = 1; levels <= 4; ++levels) {
+      const std::string label = size.label() + " levels=" + std::to_string(levels);
+      fusion::FuseConfig config;
+      config.transform.levels = levels;
+      dwt::ScalarLineFilter staged, planned;
+      const image::ImageF want = staged_fuse(frames[0].visible, frames[0].thermal,
+                                             config.transform, staged);
+      const image::ImageF got =
+          fusion::fuse_frames(frames[0].visible, frames[0].thermal, config, planned);
+      EXPECT_TRUE(same_bits(got, want)) << label;
+      EXPECT_EQ(planned.stats().analysis_macs, staged.stats().analysis_macs) << label;
+      EXPECT_EQ(planned.stats().synthesis_macs, staged.stats().synthesis_macs) << label;
+      EXPECT_EQ(planned.stats().analysis_lines, staged.stats().analysis_lines) << label;
+      EXPECT_EQ(planned.stats().synthesis_lines, staged.stats().synthesis_lines)
+          << label;
     }
-    EXPECT_EQ(filter.stats().analysis_macs, ref.analysis_macs);
-    EXPECT_EQ(filter.stats().synthesis_macs, ref.synthesis_macs);
-    EXPECT_EQ(filter.stats().analysis_lines, ref.analysis_lines);
-    EXPECT_EQ(filter.stats().synthesis_lines, ref.synthesis_lines);
-  }
-}
-
-// Every modeled backend's probe totals must not notice the layout either:
-// all three paths replay the same canonical account_*()/barrier() sequence.
-TEST(HostLayoutIdentity, ModeledProbeInvariantAcrossLayouts) {
-  LayoutRestore restore;
-  const sched::FrameSize size{64, 48};
-  for (const sched::BackendKind kind : kAllBackends) {
-    sched::ProbeResult res[3];
-    for (int layout = 0; layout < 3; ++layout) {
-      dwt::set_host_layout(kLayouts[layout]);
-      sched::RunConfig run;
-      const auto b = sched::make_backend(kind, run);
-      res[layout] = sched::probe_backend(*b, size, 2);
-      EXPECT_TRUE(res[layout].total == res[0].total)
-          << sched::backend_name(kind) << " layout="
-          << dwt::host_layout_name(kLayouts[layout]);
-      EXPECT_TRUE(res[layout].forward == res[0].forward)
-          << sched::backend_name(kind);
-      EXPECT_TRUE(res[layout].inverse == res[0].inverse)
-          << sched::backend_name(kind);
-      EXPECT_EQ(res[layout].energy_mj, res[0].energy_mj)
-          << sched::backend_name(kind);
-    }
-  }
-}
-
-// The event-queue pipeline schedule too: makespan/ledger/energy must be
-// bit-identical across all three layouts.
-TEST(HostLayoutIdentity, PipelinedRunInvariantAcrossLayouts) {
-  LayoutRestore restore;
-  const auto stream = sched::make_sweep_frames({33, 25}, 3);
-  sched::PipelineRunResult res[3];
-  for (int layout = 0; layout < 3; ++layout) {
-    dwt::set_host_layout(kLayouts[layout]);
-    sched::RunConfig rc;
-    sched::BatchedFpgaBackend backend(rc);
-    res[layout] = sched::run_pipelined(backend, stream);
-    if (layout == 0) continue;
-    EXPECT_TRUE(res[layout].makespan == res[0].makespan)
-        << dwt::host_layout_name(kLayouts[layout]);
-    EXPECT_TRUE(res[layout].serial_total == res[0].serial_total);
-    EXPECT_TRUE(res[layout].ps_busy == res[0].ps_busy);
-    EXPECT_TRUE(res[layout].pl_busy == res[0].pl_busy);
-    EXPECT_EQ(res[layout].energy_mj, res[0].energy_mj);
-    EXPECT_EQ(res[layout].energy_gated_mj, res[0].energy_gated_mj);
   }
 }
 
 // --- bit-identity across kernel flavours -------------------------------------
 
-struct KernelSetRestore {
-  ~KernelSetRestore() { simd::set_active_kernels("simd"); }
-};
-
-// The dispatch default ("simd") is bit-identical to "scalar", so switching
-// flavours must not move a single fused bit either.
+// The "simd" set every backend runs is bit-identical to "scalar": the plan
+// fuses the same bits with either, and both match the staged scalar
+// per-line reference.
 TEST(HostParallelIdentity, ScalarAndSimdDispatchFuseIdentically) {
-  KernelSetRestore restore;
-  const auto frames = sched::make_sweep_frames({40, 40}, 1);
-  ASSERT_TRUE(simd::set_active_kernels("scalar"));
-  dwt::SimdLineFilter f_scalar;
-  const std::uint64_t h_scalar = hash_image(
-      fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, f_scalar));
-  ASSERT_TRUE(simd::set_active_kernels("simd"));
-  dwt::SimdLineFilter f_simd;
-  const std::uint64_t h_simd = hash_image(
-      fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, f_simd));
-  EXPECT_EQ(h_scalar, h_simd);
+  for (const sched::FrameSize size :
+       {sched::FrameSize{40, 40}, sched::FrameSize{33, 25}, sched::FrameSize{88, 72}}) {
+    const auto frames = sched::make_sweep_frames(size, 1);
+    const fusion::FuseConfig config;
+    dwt::ScalarLineFilter reference;
+    const image::ImageF want = staged_fuse(frames[0].visible, frames[0].thermal,
+                                           config.transform, reference);
+    const dwt::FusionPlan plan(size.height, size.width, config.transform);
+    const image::ImageF scalar =
+        plan.fuse(frames[0].visible, frames[0].thermal, simd::scalar_kernels());
+    const image::ImageF simd =
+        plan.fuse(frames[0].visible, frames[0].thermal, simd::simd_kernels());
+    EXPECT_EQ(hash_image(scalar), hash_image(want)) << size.label();
+    EXPECT_EQ(hash_image(simd), hash_image(want)) << size.label();
+  }
 }
 
 }  // namespace

@@ -559,18 +559,13 @@ TEST(SelectByMagnitudeEdge, PreservesSignedZeros) {
   }
 }
 
-// The dispatch table must expose exactly the three flavours, default to the
-// bit-identical "simd" set, and reject unknown names without changing state.
+// The dispatch table exposes exactly the three named flavours, and every
+// backend runs the bit-identical "simd" set.
 TEST(KernelDispatch, NamedSetsAndDefault) {
-  EXPECT_STREQ(simd::active_kernels().name, "simd");
   EXPECT_STREQ(simd::scalar_kernels().name, "scalar");
+  EXPECT_STREQ(simd::simd_kernels().name, "simd");
   EXPECT_STREQ(simd::autovec_kernels().name, "autovec");
-  EXPECT_FALSE(simd::set_active_kernels("avx999"));
-  EXPECT_STREQ(simd::active_kernels().name, "simd");
-  EXPECT_TRUE(simd::set_active_kernels("autovec"));
-  EXPECT_STREQ(simd::active_kernels().name, "autovec");
-  EXPECT_TRUE(simd::set_active_kernels("simd"));
-  EXPECT_STREQ(simd::active_kernels().name, "simd");
+  EXPECT_EQ(&simd::active_kernels(), &simd::simd_kernels());
 }
 
 // Odd lengths exercise the SIMD tail path; 44 and 1024 are the bench sizes.
