@@ -1,9 +1,11 @@
 // Ablation A5 — host wall-clock microbenchmarks of the compute kernels
 // (google-benchmark). Everything else in bench/ reports *modeled* ZC702
 // time; this binary shows the kernel library is real code with a real
-// vectorization speedup on the build host, across all five kernel families
-// (analyze, synthesize, magnitude, select, average) and all three flavours
-// (scalar, simd intrinsics, autovec).
+// vectorization speedup on the build host, across the kernel families
+// (analyze, synthesize, magnitude, select, average, their multi-line forms
+// and the column passes of the fused plan) in both flavours: scalar, and
+// simd at the widest instruction set the host runs (its name is the JSON's
+// simd_isa field).
 //
 // Extra flag (stripped before google-benchmark sees the command line):
 //   --json PATH   write the collected per-benchmark timings as JSON
@@ -96,8 +98,8 @@ void BM_Select(benchmark::State& state, const vf::simd::KernelSet& k) {
 }
 
 // Multi-line variants: a kMaxLinesPerCall block of independent lines per
-// dispatch, the shape the band-streaming plan feeds them. Contrast with
-// the single-line rows to see the per-call amortization.
+// dispatch. Contrast with the single-line rows to see the per-call
+// amortization.
 
 void BM_AnalyzeMl(benchmark::State& state, const vf::simd::KernelSet& k) {
   const int out_len = static_cast<int>(state.range(0));
@@ -182,10 +184,58 @@ void BM_Average(benchmark::State& state, const vf::simd::KernelSet& k) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 
+// Column passes of the fused plan on an 88x72 level-0 plane pair (72 rows
+// x 44 columns, row-major): analysis + magnitude of a re/im plane pair, and
+// synthesis from an lo/hi plane pair. Items are output samples.
+
+std::vector<int> periodic_rows(int rows, int len, int offset) {
+  std::vector<int> ext(static_cast<std::size_t>(len));
+  for (int k = 0; k < len; ++k) ext[k] = (((k - offset) % rows) + rows) % rows;
+  return ext;
+}
+
+void BM_AnalyzeMagCols(benchmark::State& state, const vf::simd::KernelSet& k) {
+  const int rows = 72;
+  const int cols = static_cast<int>(state.range(0));
+  const int taps = 14;
+  const auto x_re = randv(rows * cols, 23);
+  const auto x_im = randv(rows * cols, 24);
+  const auto lp = randv(taps, 2);
+  const auto hp = randv(taps, 3);
+  const std::vector<int> ext = periodic_rows(rows, rows + taps, 6);
+  const std::size_t q = static_cast<std::size_t>(rows / 2) * cols;
+  std::vector<float> out(6 * q);
+  for (auto _ : state) {
+    k.analyze_mag_cols(x_re.data(), x_im.data(), cols, cols, ext.data(), ext.data(),
+                       rows / 2, lp.data(), hp.data(), hp.data(), lp.data(), taps,
+                       &out[0], &out[q], &out[2 * q], &out[3 * q], &out[4 * q],
+                       &out[5 * q], cols);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long long>(4 * q));
+}
+
+void BM_SynthesizeCols(benchmark::State& state, const vf::simd::KernelSet& k) {
+  const int rows = 72;
+  const int cols = static_cast<int>(state.range(0));
+  const int taps = 16;
+  const auto lo = randv(rows / 2 * cols, 25);
+  const auto hi = randv(rows / 2 * cols, 26);
+  const auto ca = randv(taps, 5);
+  const auto cb = randv(taps, 6);
+  const std::vector<int> ext = periodic_rows(rows, rows + taps, 7);
+  std::vector<float> out(static_cast<std::size_t>(rows) * cols);
+  for (auto _ : state) {
+    k.synthesize_cols(lo.data(), cols, hi.data(), cols, cols, ext.data(), rows / 2,
+                      ca.data(), cb.data(), taps, out.data(), cols);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long long>(rows) * cols);
+}
+
 void register_benches() {
   const vf::simd::KernelSet* sets[] = {&vf::simd::scalar_kernels(),
-                                       &vf::simd::simd_kernels(),
-                                       &vf::simd::autovec_kernels()};
+                                       &vf::simd::simd_kernels()};
   for (const vf::simd::KernelSet* k : sets) {
     benchmark::RegisterBenchmark((std::string("BM_Analyze/") + k->name).c_str(),
                                  BM_Analyze, *k)
@@ -218,6 +268,12 @@ void register_benches() {
     benchmark::RegisterBenchmark((std::string("BM_SelectMl/") + k->name).c_str(),
                                  BM_SelectMl, *k)
         ->Arg(198);
+    benchmark::RegisterBenchmark(
+        (std::string("BM_AnalyzeMagCols/") + k->name).c_str(), BM_AnalyzeMagCols, *k)
+        ->Arg(44);
+    benchmark::RegisterBenchmark(
+        (std::string("BM_SynthesizeCols/") + k->name).c_str(), BM_SynthesizeCols, *k)
+        ->Arg(44);
   }
 }
 

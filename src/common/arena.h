@@ -1,7 +1,7 @@
 // Per-thread scratch arena for the transform hot loops.
 //
-// The DT-CWT host path consumes line-sized scratch (extension buffers,
-// transposed tiles, intermediate subband planes) thousands of times per
+// The DT-CWT host path consumes plane-sized scratch (row-pass outputs,
+// subband and magnitude planes, reconstructions) dozens of times per
 // frame. Before the arena each consumer owned a std::vector that was
 // reallocated per level, per tree, per frame; the arena replaces all of them
 // with one per-thread bump allocator whose blocks persist for the thread's

@@ -243,19 +243,6 @@ const float* extend_synthesis(const FilterBank& bank, const float* lo,
 
 }  // namespace
 
-void detail::fill_analysis_ext(const FilterBank& bank, const float* x, int n,
-                               float* ext) {
-  const int ext_len = n + bank.taps();
-  int src = wrap(-bank.analysis_offset, n);
-  int k = 0;
-  while (k < ext_len) {
-    const int run = std::min(n - src, ext_len - k);
-    std::memcpy(ext + k, x + src, static_cast<std::size_t>(run) * sizeof(float));
-    k += run;
-    src = 0;
-  }
-}
-
 void analyze_line(LineFilter& f, const FilterBank& bank, const float* x, int n,
                   float* lo, float* hi, std::vector<float>& scratch) {
   assert(n % 2 == 0);

@@ -242,11 +242,6 @@ namespace detail {
 // at level 1, reversed q-shift at levels >= 2).
 FilterBank bank_for_level(const TransformConfig& config, int level, int tree);
 
-// Run-based periodic extension of one analysis line (ext needs
-// n + bank.taps() floats): the same samples as analyze_line's extension,
-// copied as a handful of memcpy runs.
-void fill_analysis_ext(const FilterBank& bank, const float* x, int n, float* ext);
-
 // Replay one tree's forward / inverse account_*/barrier() sequence for an
 // input of the given pre-padding dims — the exact sequence the staged
 // forward_tree/inverse_tree emit, derived from shapes alone (accounting

@@ -7,14 +7,11 @@
 #include <string>
 
 #include "src/common/arena.h"
-#include "src/simd/kernels.h"
 
 namespace vf::dwt {
 namespace {
 
 using image::ImageF;
-
-constexpr int kLineBlock = simd::kMaxLinesPerCall;
 
 // tree(pair, side): trees (0,3) form the first complex pair, (1,2) the
 // second; within a pair the re side is row-tree A and the im side row-tree B
@@ -22,42 +19,9 @@ constexpr int kLineBlock = simd::kMaxLinesPerCall;
 constexpr int kPairRe[2] = {0, 1};
 constexpr int kPairIm[2] = {3, 2};
 
-// Extension buffers are padded to a 64-byte line boundary so consecutive
-// lines in a block start aligned.
-int align16(int n) { return (n + 15) & ~15; }
-
-// Edge-replicating pad of an rows x cols plane into rp x cp (rp, cp each at
-// most one larger) — the same pad_even semantics as the staged path.
-void pad_raw(const float* src, int rows, int cols, int src_stride, int rp,
-             int cp, float* out) {
-  for (int r = 0; r < rp; ++r) {
-    const float* s = src + static_cast<size_t>(r < rows ? r : rows - 1) * src_stride;
-    float* d = out + static_cast<size_t>(r) * cp;
-    std::memcpy(d, s, static_cast<size_t>(cols) * sizeof(float));
-    if (cp > cols) d[cols] = s[cols - 1];
-  }
-}
-
-// One forward row pass: rp lines of `src` (stride src_stride, cp samples
-// each) -> rowlo/rowhi (rp x hc, stride hc). Per line, the same extended
-// samples and kernel flavour as the per-line analyze_line.
-void forward_row_pass(const float* src, int src_stride, int rp, int cp, int hc,
-                      const FilterBank& bank, const simd::KernelSet& k,
-                      float* rowlo, float* rowhi) {
-  const int taps = bank.taps();
-  const int ext_stride = align16(cp + taps);
-  ArenaScope scratch;
-  float* ext = scratch.alloc(static_cast<size_t>(kLineBlock) * ext_stride);
-  for (int r = 0; r < rp; r += kLineBlock) {
-    const int nb = std::min(kLineBlock, rp - r);
-    for (int l = 0; l < nb; ++l) {
-      detail::fill_analysis_ext(bank, src + static_cast<size_t>(r + l) * src_stride,
-                                cp, ext + static_cast<size_t>(l) * ext_stride);
-    }
-    k.analyze_ml(ext, ext_stride, nb, hc, bank.lp.data(), bank.hp.data(), taps,
-                 rowlo + static_cast<size_t>(r) * hc,
-                 rowhi + static_cast<size_t>(r) * hc, hc);
-  }
+int wrap(int k, int n) {
+  k %= n;
+  return k < 0 ? k + n : k;
 }
 
 }  // namespace
@@ -83,23 +47,43 @@ FusionPlan::FusionPlan(int rows, int cols, const TransformConfig& config)
     r = d.hr;
     c = d.hc;
   }
+  // Row and column passes of a tree share its bank at every level.
   for (int tree = 0; tree < 2; ++tree) {
-    row_banks_[tree].reserve(config.levels);
-    col_banks_[tree].reserve(config.levels);
+    banks_[tree].reserve(config.levels);
+    ext_[tree].reserve(config.levels);
     for (int level = 0; level < config.levels; ++level) {
-      row_banks_[tree].push_back(detail::bank_for_level(config_, level, tree));
-      col_banks_[tree].push_back(detail::bank_for_level(config_, level, tree));
+      const LevelDims& d = dims_[level];
+      const FilterBank& bank =
+          banks_[tree].emplace_back(detail::bank_for_level(config_, level, tree));
+      // analyze_mag_cols filters the re and im planes through one tap loop,
+      // and the column kernels hold one row pointer per tap; make_filter_bank
+      // keeps tree A and tree B on the same window widths (the level-1 delay
+      // shifts both window ends; the q-shift reversal stays inside the same
+      // 14-tap window), all well inside kMaxTaps.
+      assert(bank.taps() <= simd::kMaxTaps && bank.synth_taps() <= simd::kMaxTaps);
+      ExtTables e;
+      // Row analysis: the periodic extension of the padded row (column
+      // cp - 1 replicates column c - 1 when c is odd).
+      e.row_cols.resize(static_cast<size_t>(d.cp + bank.taps()));
+      for (int k = 0; k < d.cp + bank.taps(); ++k) {
+        e.row_cols[k] = std::min(wrap(k - bank.analysis_offset, d.cp), d.c - 1);
+      }
+      // Column analysis over the rp rows of a row-pass output.
+      e.col_rows.resize(static_cast<size_t>(d.rp + bank.taps()));
+      for (int k = 0; k < d.rp + bank.taps(); ++k) {
+        e.col_rows[k] = wrap(k - bank.analysis_offset, d.rp);
+      }
+      // Column synthesis: stream row of the interleaved lo/hi extension.
+      e.col_synth.resize(static_cast<size_t>(d.rp + bank.synth_taps()));
+      for (int k = 0; k < d.rp + bank.synth_taps(); ++k) {
+        e.col_synth[k] = wrap(k - bank.synthesis_offset, d.rp);
+      }
+      ext_[tree].push_back(std::move(e));
     }
   }
-  // analyze_mag_ml filters the re and im lines through one shared extension
-  // stride/tap window, and select_synth_ml interleaves one (ca, cb) pair per
-  // call. Both rely on the tree-A and tree-B banks agreeing on window widths,
-  // which make_filter_bank guarantees by construction (the level-1 delay
-  // shifts both window ends; the q-shift reversal stays inside the same
-  // 14-tap window).
   for (int level = 0; level < config.levels; ++level) {
-    assert(col_banks_[0][level].taps() == col_banks_[1][level].taps());
-    assert(col_banks_[0][level].synth_taps() == col_banks_[1][level].synth_taps());
+    assert(banks_[0][level].taps() == banks_[1][level].taps());
+    assert(banks_[0][level].synth_taps() == banks_[1][level].synth_taps());
     (void)level;
   }
 }
@@ -133,20 +117,22 @@ ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
 
   ArenaScope outer;
 
-  // Padded inputs, shared by every tree of both frames.
-  const float* in[2] = {a.data(), b.data()};
-  for (int x = 0; x < 2; ++x) {
-    if (rows_ != d0.rp || cols_ != d0.cp) {
-      float* p = outer.alloc(static_cast<size_t>(d0.rp) * d0.cp);
-      pad_raw(in[x], rows_, cols_, cols_, d0.rp, d0.cp, p);
-      in[x] = p;
-    }
-  }
+  // One forward row pass: the rp x cp padded plane of an r x c source
+  // (padding comes from the row clamp and the column table) -> rowlo/rowhi,
+  // rp x hc each.
+  auto row_pass = [&](const float* src, int src_stride, int L, int tree,
+                      float* rowlo, float* rowhi) {
+    const LevelDims& d = dims_[L];
+    const FilterBank& bank = banks_[tree][L];
+    k.analyze_rows(src, src_stride, d.r, d.rp, ext_[tree][L].row_cols.data(), d.hc,
+                   bank.lp.data(), bank.hp.data(), bank.taps(), rowlo, rowhi, d.hc);
+  };
 
   // Level-0 row passes, shared across the two complex pairs: in both pairs
   // the re side is row-tree A and the im side row-tree B, so four passes
   // (frame x side) cover all eight (frame x tree) level-0 row transforms the
   // staged path runs.
+  const float* in[2] = {a.data(), b.data()};
   const size_t half0 = static_cast<size_t>(d0.rp) * d0.hc;
   float* row0lo[2][2];
   float* row0hi[2][2];
@@ -154,8 +140,7 @@ ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
     for (int s = 0; s < 2; ++s) {
       row0lo[x][s] = outer.alloc(half0);
       row0hi[x][s] = outer.alloc(half0);
-      forward_row_pass(in[x], d0.cp, d0.rp, d0.cp, d0.hc, row_banks_[s][0], k,
-                       row0lo[x][s], row0hi[x][s]);
+      row_pass(in[x], cols_, 0, s, row0lo[x][s], row0hi[x][s]);
     }
   }
 
@@ -170,51 +155,34 @@ ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
     ArenaScope pair;
     const int col_tree[2] = {p, 1 - p};
 
-    // Fused band planes for levels above the deepest, stored transposed
-    // (line = image column, stride hr) so the inverse column pass reads them
-    // directly. fused_at(L, sb, s): sb in {0=lh, 1=hl, 2=hh}, s = side.
-    std::vector<float*> fused_bands(static_cast<size_t>(DL) * 6, nullptr);
+    // Fused band planes, row-major hr x hc. fused_at(L, sb, s): sb in
+    // {0=lh, 1=hl, 2=hh}, s = side.
+    std::vector<float*> fused_bands(static_cast<size_t>(D) * 6, nullptr);
     auto fused_at = [&](int L, int sb, int s) -> float*& {
       return fused_bands[(static_cast<size_t>(L) * 3 + sb) * 2 + s];
     };
-    for (int L = 0; L < DL; ++L) {
+    for (int L = 0; L < D; ++L) {
       const size_t q = static_cast<size_t>(dims_[L].hr) * dims_[L].hc;
       for (int sb = 0; sb < 3; ++sb) {
         for (int s = 0; s < 2; ++s) fused_at(L, sb, s) = pair.alloc(q);
       }
     }
-    // At the deepest level both frames' candidate bands and their magnitudes
-    // are kept (transposed) so the select rule can run fused into the inverse
-    // synthesis read. deep_band[sb][side][frame]; deep_mag[sb][frame].
     const LevelDims& dd = dims_[DL];
     const size_t qd = static_cast<size_t>(dd.hr) * dd.hc;
-    float* deep_band[3][2][2];
-    float* deep_mag[3][2];
-    for (int sb = 0; sb < 3; ++sb) {
-      for (int s = 0; s < 2; ++s) {
-        for (int x = 0; x < 2; ++x) deep_band[sb][s][x] = pair.alloc(qd);
-      }
-      for (int x = 0; x < 2; ++x) deep_mag[sb][x] = pair.alloc(qd);
-    }
-    float* t_ll_fused[2] = {pair.alloc(qd), pair.alloc(qd)};
+    float* ll_fused[2] = {pair.alloc(qd), pair.alloc(qd)};
 
-    // --- forward: both frames interleaved, band-by-band -----------------
+    // --- forward: both frames interleaved, level by level ----------------
     const float* cur[2][2] = {{nullptr, nullptr}, {nullptr, nullptr}};
     for (int L = 0; L < D; ++L) {
       const LevelDims& dl = dims_[L];
       const size_t half = static_cast<size_t>(dl.rp) * dl.hc;
       const size_t q = static_cast<size_t>(dl.hr) * dl.hc;
 
-      // Outputs that must survive this level (allocated below the transient
-      // scope's mark): the transposed lowpass residues, and — above the
-      // deepest level — their transpose back into row-major for level L+1.
-      float* tll[2][2];
-      float* ll_next[2][2] = {{nullptr, nullptr}, {nullptr, nullptr}};
+      // The lowpass residues survive this level: the next level's row pass
+      // reads them in place.
+      float* ll[2][2];
       for (int x = 0; x < 2; ++x) {
-        for (int s = 0; s < 2; ++s) {
-          tll[x][s] = pair.alloc(q);
-          if (L < DL) ll_next[x][s] = pair.alloc(q);
-        }
+        for (int s = 0; s < 2; ++s) ll[x][s] = pair.alloc(q);
       }
 
       {
@@ -232,187 +200,86 @@ ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
             }
             rowlo[x][s] = level.alloc(half);
             rowhi[x][s] = level.alloc(half);
-            const float* src = cur[x][s];
-            int src_stride = dl.c;
-            if (dl.rp != dl.r || dl.cp != dl.c) {
-              float* pp = level.alloc(static_cast<size_t>(dl.rp) * dl.cp);
-              pad_raw(src, dl.r, dl.c, src_stride, dl.rp, dl.cp, pp);
-              src = pp;
-              src_stride = dl.cp;
-            }
-            forward_row_pass(src, src_stride, dl.rp, dl.cp, dl.hc,
-                             row_banks_[s][L], k, rowlo[x][s], rowhi[x][s]);
+            row_pass(cur[x][s], dl.c, L, s, rowlo[x][s], rowhi[x][s]);
           }
         }
 
-        // Column pass: analysis + magnitude fused per frame, then — above
-        // the deepest level — the select rule immediately, while the block's
-        // bands are hot. All outputs are transposed (stride hr).
-        const FilterBank& cb0 = col_banks_[col_tree[0]][L];
-        const FilterBank& cb1 = col_banks_[col_tree[1]][L];
-        const int taps = cb0.taps();
-        const int ext_stride = align16(dl.rp + taps);
-        float* slab_lo[2];
-        float* slab_hi[2];
-        for (int s = 0; s < 2; ++s) {
-          slab_lo[s] = level.alloc(static_cast<size_t>(kLineBlock) * dl.rp);
-          slab_hi[s] = level.alloc(static_cast<size_t>(kLineBlock) * dl.rp);
+        // Column passes: analysis + magnitude straight on the row-major
+        // planes. Frame A writes its bands into the fused planes, frame B
+        // into scratch; the select rule then keeps B's sample wherever B's
+        // magnitude wins. band[x][sb][side], mag[x][sb].
+        const FilterBank& cb0 = banks_[col_tree[0]][L];
+        const FilterBank& cb1 = banks_[col_tree[1]][L];
+        const int* ext0 = ext_[col_tree[0]][L].col_rows.data();
+        const int* ext1 = ext_[col_tree[1]][L].col_rows.data();
+        float* band[2][3][2];
+        float* mag[2][3];
+        for (int sb = 0; sb < 3; ++sb) {
+          for (int s = 0; s < 2; ++s) {
+            band[0][sb][s] = fused_at(L, sb, s);
+            band[1][sb][s] = level.alloc(q);
+          }
+          for (int x = 0; x < 2; ++x) mag[x][sb] = level.alloc(q);
         }
-        float* ext_re = level.alloc(static_cast<size_t>(kLineBlock) * ext_stride);
-        float* ext_im = level.alloc(static_cast<size_t>(kLineBlock) * ext_stride);
-        // Block-local band planes for the in-cache select at shallow
-        // levels: blk[frame][sb][0=re, 1=im, 2=mag].
-        float* blk[2][3][3];
-        if (L < DL) {
-          for (int x = 0; x < 2; ++x) {
-            for (int sb = 0; sb < 3; ++sb) {
-              for (int j = 0; j < 3; ++j) {
-                blk[x][sb][j] = level.alloc(static_cast<size_t>(kLineBlock) * dl.hr);
-              }
-            }
-          }
+        for (int x = 0; x < 2; ++x) {
+          // Row-lo columns -> ll (both sides) + lh (+ |lh|).
+          k.analyze_mag_cols(rowlo[x][0], rowlo[x][1], dl.hc, dl.hc, ext0, ext1,
+                             dl.hr, cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
+                             cb1.hp.data(), cb0.taps(), ll[x][0], band[x][0][0],
+                             ll[x][1], band[x][0][1], nullptr, mag[x][0], dl.hc);
+          // Row-hi columns -> hl + hh (+ magnitudes of both).
+          k.analyze_mag_cols(rowhi[x][0], rowhi[x][1], dl.hc, dl.hc, ext0, ext1,
+                             dl.hr, cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
+                             cb1.hp.data(), cb0.taps(), band[x][1][0],
+                             band[x][2][0], band[x][1][1], band[x][2][1],
+                             mag[x][1], mag[x][2], dl.hc);
         }
-        for (int c = 0; c < dl.hc; c += kLineBlock) {
-          const int nb = std::min(kLineBlock, dl.hc - c);
-          const size_t off = static_cast<size_t>(c) * dl.hr;
-          for (int x = 0; x < 2; ++x) {
-            for (int s = 0; s < 2; ++s) {
-              simd::transpose_f32(rowlo[x][s] + c, dl.rp, nb, dl.hc, slab_lo[s], dl.rp);
-              simd::transpose_f32(rowhi[x][s] + c, dl.rp, nb, dl.hc, slab_hi[s], dl.rp);
-            }
-            // Row-lo columns -> ll (both sides) + lh (+ |lh|).
-            for (int l = 0; l < nb; ++l) {
-              detail::fill_analysis_ext(cb0, slab_lo[0] + static_cast<size_t>(l) * dl.rp,
-                                        dl.rp, ext_re + static_cast<size_t>(l) * ext_stride);
-              detail::fill_analysis_ext(cb1, slab_lo[1] + static_cast<size_t>(l) * dl.rp,
-                                        dl.rp, ext_im + static_cast<size_t>(l) * ext_stride);
-            }
-            const bool deep = L == DL;
-            k.analyze_mag_ml(ext_re, ext_im, ext_stride, nb, dl.hr,
-                             cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
-                             cb1.hp.data(), taps, tll[x][0] + off,
-                             deep ? deep_band[0][0][x] + off : blk[x][0][0],
-                             tll[x][1] + off,
-                             deep ? deep_band[0][1][x] + off : blk[x][0][1],
-                             nullptr,
-                             deep ? deep_mag[0][x] + off : blk[x][0][2], dl.hr);
-            // Row-hi columns -> hl + hh (+ magnitudes of both).
-            for (int l = 0; l < nb; ++l) {
-              detail::fill_analysis_ext(cb0, slab_hi[0] + static_cast<size_t>(l) * dl.rp,
-                                        dl.rp, ext_re + static_cast<size_t>(l) * ext_stride);
-              detail::fill_analysis_ext(cb1, slab_hi[1] + static_cast<size_t>(l) * dl.rp,
-                                        dl.rp, ext_im + static_cast<size_t>(l) * ext_stride);
-            }
-            k.analyze_mag_ml(ext_re, ext_im, ext_stride, nb, dl.hr,
-                             cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
-                             cb1.hp.data(), taps,
-                             deep ? deep_band[1][0][x] + off : blk[x][1][0],
-                             deep ? deep_band[2][0][x] + off : blk[x][2][0],
-                             deep ? deep_band[1][1][x] + off : blk[x][1][1],
-                             deep ? deep_band[2][1][x] + off : blk[x][2][1],
-                             deep ? deep_mag[1][x] + off : blk[x][1][2],
-                             deep ? deep_mag[2][x] + off : blk[x][2][2], dl.hr);
-          }
-          if (L < DL) {
-            for (int sb = 0; sb < 3; ++sb) {
-              k.select_ml(blk[0][sb][0], blk[0][sb][1], blk[1][sb][0],
-                          blk[1][sb][1], blk[0][sb][2], blk[1][sb][2], nb,
-                          dl.hr, dl.hr, fused_at(L, sb, 0) + off,
-                          fused_at(L, sb, 1) + off, dl.hr);
-            }
-          }
+        for (int sb = 0; sb < 3; ++sb) {
+          k.select(band[0][sb][0], band[0][sb][1], band[1][sb][0], band[1][sb][1],
+                   mag[0][sb], mag[1][sb], static_cast<int>(q), band[0][sb][0],
+                   band[0][sb][1]);
         }
       }  // transient level scope
 
-      if (L < DL) {
-        for (int x = 0; x < 2; ++x) {
-          for (int s = 0; s < 2; ++s) {
-            simd::transpose_f32(tll[x][s], dl.hc, dl.hr, dl.hr, ll_next[x][s], dl.hc);
-            cur[x][s] = ll_next[x][s];
-          }
-        }
-      } else {
-        // Lowpass residue fusion (not time-accounted, matching average()).
-        for (int s = 0; s < 2; ++s) {
-          k.average(tll[0][s], tll[1][s], static_cast<int>(qd), t_ll_fused[s]);
-        }
+      for (int x = 0; x < 2; ++x) {
+        for (int s = 0; s < 2; ++s) cur[x][s] = ll[x][s];
       }
+    }
+    // Lowpass residue fusion (not time-accounted, matching average()).
+    for (int s = 0; s < 2; ++s) {
+      k.average(cur[0][s], cur[1][s], static_cast<int>(qd), ll_fused[s]);
     }
 
     // --- inverse: fused bands stream straight into synthesis ------------
     for (int s = 0; s < 2; ++s) {
-      const FilterBank* rowb = &row_banks_[s][0];  // reassigned per level
-      const float* t_cur = t_ll_fused[s];
+      // The lowpass input of a level: the fused residue at the deepest
+      // level, else the padded output plane of the level below, read by
+      // stride (its first hr rows and hc columns are this level's ll).
+      const float* ll_in = ll_fused[s];
+      int ll_stride = dd.hc;
       for (int L = DL; L >= 0; --L) {
         const LevelDims& dl = dims_[L];
-        const int rp2 = dl.hr;  // synthesis pair count per column line
-        const int cp2 = dl.hc;
-        const FilterBank& colb = col_banks_[col_tree[s]][L];
-        rowb = &row_banks_[s][L];
+        const FilterBank& colb = banks_[col_tree[s]][L];
+        const FilterBank& rowb = banks_[s][L];
+        const int* ext = ext_[col_tree[s]][L].col_synth.data();
 
-        float* rowlo = pair.alloc(static_cast<size_t>(dl.rp) * cp2);
-        float* rowhi = pair.alloc(static_cast<size_t>(dl.rp) * cp2);
+        float* rowlo = pair.alloc(static_cast<size_t>(dl.rp) * dl.hc);
+        float* rowhi = pair.alloc(static_cast<size_t>(dl.rp) * dl.hc);
         float* padded = pair.alloc(static_cast<size_t>(dl.rp) * dl.cp);
-        float* t_next =
-            L > 0 ? pair.alloc(static_cast<size_t>(dl.c) * dl.r) : nullptr;
 
-        // Column synthesis; at the deepest level the select rule runs fused
-        // into the synthesis read of the candidate bands.
-        {
-          ArenaScope scratch;
-          float* tslab_lo = scratch.alloc(static_cast<size_t>(kLineBlock) * dl.rp);
-          float* tslab_hi = scratch.alloc(static_cast<size_t>(kLineBlock) * dl.rp);
-          for (int c = 0; c < cp2; c += kLineBlock) {
-            const int nb = std::min(kLineBlock, cp2 - c);
-            const size_t off = static_cast<size_t>(c) * rp2;
-            if (L == DL) {
-              k.select_synth_ml(t_cur + off, nullptr, nullptr, nullptr,
-                                deep_band[0][s][0] + off, deep_band[0][s][1] + off,
-                                deep_mag[0][0] + off, deep_mag[0][1] + off, rp2,
-                                nb, rp2, colb.ca.data(), colb.cb.data(),
-                                colb.synth_taps(), colb.synthesis_offset,
-                                tslab_lo, dl.rp);
-              k.select_synth_ml(deep_band[1][s][0] + off, deep_band[1][s][1] + off,
-                                deep_mag[1][0] + off, deep_mag[1][1] + off,
-                                deep_band[2][s][0] + off, deep_band[2][s][1] + off,
-                                deep_mag[2][0] + off, deep_mag[2][1] + off, rp2,
-                                nb, rp2, colb.ca.data(), colb.cb.data(),
-                                colb.synth_taps(), colb.synthesis_offset,
-                                tslab_hi, dl.rp);
-            } else {
-              k.select_synth_ml(t_cur + off, nullptr, nullptr, nullptr,
-                                fused_at(L, 0, s) + off, nullptr, nullptr,
-                                nullptr, rp2, nb, rp2, colb.ca.data(),
-                                colb.cb.data(), colb.synth_taps(),
-                                colb.synthesis_offset, tslab_lo, dl.rp);
-              k.select_synth_ml(fused_at(L, 1, s) + off, nullptr, nullptr,
-                                nullptr, fused_at(L, 2, s) + off, nullptr,
-                                nullptr, nullptr, rp2, nb, rp2, colb.ca.data(),
-                                colb.cb.data(), colb.synth_taps(),
-                                colb.synthesis_offset, tslab_hi, dl.rp);
-            }
-            simd::transpose_f32(tslab_lo, nb, dl.rp, dl.rp, rowlo + c, cp2);
-            simd::transpose_f32(tslab_hi, nb, dl.rp, dl.rp, rowhi + c, cp2);
-          }
-        }
-
-        // Row synthesis back to the padded plane of this level.
-        for (int r = 0; r < dl.rp; r += kLineBlock) {
-          const int nb = std::min(kLineBlock, dl.rp - r);
-          k.select_synth_ml(rowlo + static_cast<size_t>(r) * cp2, nullptr,
-                            nullptr, nullptr,
-                            rowhi + static_cast<size_t>(r) * cp2, nullptr,
-                            nullptr, nullptr, cp2, nb, cp2, rowb->ca.data(),
-                            rowb->cb.data(), rowb->synth_taps(),
-                            rowb->synthesis_offset,
-                            padded + static_cast<size_t>(r) * dl.cp, dl.cp);
-        }
+        k.synthesize_cols(ll_in, ll_stride, fused_at(L, 0, s), dl.hc, dl.hc, ext,
+                          dl.hr, colb.ca.data(), colb.cb.data(), colb.synth_taps(),
+                          rowlo, dl.hc);
+        k.synthesize_cols(fused_at(L, 1, s), dl.hc, fused_at(L, 2, s), dl.hc, dl.hc,
+                          ext, dl.hr, colb.ca.data(), colb.cb.data(),
+                          colb.synth_taps(), rowhi, dl.hc);
+        k.synthesize_rows(rowlo, rowhi, dl.hc, dl.rp, dl.hc, rowb.ca.data(),
+                          rowb.cb.data(), rowb.synth_taps(), rowb.synthesis_offset,
+                          padded, dl.cp);
 
         if (L > 0) {
-          // Crop to this level's pre-padding dims and transpose so the next
-          // (shallower) level's column pass reads contiguous lines.
-          simd::transpose_f32(padded, dl.r, dl.c, dl.cp, t_next, dl.r);
-          t_cur = t_next;
+          ll_in = padded;
+          ll_stride = dl.cp;
         } else {
           float* dst = recon[s == 0 ? kPairRe[p] : kPairIm[p]];
           for (int r = 0; r < rows_; ++r) {
@@ -445,8 +312,8 @@ void FusionPlan::replay(LineFilter& f, const StageHooks& hooks) const {
   for (int x = 0; x < 2; ++x) {
     for (int t = 0; t < 4; ++t) {
       detail::account_forward_tree(rows_, cols_, config_,
-                                   row_banks_[t >> 1].data(),
-                                   col_banks_[t & 1].data(), f);
+                                   banks_[t >> 1].data(),
+                                   banks_[t & 1].data(), f);
     }
     (void)x;
   }
@@ -465,8 +332,8 @@ void FusionPlan::replay(LineFilter& f, const StageHooks& hooks) const {
   if (hooks.before_inverse) hooks.before_inverse();
   for (int t = 0; t < 4; ++t) {
     detail::account_inverse_tree(rows_, cols_, config_,
-                                 row_banks_[t >> 1].data(),
-                                 col_banks_[t & 1].data(), f);
+                                 banks_[t >> 1].data(),
+                                 banks_[t & 1].data(), f);
   }
 }
 
@@ -479,10 +346,10 @@ FusionPlan::Traffic FusionPlan::estimate_traffic() const {
     const double P = static_cast<double>(d.rp) * d.cp;  // padded plane elems
     const double Q = P / 4.0;                           // one band plane
     const double rc = static_cast<double>(d.r) * d.c;
-    const int row_taps = row_banks_[0][L].taps();
-    const int col_taps = col_banks_[0][L].taps();
-    const int row_staps = row_banks_[0][L].synth_taps();
-    const int col_staps = col_banks_[0][L].synth_taps();
+    const int row_taps = banks_[0][L].taps();
+    const int col_taps = banks_[0][L].taps();
+    const int row_staps = banks_[0][L].synth_taps();
+    const int col_staps = banks_[0][L].synth_taps();
 
     // FLOPs are layout-independent: 2 per MAC over 8 forward and 4 inverse
     // tree-level transforms, plus the fusion rule (4 per magnitude element,

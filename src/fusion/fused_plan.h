@@ -8,16 +8,21 @@
 // datapath. FusionPlan is the host-side equivalent:
 //
 //   * the two frames' transforms run band-by-band, interleaved: level L of
-//     frame A and frame B are produced back-to-back (per kLineBlock column
-//     window) and consumed immediately by the magnitude/select rule while
+//     frame A and frame B are produced back-to-back and consumed immediately by the magnitude/select rule while
 //     still hot in cache — the second pyramid is never materialized;
 //   * the forward column pass and the complex magnitude are one kernel
-//     (KernelSet::analyze_mag_ml), and at the deepest level the select rule
-//     is deferred into the inverse synthesis read (select_synth_ml), so the
-//     pass count over band data drops from ~10 to ~3 per frame pair;
-//   * all scratch comes from the calling thread's arena; fused bands are
-//     stored transposed so the inverse column pass reads them with no extra
-//     transpose.
+//     (KernelSet::analyze_mag_cols), and the select rule runs elementwise
+//     over each level's band planes right after it, so the pass count over
+//     band data drops from ~10 to ~3 per frame pair;
+//   * all scratch comes from the calling thread's arena, and every band is
+//     stored row-major (hr x hc). The column passes filter vertically on
+//     those planes, one column per SIMD lane (KernelSet::analyze_mag_cols /
+//     synthesize_cols): in a row-major plane the 8 or 16 floats of one row
+//     are sample r of 8 or 16 adjacent column lines, so nothing is ever
+//     transposed. Extension (and the edge pad of odd sizes) is a per-level
+//     table mapping each extended sample to its source, built once in the
+//     constructor; the next level reads the LL band in place, and the
+//     inverse reads the level below's output plane by stride.
 //
 // The plan is two halves. fuse() is the numerics: always serial, no filter
 // calls, so one frame pair is one unit of host work that any thread can run
@@ -29,9 +34,9 @@
 // StageHooks let a timed runner interleave its phase transitions with that
 // replay, so every backend observes the same call stream as the staged path.
 //
-// Bit-identity is by construction, not by tolerance: every line flows through
-// the same single-line kernel flavour with the same extended samples as the
-// staged path (the fused kernels delegate per line — see kernels.h), and the
+// Bit-identity is by construction, not by tolerance: every line sees the same
+// extended samples as in the staged path, every kernel keeps the scalar
+// per-output arithmetic order in every instruction set (kernels.h), and the
 // reconstruction accumulates trees in the same order.
 #pragma once
 
@@ -91,7 +96,10 @@ class FusionPlan {
   // pass over whole planes — per tree-level a row pass, a column pass and
   // the transposes that make columns contiguous, then a separate fusion
   // pass — as the reference this plan is measured against; `fused_bytes`
-  // models this plan. `flops` counts the transform MACs (x2) plus the
+  // models the plan's pass structure as it stood when bench_pipeline's
+  // baseline was locked (band planes then stored transposed, one LL
+  // transpose per level; the row-major plan skips those moves, so this is
+  // an upper bound). `flops` counts the transform MACs (x2) plus the
   // fusion-rule ops, for arithmetic-intensity reporting in bench_pipeline
   // --json.
   struct Traffic {
@@ -107,12 +115,18 @@ class FusionPlan {
     int rp, cp;  // padded (even) dims
     int hr, hc;  // subband dims (rp/2, cp/2)
   };
+  // Extension tables of one (tree, level), see kernels.h's plane kernels.
+  struct ExtTables {
+    std::vector<int> row_cols;   // row analysis: source column, cp + taps
+    std::vector<int> col_rows;   // column analysis: source row, rp + taps
+    std::vector<int> col_synth;  // column synthesis: stream row, rp + synth_taps
+  };
 
   int rows_ = 0, cols_ = 0;
   TransformConfig config_;
-  std::vector<LevelDims> dims_;            // [level]
-  std::vector<FilterBank> row_banks_[2];   // [tree][level]
-  std::vector<FilterBank> col_banks_[2];   // [tree][level]
+  std::vector<LevelDims> dims_;      // [level]
+  std::vector<FilterBank> banks_[2];  // [tree][level], rows and columns alike
+  std::vector<ExtTables> ext_[2];     // [tree][level]
 };
 
 }  // namespace vf::dwt

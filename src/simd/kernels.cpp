@@ -1,67 +1,47 @@
+// The scalar reference kernels (kernels.h). The wide flavour lives in
+// wide_kernels.h and is held to these bits by tests/test_kernels.cpp.
 #include "src/simd/kernels.h"
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <vector>
 
-// The *_simd kernels use real vector intrinsics where the target has them.
-// Exactly one of these paths is active; the portable 4-lane blocked code is
-// the fallback. Every path keeps the per-output accumulation order of the
-// scalar kernel (taps ascending, products added one at a time, no FMA
-// contraction), so all flavours here are bit-identical to *_scalar.
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#define VF_SIMD_SSE2 1
-#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
-#include <arm_neon.h>
-#define VF_SIMD_NEON 1
-#endif
-
 namespace vf::simd {
-
-const char* simd_isa_name() {
-#if defined(VF_SIMD_SSE2)
-  return "sse2";
-#elif defined(VF_SIMD_NEON)
-  return "neon";
-#else
-  return "blocked";
-#endif
-}
 
 namespace {
 
-// Phase-split scratch for the decimating kernels. A decimate-by-2
-// correlation reads the input at stride 2, which defeats packed loads; the
-// NEON code this mirrors uses vld2 to deinterleave into even/odd phase
-// lanes, after which every lane load is contiguous. Deinterleaving once per
-// line costs O(n) and makes the 4-lane tap loop vectorizable.
-//
-//   lo[i] = sum_s lp[2s]*xe[i+s] + lp[2s+1]*xo[i+s]
-//
-// Accumulation order per output stays t-ascending (t = 2s, then 2s+1), so
-// results are bit-identical to the scalar kernel.
-thread_local std::vector<float> g_phase_scratch;
+// Line scratch of the composed kernels below (extended lines, selected
+// halves, gathered columns); grows once per thread.
+thread_local std::vector<float> g_line_scratch;
 
-inline void deinterleave(const float* x, int out_len, int taps, float** xe,
-                         float** xo) {
-  const int ne = out_len + (taps + 1) / 2;  // even-phase samples needed
-  const int no = out_len + taps / 2;        // odd-phase samples needed
-  if (static_cast<int>(g_phase_scratch.size()) < ne + no) {
-    g_phase_scratch.resize(ne + no);
+float* line_scratch(int n) {
+  if (static_cast<int>(g_line_scratch.size()) < n) {
+    g_line_scratch.resize(static_cast<std::size_t>(n));
   }
-  float* e = g_phase_scratch.data();
-  float* o = e + ne;
-  for (int k = 0; k < ne; ++k) e[k] = x[2 * k];
-  for (int k = 0; k < no; ++k) o[k] = x[2 * k + 1];
-  *xe = e;
-  *xo = o;
+  return g_line_scratch.data();
+}
+
+int wrap(int k, int n) {
+  k %= n;
+  return k < 0 ? k + n : k;
+}
+
+// ext[k] = interleaved lo/hi stream at (k - synth_offset) mod 2*pairs.
+void fill_synthesis_ext(const float* lo, const float* hi, int pairs, int taps,
+                        int synth_offset, float* ext) {
+  const int n = 2 * pairs;
+  int src = wrap(-synth_offset, n);
+  for (int k = 0; k < n + taps; ++k) {
+    ext[k] = (src & 1) ? hi[src >> 1] : lo[src >> 1];
+    if (++src == n) src = 0;
+  }
 }
 
 }  // namespace
 
-// --- dual_corr_decimate2 ----------------------------------------------------
+// --- single-line kernels ------------------------------------------------------
 
 void dual_corr_decimate2_scalar(const float* x, int out_len, const float* lp,
                                 const float* hp, int taps, float* lo, float* hi) {
@@ -78,117 +58,6 @@ void dual_corr_decimate2_scalar(const float* x, int out_len, const float* lp,
   }
 }
 
-void dual_corr_decimate2_simd(const float* x, int out_len, const float* lp,
-                              const float* hp, int taps, float* lo, float* hi) {
-  // vld2-style: deinterleave, then 4-lane blocks with contiguous loads.
-  float* xe;
-  float* xo;
-  deinterleave(x, out_len, taps, &xe, &xo);
-  const int pairs = taps / 2;
-  int i = 0;
-#if defined(VF_SIMD_SSE2)
-  for (; i + kSimdLanes <= out_len; i += kSimdLanes) {
-    const float* pe = xe + i;
-    const float* po = xo + i;
-    __m128 acc_lo = _mm_setzero_ps();
-    __m128 acc_hi = _mm_setzero_ps();
-    for (int s = 0; s < pairs; ++s) {
-      const __m128 e = _mm_loadu_ps(pe + s);
-      const __m128 o = _mm_loadu_ps(po + s);
-      acc_lo = _mm_add_ps(acc_lo, _mm_mul_ps(_mm_set1_ps(lp[2 * s]), e));
-      acc_lo = _mm_add_ps(acc_lo, _mm_mul_ps(_mm_set1_ps(lp[2 * s + 1]), o));
-      acc_hi = _mm_add_ps(acc_hi, _mm_mul_ps(_mm_set1_ps(hp[2 * s]), e));
-      acc_hi = _mm_add_ps(acc_hi, _mm_mul_ps(_mm_set1_ps(hp[2 * s + 1]), o));
-    }
-    if (taps & 1) {
-      const __m128 e = _mm_loadu_ps(pe + pairs);
-      acc_lo = _mm_add_ps(acc_lo, _mm_mul_ps(_mm_set1_ps(lp[taps - 1]), e));
-      acc_hi = _mm_add_ps(acc_hi, _mm_mul_ps(_mm_set1_ps(hp[taps - 1]), e));
-    }
-    _mm_storeu_ps(lo + i, acc_lo);
-    _mm_storeu_ps(hi + i, acc_hi);
-  }
-#elif defined(VF_SIMD_NEON)
-  for (; i + kSimdLanes <= out_len; i += kSimdLanes) {
-    const float* pe = xe + i;
-    const float* po = xo + i;
-    float32x4_t acc_lo = vdupq_n_f32(0.0f);
-    float32x4_t acc_hi = vdupq_n_f32(0.0f);
-    for (int s = 0; s < pairs; ++s) {
-      const float32x4_t e = vld1q_f32(pe + s);
-      const float32x4_t o = vld1q_f32(po + s);
-      acc_lo = vaddq_f32(acc_lo, vmulq_n_f32(e, lp[2 * s]));
-      acc_lo = vaddq_f32(acc_lo, vmulq_n_f32(o, lp[2 * s + 1]));
-      acc_hi = vaddq_f32(acc_hi, vmulq_n_f32(e, hp[2 * s]));
-      acc_hi = vaddq_f32(acc_hi, vmulq_n_f32(o, hp[2 * s + 1]));
-    }
-    if (taps & 1) {
-      const float32x4_t e = vld1q_f32(pe + pairs);
-      acc_lo = vaddq_f32(acc_lo, vmulq_n_f32(e, lp[taps - 1]));
-      acc_hi = vaddq_f32(acc_hi, vmulq_n_f32(e, hp[taps - 1]));
-    }
-    vst1q_f32(lo + i, acc_lo);
-    vst1q_f32(hi + i, acc_hi);
-  }
-#else
-  for (; i + kSimdLanes <= out_len; i += kSimdLanes) {
-    const float* pe = xe + i;
-    const float* po = xo + i;
-    float lo0 = 0.0f, lo1 = 0.0f, lo2 = 0.0f, lo3 = 0.0f;
-    float hi0 = 0.0f, hi1 = 0.0f, hi2 = 0.0f, hi3 = 0.0f;
-    for (int s = 0; s < pairs; ++s) {
-      const float cle = lp[2 * s];
-      const float clo = lp[2 * s + 1];
-      const float che = hp[2 * s];
-      const float cho = hp[2 * s + 1];
-      const float e0 = pe[s], e1 = pe[s + 1], e2 = pe[s + 2], e3 = pe[s + 3];
-      const float o0 = po[s], o1 = po[s + 1], o2 = po[s + 2], o3 = po[s + 3];
-      lo0 += cle * e0;
-      lo1 += cle * e1;
-      lo2 += cle * e2;
-      lo3 += cle * e3;
-      lo0 += clo * o0;
-      lo1 += clo * o1;
-      lo2 += clo * o2;
-      lo3 += clo * o3;
-      hi0 += che * e0;
-      hi1 += che * e1;
-      hi2 += che * e2;
-      hi3 += che * e3;
-      hi0 += cho * o0;
-      hi1 += cho * o1;
-      hi2 += cho * o2;
-      hi3 += cho * o3;
-    }
-    if (taps & 1) {
-      const float cl = lp[taps - 1];
-      const float ch = hp[taps - 1];
-      lo0 += cl * pe[pairs];
-      lo1 += cl * pe[pairs + 1];
-      lo2 += cl * pe[pairs + 2];
-      lo3 += cl * pe[pairs + 3];
-      hi0 += ch * pe[pairs];
-      hi1 += ch * pe[pairs + 1];
-      hi2 += ch * pe[pairs + 2];
-      hi3 += ch * pe[pairs + 3];
-    }
-    lo[i] = lo0;
-    lo[i + 1] = lo1;
-    lo[i + 2] = lo2;
-    lo[i + 3] = lo3;
-    hi[i] = hi0;
-    hi[i + 1] = hi1;
-    hi[i + 2] = hi2;
-    hi[i + 3] = hi3;
-  }
-#endif
-  if (i < out_len) {
-    dual_corr_decimate2_scalar(x + 2 * i, out_len - i, lp, hp, taps, lo + i, hi + i);
-  }
-}
-
-// --- dual_corr_decimate2_ileave ---------------------------------------------
-
 void dual_corr_decimate2_ileave_scalar(const float* x, int pairs, const float* ca,
                                        const float* cb, int taps, float* out) {
   for (int k = 0; k < pairs; ++k) {
@@ -204,143 +73,11 @@ void dual_corr_decimate2_ileave_scalar(const float* x, int pairs, const float* c
   }
 }
 
-void dual_corr_decimate2_ileave_simd(const float* x, int pairs, const float* ca,
-                                     const float* cb, int taps, float* out) {
-  // Same vld2-style phase split as the analysis kernel; the two output
-  // phases (even via ca, odd via cb) are stored back interleaved (vst2).
-  float* xe;
-  float* xo;
-  deinterleave(x, pairs, taps, &xe, &xo);
-  const int tap_pairs = taps / 2;
-  int k = 0;
-#if defined(VF_SIMD_SSE2)
-  for (; k + kSimdLanes <= pairs; k += kSimdLanes) {
-    const float* pe = xe + k;
-    const float* po = xo + k;
-    __m128 acc_a = _mm_setzero_ps();
-    __m128 acc_b = _mm_setzero_ps();
-    for (int s = 0; s < tap_pairs; ++s) {
-      const __m128 e = _mm_loadu_ps(pe + s);
-      const __m128 o = _mm_loadu_ps(po + s);
-      acc_a = _mm_add_ps(acc_a, _mm_mul_ps(_mm_set1_ps(ca[2 * s]), e));
-      acc_a = _mm_add_ps(acc_a, _mm_mul_ps(_mm_set1_ps(ca[2 * s + 1]), o));
-      acc_b = _mm_add_ps(acc_b, _mm_mul_ps(_mm_set1_ps(cb[2 * s]), e));
-      acc_b = _mm_add_ps(acc_b, _mm_mul_ps(_mm_set1_ps(cb[2 * s + 1]), o));
-    }
-    if (taps & 1) {
-      const __m128 e = _mm_loadu_ps(pe + tap_pairs);
-      acc_a = _mm_add_ps(acc_a, _mm_mul_ps(_mm_set1_ps(ca[taps - 1]), e));
-      acc_b = _mm_add_ps(acc_b, _mm_mul_ps(_mm_set1_ps(cb[taps - 1]), e));
-    }
-    // unpacklo/hi interleave the even (acc_a) and odd (acc_b) phases back
-    // into out[2k], out[2k+1], ... — the vst2 of the paper's NEON code.
-    _mm_storeu_ps(out + 2 * k, _mm_unpacklo_ps(acc_a, acc_b));
-    _mm_storeu_ps(out + 2 * k + 4, _mm_unpackhi_ps(acc_a, acc_b));
-  }
-#elif defined(VF_SIMD_NEON)
-  for (; k + kSimdLanes <= pairs; k += kSimdLanes) {
-    const float* pe = xe + k;
-    const float* po = xo + k;
-    float32x4_t acc_a = vdupq_n_f32(0.0f);
-    float32x4_t acc_b = vdupq_n_f32(0.0f);
-    for (int s = 0; s < tap_pairs; ++s) {
-      const float32x4_t e = vld1q_f32(pe + s);
-      const float32x4_t o = vld1q_f32(po + s);
-      acc_a = vaddq_f32(acc_a, vmulq_n_f32(e, ca[2 * s]));
-      acc_a = vaddq_f32(acc_a, vmulq_n_f32(o, ca[2 * s + 1]));
-      acc_b = vaddq_f32(acc_b, vmulq_n_f32(e, cb[2 * s]));
-      acc_b = vaddq_f32(acc_b, vmulq_n_f32(o, cb[2 * s + 1]));
-    }
-    if (taps & 1) {
-      const float32x4_t e = vld1q_f32(pe + tap_pairs);
-      acc_a = vaddq_f32(acc_a, vmulq_n_f32(e, ca[taps - 1]));
-      acc_b = vaddq_f32(acc_b, vmulq_n_f32(e, cb[taps - 1]));
-    }
-    const float32x4x2_t ab = {{acc_a, acc_b}};
-    vst2q_f32(out + 2 * k, ab);
-  }
-#else
-  for (; k + kSimdLanes <= pairs; k += kSimdLanes) {
-    const float* pe = xe + k;
-    const float* po = xo + k;
-    float a[kSimdLanes] = {};
-    float b[kSimdLanes] = {};
-    for (int s = 0; s < tap_pairs; ++s) {
-      const float fae = ca[2 * s];
-      const float fao = ca[2 * s + 1];
-      const float fbe = cb[2 * s];
-      const float fbo = cb[2 * s + 1];
-      for (int l = 0; l < kSimdLanes; ++l) {
-        const float e = pe[s + l];
-        const float o = po[s + l];
-        a[l] += fae * e;
-        a[l] += fao * o;
-        b[l] += fbe * e;
-        b[l] += fbo * o;
-      }
-    }
-    if (taps & 1) {
-      const float fa = ca[taps - 1];
-      const float fb = cb[taps - 1];
-      for (int l = 0; l < kSimdLanes; ++l) {
-        a[l] += fa * pe[tap_pairs + l];
-        b[l] += fb * pe[tap_pairs + l];
-      }
-    }
-    for (int l = 0; l < kSimdLanes; ++l) {
-      out[2 * (k + l)] = a[l];
-      out[2 * (k + l) + 1] = b[l];
-    }
-  }
-#endif
-  if (k < pairs) {
-    dual_corr_decimate2_ileave_scalar(x + 2 * k, pairs - k, ca, cb, taps,
-                                      out + 2 * k);
-  }
-}
-
-// --- complex_magnitude ------------------------------------------------------
-
 void complex_magnitude_scalar(const float* re, const float* im, int n, float* mag) {
   for (int i = 0; i < n; ++i) {
     mag[i] = std::sqrt(re[i] * re[i] + im[i] * im[i]);
   }
 }
-
-void complex_magnitude_simd(const float* re, const float* im, int n, float* mag) {
-  int i = 0;
-#if defined(VF_SIMD_SSE2)
-  // sqrtps is correctly rounded (IEEE), identical to scalar sqrtf.
-  for (; i + kSimdLanes <= n; i += kSimdLanes) {
-    const __m128 r = _mm_loadu_ps(re + i);
-    const __m128 m = _mm_loadu_ps(im + i);
-    const __m128 sum = _mm_add_ps(_mm_mul_ps(r, r), _mm_mul_ps(m, m));
-    _mm_storeu_ps(mag + i, _mm_sqrt_ps(sum));
-  }
-#elif defined(VF_SIMD_NEON) && defined(__aarch64__)
-  // vsqrtq is AArch64-only; ARMv7 NEON has just the rsqrt estimate, which is
-  // not bit-identical, so 32-bit ARM takes the blocked path below.
-  for (; i + kSimdLanes <= n; i += kSimdLanes) {
-    const float32x4_t r = vld1q_f32(re + i);
-    const float32x4_t m = vld1q_f32(im + i);
-    vst1q_f32(mag + i, vsqrtq_f32(vaddq_f32(vmulq_f32(r, r), vmulq_f32(m, m))));
-  }
-#else
-  for (; i + kSimdLanes <= n; i += kSimdLanes) {
-    const float s0 = re[i] * re[i] + im[i] * im[i];
-    const float s1 = re[i + 1] * re[i + 1] + im[i + 1] * im[i + 1];
-    const float s2 = re[i + 2] * re[i + 2] + im[i + 2] * im[i + 2];
-    const float s3 = re[i + 3] * re[i + 3] + im[i + 3] * im[i + 3];
-    mag[i] = std::sqrt(s0);
-    mag[i + 1] = std::sqrt(s1);
-    mag[i + 2] = std::sqrt(s2);
-    mag[i + 3] = std::sqrt(s3);
-  }
-#endif
-  for (; i < n; ++i) mag[i] = std::sqrt(re[i] * re[i] + im[i] * im[i]);
-}
-
-// --- select_by_magnitude ----------------------------------------------------
 
 void select_by_magnitude_scalar(const float* a_re, const float* a_im, const float* b_re,
                                 const float* b_im, const float* mag_a,
@@ -353,46 +90,6 @@ void select_by_magnitude_scalar(const float* a_re, const float* a_im, const floa
   }
 }
 
-void select_by_magnitude_simd(const float* a_re, const float* a_im, const float* b_re,
-                              const float* b_im, const float* mag_a, const float* mag_b,
-                              int n, float* out_re, float* out_im) {
-  // Bitwise select (not an arithmetic blend): the output is one of the two
-  // inputs verbatim, so -0.0 and other sign bits survive and the result is
-  // bit-identical to the scalar kernel.
-  int i = 0;
-#if defined(VF_SIMD_SSE2)
-  for (; i + kSimdLanes <= n; i += kSimdLanes) {
-    const __m128 take_a = _mm_cmpge_ps(_mm_loadu_ps(mag_a + i), _mm_loadu_ps(mag_b + i));
-    const __m128 re = _mm_or_ps(_mm_and_ps(take_a, _mm_loadu_ps(a_re + i)),
-                                _mm_andnot_ps(take_a, _mm_loadu_ps(b_re + i)));
-    const __m128 im = _mm_or_ps(_mm_and_ps(take_a, _mm_loadu_ps(a_im + i)),
-                                _mm_andnot_ps(take_a, _mm_loadu_ps(b_im + i)));
-    _mm_storeu_ps(out_re + i, re);
-    _mm_storeu_ps(out_im + i, im);
-  }
-#elif defined(VF_SIMD_NEON)
-  for (; i + kSimdLanes <= n; i += kSimdLanes) {
-    const uint32x4_t take_a = vcgeq_f32(vld1q_f32(mag_a + i), vld1q_f32(mag_b + i));
-    vst1q_f32(out_re + i,
-              vbslq_f32(take_a, vld1q_f32(a_re + i), vld1q_f32(b_re + i)));
-    vst1q_f32(out_im + i,
-              vbslq_f32(take_a, vld1q_f32(a_im + i), vld1q_f32(b_im + i)));
-  }
-#endif
-  for (; i < n; ++i) {
-    const bool take_a = mag_a[i] >= mag_b[i];
-    out_re[i] = take_a ? a_re[i] : b_re[i];
-    out_im[i] = take_a ? a_im[i] : b_im[i];
-  }
-}
-
-// --- select_half -------------------------------------------------------------
-// One component of select_by_magnitude. The fused synthesis kernel selects
-// the lo and hi streams of a line independently, so it needs the single-
-// plane form; it is pure data movement and chunk-invariant per element, so
-// selecting a stream line-by-line produces the same bits as the staged
-// whole-plane select.
-
 void select_half_scalar(const float* a, const float* b, const float* mag_a,
                         const float* mag_b, int n, float* out) {
   for (int i = 0; i < n; ++i) {
@@ -400,60 +97,11 @@ void select_half_scalar(const float* a, const float* b, const float* mag_a,
   }
 }
 
-void select_half_simd(const float* a, const float* b, const float* mag_a,
-                      const float* mag_b, int n, float* out) {
-  // Bitwise select, like select_by_magnitude_simd: the output is one of the
-  // two inputs verbatim, so sign bits survive.
-  int i = 0;
-#if defined(VF_SIMD_SSE2)
-  for (; i + kSimdLanes <= n; i += kSimdLanes) {
-    const __m128 take_a =
-        _mm_cmpge_ps(_mm_loadu_ps(mag_a + i), _mm_loadu_ps(mag_b + i));
-    _mm_storeu_ps(out + i, _mm_or_ps(_mm_and_ps(take_a, _mm_loadu_ps(a + i)),
-                                     _mm_andnot_ps(take_a, _mm_loadu_ps(b + i))));
-  }
-#elif defined(VF_SIMD_NEON)
-  for (; i + kSimdLanes <= n; i += kSimdLanes) {
-    const uint32x4_t take_a =
-        vcgeq_f32(vld1q_f32(mag_a + i), vld1q_f32(mag_b + i));
-    vst1q_f32(out + i, vbslq_f32(take_a, vld1q_f32(a + i), vld1q_f32(b + i)));
-  }
-#endif
-  for (; i < n; ++i) {
-    out[i] = mag_a[i] >= mag_b[i] ? a[i] : b[i];
-  }
-}
-
-// --- average ----------------------------------------------------------------
-
 void average_scalar(const float* a, const float* b, int n, float* out) {
   for (int i = 0; i < n; ++i) out[i] = 0.5f * (a[i] + b[i]);
 }
 
-void average_simd(const float* a, const float* b, int n, float* out) {
-  int i = 0;
-#if defined(VF_SIMD_SSE2)
-  const __m128 half = _mm_set1_ps(0.5f);
-  for (; i + kSimdLanes <= n; i += kSimdLanes) {
-    const __m128 sum = _mm_add_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i));
-    _mm_storeu_ps(out + i, _mm_mul_ps(half, sum));
-  }
-#elif defined(VF_SIMD_NEON)
-  for (; i + kSimdLanes <= n; i += kSimdLanes) {
-    const float32x4_t sum = vaddq_f32(vld1q_f32(a + i), vld1q_f32(b + i));
-    vst1q_f32(out + i, vmulq_n_f32(sum, 0.5f));
-  }
-#endif
-  for (; i < n; ++i) out[i] = 0.5f * (a[i] + b[i]);
-}
-
-// --- multi-line variants -----------------------------------------------------
-//
-// Per-line delegation is the contract, not an implementation shortcut: the
-// bit-identity guarantees above are stated per line, so a multi-line call
-// must be a sequence of single-line calls of the same flavour. The batch
-// earns its keep above this layer (one dispatch per block, shared scratch,
-// contiguous line layout from the transpose).
+// --- multi-line variants: one single-line call per line --------------------------
 
 void dual_corr_decimate2_ml_scalar(const float* x, int x_stride, int nlines,
                                    int out_len, const float* lp, const float* hp,
@@ -461,15 +109,6 @@ void dual_corr_decimate2_ml_scalar(const float* x, int x_stride, int nlines,
   for (int l = 0; l < nlines; ++l) {
     dual_corr_decimate2_scalar(x + l * x_stride, out_len, lp, hp, taps,
                                lo + l * out_stride, hi + l * out_stride);
-  }
-}
-
-void dual_corr_decimate2_ml_simd(const float* x, int x_stride, int nlines,
-                                 int out_len, const float* lp, const float* hp,
-                                 int taps, float* lo, float* hi, int out_stride) {
-  for (int l = 0; l < nlines; ++l) {
-    dual_corr_decimate2_simd(x + l * x_stride, out_len, lp, hp, taps,
-                             lo + l * out_stride, hi + l * out_stride);
   }
 }
 
@@ -482,28 +121,11 @@ void dual_corr_decimate2_ileave_ml_scalar(const float* x, int x_stride, int nlin
   }
 }
 
-void dual_corr_decimate2_ileave_ml_simd(const float* x, int x_stride, int nlines,
-                                        int pairs, const float* ca, const float* cb,
-                                        int taps, float* out, int out_stride) {
-  for (int l = 0; l < nlines; ++l) {
-    dual_corr_decimate2_ileave_simd(x + l * x_stride, pairs, ca, cb, taps,
-                                    out + l * out_stride);
-  }
-}
-
 void complex_magnitude_ml_scalar(const float* re, const float* im, int nlines,
                                  int len, int in_stride, float* mag, int out_stride) {
   for (int l = 0; l < nlines; ++l) {
     complex_magnitude_scalar(re + l * in_stride, im + l * in_stride, len,
                              mag + l * out_stride);
-  }
-}
-
-void complex_magnitude_ml_simd(const float* re, const float* im, int nlines,
-                               int len, int in_stride, float* mag, int out_stride) {
-  for (int l = 0; l < nlines; ++l) {
-    complex_magnitude_simd(re + l * in_stride, im + l * in_stride, len,
-                           mag + l * out_stride);
   }
 }
 
@@ -520,191 +142,25 @@ void select_by_magnitude_ml_scalar(const float* a_re, const float* a_im,
   }
 }
 
-void select_by_magnitude_ml_simd(const float* a_re, const float* a_im,
-                                 const float* b_re, const float* b_im,
-                                 const float* mag_a, const float* mag_b,
-                                 int nlines, int len, int in_stride,
-                                 float* out_re, float* out_im, int out_stride) {
-  for (int l = 0; l < nlines; ++l) {
-    select_by_magnitude_simd(a_re + l * in_stride, a_im + l * in_stride,
-                             b_re + l * in_stride, b_im + l * in_stride,
-                             mag_a + l * in_stride, mag_b + l * in_stride, len,
-                             out_re + l * out_stride, out_im + l * out_stride);
-  }
-}
-
-// The autovec _ml wrappers live here, not in kernels_autovec.cpp: that TU
-// only holds loops the vectorization report must certify, and a per-line
-// dispatch loop is not one. The inner calls still land on the autovec
-// flavours, so the parity contract is unchanged.
-
-void dual_corr_decimate2_ml_autovec(const float* x, int x_stride, int nlines,
-                                    int out_len, const float* lp, const float* hp,
-                                    int taps, float* lo, float* hi, int out_stride) {
-  for (int l = 0; l < nlines; ++l) {
-    dual_corr_decimate2_autovec(x + l * x_stride, out_len, lp, hp, taps,
-                                lo + l * out_stride, hi + l * out_stride);
-  }
-}
-
-void dual_corr_decimate2_ileave_ml_autovec(const float* x, int x_stride, int nlines,
-                                           int pairs, const float* ca, const float* cb,
-                                           int taps, float* out, int out_stride) {
-  for (int l = 0; l < nlines; ++l) {
-    dual_corr_decimate2_ileave_autovec(x + l * x_stride, pairs, ca, cb, taps,
-                                       out + l * out_stride);
-  }
-}
-
-void complex_magnitude_ml_autovec(const float* re, const float* im, int nlines,
-                                  int len, int in_stride, float* mag, int out_stride) {
-  for (int l = 0; l < nlines; ++l) {
-    complex_magnitude_autovec(re + l * in_stride, im + l * in_stride, len,
-                              mag + l * out_stride);
-  }
-}
-
-void select_by_magnitude_ml_autovec(const float* a_re, const float* a_im,
-                                    const float* b_re, const float* b_im,
-                                    const float* mag_a, const float* mag_b,
-                                    int nlines, int len, int in_stride,
-                                    float* out_re, float* out_im, int out_stride) {
-  for (int l = 0; l < nlines; ++l) {
-    select_by_magnitude_autovec(a_re + l * in_stride, a_im + l * in_stride,
-                                b_re + l * in_stride, b_im + l * in_stride,
-                                mag_a + l * in_stride, mag_b + l * in_stride, len,
-                                out_re + l * out_stride, out_im + l * out_stride);
-  }
-}
-
-// --- fused cross-stage kernels ----------------------------------------------
-//
-// Same per-line delegation contract as the _ml variants: every fused call is
-// a sequence of single-line calls of ONE flavour, in the order the staged
-// path would have made them for that line. The fusion earns its keep by
-// keeping the just-produced subband line in cache for the magnitude (forward)
-// or by never spilling the selected line before synthesis (inverse) — it
-// never reorders arithmetic. The autovec instantiations delegate to the
-// certified loops in kernels_autovec.cpp; the dispatch loops themselves live
-// here for the same reason the autovec _ml wrappers do.
-
-namespace {
-
-// Scratch for the fused select+synthesize kernel: the selected lo/hi halves
-// of one line plus its interleaved periodic extension. Separate from
-// g_phase_scratch, which the simd synthesis primitive consumes underneath.
-thread_local std::vector<float> g_fused_scratch;
-
-using AnalyzeFn = void (*)(const float*, int, const float*, const float*, int,
-                           float*, float*);
-using MagFn = void (*)(const float*, const float*, int, float*);
-using HalfSelectFn = void (*)(const float*, const float*, const float*,
-                              const float*, int, float*);
-using IleaveFn = void (*)(const float*, int, const float*, const float*, int,
-                          float*);
-
-template <AnalyzeFn kAnalyze, MagFn kMag>
-void analyze_mag_ml_impl(const float* x_re, const float* x_im, int x_stride,
-                         int nlines, int out_len, const float* lp_re,
-                         const float* hp_re, const float* lp_im,
-                         const float* hp_im, int taps, float* lo_re,
-                         float* hi_re, float* lo_im, float* hi_im,
-                         float* mag_lo, float* mag_hi, int out_stride) {
-  for (int l = 0; l < nlines; ++l) {
-    const int o = l * out_stride;
-    kAnalyze(x_re + l * x_stride, out_len, lp_re, hp_re, taps, lo_re + o,
-             hi_re + o);
-    kAnalyze(x_im + l * x_stride, out_len, lp_im, hp_im, taps, lo_im + o,
-             hi_im + o);
-    if (mag_lo != nullptr) kMag(lo_re + o, lo_im + o, out_len, mag_lo + o);
-    if (mag_hi != nullptr) kMag(hi_re + o, hi_im + o, out_len, mag_hi + o);
-  }
-}
-
-template <HalfSelectFn kSelect, IleaveFn kIleave>
-void select_synth_ml_impl(const float* lo_a, const float* lo_b,
-                          const float* mlo_a, const float* mlo_b,
-                          const float* hi_a, const float* hi_b,
-                          const float* mhi_a, const float* mhi_b, int in_stride,
-                          int nlines, int pairs, const float* ca,
-                          const float* cb, int taps, int synth_offset,
-                          float* out, int out_stride) {
-  const int n = 2 * pairs;
-  if (n <= 0) return;
-  const int ext_len = n + taps;
-  if (static_cast<int>(g_fused_scratch.size()) < 2 * n + ext_len) {
-    g_fused_scratch.resize(2 * n + ext_len);
-  }
-  float* sel_lo = g_fused_scratch.data();
-  float* sel_hi = sel_lo + pairs;
-  float* z = sel_hi + pairs;  // the interleaved lo/hi stream, pre-rotation
-  float* ext = z + n;
-  // fill_synthesis_ext's wrap counter (dwt_fusion.cpp): ext[k] is sample
-  // (k - synth_offset) mod n of the interleaved lo/hi stream. Materializing
-  // the stream once and rotating it with memcpy is pure data movement — the
-  // same bytes land in ext as the per-sample wrap walk would place.
-  const int start = ((-synth_offset) % n + n) % n;
-  for (int l = 0; l < nlines; ++l) {
-    const float* lo = lo_a + l * in_stride;
-    if (lo_b != nullptr) {
-      kSelect(lo, lo_b + l * in_stride, mlo_a + l * in_stride,
-              mlo_b + l * in_stride, pairs, sel_lo);
-      lo = sel_lo;
-    }
-    const float* hi = hi_a + l * in_stride;
-    if (hi_b != nullptr) {
-      kSelect(hi, hi_b + l * in_stride, mhi_a + l * in_stride,
-              mhi_b + l * in_stride, pairs, sel_hi);
-      hi = sel_hi;
-    }
-    for (int i = 0; i < pairs; ++i) {
-      z[2 * i] = lo[i];
-      z[2 * i + 1] = hi[i];
-    }
-    int k = n - start;
-    std::memcpy(ext, z + start, static_cast<size_t>(k) * sizeof(float));
-    while (k < ext_len) {
-      const int chunk = std::min(n, ext_len - k);
-      std::memcpy(ext + k, z, static_cast<size_t>(chunk) * sizeof(float));
-      k += chunk;
-    }
-    kIleave(ext, pairs, ca, cb, taps, out + l * out_stride);
-  }
-}
-
-}  // namespace
-
 void analyze_mag_ml_scalar(const float* x_re, const float* x_im, int x_stride,
                            int nlines, int out_len, const float* lp_re,
                            const float* hp_re, const float* lp_im,
                            const float* hp_im, int taps, float* lo_re,
                            float* hi_re, float* lo_im, float* hi_im,
                            float* mag_lo, float* mag_hi, int out_stride) {
-  analyze_mag_ml_impl<dual_corr_decimate2_scalar, complex_magnitude_scalar>(
-      x_re, x_im, x_stride, nlines, out_len, lp_re, hp_re, lp_im, hp_im, taps,
-      lo_re, hi_re, lo_im, hi_im, mag_lo, mag_hi, out_stride);
-}
-
-void analyze_mag_ml_simd(const float* x_re, const float* x_im, int x_stride,
-                         int nlines, int out_len, const float* lp_re,
-                         const float* hp_re, const float* lp_im,
-                         const float* hp_im, int taps, float* lo_re,
-                         float* hi_re, float* lo_im, float* hi_im,
-                         float* mag_lo, float* mag_hi, int out_stride) {
-  analyze_mag_ml_impl<dual_corr_decimate2_simd, complex_magnitude_simd>(
-      x_re, x_im, x_stride, nlines, out_len, lp_re, hp_re, lp_im, hp_im, taps,
-      lo_re, hi_re, lo_im, hi_im, mag_lo, mag_hi, out_stride);
-}
-
-void analyze_mag_ml_autovec(const float* x_re, const float* x_im, int x_stride,
-                            int nlines, int out_len, const float* lp_re,
-                            const float* hp_re, const float* lp_im,
-                            const float* hp_im, int taps, float* lo_re,
-                            float* hi_re, float* lo_im, float* hi_im,
-                            float* mag_lo, float* mag_hi, int out_stride) {
-  analyze_mag_ml_impl<dual_corr_decimate2_autovec, complex_magnitude_autovec>(
-      x_re, x_im, x_stride, nlines, out_len, lp_re, hp_re, lp_im, hp_im, taps,
-      lo_re, hi_re, lo_im, hi_im, mag_lo, mag_hi, out_stride);
+  for (int l = 0; l < nlines; ++l) {
+    const int o = l * out_stride;
+    dual_corr_decimate2_scalar(x_re + l * x_stride, out_len, lp_re, hp_re, taps,
+                               lo_re + o, hi_re + o);
+    dual_corr_decimate2_scalar(x_im + l * x_stride, out_len, lp_im, hp_im, taps,
+                               lo_im + o, hi_im + o);
+    if (mag_lo != nullptr) {
+      complex_magnitude_scalar(lo_re + o, lo_im + o, out_len, mag_lo + o);
+    }
+    if (mag_hi != nullptr) {
+      complex_magnitude_scalar(hi_re + o, hi_im + o, out_len, mag_hi + o);
+    }
+  }
 }
 
 void select_synth_ml_scalar(const float* lo_a, const float* lo_b,
@@ -714,120 +170,112 @@ void select_synth_ml_scalar(const float* lo_a, const float* lo_b,
                             int in_stride, int nlines, int pairs,
                             const float* ca, const float* cb, int taps,
                             int synth_offset, float* out, int out_stride) {
-  select_synth_ml_impl<select_half_scalar, dual_corr_decimate2_ileave_scalar>(
-      lo_a, lo_b, mlo_a, mlo_b, hi_a, hi_b, mhi_a, mhi_b, in_stride, nlines,
-      pairs, ca, cb, taps, synth_offset, out, out_stride);
+  if (pairs <= 0) return;
+  float* sel_lo = line_scratch(2 * pairs + 2 * pairs + taps);
+  float* sel_hi = sel_lo + pairs;
+  float* ext = sel_hi + pairs;
+  for (int l = 0; l < nlines; ++l) {
+    const int i = l * in_stride;
+    const float* lo = lo_a + i;
+    if (lo_b != nullptr) {
+      select_half_scalar(lo, lo_b + i, mlo_a + i, mlo_b + i, pairs, sel_lo);
+      lo = sel_lo;
+    }
+    const float* hi = hi_a + i;
+    if (hi_b != nullptr) {
+      select_half_scalar(hi, hi_b + i, mhi_a + i, mhi_b + i, pairs, sel_hi);
+      hi = sel_hi;
+    }
+    fill_synthesis_ext(lo, hi, pairs, taps, synth_offset, ext);
+    dual_corr_decimate2_ileave_scalar(ext, pairs, ca, cb, taps, out + l * out_stride);
+  }
 }
 
-void select_synth_ml_simd(const float* lo_a, const float* lo_b,
-                          const float* mlo_a, const float* mlo_b,
-                          const float* hi_a, const float* hi_b,
-                          const float* mhi_a, const float* mhi_b,
-                          int in_stride, int nlines, int pairs, const float* ca,
-                          const float* cb, int taps, int synth_offset,
-                          float* out, int out_stride) {
-  select_synth_ml_impl<select_half_simd, dual_corr_decimate2_ileave_simd>(
-      lo_a, lo_b, mlo_a, mlo_b, hi_a, hi_b, mhi_a, mhi_b, in_stride, nlines,
-      pairs, ca, cb, taps, synth_offset, out, out_stride);
-}
+// --- plane kernels: build each extended line, then the single-line kernel -------
 
-void select_synth_ml_autovec(const float* lo_a, const float* lo_b,
-                             const float* mlo_a, const float* mlo_b,
-                             const float* hi_a, const float* hi_b,
-                             const float* mhi_a, const float* mhi_b,
-                             int in_stride, int nlines, int pairs,
-                             const float* ca, const float* cb, int taps,
-                             int synth_offset, float* out, int out_stride) {
-  select_synth_ml_impl<select_half_autovec, dual_corr_decimate2_ileave_autovec>(
-      lo_a, lo_b, mlo_a, mlo_b, hi_a, hi_b, mhi_a, mhi_b, in_stride, nlines,
-      pairs, ca, cb, taps, synth_offset, out, out_stride);
-}
-
-// --- transpose --------------------------------------------------------------
-
-namespace {
-
-inline void transpose_tail(const float* src, int rows, int cols, int src_stride,
-                           float* dst, int dst_stride) {
+void analyze_rows_scalar(const float* src, int src_stride, int src_rows,
+                         int rows, const int* ext_cols, int out_len,
+                         const float* lp, const float* hp, int taps, float* lo,
+                         float* hi, int out_stride) {
+  const int ext_len = 2 * out_len + taps;
+  float* ext = line_scratch(ext_len);
   for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      dst[c * dst_stride + r] = src[r * src_stride + c];
+    const float* x = src + static_cast<std::size_t>(std::min(r, src_rows - 1)) * src_stride;
+    for (int k = 0; k < ext_len; ++k) ext[k] = x[ext_cols[k]];
+    const std::size_t o = static_cast<std::size_t>(r) * out_stride;
+    dual_corr_decimate2_scalar(ext, out_len, lp, hp, taps, lo + o, hi + o);
+  }
+}
+
+void synthesize_rows_scalar(const float* lo, const float* hi, int in_stride,
+                            int rows, int pairs, const float* ca, const float* cb,
+                            int taps, int synth_offset, float* out,
+                            int out_stride) {
+  if (pairs <= 0) return;
+  float* ext = line_scratch(2 * pairs + taps);
+  for (int r = 0; r < rows; ++r) {
+    const std::size_t i = static_cast<std::size_t>(r) * in_stride;
+    fill_synthesis_ext(lo + i, hi + i, pairs, taps, synth_offset, ext);
+    dual_corr_decimate2_ileave_scalar(ext, pairs, ca, cb, taps,
+                                      out + static_cast<std::size_t>(r) * out_stride);
+  }
+}
+
+void analyze_mag_cols_scalar(const float* x_re, const float* x_im, int x_stride,
+                             int cols, const int* ext_re, const int* ext_im,
+                             int out_rows, const float* lp_re, const float* hp_re,
+                             const float* lp_im, const float* hp_im, int taps,
+                             float* lo_re, float* hi_re, float* lo_im,
+                             float* hi_im, float* mag_lo, float* mag_hi,
+                             int out_stride) {
+  const int ext_len = 2 * out_rows + taps - 2;
+  const int n = out_rows;
+  float* e_re = line_scratch(2 * ext_len + 6 * n);
+  float* e_im = e_re + ext_len;
+  float* l_re = e_im + ext_len;  // lo_re, hi_re, lo_im, hi_im, mag_lo, mag_hi
+  float* h_re = l_re + n;
+  float* l_im = h_re + n;
+  float* h_im = l_im + n;
+  float* m_lo = h_im + n;
+  float* m_hi = m_lo + n;
+  for (int j = 0; j < cols; ++j) {
+    for (int k = 0; k < ext_len; ++k) {
+      e_re[k] = x_re[static_cast<std::size_t>(ext_re[k]) * x_stride + j];
+      e_im[k] = x_im[static_cast<std::size_t>(ext_im[k]) * x_stride + j];
+    }
+    dual_corr_decimate2_scalar(e_re, n, lp_re, hp_re, taps, l_re, h_re);
+    dual_corr_decimate2_scalar(e_im, n, lp_im, hp_im, taps, l_im, h_im);
+    complex_magnitude_scalar(l_re, l_im, n, m_lo);
+    complex_magnitude_scalar(h_re, h_im, n, m_hi);
+    for (int i = 0; i < n; ++i) {
+      const std::size_t o = static_cast<std::size_t>(i) * out_stride + j;
+      lo_re[o] = l_re[i];
+      hi_re[o] = h_re[i];
+      lo_im[o] = l_im[i];
+      hi_im[o] = h_im[i];
+      if (mag_lo != nullptr) mag_lo[o] = m_lo[i];
+      if (mag_hi != nullptr) mag_hi[o] = m_hi[i];
     }
   }
 }
 
-#if defined(VF_SIMD_SSE2)
-inline void transpose_4x4(const float* src, int src_stride, float* dst,
-                          int dst_stride) {
-  __m128 r0 = _mm_loadu_ps(src);
-  __m128 r1 = _mm_loadu_ps(src + src_stride);
-  __m128 r2 = _mm_loadu_ps(src + 2 * src_stride);
-  __m128 r3 = _mm_loadu_ps(src + 3 * src_stride);
-  _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
-  _mm_storeu_ps(dst, r0);
-  _mm_storeu_ps(dst + dst_stride, r1);
-  _mm_storeu_ps(dst + 2 * dst_stride, r2);
-  _mm_storeu_ps(dst + 3 * dst_stride, r3);
-}
-#elif defined(VF_SIMD_NEON)
-inline void transpose_4x4(const float* src, int src_stride, float* dst,
-                          int dst_stride) {
-  const float32x4_t r0 = vld1q_f32(src);
-  const float32x4_t r1 = vld1q_f32(src + src_stride);
-  const float32x4_t r2 = vld1q_f32(src + 2 * src_stride);
-  const float32x4_t r3 = vld1q_f32(src + 3 * src_stride);
-  const float32x4x2_t t01 = vtrnq_f32(r0, r1);
-  const float32x4x2_t t23 = vtrnq_f32(r2, r3);
-  const float32x4_t c0 =
-      vcombine_f32(vget_low_f32(t01.val[0]), vget_low_f32(t23.val[0]));
-  const float32x4_t c1 =
-      vcombine_f32(vget_low_f32(t01.val[1]), vget_low_f32(t23.val[1]));
-  const float32x4_t c2 =
-      vcombine_f32(vget_high_f32(t01.val[0]), vget_high_f32(t23.val[0]));
-  const float32x4_t c3 =
-      vcombine_f32(vget_high_f32(t01.val[1]), vget_high_f32(t23.val[1]));
-  vst1q_f32(dst, c0);
-  vst1q_f32(dst + dst_stride, c1);
-  vst1q_f32(dst + 2 * dst_stride, c2);
-  vst1q_f32(dst + 3 * dst_stride, c3);
-}
-#else
-inline void transpose_4x4(const float* src, int src_stride, float* dst,
-                          int dst_stride) {
-  transpose_tail(src, 4, 4, src_stride, dst, dst_stride);
-}
-#endif
-
-}  // namespace
-
-void transpose_f32(const float* src, int rows, int cols, int src_stride,
-                   float* dst, int dst_stride) {
-  // 8x8 cache tiles, each covered by four 4x4 register-transposed quads.
-  // 8x8 (two cache lines per row) keeps the strided side of the tile hot
-  // while the quads do the shuffles in registers.
-  constexpr int kTile = 8;
-  const int r8 = rows & ~(kTile - 1);
-  const int c8 = cols & ~(kTile - 1);
-  for (int r = 0; r < r8; r += kTile) {
-    for (int c = 0; c < c8; c += kTile) {
-      const float* s = src + r * src_stride + c;
-      float* d = dst + c * dst_stride + r;
-      transpose_4x4(s, src_stride, d, dst_stride);
-      transpose_4x4(s + 4, src_stride, d + 4 * dst_stride, dst_stride);
-      transpose_4x4(s + 4 * src_stride, src_stride, d + 4, dst_stride);
-      transpose_4x4(s + 4 * src_stride + 4, src_stride, d + 4 * dst_stride + 4,
-                    dst_stride);
+void synthesize_cols_scalar(const float* lo, int lo_stride, const float* hi,
+                            int hi_stride, int cols, const int* ext, int pairs,
+                            const float* ca, const float* cb, int taps,
+                            float* out, int out_stride) {
+  const int ext_len = 2 * pairs + taps - 2;
+  float* e = line_scratch(ext_len + 2 * pairs);
+  float* y = e + ext_len;
+  for (int j = 0; j < cols; ++j) {
+    for (int k = 0; k < ext_len; ++k) {
+      const int s = ext[k];
+      e[k] = (s & 1) ? hi[static_cast<std::size_t>(s >> 1) * hi_stride + j]
+                     : lo[static_cast<std::size_t>(s >> 1) * lo_stride + j];
     }
-    // right edge of this tile row
-    if (c8 < cols) {
-      transpose_tail(src + r * src_stride + c8, kTile, cols - c8, src_stride,
-                     dst + c8 * dst_stride + r, dst_stride);
+    dual_corr_decimate2_ileave_scalar(e, pairs, ca, cb, taps, y);
+    for (int r = 0; r < 2 * pairs; ++r) {
+      out[static_cast<std::size_t>(r) * out_stride + j] = y[r];
     }
-  }
-  // bottom edge, full width
-  if (r8 < rows) {
-    transpose_tail(src + r8 * src_stride, rows - r8, cols, src_stride,
-                   dst + r8, dst_stride);
   }
 }
 

@@ -432,24 +432,31 @@ TEST(HostPathIdentity, FuseFramesMatchesTheStagedBitsAndStats) {
 
 // --- bit-identity across kernel flavours -------------------------------------
 
-// The "simd" set every backend runs is bit-identical to "scalar": the plan
-// fuses the same bits with either, and both match the staged scalar
-// per-line reference.
+// Every simd set the host runs (AVX-512F / AVX2 / the 4-lane baseline) is
+// bit-identical to "scalar": the plan fuses the same bits with each of them,
+// and all match the staged scalar per-line reference — at every block-edge
+// shape and depth, so each lane width's narrow-block step-down and shifted
+// last block are covered.
 TEST(HostParallelIdentity, ScalarAndSimdDispatchFuseIdentically) {
-  for (const sched::FrameSize size :
-       {sched::FrameSize{40, 40}, sched::FrameSize{33, 25}, sched::FrameSize{88, 72}}) {
+  ASSERT_FALSE(simd::simd_kernel_sets().empty());
+  for (const sched::FrameSize& size : kPathSizes) {
     const auto frames = sched::make_sweep_frames(size, 1);
-    const fusion::FuseConfig config;
-    dwt::ScalarLineFilter reference;
-    const image::ImageF want = staged_fuse(frames[0].visible, frames[0].thermal,
-                                           config.transform, reference);
-    const dwt::FusionPlan plan(size.height, size.width, config.transform);
-    const image::ImageF scalar =
-        plan.fuse(frames[0].visible, frames[0].thermal, simd::scalar_kernels());
-    const image::ImageF simd =
-        plan.fuse(frames[0].visible, frames[0].thermal, simd::simd_kernels());
-    EXPECT_EQ(hash_image(scalar), hash_image(want)) << size.label();
-    EXPECT_EQ(hash_image(simd), hash_image(want)) << size.label();
+    for (int levels = 1; levels <= 4; ++levels) {
+      const std::string label = size.label() + " levels=" + std::to_string(levels);
+      dwt::TransformConfig config;
+      config.levels = levels;
+      dwt::ScalarLineFilter reference;
+      const image::ImageF want = staged_fuse(frames[0].visible, frames[0].thermal,
+                                             config, reference);
+      const dwt::FusionPlan plan(size.height, size.width, config);
+      const image::ImageF scalar =
+          plan.fuse(frames[0].visible, frames[0].thermal, simd::scalar_kernels());
+      EXPECT_TRUE(same_bits(scalar, want)) << label;
+      for (const simd::KernelSet* k : simd::simd_kernel_sets()) {
+        const image::ImageF wide = plan.fuse(frames[0].visible, frames[0].thermal, *k);
+        EXPECT_TRUE(same_bits(wide, want)) << label << " isa=" << k->isa;
+      }
+    }
   }
 }
 
