@@ -214,8 +214,9 @@ int main(int argc, char** argv) {
   std::printf("%s\n", wall.to_string().c_str());
   std::printf("host threads fuse whole frames of the window side by side (one\n"
               "fork/join per window); they change how fast the numerics compute,\n"
-              "never what the modeled ZC702 reports (accounting replays serially in\n"
-              "frame order; see DESIGN.md section 3).\n");
+              "never what the modeled ZC702 reports (one thread replays the\n"
+              "accounting in frame order while the others fuse; see DESIGN.md\n"
+              "section 3).\n");
   if (!modeled_identical) {
     std::fprintf(stderr, "fatal: modeled output changed with --threads\n");
     return 1;

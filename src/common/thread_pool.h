@@ -3,7 +3,8 @@
 // Everything in bench/ reports *modeled* ZC702 time; this pool only changes
 // how fast the host computes the numerics behind those numbers. Its one
 // caller in the library is the frame fan-out (sched::detail::measure_frames):
-// one parallel_for per window of frames, each worker fusing whole frames.
+// one parallel_for per window of frames, one task accounting the window while
+// the others fuse whole frames.
 // Smaller chunks — a transform tree, a line — do not amortize the wake-up
 // and join of a round (DESIGN.md §3). The design invariant is: runs at any
 // thread count produce bit-identical results. Two properties deliver that:
@@ -13,8 +14,10 @@
 //      and every task writes a disjoint output range; no parallel reductions,
 //      no shared accumulators, so floating-point summation order never varies;
 //   2. accounting stays serial — modeled-time bookkeeping (LineFilter
-//      account_*) is never issued from pool workers; the caller replays it
-//      in canonical frame order after the numeric fan-out.
+//      account_*) is issued by exactly one thread, in canonical frame order,
+//      concurrently with the numerics of the same window; it touches no
+//      state the numerics write, and the join orders its results before the
+//      caller reads them.
 //
 // A parallel_for issued from inside a worker runs inline (serial), so nested
 // parallelism degrades gracefully instead of deadlocking.

@@ -24,11 +24,16 @@ namespace vf {
 
 using ResourceId = int;
 
-class Timeline {
+// The clock state of a set of resources: when each is next free, how long
+// each has been busy, and the latest end across all of them. This is all a
+// schedule needs to place the next event, so hot accounting paths (the
+// batched accelerator, src/hw/driver.h) keep only this and never log an
+// event: scheduling is O(1) and allocation-free.
+class ResourceClocks {
  public:
   // `label` names what the event models ("drv", "comp", "fwd", ...). It
-  // must point at a string that outlives the timeline (callers pass
-  // literals), so scheduling an event never allocates or copies text.
+  // must point at a string that outlives every copy of the event (callers
+  // pass literals), so placing an event never allocates or copies text.
   struct Event {
     ResourceId resource = 0;
     const char* label = "";
@@ -36,12 +41,11 @@ class Timeline {
     SimDuration duration() const { return end - start; }
   };
 
-  // Registers a schedulable resource (e.g. "PS core", "PL engine",
-  // "ACP DMA"). Ids are dense and assigned in call order.
-  ResourceId add_resource(std::string name);
+  // Registers a schedulable resource. Ids are dense and assigned in call
+  // order.
+  ResourceId add_resource();
 
-  int resource_count() const { return static_cast<int>(resources_.size()); }
-  const std::string& resource_name(ResourceId r) const { return resources_[r].name; }
+  int resource_count() const { return static_cast<int>(clocks_.size()); }
 
   // Schedules a task on `r` that may not start before `ready`; it starts at
   // max(ready, the resource's free time) and occupies the resource for
@@ -50,13 +54,38 @@ class Timeline {
                  SimDuration duration);
 
   // Earliest time a new event could start on `r` (ignoring ready deps).
-  SimDuration free_at(ResourceId r) const { return resources_[r].free_at; }
+  SimDuration free_at(ResourceId r) const { return clocks_[r].free_at; }
 
   // Sum of event durations on `r` (idle gaps excluded).
-  SimDuration busy_time(ResourceId r) const { return resources_[r].busy; }
+  SimDuration busy_time(ResourceId r) const { return clocks_[r].busy; }
 
   // End of the latest event across all resources (0 when empty).
   SimDuration makespan() const { return makespan_; }
+
+ private:
+  struct Clock {
+    SimDuration free_at;
+    SimDuration busy;
+  };
+  std::vector<Clock> clocks_;
+  SimDuration makespan_;
+};
+
+// ResourceClocks plus named resources and a log of every placed event, for
+// schedules whose events are read afterwards (busy_intervals for energy,
+// tests, trace counts). Handing a Timeline to code that takes a
+// ResourceClocks* advances its clocks without logging those events.
+class Timeline : public ResourceClocks {
+ public:
+  // Registers a schedulable resource (e.g. "PS core", "PL engine",
+  // "ACP DMA"). Ids are dense and assigned in call order.
+  ResourceId add_resource(std::string name);
+
+  const std::string& resource_name(ResourceId r) const { return names_[r]; }
+
+  // ResourceClocks::schedule, and the placed event is logged.
+  Event schedule(ResourceId r, const char* label, SimDuration ready,
+                 SimDuration duration);
 
   const std::vector<Event>& events() const { return events_; }
 
@@ -73,17 +102,9 @@ class Timeline {
   using Interval = std::pair<SimDuration, SimDuration>;
   std::vector<Interval> busy_intervals(const std::vector<ResourceId>& resources) const;
 
-  void clear();
-
  private:
-  struct Resource {
-    std::string name;
-    SimDuration free_at;
-    SimDuration busy;
-  };
-  std::vector<Resource> resources_;
+  std::vector<std::string> names_;
   std::vector<Event> events_;
-  SimDuration makespan_;
 };
 
 }  // namespace vf

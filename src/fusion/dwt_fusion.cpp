@@ -416,14 +416,13 @@ void account_forward_tree(int rows, int cols, const TransformConfig& config,
 void account_inverse_tree(int rows, int cols, const TransformConfig& config,
                           const FilterBank* row_banks,
                           const FilterBank* col_banks, LineFilter& f) {
-  std::vector<int> lr(config.levels + 1), lc(config.levels + 1);
-  lr[0] = rows;
-  lc[0] = cols;
-  for (int level = 0; level < config.levels; ++level) {
-    lr[level + 1] = (lr[level] + (lr[level] & 1)) / 2;
-    lc[level + 1] = (lc[level] + (lc[level] & 1)) / 2;
-  }
-  int rp2 = lr[config.levels], cp2 = lc[config.levels];
+  // Recomputed per level rather than tabulated, so the replay allocates
+  // nothing.
+  const auto dim_at = [](int n, int level) {
+    for (int l = 0; l < level; ++l) n = (n + (n & 1)) / 2;
+    return n;
+  };
+  int rp2 = dim_at(rows, config.levels), cp2 = dim_at(cols, config.levels);
   for (int level = config.levels - 1; level >= 0; --level) {
     const int col_staps = col_banks[level].synth_taps();
     const int row_staps = row_banks[level].synth_taps();
@@ -436,8 +435,8 @@ void account_inverse_tree(int rows, int cols, const TransformConfig& config,
       f.account_synthesize(cp2, row_staps);
     }
     f.barrier();
-    rp2 = lr[level];
-    cp2 = lc[level];
+    rp2 = dim_at(rows, level);
+    cp2 = dim_at(cols, level);
   }
 }
 

@@ -18,13 +18,13 @@
 //                               ping-pong at transfer granularity: buffer A
 //                               is processed by the engine while buffer B
 //                               fills across *consecutive* lines (the real
-//                               Fig. 5 schedule). Time is computed by a
-//                               Timeline, not assumed additive.
+//                               Fig. 5 schedule). Time is computed on
+//                               ResourceClocks, not assumed additive.
 #pragma once
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/common/sim_time.h"
@@ -198,9 +198,10 @@ class WaveletAccelerator {
 // engine has finished reading batch i-2's buffer, so the DMA fills buffer B
 // while the engine processes buffer A (Fig. 5 across consecutive lines).
 //
-// All time lands on a caller-owned Timeline across three resources (PS
+// All time lands on caller-owned ResourceClocks across three resources (PS
 // core, DMA channel, PL engine); PS-visible completion is the last output
-// transfer's end, i.e. the timeline makespan, not a sum.
+// transfer's end, i.e. the clocks' makespan, not a sum. Only the clocks
+// advance: no event is logged, so a batch costs O(1) and never allocates.
 class PipelinedWaveletAccelerator {
  public:
   struct Batching {
@@ -230,9 +231,9 @@ class PipelinedWaveletAccelerator {
 
   PipelinedWaveletAccelerator(const hw::WaveletEngineConfig& engine,
                               const DriverCosts& costs, const Batching& batching,
-                              Timeline* timeline, ResourceId ps, ResourceId dma,
-                              ResourceId pl)
-      : engine_(engine), costs_(costs), batching_(batching), timeline_(timeline),
+                              ResourceClocks* clocks, ResourceId ps,
+                              ResourceId dma, ResourceId pl)
+      : engine_(engine), costs_(costs), batching_(batching), clocks_(clocks),
         ps_(ps), dma_(dma), pl_(pl) {}
 
   const hw::WaveletEngineConfig& engine() const { return engine_; }
@@ -244,16 +245,16 @@ class PipelinedWaveletAccelerator {
   void set_trace(std::vector<BatchTrace>* trace) { trace_ = trace; }
 
   // Queues one line into the current batch, closing the batch first if the
-  // line would overflow the kernel buffer or the per-call line cap.
+  // line would overflow the kernel buffer or the per-call line cap. Throws
+  // std::invalid_argument for a line longer than the kernel buffer (same
+  // policy as check_engine_fit: modeling a request the hardware cannot hold
+  // would produce plausible-looking nonsense); nothing is queued then.
   void submit_line(int words_in, int words_out, double compute_cycles) {
     if (words_in > engine_.buffer_words) {
-      // Same policy as check_engine_fit: modeling a request the hardware
-      // cannot hold would produce plausible-looking nonsense.
-      std::fprintf(stderr,
-                   "fatal: %d-word line request does not fit the modeled "
-                   "kernel buffer (%d words)\n",
-                   words_in, engine_.buffer_words);
-      std::abort();
+      throw std::invalid_argument(
+          std::to_string(words_in) + "-word line request does not fit the "
+          "modeled kernel buffer (" + std::to_string(engine_.buffer_words) +
+          " words)");
     }
     if (pending_.lines > 0 &&
         (pending_.lines >= batching_.max_lines_per_call ||
@@ -325,15 +326,15 @@ class PipelinedWaveletAccelerator {
     const bool chain_head = chain_pos_ == 0;
     const int buf = costs_.double_buffering ? (driver_calls_ & 1) : 0;
     const SimDuration drv_ready = std::max(dep_ready_, buffer_free_[buf]);
-    const Timeline::Event drv = timeline_->schedule(
+    const ResourceClocks::Event drv = clocks_->schedule(
         ps_, chain_head ? "drv" : "desc", drv_ready,
         chain_head ? driver_call_time(costs_) : sg_desc_build_time(costs_));
     SimDuration in_time = transfer_time(engine_, costs_, pending_.words_in);
     if (!chain_head) in_time += sg_desc_fetch_time(costs_);
-    const Timeline::Event in = timeline_->schedule(xfer, "in", drv.end, in_time);
-    const Timeline::Event comp = timeline_->schedule(
+    const ResourceClocks::Event in = clocks_->schedule(xfer, "in", drv.end, in_time);
+    const ResourceClocks::Event comp = clocks_->schedule(
         pl_, "comp", in.end, hw::pl_clock().cycles(pending_.compute_cycles));
-    const Timeline::Event out = timeline_->schedule(
+    const ResourceClocks::Event out = clocks_->schedule(
         xfer, "out", comp.end, transfer_time(engine_, costs_, pending_.words_out));
 
     // The engine has consumed the input buffer once compute ends; the next
@@ -354,7 +355,7 @@ class PipelinedWaveletAccelerator {
   hw::WaveletEngineConfig engine_;
   DriverCosts costs_;
   Batching batching_;
-  Timeline* timeline_;
+  ResourceClocks* clocks_;
   ResourceId ps_, dma_, pl_;
   Pending pending_;
   SimDuration buffer_free_[2];

@@ -1,8 +1,8 @@
 #include "src/sched/adaptive.h"
 
+#include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
 #include "src/common/rng.h"
 #include "src/fusion/fused_plan.h"
@@ -155,17 +155,16 @@ namespace detail {
 // chain: `slots` for analysis, `slots + 2` for the interleaved synthesis
 // window (the polyphase pair skews the chain by two stages). Modeling a line
 // the hardware cannot hold would produce plausible-looking nonsense, so
-// refuse loudly (e.g. the paper's 12-slot engine cannot run the 14-tap
-// q-shift banks — see bench_ablation_taps).
+// refuse (e.g. the paper's 12-slot engine cannot run the 14-tap q-shift
+// banks — see bench_ablation_taps).
 void check_engine_fit(const hw::WaveletEngineConfig& engine, int taps,
                       bool synthesis) {
   const int limit = engine.slots + (synthesis ? 2 : 0);
   if (taps > limit) {
-    std::fprintf(stderr,
-                 "fatal: %d-tap %s filter does not fit the modeled wavelet "
-                 "engine (%d coefficient slots)\n",
-                 taps, synthesis ? "synthesis" : "analysis", engine.slots);
-    std::abort();
+    throw std::invalid_argument(
+        std::to_string(taps) + "-tap " + (synthesis ? "synthesis" : "analysis") +
+        " filter does not fit the modeled wavelet engine (" +
+        std::to_string(engine.slots) + " coefficient slots)");
   }
 }
 
@@ -178,7 +177,7 @@ class FpgaBackend::Filter : public dwt::LineFilter {
 
   // The engine-fit check lives in accounting: it depends only on the request
   // shape, and accounting sees every request exactly once, in order — so the
-  // refusal still fires (after the numeric fan-out) for unfittable banks.
+  // refusal fires at any pool width for unfittable banks.
   void account_analyze(int out_len, int taps) override {
     check_engine_fit(*accel_, taps, /*synthesis=*/false);
     owner_->charge(accel_->line_time(
@@ -326,15 +325,22 @@ std::vector<FrameRunResult> measure_frames(TransformBackend& backend,
                                            const fusion::FuseConfig& config,
                                            const std::vector<FramePair>& frames,
                                            const FusedSink& sink) {
-  TimedFusionRunner runner(backend, config);
-  const int n = static_cast<int>(frames.size());
-  std::vector<FrameRunResult> out;
-  out.reserve(frames.size());
+  // Every shape is checked before any numerics or accounting run, so a bad
+  // pair cannot surface only after part of the window was accounted.
   // Consecutive frames of one shape share a plan.
+  const int n = static_cast<int>(frames.size());
   std::vector<dwt::FusionPlan> plans;
   std::vector<std::size_t> plan_of(frames.size());
   for (std::size_t i = 0; i < frames.size(); ++i) {
     const image::ImageF& v = frames[i].visible;
+    const image::ImageF& t = frames[i].thermal;
+    if (t.rows() != v.rows() || t.cols() != v.cols()) {
+      throw std::invalid_argument(
+          "measure_frames: frame " + std::to_string(i) + " pairs a " +
+          std::to_string(v.rows()) + "x" + std::to_string(v.cols()) +
+          " visible image with a " + std::to_string(t.rows()) + "x" +
+          std::to_string(t.cols()) + " thermal image (rows x cols)");
+    }
     if (plans.empty() || plans.back().rows() != v.rows() ||
         plans.back().cols() != v.cols()) {
       plans.emplace_back(v.rows(), v.cols(), config.transform);
@@ -342,26 +348,42 @@ std::vector<FrameRunResult> measure_frames(TransformBackend& backend,
     plan_of[i] = plans.size() - 1;
   }
 
-  // With a pool, one fork/join per window: a frame is the smallest chunk
-  // that amortizes waking a worker (a line never does). Workers only read
-  // the frames and plans and write their own frames' images.
+  // Numerics only read the frames and plans and write their own frames'
+  // images; accounting is one thread walking the window in frame order.
   const simd::KernelSet& kernels = backend.line_filter().kernels();
-  const auto fuse_range = [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      const std::size_t f = static_cast<std::size_t>(i);
-      image::ImageF fused =
-          plans[plan_of[f]].fuse(frames[f].visible, frames[f].thermal, kernels);
-      if (sink) sink(i, std::move(fused));
+  const auto fuse_frame = [&](int i) {
+    const std::size_t f = static_cast<std::size_t>(i);
+    image::ImageF fused =
+        plans[plan_of[f]].fuse(frames[f].visible, frames[f].thermal, kernels);
+    if (sink) sink(i, std::move(fused));
+  };
+  std::vector<FrameRunResult> out;
+  out.reserve(frames.size());
+  const auto account_window = [&] {
+    TimedFusionRunner runner(backend, config);
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      out.push_back(runner.replay_frame_pair(plans[plan_of[f]]));
     }
   };
-  if (ThreadPool* pool = backend.host_pool()) {
-    pool->parallel_for(0, n, fuse_range);
-  } else {
-    fuse_range(0, n);
+
+  ThreadPool* pool = backend.host_pool();
+  if (!pool || n < 2) {
+    for (int i = 0; i < n; ++i) fuse_frame(i);
+    account_window();
+    return out;
   }
-  for (std::size_t f = 0; f < frames.size(); ++f) {
-    out.push_back(runner.replay_frame_pair(plans[plan_of[f]]));
-  }
+  // One fork/join per window: a frame is the smallest chunk that amortizes
+  // waking a worker (a line never does). Task 0 accounts the whole window
+  // while the other tasks fuse, then joins them; frames are claimed one at
+  // a time, so whoever finishes early takes the rest. The join orders the
+  // accounting's writes to `out` before the return.
+  std::atomic<int> next{0};
+  pool->parallel_for(0, pool->threads(), [&](int task, int) {
+    if (task == 0) account_window();
+    for (int i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      fuse_frame(i);
+    }
+  });
   return out;
 }
 

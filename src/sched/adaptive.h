@@ -87,7 +87,8 @@ class TransformBackend {
   // Host pool for the numeric half of a window of frames
   // (detail::measure_frames fans whole frames out over it). Affects only how
   // fast the host computes; every modeled time above is charged through the
-  // serial account_* path and is bit-identical at any pool width.
+  // account_* path, which one thread issues in frame order, and is
+  // bit-identical at any pool width.
   ThreadPool* host_pool() const { return host_pool_; }
 
   void begin_frame() {
@@ -140,8 +141,9 @@ class TransformBackend {
 
 namespace detail {
 
-// Aborts if a filter bank cannot fit the modeled engine's coefficient
-// shift-register chain (`slots` for analysis, `slots + 2` for synthesis).
+// Throws std::invalid_argument if a filter bank cannot fit the modeled
+// engine's coefficient shift-register chain (`slots` for analysis,
+// `slots + 2` for synthesis).
 void check_engine_fit(const hw::WaveletEngineConfig& engine, int taps,
                       bool synthesis);
 
@@ -305,12 +307,19 @@ using FusedSink = std::function<void(int index, image::ImageF&& fused)>;
 // (FrameRunResult::fused left empty; the image goes to `sink`, or is dropped
 // when the sink is empty).
 //
-// The window's numerics run first, frame by frame (FusionPlan::fuse, one
-// plan per run of same-shape frames). When the backend has a host_pool()
-// they are one parallel_for over the frames: each worker fuses whole frames
-// with scratch from its own arena. The backend's accounting is then
-// replayed on the caller in frame order, so the returned times and any
-// captured stream trace equal a serial run's bit for bit.
+// Every pair's shapes are checked first: a visible/thermal mismatch anywhere
+// in the window throws std::invalid_argument before any numerics or
+// accounting run. Numerics are FusionPlan::fuse, one plan per run of
+// same-shape frames, each frame fused whole with scratch from the fusing
+// thread's arena. The backend's accounting (TimedFusionRunner::
+// replay_frame_pair) is issued by exactly one thread, in frame order, so
+// the returned times and any captured stream trace equal a serial run's bit
+// for bit. Without a host_pool() (or for a one-frame window) the caller
+// fuses every frame, then accounts the window. With one, the window is a
+// single parallel_for over the pool's threads: one task accounts the whole
+// window while the others fuse, then joins them; frames are claimed one at
+// a time from a shared counter. An exception from either half (e.g.
+// check_engine_fit) reaches the caller once every task has finished.
 std::vector<FrameRunResult> measure_frames(TransformBackend& backend,
                                            const fusion::FuseConfig& config,
                                            const std::vector<FramePair>& frames,

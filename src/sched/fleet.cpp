@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "src/common/rng.h"
@@ -273,10 +272,11 @@ power::ComputeMode max_mode(power::ComputeMode a, power::ComputeMode b) {
 
 FleetResult run_fleet(const std::vector<StreamConfig>& streams,
                       const FleetConfig& fleet) {
-  // The engine count must fit the part: the Table-I model says how many
+  // Validate the whole configuration before any stream does work. The
+  // engine count must fit the part: the Table-I model says how many
   // instances of this datapath the xc7z020 holds. Modeling engines the
   // fabric cannot carry would produce plausible-looking nonsense, so refuse
-  // loudly (same policy as detail::check_engine_fit).
+  // (same policy as detail::check_engine_fit).
   const hw::ResourceUsage per_engine =
       fleet.fixed_point_engines
           ? hw::estimate_engine_resources_fixed(fleet.engine_config,
@@ -284,15 +284,22 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
           : hw::estimate_engine_resources(fleet.engine_config);
   const int fit = hw::max_engine_instances(hw::DevicePart{}, per_engine);
   if (fleet.engines < 1 || fleet.engines > fit) {
-    std::fprintf(stderr,
-                 "fatal: %d PL engine(s) requested but the %s datapath fits "
-                 "the xc7z020 at most %d time(s) (Table-I model)\n",
-                 fleet.engines, fleet.fixed_point_engines ? "fixed-point" : "float32",
-                 fit);
-    std::abort();
+    throw std::invalid_argument(
+        std::to_string(fleet.engines) + " PL engine(s) requested but the " +
+        (fleet.fixed_point_engines ? "fixed-point" : "float32") +
+        " datapath fits the xc7z020 at most " + std::to_string(fit) +
+        " time(s) (Table-I model)");
+  }
+  for (const StreamConfig& sc : streams) {
+    if (sc.arrival.fps > 0.0 &&
+        !(sc.arrival.jitter_frac >= 0.0 && sc.arrival.jitter_frac < 1.0)) {
+      throw std::invalid_argument("arrival jitter_frac " +
+                                  std::to_string(sc.arrival.jitter_frac) +
+                                  " outside [0, 1)");
+    }
   }
 
-  // Pass 1, per stream: numerics and the serial accounting replay through
+  // Pass 1, per stream: numerics and the in-order accounting replay through
   // the stream's factory-built backend (detail::measure_frames, exactly
   // run_pipelined's measurement pass); per-frame stage costs split into the
   // PS-resident part and the PL remainder. The NEON spill costs are
@@ -323,11 +330,6 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
                                            : static_cast<int>(s);
     const int frames = sc.run.frames;
     if (sc.arrival.fps > 0.0) {
-      if (sc.arrival.jitter_frac < 0.0 || sc.arrival.jitter_frac >= 1.0) {
-        std::fprintf(stderr, "fatal: arrival jitter_frac %.3f outside [0, 1)\n",
-                     sc.arrival.jitter_frac);
-        std::abort();
-      }
       in.period = SimDuration::seconds(1.0 / sc.arrival.fps);
       Rng jitter(0xf1ee7ull * (s + 1) + 0x9e3779b9ull);
       for (int f = 0; f < frames; ++f) {

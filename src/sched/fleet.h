@@ -66,7 +66,8 @@ struct FleetConfig {
   double spill_wait_frac = 0.0;
   // Resource model used to validate `engines` against the part: the paper's
   // float32 datapath (one instance fits) or the Q2.16 fixed-point datapath
-  // (about seven fit). run_fleet aborts loudly on an impossible count.
+  // (about seven fit). run_fleet throws std::invalid_argument on an
+  // impossible count.
   bool fixed_point_engines = false;
   hw::WaveletEngineConfig engine_config;  // per-instance resource footprint
   // Cross-frame line streaming (ISSUE 9): replay every stream through
@@ -117,7 +118,9 @@ struct FleetResult {
 // Runs the fleet: per-stream pass 1 (detail::measure_frames through the
 // stream's factory-built backend, per-frame PS/PL-split stage costs), then the
 // event-driven dispatch of every stage onto the shared cores/engines, then
-// stats + energy integration. Deterministic at any --threads.
+// stats + energy integration. Deterministic at any --threads. Throws
+// std::invalid_argument, before any stream does work, when `fleet.engines`
+// does not fit the part or a paced stream's jitter_frac is outside [0, 1).
 FleetResult run_fleet(const std::vector<StreamConfig>& streams,
                       const FleetConfig& fleet = {});
 

@@ -14,7 +14,7 @@ namespace vf::sched {
 // --- BatchedFpgaBackend -----------------------------------------------------
 
 // Batch submission and buffer ping-pong depend only on the request sequence
-// (sizes + barriers), never on sample values, so the whole Timeline
+// (sizes + barriers), never on sample values, so the whole clock
 // interaction lives in accounting: the serial account_*/barrier() replay
 // reproduces the exact event schedule at any host thread count. The fusion
 // rule routes through kernels() (the dispatch set) instead of hard-coding
@@ -56,10 +56,10 @@ class BatchedFpgaBackend::Filter : public dwt::LineFilter {
 
 BatchedFpgaBackend::BatchedFpgaBackend(const RunConfig& config)
     : TransformBackend(config.host),
-      ps_(timeline_.add_resource("PS core")),
-      dma_(timeline_.add_resource("ACP DMA")),
-      pl_(timeline_.add_resource("PL engine")),
-      accel_(config.engine, config.driver_costs, config.batching, &timeline_,
+      ps_(clocks_.add_resource()),
+      dma_(clocks_.add_resource()),
+      pl_(clocks_.add_resource()),
+      accel_(config.engine, config.driver_costs, config.batching, &clocks_,
              ps_, dma_, pl_),
       filter_(std::make_unique<Filter>(this, &accel_)) {}
 
@@ -71,7 +71,7 @@ void BatchedFpgaBackend::charge(SimDuration d) {
   // Generic PS work (prep, fusion-rule kernels) becomes a PS event; the
   // ledger is reconciled from the makespan at the next sync, so no direct
   // ledger_add here — adding both would double-charge.
-  timeline_.schedule(ps_, "ps", ps_ready_, d);
+  clocks_.schedule(ps_, "ps", ps_ready_, d);
   if (tracing_) {
     drain_trace(phase());
     detail::append_sliced_ps(&cur_ops_, static_cast<int>(phase()), d);
@@ -142,9 +142,9 @@ void BatchedFpgaBackend::push_stage_boundary(Phase stage) {
 
 void BatchedFpgaBackend::sync(Phase charge_to) {
   accel_.flush();
-  const SimDuration now = timeline_.makespan();
+  const SimDuration now = clocks_.makespan();
   ledger_add(charge_to, now - mark_);
-  const SimDuration pl_busy = timeline_.busy_time(pl_) + timeline_.busy_time(dma_);
+  const SimDuration pl_busy = clocks_.busy_time(pl_) + clocks_.busy_time(dma_);
   ledger_add_pl(charge_to, pl_busy - mark_pl_busy_);
   mark_ = now;
   mark_pl_busy_ = pl_busy;
@@ -174,10 +174,10 @@ PipelineRunResult run_pipelined(TransformBackend& backend,
   PipelineRunResult result;
   result.frames = static_cast<int>(frames.size());
 
-  // Pass 1: numerics (fanned out over the host pool, one frame per worker)
-  // and the serial accounting replay, giving per-frame stage costs split into
-  // the work the PS core must execute and the PL-resident remainder it may
-  // overlap.
+  // Pass 1: numerics (fanned out over the host pool, one frame at a time per
+  // thread) and the in-order accounting replay overlapped with them, giving
+  // per-frame stage costs split into the work the PS core must execute and
+  // the PL-resident remainder it may overlap.
   //
   // Cross-frame streaming (ISSUE 9) records each frame's op stream during
   // this same pass; backends without a batch trace fall back to the legacy

@@ -35,10 +35,15 @@
 namespace vf::sched {
 
 // FPGA backend with batched line submission and transfer-granularity double
-// buffering. Modeled time is computed by an internal Timeline over three
+// buffering. Modeled time is computed on internal ResourceClocks over three
 // resources (PS core, ACP DMA, PL engine); the additive per-phase ledger is
 // reconciled from makespan deltas at phase boundaries, so
 // frame_times().total() is the PS-visible end-to-end time, overlap included.
+// No event is logged (nothing reads a per-line schedule; the streaming
+// replay re-schedules from the batch trace instead), so accounting a frame
+// allocates nothing with stream tracing off. Accounting is issued by one
+// thread at a time, in frame order: detail::measure_frames may run it on a
+// pool thread, concurrently with the window's numerics.
 class BatchedFpgaBackend : public TransformBackend {
  public:
   BatchedFpgaBackend() : BatchedFpgaBackend(RunConfig{}) {}
@@ -54,11 +59,7 @@ class BatchedFpgaBackend : public TransformBackend {
   void charge(SimDuration d) override;
   void finish_frame() override;
 
-  const Timeline& timeline() const { return timeline_; }
   const driver::PipelinedWaveletAccelerator& accelerator() const { return accel_; }
-  ResourceId ps_resource() const { return ps_; }
-  ResourceId dma_resource() const { return dma_; }
-  ResourceId pl_resource() const { return pl_; }
 
   // Cross-frame streaming trace (ISSUE 9): record every frame's op stream
   // (PS slices, accelerator batches, stage boundaries) during the serial
@@ -83,7 +84,7 @@ class BatchedFpgaBackend : public TransformBackend {
   void drain_trace(Phase stage);
   void push_stage_boundary(Phase stage);
 
-  Timeline timeline_;
+  ResourceClocks clocks_;
   ResourceId ps_, dma_, pl_;
   driver::PipelinedWaveletAccelerator accel_;
   SimDuration mark_;          // makespan at last sync
@@ -142,9 +143,10 @@ struct PipelineRunResult {
 };
 
 // Runs every frame pair through `backend` (detail::measure_frames: numerics
-// fanned out over the host pool, accounting replayed serially, per-frame
-// PS/PL-split stage costs), then re-schedules the stages on a Timeline with
-// the 4-stage software pipeline prep -> forward -> fusion -> inverse.
+// fanned out over the host pool, accounting replayed in frame order by one
+// thread alongside them, per-frame PS/PL-split stage costs), then
+// re-schedules the stages on a Timeline with the 4-stage software pipeline
+// prep -> forward -> fusion -> inverse.
 PipelineRunResult run_pipelined(TransformBackend& backend,
                                 const std::vector<FramePair>& frames,
                                 const PipelineOptions& options = {});

@@ -5,25 +5,36 @@
 
 namespace vf {
 
+ResourceId ResourceClocks::add_resource() {
+  clocks_.push_back(Clock{});
+  return static_cast<ResourceId>(clocks_.size()) - 1;
+}
+
+ResourceClocks::Event ResourceClocks::schedule(ResourceId r, const char* label,
+                                               SimDuration ready,
+                                               SimDuration duration) {
+  assert(r >= 0 && r < resource_count());
+  assert(duration >= SimDuration::zero());
+  Clock& clock = clocks_[r];
+  Event ev;
+  ev.resource = r;
+  ev.label = label;
+  ev.start = std::max(ready, clock.free_at);
+  ev.end = ev.start + duration;
+  clock.free_at = ev.end;
+  clock.busy += duration;
+  if (ev.end > makespan_) makespan_ = ev.end;
+  return ev;
+}
+
 ResourceId Timeline::add_resource(std::string name) {
-  resources_.push_back(Resource{std::move(name), SimDuration::zero(),
-                                SimDuration::zero()});
-  return static_cast<ResourceId>(resources_.size()) - 1;
+  names_.push_back(std::move(name));
+  return ResourceClocks::add_resource();
 }
 
 Timeline::Event Timeline::schedule(ResourceId r, const char* label,
                                    SimDuration ready, SimDuration duration) {
-  assert(r >= 0 && r < resource_count());
-  assert(duration >= SimDuration::zero());
-  Resource& res = resources_[r];
-  Event ev;
-  ev.resource = r;
-  ev.label = label;
-  ev.start = std::max(ready, res.free_at);
-  ev.end = ev.start + duration;
-  res.free_at = ev.end;
-  res.busy += duration;
-  if (ev.end > makespan_) makespan_ = ev.end;
+  const Event ev = ResourceClocks::schedule(r, label, ready, duration);
   events_.push_back(ev);
   return ev;
 }
@@ -32,7 +43,7 @@ std::vector<Timeline::Interval> Timeline::busy_intervals(
     const std::vector<ResourceId>& resources) const {
   // One span list per distinct requested resource. Each list is already in
   // start order: an event starts no earlier than its resource's previous end.
-  std::vector<int> list_of(resources_.size(), -1);
+  std::vector<int> list_of(static_cast<std::size_t>(resource_count()), -1);
   std::vector<std::vector<Interval>> lists;
   for (ResourceId r : resources) {
     if (r < 0 || r >= resource_count() || list_of[r] >= 0) continue;
@@ -70,15 +81,6 @@ std::vector<Timeline::Interval> Timeline::busy_intervals(
     }
   }
   return merged;
-}
-
-void Timeline::clear() {
-  for (Resource& res : resources_) {
-    res.free_at = SimDuration::zero();
-    res.busy = SimDuration::zero();
-  }
-  events_.clear();
-  makespan_ = SimDuration::zero();
 }
 
 }  // namespace vf

@@ -1,11 +1,15 @@
-// Arena mechanics plus the zero-allocation guard for the transform hot
-// loops: after a warm-up run, a full multi-frame pipelined fusion must not
-// create a single new arena block (src/common/arena.h documents the
-// contract; this file is the enforcement).
+// Arena mechanics plus the zero-allocation guards: after a warm-up run, a
+// full multi-frame pipelined fusion must not create a single new arena
+// block (src/common/arena.h documents the contract; this file is the
+// enforcement), and replaying a frame's accounting must not call the global
+// operator new at all.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <mutex>
+#include <new>
 #include <set>
 #include <thread>
 #include <vector>
@@ -13,6 +17,22 @@
 #include "src/common/arena.h"
 #include "src/sched/adaptive.h"
 #include "src/sched/pipeline.h"
+
+// Counts every plain global operator new in this test binary (libstdc++
+// routes the array and nothrow forms through it too). All three stay out of
+// line so the compiler never pairs an inlined malloc() or free() with a new
+// or delete expression and warns about a mismatch that is not there.
+std::atomic<long long> g_news{0};
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -136,6 +156,24 @@ TEST(ArenaZeroAlloc, SteadyStatePipelineAllocatesNothing) {
           << size.width << "x" << size.height << " width " << width;
     }
   }
+}
+
+// Accounting is the serial half of every window, so its steady state must
+// not touch the heap: no event log to regrow, no per-frame dimension tables.
+// Frame 1 warms up; frames 2..64 of an 88x72 window replay with stream
+// tracing off and must make zero global allocations.
+TEST(ArenaZeroAlloc, AccountingReplayAllocatesNothing) {
+  const sched::RunConfig rc;
+  const dwt::FusionPlan plan(72, 88, rc.fuse.transform);
+  sched::BatchedFpgaBackend backend(rc);
+  sched::TimedFusionRunner runner(backend, rc.fuse);
+  SimDuration total = runner.replay_frame_pair(plan).times.total();
+  const long long before = g_news.load();
+  for (int frame = 2; frame <= 64; ++frame) {
+    total += runner.replay_frame_pair(plan).times.total();
+  }
+  EXPECT_EQ(g_news.load() - before, 0);
+  EXPECT_GT(total.sec(), 0.0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "src/hw/fixed_point.h"
@@ -42,6 +43,28 @@ TEST(EngineFit, FloatDatapathFitsOnceFixedPointSeveralTimes) {
 }
 
 // --- backend factory ---------------------------------------------------------
+
+// Both configuration checks reject before any stream does work, with an
+// exception the caller can catch rather than a process abort.
+TEST(EngineFit, RunFleetRejectsAnEngineCountThePartCannotHold) {
+  const std::vector<sched::StreamConfig> streams = {
+      camera_stream({32, 24}, 2, 30.0)};
+  for (const int engines : {0, 2}) {  // the float datapath fits once
+    sched::FleetConfig fc;
+    fc.engines = engines;
+    EXPECT_THROW(sched::run_fleet(streams, fc), std::invalid_argument)
+        << engines;
+  }
+}
+
+TEST(Fleet, RunFleetRejectsJitterOutsideTheUnitInterval) {
+  for (const double jitter : {-0.1, 1.0, 1.5}) {
+    std::vector<sched::StreamConfig> streams = {
+        camera_stream({32, 24}, 2, 30.0), camera_stream({32, 24}, 2, 30.0)};
+    streams[1].arrival.jitter_frac = jitter;
+    EXPECT_THROW(sched::run_fleet(streams), std::invalid_argument) << jitter;
+  }
+}
 
 TEST(BackendFactory, BuildsEveryKindWithMatchingNameAndMode) {
   const struct {

@@ -302,6 +302,41 @@ TEST(HostParallelIdentity, FrameFanOutMatchesSerialRunFramePair) {
   }
 }
 
+// Shapes are checked before any work: a mismatched last pair throws before
+// the first frame is fused or accounted, at every pool width.
+TEST(HostParallelIdentity, MismatchedPairThrowsBeforeAnyWork) {
+  for (const int width : {1, 2}) {
+    std::vector<sched::FramePair> frames = sched::make_sweep_frames({88, 72}, 8);
+    frames.back().thermal = image::ImageF(72, 87);
+    sched::RunConfig rc;
+    rc.host.threads = width;
+    sched::BatchedFpgaBackend backend(rc);
+    std::atomic<int> fused{0};
+    EXPECT_THROW(sched::detail::measure_frames(
+                     backend, rc.fuse, frames,
+                     [&](int, image::ImageF&&) { ++fused; }),
+                 std::invalid_argument)
+        << "width " << width;
+    EXPECT_EQ(fused.load(), 0) << "width " << width;
+    EXPECT_EQ(backend.accelerator().lines(), 0) << "width " << width;
+  }
+}
+
+// A bank the engine cannot hold (the 14-tap q-shift levels on a 12-slot
+// engine) is refused in accounting; with the accounting on a pool thread
+// the refusal still reaches the caller as an exception.
+TEST(HostParallelIdentity, EngineFitRefusalReachesTheCallerAtAnyWidth) {
+  const auto frames = sched::make_sweep_frames({40, 40}, 4);
+  for (const int width : {1, 2}) {
+    sched::RunConfig rc;
+    rc.host.threads = width;
+    rc.engine.slots = 12;
+    sched::BatchedFpgaBackend backend(rc);
+    EXPECT_THROW(sched::run_pipelined(backend, frames, rc), std::invalid_argument)
+        << "width " << width;
+  }
+}
+
 // The event-queue pipeline schedule too: makespan/ledger/energy bit-identical.
 TEST(HostParallelIdentity, PipelinedRunInvariantAcrossThreads) {
   const auto stream = sched::make_sweep_frames({88, 72}, 4);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "src/common/rng.h"
 #include "src/common/timeline.h"
@@ -183,6 +184,42 @@ TEST(PipelinedAccelerator, BufferCapacityCapsTheBatch) {
   for (int i = 0; i < 6; ++i) accel.submit_line(1200, 1188, 1200);
   accel.flush();
   EXPECT_EQ(accel.driver_calls(), 6);
+}
+
+TEST(PipelinedAccelerator, OverLongLineThrowsAndQueuesNothing) {
+  ResourceClocks clocks;
+  const ResourceId ps = clocks.add_resource();
+  const ResourceId dma = clocks.add_resource();
+  const ResourceId pl = clocks.add_resource();
+  driver::PipelinedWaveletAccelerator accel({}, {}, {}, &clocks, ps, dma, pl);
+  // 2049 words cannot fit the 2048-word kernel buffer: an error the caller
+  // can catch, not a process abort.
+  EXPECT_THROW(accel.submit_line(2049, 2036, 2049), std::invalid_argument);
+  EXPECT_EQ(accel.lines(), 0);
+  accel.submit_line(2048, 2036, 2048);
+  accel.flush();
+  EXPECT_EQ(accel.driver_calls(), 1);
+}
+
+// The accelerator only advances clocks: handing it a Timeline places the
+// same schedule without logging a single event.
+TEST(PipelinedAccelerator, SchedulesOnClocksWithoutAnEventLog) {
+  auto run = [](ResourceClocks* clocks) {
+    const ResourceId ps = clocks->add_resource();
+    const ResourceId dma = clocks->add_resource();
+    const ResourceId pl = clocks->add_resource();
+    driver::PipelinedWaveletAccelerator accel({}, {}, {.max_lines_per_call = 4},
+                                              clocks, ps, dma, pl);
+    for (int i = 0; i < 32; ++i) accel.submit_line(400, 388, 4000);
+    return accel.flush();
+  };
+  ResourceClocks clocks;
+  Timeline tl;
+  const SimDuration bare = run(&clocks);
+  EXPECT_TRUE(run(&tl) == bare);
+  EXPECT_TRUE(tl.makespan() == clocks.makespan());
+  EXPECT_TRUE(tl.busy_time(2) == clocks.busy_time(2));
+  EXPECT_TRUE(tl.events().empty());
 }
 
 TEST(PipelinedAccelerator, BarrierOrdersDependentTransfers) {
