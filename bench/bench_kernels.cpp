@@ -3,9 +3,9 @@
 // time; this binary shows the kernel library is real code with a real
 // vectorization speedup on the build host, across the kernel families
 // (analyze, synthesize, magnitude, select, average, their multi-line forms
-// and the column passes of the fused plan) in both flavours: scalar, and
-// simd at the widest instruction set the host runs (its name is the JSON's
-// simd_isa field).
+// and the row and column passes of the fused plan) in both flavours: scalar,
+// and simd at the widest instruction set the host runs (its name is the
+// JSON's simd_isa field).
 //
 // Extra flag (stripped before google-benchmark sees the command line):
 //   --json PATH   write the collected per-benchmark timings as JSON
@@ -18,6 +18,7 @@
 
 #include "src/common/json.h"
 #include "src/common/rng.h"
+#include "src/fusion/dwt_fusion.h"
 #include "src/simd/dispatch.h"
 
 namespace {
@@ -233,6 +234,61 @@ void BM_SynthesizeCols(benchmark::State& state, const vf::simd::KernelSet& k) {
   state.SetItemsProcessed(state.iterations() * static_cast<long long>(rows) * cols);
 }
 
+// Row passes of the fused plan at the three level shapes of an 88x72 frame
+// (args: rows, source columns): 72x88 through the 5/7-tap level-0 bank,
+// 36x44 and 18x22 through the 14/16-tap q-shift bank, with the plan's
+// extension tables and offsets. Items are output samples.
+
+struct RowPassShape {
+  int rows, cols, hc;
+  vf::dwt::FilterBank bank;
+};
+
+RowPassShape row_pass_shape(const benchmark::State& state) {
+  RowPassShape s;
+  s.rows = static_cast<int>(state.range(0));
+  s.cols = static_cast<int>(state.range(1));
+  s.hc = s.cols / 2;
+  int level = 0;  // the level whose rows are s.cols wide
+  while ((88 >> level) > s.cols) ++level;
+  s.bank = vf::dwt::detail::bank_for_level(vf::dwt::TransformConfig{}, level, 0);
+  return s;
+}
+
+void BM_AnalyzeRows(benchmark::State& state, const vf::simd::KernelSet& k) {
+  const RowPassShape s = row_pass_shape(state);
+  const int taps = s.bank.taps();
+  const auto src = randv(s.rows * s.cols, 27);
+  const std::vector<int> ext = periodic_rows(s.cols, s.cols + taps, s.bank.analysis_offset);
+  std::vector<float> lo(static_cast<std::size_t>(s.rows) * s.hc);
+  std::vector<float> hi(static_cast<std::size_t>(s.rows) * s.hc);
+  for (auto _ : state) {
+    k.analyze_rows(src.data(), s.cols, s.rows, s.rows, ext.data(), s.hc,
+                   s.bank.lp.data(), s.bank.hp.data(), taps, lo.data(), hi.data(),
+                   s.hc);
+    benchmark::DoNotOptimize(lo.data());
+    benchmark::DoNotOptimize(hi.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long long>(s.rows) * s.cols);
+}
+
+void BM_SynthesizeRows(benchmark::State& state, const vf::simd::KernelSet& k) {
+  const RowPassShape s = row_pass_shape(state);
+  const int taps = s.bank.synth_taps();
+  const int halo = vf::simd::synth_row_halo(taps);
+  const int hs = s.hc + 2 * halo;
+  auto lo = randv(s.rows * hs, 28);
+  auto hi = randv(s.rows * hs, 29);
+  std::vector<float> out(static_cast<std::size_t>(s.rows) * s.cols);
+  for (auto _ : state) {
+    k.synthesize_rows(lo.data() + halo, hi.data() + halo, hs, s.rows, s.hc,
+                      s.bank.ca.data(), s.bank.cb.data(), taps,
+                      s.bank.synthesis_offset, out.data(), s.cols);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long long>(s.rows) * s.cols);
+}
+
 void register_benches() {
   const vf::simd::KernelSet* sets[] = {&vf::simd::scalar_kernels(),
                                        &vf::simd::simd_kernels()};
@@ -274,6 +330,20 @@ void register_benches() {
     benchmark::RegisterBenchmark(
         (std::string("BM_SynthesizeCols/") + k->name).c_str(), BM_SynthesizeCols, *k)
         ->Arg(44);
+  }
+  // Registered after the families above so their rows keep their places in
+  // the --json results.
+  for (const vf::simd::KernelSet* k : sets) {
+    benchmark::RegisterBenchmark((std::string("BM_AnalyzeRows/") + k->name).c_str(),
+                                 BM_AnalyzeRows, *k)
+        ->Args({72, 88})
+        ->Args({36, 44})
+        ->Args({18, 22});
+    benchmark::RegisterBenchmark(
+        (std::string("BM_SynthesizeRows/") + k->name).c_str(), BM_SynthesizeRows, *k)
+        ->Args({72, 88})
+        ->Args({36, 44})
+        ->Args({18, 22});
   }
 }
 

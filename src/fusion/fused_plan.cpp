@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -23,6 +22,10 @@ int wrap(int k, int n) {
   k %= n;
   return k < 0 ? k + n : k;
 }
+
+// Plane sizes inside one arena allocation round up to a 64-byte line, as
+// separate Arena::alloc calls would.
+size_t line_aligned(size_t floats) { return (floats + 15) & ~static_cast<size_t>(15); }
 
 }  // namespace
 
@@ -47,6 +50,12 @@ FusionPlan::FusionPlan(int rows, int cols, const TransformConfig& config)
     r = d.hr;
     c = d.hc;
   }
+  band_off_.assign(static_cast<size_t>(config.levels) + 1, 0);
+  for (int level = 0; level < config.levels; ++level) {
+    const LevelDims& d = dims_[level];
+    band_off_[level + 1] =
+        band_off_[level] + 6 * line_aligned(static_cast<size_t>(d.hr) * d.hc);
+  }
   // Row and column passes of a tree share its bank at every level.
   for (int tree = 0; tree < 2; ++tree) {
     banks_[tree].reserve(config.levels);
@@ -61,6 +70,8 @@ FusionPlan::FusionPlan(int rows, int cols, const TransformConfig& config)
       // shifts both window ends; the q-shift reversal stays inside the same
       // 14-tap window), all well inside kMaxTaps.
       assert(bank.taps() <= simd::kMaxTaps && bank.synth_taps() <= simd::kMaxTaps);
+      // synthesize_rows reads its extension in place, inside the halo.
+      assert(bank.synthesis_offset >= 0 && bank.synthesis_offset <= bank.synth_taps());
       ExtTables e;
       // Row analysis: the periodic extension of the padded row (column
       // cp - 1 replicates column c - 1 when c is odd).
@@ -144,29 +155,27 @@ ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
     }
   }
 
-  // Per-tree reconstructions, combined at the end in tree order (the staged
-  // inverse_dtcwt accumulation order).
+  // Per-tree reconstructions, padded rp x cp: level 0's row synthesis writes
+  // straight into them, and the combine at the end reads their first rows x
+  // cols samples by stride, in tree order (the staged inverse_dtcwt
+  // accumulation order).
+  const size_t recon_stride = static_cast<size_t>(d0.cp);
   float* recon[4];
   for (int t = 0; t < 4; ++t) {
-    recon[t] = outer.alloc(static_cast<size_t>(rows_) * cols_);
+    recon[t] = outer.alloc(static_cast<size_t>(d0.rp) * d0.cp);
   }
 
   for (int p = 0; p < 2; ++p) {
     ArenaScope pair;
     const int col_tree[2] = {p, 1 - p};
 
-    // Fused band planes, row-major hr x hc. fused_at(L, sb, s): sb in
-    // {0=lh, 1=hl, 2=hh}, s = side.
-    std::vector<float*> fused_bands(static_cast<size_t>(D) * 6, nullptr);
-    auto fused_at = [&](int L, int sb, int s) -> float*& {
-      return fused_bands[(static_cast<size_t>(L) * 3 + sb) * 2 + s];
+    // Fused band planes, row-major hr x hc, all in one block (band_off_).
+    // fused_at(L, sb, s): sb in {0=lh, 1=hl, 2=hh}, s = side.
+    float* const fused_bands = pair.alloc(band_off_[D]);
+    auto fused_at = [&](int L, int sb, int s) {
+      const size_t q = line_aligned(static_cast<size_t>(dims_[L].hr) * dims_[L].hc);
+      return fused_bands + band_off_[L] + static_cast<size_t>(sb * 2 + s) * q;
     };
-    for (int L = 0; L < D; ++L) {
-      const size_t q = static_cast<size_t>(dims_[L].hr) * dims_[L].hc;
-      for (int sb = 0; sb < 3; ++sb) {
-        for (int s = 0; s < 2; ++s) fused_at(L, sb, s) = pair.alloc(q);
-      }
-    }
     const LevelDims& dd = dims_[DL];
     const size_t qd = static_cast<size_t>(dd.hr) * dd.hc;
     float* ll_fused[2] = {pair.alloc(qd), pair.alloc(qd)};
@@ -263,46 +272,43 @@ ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
         const FilterBank& rowb = banks_[s][L];
         const int* ext = ext_[col_tree[s]][L].col_synth.data();
 
-        float* rowlo = pair.alloc(static_cast<size_t>(dl.rp) * dl.hc);
-        float* rowhi = pair.alloc(static_cast<size_t>(dl.rp) * dl.hc);
-        float* padded = pair.alloc(static_cast<size_t>(dl.rp) * dl.cp);
+        // The column synthesis writes hc columns into rows of hs floats,
+        // leaving the halo the row synthesis fills and reads in place.
+        const int halo = simd::synth_row_halo(rowb.synth_taps());
+        const int hs = dl.hc + 2 * halo;
+        float* rowlo = pair.alloc(static_cast<size_t>(dl.rp) * hs) + halo;
+        float* rowhi = pair.alloc(static_cast<size_t>(dl.rp) * hs) + halo;
+        float* padded = L > 0 ? pair.alloc(static_cast<size_t>(dl.rp) * dl.cp)
+                              : recon[s == 0 ? kPairRe[p] : kPairIm[p]];
 
         k.synthesize_cols(ll_in, ll_stride, fused_at(L, 0, s), dl.hc, dl.hc, ext,
                           dl.hr, colb.ca.data(), colb.cb.data(), colb.synth_taps(),
-                          rowlo, dl.hc);
+                          rowlo, hs);
         k.synthesize_cols(fused_at(L, 1, s), dl.hc, fused_at(L, 2, s), dl.hc, dl.hc,
                           ext, dl.hr, colb.ca.data(), colb.cb.data(),
-                          colb.synth_taps(), rowhi, dl.hc);
-        k.synthesize_rows(rowlo, rowhi, dl.hc, dl.rp, dl.hc, rowb.ca.data(),
+                          colb.synth_taps(), rowhi, hs);
+        k.synthesize_rows(rowlo, rowhi, hs, dl.rp, dl.hc, rowb.ca.data(),
                           rowb.cb.data(), rowb.synth_taps(), rowb.synthesis_offset,
                           padded, dl.cp);
 
-        if (L > 0) {
-          ll_in = padded;
-          ll_stride = dl.cp;
-        } else {
-          float* dst = recon[s == 0 ? kPairRe[p] : kPairIm[p]];
-          for (int r = 0; r < rows_; ++r) {
-            std::memcpy(dst + static_cast<size_t>(r) * cols_,
-                        padded + static_cast<size_t>(r) * dl.cp,
-                        static_cast<size_t>(cols_) * sizeof(float));
-          }
-        }
+        ll_in = padded;
+        ll_stride = dl.cp;
       }
     }
   }  // pair scope
 
-  // Combine the four trees in the staged accumulation order:
-  // recs[0] += recs[1..3], then x 0.25f.
+  // Combine the four trees in the staged accumulation order,
+  // ((recs[0] + recs[1]) + recs[2]) + recs[3], then x 0.25f.
   ImageF out(rows_, cols_);
-  float* acc = out.data();
-  const size_t n = out.size();
-  std::memcpy(acc, recon[0], n * sizeof(float));
-  for (int t = 1; t < 4; ++t) {
-    const float* r = recon[t];
-    for (size_t i = 0; i < n; ++i) acc[i] += r[i];
+  for (int r = 0; r < rows_; ++r) {
+    const size_t i = static_cast<size_t>(r) * recon_stride;
+    const float* r0 = recon[0] + i;
+    const float* r1 = recon[1] + i;
+    const float* r2 = recon[2] + i;
+    const float* r3 = recon[3] + i;
+    float* acc = out.data() + static_cast<size_t>(r) * cols_;
+    for (int c = 0; c < cols_; ++c) acc[c] = (((r0[c] + r1[c]) + r2[c]) + r3[c]) * 0.25f;
   }
-  for (size_t i = 0; i < n; ++i) acc[i] *= 0.25f;
   return out;
 }
 

@@ -22,7 +22,11 @@
 //     transposed. Extension (and the edge pad of odd sizes) is a per-level
 //     table mapping each extended sample to its source, built once in the
 //     constructor; the next level reads the LL band in place, and the
-//     inverse reads the level below's output plane by stride.
+//     inverse reads the level below's output plane by stride. Row
+//     synthesis reads its periodic extension in place, from halo columns
+//     of its input planes, and level 0 synthesizes straight into the
+//     per-tree reconstruction planes, so no pass copies a line or a plane
+//     just to re-read it.
 //
 // The plan is two halves. fuse() is the numerics: always serial, no filter
 // calls, so one frame pair is one unit of host work that any thread can run
@@ -127,6 +131,9 @@ class FusionPlan {
   std::vector<LevelDims> dims_;      // [level]
   std::vector<FilterBank> banks_[2];  // [tree][level], rows and columns alike
   std::vector<ExtTables> ext_[2];     // [tree][level]
+  // Offset of level L's six fused band planes in fuse()'s band block
+  // ([levels] is the block's size), so fuse() allocates them in one call.
+  std::vector<size_t> band_off_;
 };
 
 }  // namespace vf::dwt

@@ -115,15 +115,24 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
     for (const StreamOp& op : ops) n += op.kind == StreamOp::Kind::kBatch ? 4 : 1;
     return n;
   };
+  // A one-entry spill list is every frame's spill.
+  auto spill_of = [](const StreamingStreamInput& in, std::size_t f)
+      -> const std::vector<StreamOp>& {
+    return in.spill_ops[in.spill_ops.size() == 1 ? 0 : f];
+  };
   std::size_t events = 0;
   for (int s = 0; s < ns; ++s) {
     const StreamingStreamInput& in = streams[static_cast<std::size_t>(s)];
     const std::size_t n = in.arrivals.size();
     state[static_cast<std::size_t>(s)].fs.resize(n);
     out.frames[static_cast<std::size_t>(s)].resize(n);
+    const std::size_t shared_spill =
+        in.spill_ops.size() == 1 ? events_of(in.spill_ops[0]) : 0;
     for (std::size_t f = 0; f < n && f < in.frame_ops.size(); ++f) {
-      std::size_t e = events_of(in.frame_ops[f]);
-      if (f < in.spill_ops.size()) e = std::max(e, events_of(in.spill_ops[f]));
+      std::size_t e = std::max(events_of(in.frame_ops[f]), shared_spill);
+      if (in.spill_ops.size() > 1 && f < in.spill_ops.size()) {
+        e = std::max(e, events_of(in.spill_ops[f]));
+      }
       events += e;
     }
   }
@@ -138,7 +147,7 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
     const FrameState& fs =
         state[static_cast<std::size_t>(s)].fs[static_cast<std::size_t>(f)];
     return fs.use_spill && !in.spill_ops.empty()
-               ? in.spill_ops[static_cast<std::size_t>(f)]
+               ? spill_of(in, static_cast<std::size_t>(f))
                : in.frame_ops[static_cast<std::size_t>(f)];
   };
   // Earliest-free engine this stream may use (same policy as schedule_fleet:

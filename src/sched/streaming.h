@@ -65,7 +65,8 @@ std::vector<StreamOp> stage_cost_ops(const std::array<FleetStageCost, 4>& cost);
 
 // One stream's input to the streaming replay. frame_ops[f] is frame f's
 // captured op list; spill_ops (when non-empty) is the all-PS NEON
-// alternative the admission layer may switch a frame to.
+// alternative the admission layer may switch a frame to: spill_ops[f] for
+// frame f, or, when it holds exactly one list, that list for every frame.
 struct StreamingStreamInput {
   std::vector<SimDuration> arrivals;
   std::vector<std::vector<StreamOp>> frame_ops;

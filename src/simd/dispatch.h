@@ -68,9 +68,10 @@ struct KernelSet {
                        const int* ext_cols, int out_len, const float* lp,
                        const float* hp, int taps, float* lo, float* hi,
                        int out_stride);
-  void (*synthesize_rows)(const float* lo, const float* hi, int in_stride,
-                          int rows, int pairs, const float* ca, const float* cb,
-                          int taps, int synth_offset, float* out, int out_stride);
+  // lo/hi carry synth_row_halo(taps) halo columns per row (kernels.h).
+  void (*synthesize_rows)(float* lo, float* hi, int in_stride, int rows,
+                          int pairs, const float* ca, const float* cb, int taps,
+                          int synth_offset, float* out, int out_stride);
   void (*analyze_mag_cols)(const float* x_re, const float* x_im, int x_stride,
                            int cols, const int* ext_re, const int* ext_im,
                            int out_rows, const float* lp_re, const float* hp_re,

@@ -39,7 +39,35 @@ void fill_synthesis_ext(const float* lo, const float* hi, int pairs, int taps,
   }
 }
 
+// x[j] = x[j mod pairs] for j in [begin, 0) and [pairs, end): the halo
+// samples of one synthesis stream that its phase line reads.
+void fill_halo(float* x, int pairs, int begin, int end) {
+  for (int j = begin, src = wrap(begin, pairs); j < 0; ++j) {
+    x[j] = x[src];
+    if (++src == pairs) src = 0;
+  }
+  for (int j = pairs, src = 0; j < end; ++j) {
+    x[j] = x[src];
+    if (++src == pairs) src = 0;
+  }
+}
+
 }  // namespace
+
+SynthesisPhases synthesis_phases(float* lo, float* hi, int pairs, int taps,
+                                 int synth_offset) {
+  // ext[0] is stream sample -s (s = synth_offset >= 0): lo[-s/2] for even s,
+  // with the odd phase starting at hi[-s/2]; for odd s the even phase starts
+  // at hi[-(s+1)/2] and the odd one at lo[-(s-1)/2].
+  const bool odd_offset = synth_offset & 1;
+  float* even = odd_offset ? hi : lo;
+  float* odd = odd_offset ? lo : hi;
+  const int even_begin = -((synth_offset + 1) / 2);
+  const int odd_begin = -(synth_offset / 2);
+  fill_halo(even, pairs, even_begin, even_begin + pairs + (taps + 1) / 2);
+  fill_halo(odd, pairs, odd_begin, odd_begin + pairs + taps / 2);
+  return {even + even_begin, odd + odd_begin};
+}
 
 // --- single-line kernels ------------------------------------------------------
 
@@ -192,6 +220,7 @@ void select_synth_ml_scalar(const float* lo_a, const float* lo_b,
 }
 
 // --- plane kernels: build each extended line, then the single-line kernel -------
+// (row synthesis builds it from the phase lines it reads in place)
 
 void analyze_rows_scalar(const float* src, int src_stride, int src_rows,
                          int rows, const int* ext_cols, int out_len,
@@ -207,15 +236,16 @@ void analyze_rows_scalar(const float* src, int src_stride, int src_rows,
   }
 }
 
-void synthesize_rows_scalar(const float* lo, const float* hi, int in_stride,
-                            int rows, int pairs, const float* ca, const float* cb,
-                            int taps, int synth_offset, float* out,
-                            int out_stride) {
+void synthesize_rows_scalar(float* lo, float* hi, int in_stride, int rows,
+                            int pairs, const float* ca, const float* cb, int taps,
+                            int synth_offset, float* out, int out_stride) {
   if (pairs <= 0) return;
-  float* ext = line_scratch(2 * pairs + taps);
+  const int len = 2 * pairs + taps;
+  float* ext = line_scratch(len);
   for (int r = 0; r < rows; ++r) {
     const std::size_t i = static_cast<std::size_t>(r) * in_stride;
-    fill_synthesis_ext(lo + i, hi + i, pairs, taps, synth_offset, ext);
+    const SynthesisPhases ph = synthesis_phases(lo + i, hi + i, pairs, taps, synth_offset);
+    for (int k = 0; k < len; ++k) ext[k] = (k & 1) ? ph.odd[k >> 1] : ph.even[k >> 1];
     dual_corr_decimate2_ileave_scalar(ext, pairs, ca, cb, taps,
                                       out + static_cast<std::size_t>(r) * out_stride);
   }

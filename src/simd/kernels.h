@@ -14,7 +14,9 @@
 //
 // All kernels are pure: extension/padding policy (periodic, symmetric) is the
 // caller's job — `x` must already hold the extended line, or, for the plane
-// kernels below, a table names the source sample of every extended one. This
+// kernels below, a table names the source sample of every extended one (row
+// synthesis is the one exception: it writes the periodic wrap of each row
+// into that row's caller-provided halo columns and reads it in place). This
 // is exactly the contract of the paper's FPGA wavelet engine, which also
 // receives a line buffer of `2*out_len + taps` samples per request. Purity is
 // also what lets the host thread pool (src/common/thread_pool.h) call any
@@ -128,7 +130,12 @@ void select_synth_ml_scalar(const float* lo_a, const float* lo_b,
 //     out_len samples each.
 //   synthesize_rows: row r of (lo, hi) is one synthesis line: its periodic
 //     interleaved extension (ext[k] = stream[(k - synth_offset) mod
-//     2*pairs]) through one dual_corr ileave pass, 2*pairs outputs.
+//     2*pairs]) through one dual_corr ileave pass, 2*pairs outputs. The
+//     extension is read in place, so each lo/hi row carries halo slack:
+//     columns [-synth_row_halo(taps), pairs + synth_row_halo(taps)) must be
+//     addressable, and the kernel overwrites the halo columns it reads
+//     with their periodic wrap (columns [0, pairs) are only read). Needs
+//     0 <= synth_offset <= taps (every FilterBank's synthesis offset is).
 //   analyze_mag_cols: the column pass, one column per SIMD lane. Extended
 //     row k of column j is x[ext_re[k]][j] (re plane) / x[ext_im[k]][j] (im
 //     plane), k < 2*out_rows + taps - 2; out_rows rows of lo/hi per plane,
@@ -145,15 +152,29 @@ void select_synth_ml_scalar(const float* lo_a, const float* lo_b,
 // inside it).
 inline constexpr int kMaxTaps = 32;
 
+// Halo columns on each side of a synthesize_rows lo/hi row for a taps-wide
+// synthesis window.
+inline constexpr int synth_row_halo(int taps) { return (taps + 1) / 2; }
+
+// The even and odd phase lines of one synthesize_rows line (even[m] =
+// ext[2m], odd[m] = ext[2m+1]), pointing into its lo and hi rows: fills the
+// halo samples they read, then returns where they start. Shared by every
+// kernel set, so all of them touch the same halo samples.
+struct SynthesisPhases {
+  const float* even;
+  const float* odd;
+};
+SynthesisPhases synthesis_phases(float* lo, float* hi, int pairs, int taps,
+                                 int synth_offset);
+
 void analyze_rows_scalar(const float* src, int src_stride, int src_rows,
                          int rows, const int* ext_cols, int out_len,
                          const float* lp, const float* hp, int taps, float* lo,
                          float* hi, int out_stride);
 
-void synthesize_rows_scalar(const float* lo, const float* hi, int in_stride,
-                            int rows, int pairs, const float* ca, const float* cb,
-                            int taps, int synth_offset, float* out,
-                            int out_stride);
+void synthesize_rows_scalar(float* lo, float* hi, int in_stride, int rows,
+                            int pairs, const float* ca, const float* cb, int taps,
+                            int synth_offset, float* out, int out_stride);
 
 void analyze_mag_cols_scalar(const float* x_re, const float* x_im, int x_stride,
                              int cols, const int* ext_re, const int* ext_im,

@@ -73,6 +73,11 @@ struct Lane1 {
     p[0] = a;
     p[1] = b;
   }
+  // even[i] = p[2i], odd[i] = p[2i+1] (the inverse of store_interleaved).
+  VF_TARGET static void load_deinterleaved(const float* p, reg& even, reg& odd) {
+    even = p[0];
+    odd = p[1];
+  }
 };
 
 #if defined(VF_LANE4_SSE2)
@@ -93,6 +98,12 @@ struct Lane4 {
   VF_TARGET static void store_interleaved(float* p, reg a, reg b) {
     _mm_storeu_ps(p, _mm_unpacklo_ps(a, b));
     _mm_storeu_ps(p + 4, _mm_unpackhi_ps(a, b));
+  }
+  VF_TARGET static void load_deinterleaved(const float* p, reg& even, reg& odd) {
+    const reg a = _mm_loadu_ps(p);
+    const reg b = _mm_loadu_ps(p + 4);
+    even = _mm_shuffle_ps(a, b, 0x88);  // a0 a2 b0 b2
+    odd = _mm_shuffle_ps(a, b, 0xDD);   // a1 a3 b1 b3
   }
 };
 #elif defined(VF_LANE4_NEON)
@@ -122,6 +133,11 @@ struct Lane4 {
   VF_TARGET static void store_interleaved(float* p, reg a, reg b) {
     const float32x4x2_t ab = {{a, b}};
     vst2q_f32(p, ab);
+  }
+  VF_TARGET static void load_deinterleaved(const float* p, reg& even, reg& odd) {
+    const float32x4x2_t v = vld2q_f32(p);
+    even = v.val[0];
+    odd = v.val[1];
   }
 };
 #else
@@ -157,6 +173,12 @@ struct Lane4 {
       p[2 * l + 1] = b.v[l];
     }
   }
+  static void load_deinterleaved(const float* p, reg& even, reg& odd) {
+    for (int l = 0; l < 4; ++l) {
+      even.v[l] = p[2 * l];
+      odd.v[l] = p[2 * l + 1];
+    }
+  }
 };
 #endif
 
@@ -181,6 +203,16 @@ struct Lane8 {
     const reg hi = _mm256_unpackhi_ps(a, b);  // a2 b2 a3 b3 | a6 b6 a7 b7
     _mm256_storeu_ps(p, _mm256_permute2f128_ps(lo, hi, 0x20));
     _mm256_storeu_ps(p + 8, _mm256_permute2f128_ps(lo, hi, 0x31));
+  }
+  VF_TARGET static void load_deinterleaved(const float* p, reg& even, reg& odd) {
+    // shuffle picks within 128-bit halves (a0 a2 b0 b2 | a4 a6 b4 b6); the
+    // 64-bit permute 0xD8 (order 0 2 1 3) puts the pairs back in order.
+    const reg a = _mm256_loadu_ps(p);
+    const reg b = _mm256_loadu_ps(p + 8);
+    even = _mm256_castpd_ps(_mm256_permute4x64_pd(
+        _mm256_castps_pd(_mm256_shuffle_ps(a, b, 0x88)), 0xD8));
+    odd = _mm256_castpd_ps(_mm256_permute4x64_pd(
+        _mm256_castps_pd(_mm256_shuffle_ps(a, b, 0xDD)), 0xD8));
   }
 };
 #endif
@@ -210,6 +242,16 @@ struct Lane16 {
                                          13, 29, 14, 30, 15, 31);
     _mm512_storeu_ps(p, _mm512_permutex2var_ps(a, lo, b));
     _mm512_storeu_ps(p + 16, _mm512_permutex2var_ps(a, hi, b));
+  }
+  VF_TARGET static void load_deinterleaved(const float* p, reg& even, reg& odd) {
+    const __m512i ev = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20,
+                                         22, 24, 26, 28, 30);
+    const __m512i od = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21,
+                                         23, 25, 27, 29, 31);
+    const reg a = _mm512_loadu_ps(p);
+    const reg b = _mm512_loadu_ps(p + 16);
+    even = _mm512_permutex2var_ps(a, ev, b);
+    odd = _mm512_permutex2var_ps(a, od, b);
   }
 };
 #endif
@@ -245,7 +287,8 @@ using Narrower = typename NarrowerOf<V>::type;
 // Even/odd phase lines of the decimating kernels (the vld2 split of the
 // paper's NEON code): a stride-2 correlation becomes two unit-stride ones,
 //   lo[i] = sum_s lp[2s]*xe[i+s] + lp[2s+1]*xo[i+s],
-// still summed in ascending tap order t = 2s, 2s+1.
+// still summed in ascending tap order t = 2s, 2s+1. Analysis splits into
+// this scratch; row synthesis reads its phases in place (kernels.h).
 thread_local std::vector<float> g_phase_scratch;
 // The selected lo/hi halves of one select_synth_ml line.
 thread_local std::vector<float> g_select_scratch;
@@ -375,10 +418,11 @@ VF_TARGET void synthesize_phases(const float* xe, const float* xo, int pairs,
   }
 }
 
-// One synthesis line from its lo/hi streams: the even and odd phases of the
-// periodic interleaved extension ext[k] = stream[(k - synth_offset) mod n]
-// are plain rotations of lo and hi (which one lands on the even phase
-// depends on the offset's parity), so they are copied straight in.
+// One synthesis line from read-only lo/hi streams (select_synth_ml): the
+// even and odd phases of the periodic interleaved extension ext[k] =
+// stream[(k - synth_offset) mod n] are plain rotations of lo and hi (which
+// one lands on the even phase depends on the offset's parity), so they are
+// copied straight in. synthesize_rows reads the same phases in place instead.
 VF_TARGET void synthesize_streams(const float* lo, const float* hi, int pairs,
                                   const float* ca, const float* cb, int taps,
                                   int synth_offset, float* out) {
@@ -397,6 +441,22 @@ VF_TARGET void synthesize_streams(const float* lo, const float* hi, int pairs,
   synthesize_phases<Widest>(xe, xo, pairs, ca, cb, taps, out);
 }
 
+// --- even/odd phase split ---------------------------------------------------------
+
+// xe[k] = x[2k], xo[k] = x[2k+1] for k in [i, n): whole blocks of packed
+// de-interleaving loads, the rest through narrower lanes.
+template <class V>
+VF_TARGET void split_run(const float* x, int i, int n, float* xe, float* xo) {
+  for (; i + V::kLanes <= n; i += V::kLanes) {
+    auto e = V::zero();
+    auto o = V::zero();
+    V::load_deinterleaved(x + 2 * i, e, o);
+    V::store(xe + i, e);
+    V::store(xo + i, o);
+  }
+  if constexpr (V::kLanes > 1) split_run<Narrower<V>>(x, i, n, xe, xo);
+}
+
 // --- single-line kernels (pre-extended input) -----------------------------------
 
 // The even phase line of x (its odd one follows at + n + (taps + 1) / 2),
@@ -405,8 +465,8 @@ VF_TARGET float* split_phases(const float* x, int n, int taps) {
   const int ne = n + (taps + 1) / 2;
   const int no = n + taps / 2;
   float* xe = grow(g_phase_scratch, ne + no);
-  for (int k = 0; k < ne; ++k) xe[k] = x[2 * k];
-  for (int k = 0; k < no; ++k) xe[ne + k] = x[2 * k + 1];
+  split_run<Widest>(x, 0, no, xe, xe + ne);
+  if (ne > no) xe[no] = x[2 * no];
   return xe;
 }
 
@@ -521,22 +581,10 @@ VF_TARGET void select_synth_ml(const float* lo_a, const float* lo_b,
 
 // --- plane kernels ---------------------------------------------------------------
 
-// dst[k] = x[ext[2k + phase]] for k < len. Inside the table's run of
-// consecutive source columns [run_begin, run_end) that is a stride-2 copy
-// the compiler vectorizes; only the wrapped ends go through the table.
-VF_TARGET void gather_phase(const float* x, const int* ext, int phase, int len,
-                            int run_begin, int run_end, float* dst) {
-  const int k0 = std::clamp((run_begin - phase + 1) / 2, 0, len);
-  const int k1 = std::clamp((run_end - phase + 1) / 2, k0, len);
-  int k = 0;
-  for (; k < k0; ++k) dst[k] = x[ext[2 * k + phase]];
-  const int base = k1 > k0 ? ext[run_begin] - run_begin + phase : 0;
-  for (; k < k1; ++k) dst[k] = x[base + 2 * k];
-  for (; k < len; ++k) dst[k] = x[ext[2 * k + phase]];
-}
-
-// Row pass: each row's phase lines are gathered straight from the source
-// row through the extension table (no extended line is built first).
+// Row pass: each row's phase lines are split straight from the source row
+// (no extended line is built first). Inside the table's run of consecutive
+// source columns that is split_run's packed de-interleave; only the wrapped
+// ends go through the table.
 VF_TARGET void analyze_rows(const float* src, int src_stride, int src_rows,
                             int rows, const int* ext_cols, int out_len,
                             const float* lp, const float* hp, int taps, float* lo,
@@ -558,24 +606,38 @@ VF_TARGET void analyze_rows(const float* src, int src_stride, int src_rows,
       b = k;
     }
   }
+  // Phase pairs k whose samples 2k and 2k+1 both lie in the run.
+  const int k0 = std::min((run_begin + 1) / 2, no);
+  const int k1 = std::max(k0, run_end / 2);
   for (int r = 0; r < rows; ++r) {
     const float* x = src + static_cast<std::size_t>(std::min(r, src_rows - 1)) * src_stride;
-    gather_phase(x, ext_cols, 0, ne, run_begin, run_end, xe);
-    gather_phase(x, ext_cols, 1, no, run_begin, run_end, xo);
+    for (int k = 0; k < k0; ++k) {
+      xe[k] = x[ext_cols[2 * k]];
+      xo[k] = x[ext_cols[2 * k + 1]];
+    }
+    if (k1 > k0) split_run<Widest>(x + ext_cols[2 * k0], 0, k1 - k0, xe + k0, xo + k0);
+    for (int k = k1; k < no; ++k) {
+      xe[k] = x[ext_cols[2 * k]];
+      xo[k] = x[ext_cols[2 * k + 1]];
+    }
+    if (ne > no) xe[no] = x[ext_cols[2 * no]];
     const std::size_t o = static_cast<std::size_t>(r) * out_stride;
     analyze_phases<Widest>(xe, xo, out_len, lp, hp, taps, lo + o, hi + o);
   }
 }
 
-VF_TARGET void synthesize_rows(const float* lo, const float* hi, int in_stride,
-                               int rows, int pairs, const float* ca,
-                               const float* cb, int taps, int synth_offset,
-                               float* out, int out_stride) {
+// Row synthesis filters each row's phase lines in place: synthesis_phases
+// fills the few wrapped halo samples they read and points into lo and hi.
+VF_TARGET void synthesize_rows(float* lo, float* hi, int in_stride, int rows,
+                               int pairs, const float* ca, const float* cb,
+                               int taps, int synth_offset, float* out,
+                               int out_stride) {
   if (pairs <= 0) return;
   for (int r = 0; r < rows; ++r) {
     const std::size_t i = static_cast<std::size_t>(r) * in_stride;
-    synthesize_streams(lo + i, hi + i, pairs, ca, cb, taps, synth_offset,
-                       out + static_cast<std::size_t>(r) * out_stride);
+    const SynthesisPhases ph = synthesis_phases(lo + i, hi + i, pairs, taps, synth_offset);
+    synthesize_phases<Widest>(ph.even, ph.odd, pairs, ca, cb, taps,
+                              out + static_cast<std::size_t>(r) * out_stride);
   }
 }
 

@@ -1,8 +1,8 @@
 // Arena mechanics plus the zero-allocation guards: after a warm-up run, a
 // full multi-frame pipelined fusion must not create a single new arena
 // block (src/common/arena.h documents the contract; this file is the
-// enforcement), and replaying a frame's accounting must not call the global
-// operator new at all.
+// enforcement), replaying a frame's accounting must not call the global
+// operator new at all, and fusing a frame pair calls it once, for the result.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +17,7 @@
 #include "src/common/arena.h"
 #include "src/sched/adaptive.h"
 #include "src/sched/pipeline.h"
+#include "src/simd/dispatch.h"
 
 // Counts every plain global operator new in this test binary (libstdc++
 // routes the array and nothrow forms through it too). All three stay out of
@@ -174,6 +175,33 @@ TEST(ArenaZeroAlloc, AccountingReplayAllocatesNothing) {
   }
   EXPECT_EQ(g_news.load() - before, 0);
   EXPECT_GT(total.sec(), 0.0);
+}
+
+// FusionPlan::fuse makes exactly one heap allocation per call, the image it
+// returns, once the thread's arena and kernel scratch have grown: every
+// plane and band table lives in the arena. Checked at the paper's 88x72 and
+// at an odd shape (edge-padded rows and columns), on the scalar set and
+// every simd set the host runs.
+TEST(ArenaZeroAlloc, FuseAllocatesOnlyItsResult) {
+  const sched::RunConfig rc;
+  std::vector<const simd::KernelSet*> sets = {&simd::scalar_kernels()};
+  sets.insert(sets.end(), simd::simd_kernel_sets().begin(),
+              simd::simd_kernel_sets().end());
+  for (const sched::FrameSize size : {sched::FrameSize{88, 72},
+                                      sched::FrameSize{33, 25}}) {
+    const dwt::FusionPlan plan(size.height, size.width, rc.fuse.transform);
+    const sched::FramePair frames = sched::make_sweep_frames(size, 1).front();
+    for (const simd::KernelSet* k : sets) {
+      (void)plan.fuse(frames.visible, frames.thermal, *k);  // warm-up
+      const long long before = g_news.load();
+      for (int i = 0; i < 8; ++i) {
+        const image::ImageF out = plan.fuse(frames.visible, frames.thermal, *k);
+        EXPECT_EQ(out.rows(), size.height);
+      }
+      EXPECT_EQ(g_news.load() - before, 8)
+          << size.width << "x" << size.height << " " << k->isa;
+    }
+  }
 }
 
 }  // namespace

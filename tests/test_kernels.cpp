@@ -432,13 +432,14 @@ INSTANTIATE_TEST_SUITE_P(Sizes, MultiLineEquivalence,
 // --- plane kernels ---------------------------------------------------------------
 //
 // The column kernels run one column per lane straight on row-major planes,
-// with the extension given by a table; the row kernels gather or rotate
-// their phase lines directly. Each must match, per line, the single-line
-// scalar kernel fed the explicitly extended line — for the scalar set (the
-// reference) and every wide set. The grid covers every lane width's full,
-// shifted-last and stepped-down blocks (hc 1..44 around 4, 8 and 16), plane
-// heights from 2 up (with the 14-tap bank the extension wraps a 2-row plane
-// seven times), and both the 5-tap and the 14-tap bank.
+// with the extension given by a table; the row kernels split their phase
+// lines straight from the source row (analysis) or read them in place,
+// inside a halo they fill (synthesis). Each must match, per line, the
+// single-line scalar kernel fed the explicitly extended line — for the
+// scalar set (the reference) and every wide set. The grid covers every lane
+// width's full, shifted-last and stepped-down blocks (hc 1..44 around 4, 8
+// and 16), plane heights from 2 up (with the 14-tap bank the extension
+// wraps a 2-row plane seven times), and both the 5-tap and the 14-tap bank.
 
 int wrap_index(int k, int n) { return ((k % n) + n) % n; }
 
@@ -577,21 +578,48 @@ TEST(PlaneKernels, SynthesizeColsMatchesPerColumnReference) {
   }
 }
 
+// Row kernels on every kernel set. The source widths step through every
+// lane width's full, shifted and stepped-down blocks (1..2*16 + taps, plus
+// the 88-wide 88x72 row), and every analysis offset 0..taps-1 moves the
+// table's consecutive run: both parities of its start, both wrapped ends,
+// and (at widths 1 and 2) no usable run at all. Sentinels around every
+// output row and the synthesis halo catch a write outside the contract:
+// analyze_rows writes out_len samples of rows rows, synthesize_rows writes
+// 2*pairs samples of rows rows and touches lo/hi only inside
+// [-halo, pairs + halo), leaving columns [0, pairs) as they were.
+float sentinel() {
+  const std::uint32_t bits = 0x7fc0dead;  // a quiet NaN no kernel produces
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+void expect_sentinel(const std::vector<float>& v, std::size_t begin,
+                     std::size_t end, const std::string& what) {
+  for (std::size_t i = begin; i < end; ++i) {
+    ASSERT_EQ(float_bits(v[i]), float_bits(sentinel())) << what << " i=" << i;
+  }
+}
+
 TEST(PlaneKernels, RowKernelsMatchPerRowReference) {
   for (const dwt::FilterBank& bank : plane_banks()) {
-    for (const int cp : kPlaneRows) {  // the same lengths, along rows
-      for (const int c : {cp - 1, cp}) {  // odd source widths are edge-padded
-        if (c < 1) continue;
-        const int taps = bank.taps();
-        const int hc = cp / 2;
-        const int src_rows = 3, rows = 4;  // the last row replicates row 2
-        const int stride = c + 2;
+    const int taps = bank.taps();
+    std::vector<int> widths;
+    for (int c = 1; c <= 2 * 16 + taps; ++c) widths.push_back(c);
+    widths.push_back(88);
+    for (const int c : widths) {
+      const int cp = c + (c & 1);  // odd source widths are edge-padded
+      const int hc = cp / 2;
+      const int src_rows = 3, rows = 4;  // the last row replicates row 2
+      const int stride = c + 2;
+      const auto src = randv(src_rows * stride, 80 + c);
+      const int os = hc + 1;  // one sentinel column per output row
+      // Analysis at every offset of the window.
+      for (int offset = 0; offset < taps; ++offset) {
         std::vector<int> ext_cols(cp + taps);
         for (int k = 0; k < cp + taps; ++k) {
-          ext_cols[k] = std::min(wrap_index(k - bank.analysis_offset, cp), c - 1);
+          ext_cols[k] = std::min(wrap_index(k - offset, cp), c - 1);
         }
-        const auto src = randv(src_rows * stride, 80 + cp + c);
-        const int os = hc + 1;
         std::vector<float> lo_ref(rows * os, 0.0f), hi_ref(rows * os, 0.0f);
         std::vector<float> e(cp + taps);
         for (int r = 0; r < rows; ++r) {
@@ -601,37 +629,77 @@ TEST(PlaneKernels, RowKernelsMatchPerRowReference) {
                                            bank.hp.data(), taps, &lo_ref[r * os],
                                            &hi_ref[r * os]);
         }
-        // Synthesis of the same rows, at both offset parities.
-        for (const int offset : {bank.synthesis_offset, bank.synthesis_offset + 1}) {
-          const int staps = bank.synth_taps();
-          const int yos = cp + 3;
-          std::vector<float> y_ref(rows * yos, 0.0f);
+        for (const simd::KernelSet* k : all_sets()) {
+          const std::string label = std::string(k->isa) +
+                                    " taps=" + std::to_string(taps) +
+                                    " c=" + std::to_string(c) +
+                                    " offset=" + std::to_string(offset);
+          std::vector<float> lo((rows + 1) * os, sentinel());
+          std::vector<float> hi((rows + 1) * os, sentinel());
+          k->analyze_rows(src.data(), stride, src_rows, rows, ext_cols.data(), hc,
+                          bank.lp.data(), bank.hp.data(), taps, lo.data(),
+                          hi.data(), os);
           for (int r = 0; r < rows; ++r) {
-            const std::vector<float> se = synthesis_ext(&lo_ref[r * os],
-                                                        &hi_ref[r * os], hc, staps,
-                                                        offset);
-            simd::dual_corr_decimate2_ileave_scalar(se.data(), hc, bank.ca.data(),
-                                                    bank.cb.data(), staps,
-                                                    &y_ref[r * yos]);
+            const auto row = [&](const std::vector<float>& v) {
+              return std::vector<float>(v.begin() + r * os, v.begin() + r * os + hc);
+            };
+            expect_bit_identical(row(lo_ref), row(lo), "analyze_rows lo " + label);
+            expect_bit_identical(row(hi_ref), row(hi), "analyze_rows hi " + label);
+            expect_sentinel(lo, r * os + hc, (r + 1) * os, "analyze_rows lo " + label);
+            expect_sentinel(hi, r * os + hc, (r + 1) * os, "analyze_rows hi " + label);
           }
-          for (const simd::KernelSet* k : all_sets()) {
-            const std::string label = std::string(k->isa) +
-                                      " taps=" + std::to_string(taps) +
-                                      " cp=" + std::to_string(cp) +
-                                      " c=" + std::to_string(c);
-            std::vector<float> lo(rows * os, 0.0f), hi(rows * os, 0.0f);
-            k->analyze_rows(src.data(), stride, src_rows, rows, ext_cols.data(), hc,
-                            bank.lp.data(), bank.hp.data(), taps, lo.data(),
-                            hi.data(), os);
-            expect_bit_identical(lo_ref, lo, "analyze_rows lo " + label);
-            expect_bit_identical(hi_ref, hi, "analyze_rows hi " + label);
-            std::vector<float> y(rows * yos, 0.0f);
-            k->synthesize_rows(lo_ref.data(), hi_ref.data(), os, rows, hc,
-                               bank.ca.data(), bank.cb.data(), staps, offset,
-                               y.data(), yos);
-            expect_bit_identical(y_ref, y,
-                                 "synthesize_rows " + label +
-                                     " offset=" + std::to_string(offset));
+          expect_sentinel(lo, rows * os, lo.size(), "analyze_rows lo " + label);
+          expect_sentinel(hi, rows * os, hi.size(), "analyze_rows hi " + label);
+        }
+      }
+      // Synthesis at every offset the contract allows (0..taps).
+      const int staps = bank.synth_taps();
+      const int halo = simd::synth_row_halo(staps);
+      const int guard = 3;  // sentinel columns beyond each halo
+      const int hs = hc + 2 * (halo + guard);
+      const int at = halo + guard;  // column 0 of a row
+      const auto lo_in = randv(rows * hc, 180 + c);
+      const auto hi_in = randv(rows * hc, 280 + c);
+      for (int offset = 0; offset <= staps; ++offset) {
+        const int yos = cp + 3;
+        std::vector<float> y_ref(rows * yos, sentinel());
+        for (int r = 0; r < rows; ++r) {
+          const std::vector<float> se = synthesis_ext(&lo_in[r * hc], &hi_in[r * hc],
+                                                      hc, staps, offset);
+          simd::dual_corr_decimate2_ileave_scalar(se.data(), hc, bank.ca.data(),
+                                                  bank.cb.data(), staps,
+                                                  &y_ref[r * yos]);
+        }
+        for (const simd::KernelSet* k : all_sets()) {
+          const std::string label = std::string(k->isa) +
+                                    " taps=" + std::to_string(staps) +
+                                    " c=" + std::to_string(c) +
+                                    " offset=" + std::to_string(offset);
+          std::vector<float> lo(rows * hs, sentinel()), hi(rows * hs, sentinel());
+          for (int r = 0; r < rows; ++r) {
+            std::copy_n(&lo_in[r * hc], hc, &lo[r * hs + at]);
+            std::copy_n(&hi_in[r * hc], hc, &hi[r * hs + at]);
+          }
+          std::vector<float> y((rows + 1) * yos, sentinel());
+          k->synthesize_rows(lo.data() + at, hi.data() + at, hs, rows, hc,
+                             bank.ca.data(), bank.cb.data(), staps, offset,
+                             y.data(), yos);
+          expect_bit_identical(y_ref, std::vector<float>(y.begin(), y.begin() + rows * yos),
+                               "synthesize_rows " + label);
+          expect_sentinel(y, rows * yos, y.size(), "synthesize_rows out " + label);
+          for (int r = 0; r < rows; ++r) {
+            expect_sentinel(y, r * yos + cp, (r + 1) * yos, "synthesize_rows out " + label);
+            for (const auto& [plane, in] : {std::pair{&lo, &lo_in}, std::pair{&hi, &hi_in}}) {
+              const std::size_t row = static_cast<std::size_t>(r) * hs;
+              expect_sentinel(*plane, row, row + guard, "synthesize_rows halo " + label);
+              expect_sentinel(*plane, row + at + hc + halo, row + hs,
+                              "synthesize_rows halo " + label);
+              expect_bit_identical(
+                  std::vector<float>(in->begin() + r * hc, in->begin() + (r + 1) * hc),
+                  std::vector<float>(plane->begin() + row + at,
+                                     plane->begin() + row + at + hc),
+                  "synthesize_rows input " + label);
+            }
           }
         }
       }

@@ -9,10 +9,12 @@
 // break-point move at small frames) hold.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <vector>
 
 #include "src/hw/driver.h"
+#include "src/sched/adaptive.h"
 #include "src/sched/fleet.h"
 #include "src/sched/pipeline.h"
 #include "src/sched/streaming.h"
@@ -357,6 +359,76 @@ TEST(Streaming, PsSlicingIsDeterministicAndPreservesTotals) {
   // Zero and negative durations contribute nothing.
   sched::detail::append_sliced_ps(&ops, 0, SimDuration::zero());
   EXPECT_EQ(ops.size(), 4u);
+}
+
+// A one-entry spill_ops list stands for every frame's spill. A saturated
+// cross-frame stream set whose spill fires must schedule bit for bit the
+// same with one shared list as with a copy per frame: every frame outcome,
+// every busy total and every timeline event.
+TEST(Streaming, SharedSpillListMatchesPerFrameCopies) {
+  std::vector<sched::detail::StreamingStreamInput> per_frame;
+  for (int s = 0; s < 3; ++s) {
+    const sched::RunConfig run = streaming_config({32, 24}, 6, 4);
+    sched::BatchedFpgaBackend backend(run);
+    backend.enable_stream_trace();
+    sched::detail::measure_frames(backend, run.fuse,
+                                  sched::make_sweep_frames(run.frame_size, run.frames));
+    sched::detail::StreamingStreamInput in;
+    in.frame_ops = backend.take_stream_trace();
+    in.period = SimDuration::milliseconds(2);
+    for (int f = 0; f < run.frames; ++f) {
+      in.arrivals.push_back(in.period * static_cast<double>(f) +
+                            SimDuration::milliseconds(0.25 * s));
+    }
+    std::array<sched::detail::FleetStageCost, 4> spill;
+    for (int g = 0; g < 4; ++g) {
+      spill[g].ps = SimDuration::milliseconds(0.5 + g);
+    }
+    in.spill_ops.assign(in.frame_ops.size(), sched::detail::stage_cost_ops(spill));
+    in.engine = run.engine;
+    in.costs = run.driver_costs;
+    in.sg_chain_len = run.batching.sg_chain_len;
+    per_frame.push_back(std::move(in));
+  }
+  std::vector<sched::detail::StreamingStreamInput> shared = per_frame;
+  for (auto& in : shared) in.spill_ops.resize(1);
+
+  auto schedule = [](const std::vector<sched::detail::StreamingStreamInput>& in) {
+    return sched::detail::schedule_streaming(in, /*cores=*/2, /*engines=*/1,
+                                             /*pipeline_depth=*/4,
+                                             /*steal_engines=*/false,
+                                             /*spill_wait_frac=*/0.5);
+  };
+  const sched::detail::FleetSchedule a = schedule(per_frame);
+  const sched::detail::FleetSchedule b = schedule(shared);
+  auto same = [](SimDuration x, SimDuration y) {
+    const double dx = x.sec(), dy = y.sec();
+    return std::memcmp(&dx, &dy, sizeof(double)) == 0;
+  };
+  int spilled = 0;
+  ASSERT_EQ(a.frames.size(), b.frames.size());
+  for (std::size_t s = 0; s < a.frames.size(); ++s) {
+    ASSERT_EQ(a.frames[s].size(), b.frames[s].size());
+    for (std::size_t f = 0; f < a.frames[s].size(); ++f) {
+      const sched::detail::FleetFrameOutcome& x = a.frames[s][f];
+      const sched::detail::FleetFrameOutcome& y = b.frames[s][f];
+      EXPECT_EQ(x.dropped, y.dropped) << s << "/" << f;
+      EXPECT_EQ(x.spilled, y.spilled) << s << "/" << f;
+      EXPECT_TRUE(same(x.completion, y.completion)) << s << "/" << f;
+      EXPECT_TRUE(same(x.latency, y.latency)) << s << "/" << f;
+      spilled += x.spilled;
+    }
+    EXPECT_TRUE(same(a.stream_ps_busy[s], b.stream_ps_busy[s])) << s;
+    EXPECT_TRUE(same(a.stream_pl_busy[s], b.stream_pl_busy[s])) << s;
+  }
+  EXPECT_GT(spilled, 0);
+  ASSERT_EQ(a.timeline.events().size(), b.timeline.events().size());
+  for (std::size_t i = 0; i < a.timeline.events().size(); ++i) {
+    const Timeline::Event& x = a.timeline.events()[i];
+    const Timeline::Event& y = b.timeline.events()[i];
+    EXPECT_EQ(x.resource, y.resource) << i;
+    EXPECT_TRUE(same(x.start, y.start) && same(x.end, y.end)) << i;
+  }
 }
 
 }  // namespace
