@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
   for (int threshold : {0, 24, 36, 44, 64, 96, 1 << 20}) {
     sched::RunConfig run = base;
     run.adaptive_threshold_samples = threshold;
-    sched::AdaptiveBackend backend(run);  // concrete: router stats below
+    // Concrete: router stats below.
+    sched::FpgaBackend backend(run, sched::BackendKind::kAdaptive);
     const auto r = probe_backend(backend, {88, 72}, options.frames);
     const std::string label =
         threshold >= (1 << 20) ? "inf (all NEON)" : std::to_string(threshold);

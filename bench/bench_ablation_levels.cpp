@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
     const auto arm = sched::make_backend(EngineChoice::kArm, run);
     const auto neon = sched::make_backend(EngineChoice::kNeon, run);
     const auto fpga = sched::make_backend(EngineChoice::kFpga, run);
-    sched::AdaptiveBackend adaptive(run);  // concrete: router stats below
+    // Concrete: router stats below.
+    sched::FpgaBackend adaptive(run, sched::BackendKind::kAdaptive);
     const auto ra = probe_backend(*arm, {88, 72}, options.frames, config);
     const auto rn = probe_backend(*neon, {88, 72}, options.frames, config);
     const auto rf = probe_backend(*fpga, {88, 72}, options.frames, config);

@@ -99,10 +99,13 @@ int main(int argc, char** argv) {
     for (EngineChoice choice : engines) {
       // One overlapped run per cell: run_pipelined also reports the additive
       // serial total, so the serial row needs no second fusion pass.
+      sched::RunConfig piped_cfg;  // stage-granular overlap, 4 frames in flight
+      piped_cfg.frame_size = size;
+      piped_cfg.frames = options.frames;
       sched::PipelineRunResult piped;
       double serial_mj_frame = 0.0;
       with_backend(choice, config, [&](sched::TransformBackend& b) {
-        piped = sched::probe_pipelined(b, size, options.frames);
+        piped = sched::probe_pipelined(b, piped_cfg);
         serial_mj_frame = power::PowerModel().energy_mj(b.compute_mode(),
                                                         piped.serial_total) /
                           options.frames;
@@ -146,8 +149,11 @@ int main(int argc, char** argv) {
                    "sustained fps"});
   json::Value jdepth = json::Value::array();
   for (int frames : {1, 2, 4, 8, options.frames}) {
+    sched::RunConfig piped_cfg;
+    piped_cfg.frame_size = {88, 72};
+    piped_cfg.frames = frames;
     sched::BatchedFpgaBackend backend(config);
-    const auto piped = sched::probe_pipelined(backend, {88, 72}, frames);
+    const auto piped = sched::probe_pipelined(backend, piped_cfg);
     depth.add_row({std::to_string(frames),
                    TextTable::num(piped.serial_total.sec(), 3),
                    TextTable::num(piped.makespan.sec(), 3),

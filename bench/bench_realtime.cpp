@@ -38,9 +38,11 @@ int main(int argc, char** argv) {
     double fps[4] = {};
     for (int i = 0; i < 4; ++i) {
       if (options.pipeline) {
+        sched::RunConfig piped;  // stage-granular overlap, 4 frames in flight
+        piped.frame_size = size;
+        piped.frames = config.frames;
         with_backend(engines[i], config, [&](sched::TransformBackend& backend) {
-          fps[i] = sched::probe_pipelined(backend, size, config.frames)
-                       .sustained_fps;
+          fps[i] = sched::probe_pipelined(backend, piped).sustained_fps;
         });
       } else {
         const auto r = run_probe(engines[i], size, config);

@@ -138,17 +138,6 @@ void CpuTimedFilter::account_select(int n) {
 
 // --- FPGA backend -----------------------------------------------------------
 
-namespace {
-
-using hw::cost::engine_compute_cycles;
-
-void check_engine_fit(const driver::WaveletAccelerator& accel, int taps,
-                      bool synthesis) {
-  detail::check_engine_fit(accel.engine(), taps, synthesis);
-}
-
-}  // namespace
-
 namespace detail {
 
 // A bank only runs on the engine if its coefficients fit the shift-register
@@ -170,115 +159,65 @@ void check_engine_fit(const hw::WaveletEngineConfig& engine, int taps,
 
 }  // namespace detail
 
-class FpgaBackend::Filter : public dwt::LineFilter {
- public:
-  Filter(FpgaBackend* owner, driver::WaveletAccelerator* accel)
-      : owner_(owner), accel_(accel), cpu_(arm_cost_model()) {}
-
-  // The engine-fit check lives in accounting: it depends only on the request
-  // shape, and accounting sees every request exactly once, in order — so the
-  // refusal fires at any pool width for unfittable banks.
-  void account_analyze(int out_len, int taps) override {
-    check_engine_fit(*accel_, taps, /*synthesis=*/false);
-    owner_->charge(accel_->line_time(
-        2 * out_len + taps, 2 * out_len,
-        engine_compute_cycles(out_len, accel_->engine().slots)));
-    owner_->note_pl(accel_->last_line_pl_time());
-  }
-
-  void account_synthesize(int pairs, int taps) override {
-    check_engine_fit(*accel_, taps, /*synthesis=*/true);
-    owner_->charge(accel_->line_time(
-        2 * pairs + taps, 2 * pairs,
-        engine_compute_cycles(pairs, accel_->engine().slots)));
-    owner_->note_pl(accel_->last_line_pl_time());
-  }
-
-  void account_magnitude(int n) override {
-    owner_->charge(hw::ps_clock().cycles(cpu_.magnitude_cycles_per_sample * n));
-  }
-
-  void account_select(int n) override {
-    owner_->charge(hw::ps_clock().cycles(cpu_.select_cycles_per_sample * n));
-  }
-
- private:
-  FpgaBackend* owner_;
-  driver::WaveletAccelerator* accel_;
-  CpuCostModel cpu_;
-};
-
-FpgaBackend::FpgaBackend(const RunConfig& config)
-    : TransformBackend(config.host),
-      accel_(config.engine, config.driver_costs),
-      filter_(std::make_unique<Filter>(this, &accel_)) {}
-
-FpgaBackend::~FpgaBackend() = default;
-
-dwt::LineFilter& FpgaBackend::line_filter() { return *filter_; }
-
-// --- adaptive backend -------------------------------------------------------
-
 // The router's per-line decision affects only modeled time (the NEON and FPGA
 // paths execute bit-identical numerics), so routing — including the router's
 // own line counters — lives entirely in accounting, where it runs serially in
-// canonical line order at any thread count.
-class AdaptiveBackend::Filter : public dwt::LineFilter {
+// canonical line order at any thread count. The engine-fit check lives there
+// too: it depends only on the request shape, and accounting sees every
+// request exactly once, in order — so the refusal fires at any pool width
+// for unfittable banks.
+class FpgaBackend::Filter : public detail::CpuTimedFilter {
  public:
-  Filter(AdaptiveBackend* owner, driver::WaveletAccelerator* accel,
+  Filter(FpgaBackend* owner, driver::WaveletAccelerator* accel,
          LineRouter* router)
-      : owner_(owner), accel_(accel), router_(router), neon_(neon_cost_model()) {}
+      : CpuTimedFilter(owner, neon_cost_model()), accel_(accel), router_(router) {}
 
   void account_analyze(int out_len, int taps) override {
     if (router_->use_fpga(2 * out_len + taps)) {
-      check_engine_fit(*accel_, taps, /*synthesis=*/false);
-      owner_->charge(accel_->line_time(
-          2 * out_len + taps, 2 * out_len,
-          engine_compute_cycles(out_len, accel_->engine().slots)));
-      owner_->note_pl(accel_->last_line_pl_time());
+      engine_line(2 * out_len + taps, 2 * out_len, out_len, taps, false);
     } else {
-      owner_->charge(
-          hw::ps_clock().cycles(neon_.analysis_line_cycles(2 * out_len, taps)));
+      CpuTimedFilter::account_analyze(out_len, taps);
     }
   }
 
   void account_synthesize(int pairs, int taps) override {
     if (router_->use_fpga(2 * pairs + taps)) {
-      check_engine_fit(*accel_, taps, /*synthesis=*/true);
-      owner_->charge(accel_->line_time(
-          2 * pairs + taps, 2 * pairs,
-          engine_compute_cycles(pairs, accel_->engine().slots)));
-      owner_->note_pl(accel_->last_line_pl_time());
+      engine_line(2 * pairs + taps, 2 * pairs, pairs, taps, true);
     } else {
-      owner_->charge(
-          hw::ps_clock().cycles(neon_.synthesis_line_cycles(2 * pairs, taps)));
+      CpuTimedFilter::account_synthesize(pairs, taps);
     }
   }
 
-  void account_magnitude(int n) override {
-    owner_->charge(hw::ps_clock().cycles(neon_.magnitude_cycles_per_sample * n));
-  }
-
-  void account_select(int n) override {
-    owner_->charge(hw::ps_clock().cycles(neon_.select_cycles_per_sample * n));
-  }
-
  private:
-  AdaptiveBackend* owner_;
+  void engine_line(int words_in, int words_out, int outputs, int taps,
+                   bool synthesis) {
+    detail::check_engine_fit(accel_->engine(), taps, synthesis);
+    owner_->charge(accel_->line_time(
+        words_in, words_out,
+        hw::cost::engine_compute_cycles(outputs, accel_->engine().slots)));
+    owner_->note_pl(accel_->last_line_pl_time());
+  }
+
   driver::WaveletAccelerator* accel_;
   LineRouter* router_;
-  CpuCostModel neon_;
 };
 
-AdaptiveBackend::AdaptiveBackend(const RunConfig& config)
+FpgaBackend::FpgaBackend(const RunConfig& config, BackendKind kind)
     : TransformBackend(config.host),
+      name_(backend_name(kind)),
       accel_(config.engine, config.driver_costs),
-      router_(config.adaptive_threshold_samples),
-      filter_(std::make_unique<Filter>(this, &accel_, &router_)) {}
+      router_(kind == BackendKind::kAdaptive ? config.adaptive_threshold_samples
+                                             : 0),
+      filter_(std::make_unique<Filter>(this, &accel_, &router_)) {
+  if (kind != BackendKind::kFpga && kind != BackendKind::kAdaptive) {
+    throw std::invalid_argument(std::string("FpgaBackend cannot model ") +
+                                name_);
+  }
+}
 
-AdaptiveBackend::~AdaptiveBackend() = default;
+FpgaBackend::~FpgaBackend() = default;
 
-dwt::LineFilter& AdaptiveBackend::line_filter() { return *filter_; }
+dwt::LineFilter& FpgaBackend::line_filter() { return *filter_; }
 
 // --- probing ----------------------------------------------------------------
 

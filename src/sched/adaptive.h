@@ -1,7 +1,9 @@
 // Engine scheduling on the modeled ZC702: the ARM / NEON / FPGA transform
-// backends, per-phase time accounting, and the adaptive per-line router the
-// paper's future-work section asks for ("an adaptive system that
-// intelligently selects between the NEON engine and the FPGA").
+// backends and per-phase time accounting. Adaptivity, which the paper's
+// future-work section asks for ("an adaptive system that intelligently
+// selects between the NEON engine and the FPGA"), is a routing policy of the
+// one serial FPGA backend (FpgaBackend's LineRouter), not a backend of its
+// own.
 //
 // A backend executes the *same* numerics as every other backend (fused
 // output is bit-identical across engines); what differs is the modeled time
@@ -94,7 +96,6 @@ class TransformBackend {
   void begin_frame() {
     times_ = {};
     pl_times_ = {};
-    on_begin_frame();
   }
   void set_phase(Phase p) {
     if (p != phase_) on_phase_exit(phase_);
@@ -129,7 +130,6 @@ class TransformBackend {
       : host_pool_(host::pool(host)) {}
   void ledger_add(Phase p, SimDuration d);
   void ledger_add_pl(Phase p, SimDuration d);
-  virtual void on_begin_frame() {}
   virtual void on_phase_exit(Phase old_phase) { (void)old_phase; }
 
  private:
@@ -150,7 +150,9 @@ void check_engine_fit(const hw::WaveletEngineConfig& engine, int taps,
 // Charges CPU-model time per line; numerics come from the dispatch set
 // (LineFilter::kernels() default), which is bit-identical across flavours —
 // the *model* constants, not the host instruction set, decide what the
-// backend represents (ARM vs NEON).
+// backend represents (ARM vs NEON). The serial FPGA backend's filter derives
+// from it: lines its router keeps off the engine, and the fusion rule, run
+// on the PS at the NEON model's rates.
 class CpuTimedFilter : public dwt::LineFilter {
  public:
   CpuTimedFilter(TransformBackend* owner, CpuCostModel model)
@@ -161,8 +163,10 @@ class CpuTimedFilter : public dwt::LineFilter {
   void account_magnitude(int n) override;
   void account_select(int n) override;
 
- private:
+ protected:
   TransformBackend* owner_;
+
+ private:
   CpuCostModel model_;
 };
 }  // namespace detail
@@ -197,25 +201,6 @@ class NeonBackend : public TransformBackend {
   detail::CpuTimedFilter filter_;
 };
 
-class FpgaBackend : public TransformBackend {
- public:
-  FpgaBackend() : FpgaBackend(RunConfig{}) {}
-  explicit FpgaBackend(const RunConfig& config);
-  ~FpgaBackend() override;
-  const char* name() const override { return "FPGA"; }
-  power::ComputeMode compute_mode() const override {
-    return power::ComputeMode::kArmFpga;
-  }
-  dwt::LineFilter& line_filter() override;
-
-  const driver::WaveletAccelerator& accelerator() const { return accel_; }
-
- private:
-  class Filter;
-  driver::WaveletAccelerator accel_;
-  std::unique_ptr<Filter> filter_;
-};
-
 // Per-line NEON/FPGA routing decision + statistics.
 class LineRouter {
  public:
@@ -229,7 +214,6 @@ class LineRouter {
     return fpga;
   }
 
-  int threshold_samples() const { return threshold_; }
   long long lines_on_fpga() const { return fpga_lines_; }
   long long lines_on_simd() const { return simd_lines_; }
 
@@ -239,13 +223,23 @@ class LineRouter {
   long long simd_lines_ = 0;
 };
 
-class AdaptiveBackend : public TransformBackend {
+// The serial-driver FPGA engine (one driver call per line on the
+// WaveletAccelerator, the paper's calibrated Fig. 9/10 model), with a
+// LineRouter choosing the engine per line: a line request shorter than the
+// threshold runs on the NEON cost model instead. Threshold 0 routes every
+// line to the engine (the paper's static ARM+FPGA configuration,
+// make_backend(kFpga)); make_backend(kAdaptive) uses
+// RunConfig::adaptive_threshold_samples. The fusion rule runs on the PS at
+// scalar rates either way.
+class FpgaBackend : public TransformBackend {
  public:
-  AdaptiveBackend() : AdaptiveBackend(RunConfig{}) {}
-  explicit AdaptiveBackend(const RunConfig& config);
-  ~AdaptiveBackend() override;
-
-  const char* name() const override { return "Adaptive"; }
+  FpgaBackend() : FpgaBackend(RunConfig{}) {}
+  // `kind` is BackendKind::kFpga or BackendKind::kAdaptive; anything else
+  // throws std::invalid_argument.
+  explicit FpgaBackend(const RunConfig& config,
+                       BackendKind kind = BackendKind::kFpga);
+  ~FpgaBackend() override;
+  const char* name() const override { return name_; }
   power::ComputeMode compute_mode() const override {
     return power::ComputeMode::kArmFpga;  // bitstream stays loaded
   }
@@ -256,6 +250,7 @@ class AdaptiveBackend : public TransformBackend {
 
  private:
   class Filter;
+  const char* name_;
   driver::WaveletAccelerator accel_;
   LineRouter router_;
   std::unique_ptr<Filter> filter_;

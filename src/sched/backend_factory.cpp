@@ -34,7 +34,7 @@ std::unique_ptr<TransformBackend> make_backend(BackendKind kind,
     case BackendKind::kFpgaBatched:
       return std::make_unique<BatchedFpgaBackend>(config);
     case BackendKind::kAdaptive:
-      return std::make_unique<AdaptiveBackend>(config);
+      return std::make_unique<FpgaBackend>(config, BackendKind::kAdaptive);
   }
   return nullptr;
 }

@@ -21,6 +21,21 @@ constexpr const char* kStageLabels[4] = {"prep", "fwd", "fus", "inv"};
 
 SimDuration max_of(SimDuration a, SimDuration b) { return a > b ? a : b; }
 
+SimDuration clamp_nonneg(SimDuration d) {
+  return d > SimDuration::zero() ? d : SimDuration::zero();
+}
+
+// A frame's stage times split into the work the PS core must execute and
+// the PL-resident remainder it may overlap.
+std::array<FleetStageCost, 4> split_stage_costs(const FrameRunResult& r) {
+  return {{
+      {clamp_nonneg(r.times.prep - r.pl_times.prep), r.pl_times.prep},
+      {clamp_nonneg(r.times.forward - r.pl_times.forward), r.pl_times.forward},
+      {clamp_nonneg(r.times.fusion - r.pl_times.fusion), r.pl_times.fusion},
+      {clamp_nonneg(r.times.inverse - r.pl_times.inverse), r.pl_times.inverse},
+  }};
+}
+
 }  // namespace
 
 FleetSchedule schedule_fleet(const std::vector<FleetStreamInput>& streams,
@@ -237,22 +252,70 @@ FleetEnergy integrate_fleet_energy(const Timeline& timeline,
   return energy;
 }
 
+SimDuration measure_stream(TransformBackend& backend,
+                           const fusion::FuseConfig& fuse,
+                           const std::vector<FramePair>& frames,
+                           FleetStreamInput* in, StreamingStreamInput* streaming) {
+  BatchedFpgaBackend* traced =
+      streaming ? dynamic_cast<BatchedFpgaBackend*>(&backend) : nullptr;
+  if (traced) traced->enable_stream_trace();
+  SimDuration serial_total;
+  in->cost.reserve(frames.size());
+  for (const FrameRunResult& r : measure_frames(backend, fuse, frames)) {
+    serial_total += r.times.total();
+    in->cost.push_back(split_stage_costs(r));
+  }
+  if (!streaming) return serial_total;
+  streaming->arrivals = in->arrivals;
+  streaming->period = in->period;
+  streaming->queue_depth = in->queue_depth;
+  streaming->home_engine = in->home_engine;
+  if (traced) {
+    streaming->frame_ops = traced->take_stream_trace();
+    streaming->engine = traced->accelerator().engine();
+    streaming->costs = traced->accelerator().costs();
+    streaming->sg_chain_len = traced->accelerator().batching().sg_chain_len;
+  } else {
+    // CPU backends and the serial FPGA replay their stage-granular costs as
+    // sliced ops on the same scheduler.
+    streaming->frame_ops.reserve(in->cost.size());
+    for (const auto& c : in->cost) {
+      streaming->frame_ops.push_back(stage_cost_ops(c));
+    }
+  }
+  return serial_total;
+}
+
+FleetSchedule schedule_streams(const FleetConfig& fleet,
+                               const std::vector<FleetStreamInput>& stage,
+                               const std::vector<StreamingStreamInput>& streaming,
+                               power::ComputeMode mode, FleetResult* totals) {
+  FleetSchedule sched =
+      fleet.cross_frame
+          ? schedule_streaming(streaming, fleet.cores, fleet.engines,
+                               fleet.pipeline_depth, fleet.steal_engines,
+                               fleet.spill_wait_frac)
+          : schedule_fleet(stage, fleet.cores, fleet.engines,
+                           fleet.pipeline_depth, fleet.steal_engines,
+                           fleet.spill_wait_frac);
+  totals->makespan = sched.timeline.makespan();
+  for (const ResourceId core : sched.cores) {
+    totals->ps_busy += sched.timeline.busy_time(core);
+  }
+  // The DMA channels (the streaming replay's only) count as PL time and gate
+  // the PL draw too.
+  std::vector<ResourceId> pl_side = sched.engines;
+  pl_side.insert(pl_side.end(), sched.dmas.begin(), sched.dmas.end());
+  for (const ResourceId r : pl_side) totals->pl_busy += sched.timeline.busy_time(r);
+  const FleetEnergy energy = integrate_fleet_energy(sched.timeline, pl_side, mode);
+  totals->energy_mj = energy.loaded_mj;
+  totals->energy_gated_mj = energy.gated_mj;
+  return sched;
+}
+
 }  // namespace detail
 
 namespace {
-
-SimDuration clamp_nonneg(SimDuration d) {
-  return d > SimDuration::zero() ? d : SimDuration::zero();
-}
-
-std::array<detail::FleetStageCost, 4> split_stage_costs(const FrameRunResult& r) {
-  return {{
-      {clamp_nonneg(r.times.prep - r.pl_times.prep), r.pl_times.prep},
-      {clamp_nonneg(r.times.forward - r.pl_times.forward), r.pl_times.forward},
-      {clamp_nonneg(r.times.fusion - r.pl_times.fusion), r.pl_times.fusion},
-      {clamp_nonneg(r.times.inverse - r.pl_times.inverse), r.pl_times.inverse},
-  }};
-}
 
 // Nearest-rank percentile over an ascending-sorted latency list.
 SimDuration percentile(const std::vector<SimDuration>& sorted, double q) {
@@ -274,15 +337,24 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
                       const FleetConfig& fleet) {
   // Validate the whole configuration before any stream does work. The
   // engine count must fit the part: the Table-I model says how many
-  // instances of this datapath the xc7z020 holds. Modeling engines the
-  // fabric cannot carry would produce plausible-looking nonsense, so refuse
-  // (same policy as detail::check_engine_fit).
-  const hw::ResourceUsage per_engine =
-      fleet.fixed_point_engines
-          ? hw::estimate_engine_resources_fixed(fleet.engine_config,
-                                                hw::FixedPointFormat{})
-          : hw::estimate_engine_resources(fleet.engine_config);
-  const int fit = hw::max_engine_instances(hw::DevicePart{}, per_engine);
+  // instances of the largest engine the PL streams model the xc7z020 holds
+  // (the default engine when no stream uses the PL, since every engine is
+  // still laid out). Modeling engines the fabric cannot carry would produce
+  // plausible-looking nonsense, so refuse (same policy as
+  // detail::check_engine_fit).
+  const auto instances = [&](const hw::WaveletEngineConfig& engine) {
+    return hw::max_engine_instances(
+        hw::DevicePart{},
+        fleet.fixed_point_engines
+            ? hw::estimate_engine_resources_fixed(engine, hw::FixedPointFormat{})
+            : hw::estimate_engine_resources(engine));
+  };
+  int fit = std::numeric_limits<int>::max();
+  for (const StreamConfig& sc : streams) {
+    if (sc.backend == BackendKind::kArm || sc.backend == BackendKind::kNeon) continue;
+    fit = std::min(fit, instances(sc.run.engine));
+  }
+  if (fit == std::numeric_limits<int>::max()) fit = instances(hw::WaveletEngineConfig{});
   if (fleet.engines < 1 || fleet.engines > fit) {
     throw std::invalid_argument(
         std::to_string(fleet.engines) + " PL engine(s) requested but the " +
@@ -299,17 +371,12 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
     }
   }
 
-  // Pass 1, per stream: numerics and the in-order accounting replay through
-  // the stream's factory-built backend (detail::measure_frames, exactly
-  // run_pipelined's measurement pass); per-frame stage costs split into the
-  // PS-resident part and the PL remainder. The NEON spill costs are
-  // shape-only, so one probed frame covers the whole stream.
+  // Pass 1, per stream: detail::measure_stream through the stream's
+  // factory-built backend (exactly run_pipelined's measurement pass). The
+  // NEON spill costs are shape-only, so one probed frame covers the whole
+  // stream.
   std::vector<detail::FleetStreamInput> inputs;
   inputs.reserve(streams.size());
-  // Cross-frame streaming: per-stream op lists for the batch-granular
-  // replay. Batched-FPGA streams record their op stream during pass 1;
-  // everything else (CPU backends, serial FPGA, adaptive) replays its
-  // stage-granular costs as sliced ops on the same scheduler.
   std::vector<detail::StreamingStreamInput> sinputs;
   if (fleet.cross_frame) sinputs.reserve(streams.size());
   power::ComputeMode mode = power::ComputeMode::kArmOnly;
@@ -343,11 +410,6 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
     const std::unique_ptr<TransformBackend> backend =
         make_backend(sc.backend, sc.run);
     mode = max_mode(mode, backend->compute_mode());
-    BatchedFpgaBackend* traced = nullptr;
-    if (fleet.cross_frame) {
-      traced = dynamic_cast<BatchedFpgaBackend*>(backend.get());
-      if (traced) traced->enable_stream_trace();
-    }
     auto window = std::find_if(windows.begin(), windows.end(), [&](const SweepWindow& w) {
       return w.size.width == sc.run.frame_size.width &&
              w.size.height == sc.run.frame_size.height && w.frames == frames;
@@ -358,11 +420,9 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
       window = windows.end() - 1;
     }
     const std::vector<FramePair>& pairs = window->pairs;
-    in.cost.reserve(pairs.size());
-    for (const FrameRunResult& r :
-         detail::measure_frames(*backend, sc.run.fuse, pairs)) {
-      in.cost.push_back(split_stage_costs(r));
-    }
+    detail::StreamingStreamInput sin;
+    detail::measure_stream(*backend, sc.run.fuse, pairs, &in,
+                           fleet.cross_frame ? &sin : nullptr);
 
     const bool cpu_stream = sc.backend == BackendKind::kArm ||
                             sc.backend == BackendKind::kNeon;
@@ -370,28 +430,12 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
       const std::unique_ptr<TransformBackend> neon =
           make_backend(BackendKind::kNeon, sc.run);
       TimedFusionRunner neon_runner(*neon, sc.run.fuse);
-      const auto probe = split_stage_costs(
+      const auto probe = detail::split_stage_costs(
           neon_runner.run_frame_pair(pairs[0].visible, pairs[0].thermal));
       in.spill_cost.assign(static_cast<std::size_t>(frames), probe);
     }
 
     if (fleet.cross_frame) {
-      detail::StreamingStreamInput sin;
-      sin.arrivals = in.arrivals;
-      sin.period = in.period;
-      sin.queue_depth = in.queue_depth;
-      sin.home_engine = in.home_engine;
-      sin.engine = sc.run.engine;
-      sin.costs = sc.run.driver_costs;
-      sin.sg_chain_len = sc.run.batching.sg_chain_len;
-      if (traced) {
-        sin.frame_ops = traced->take_stream_trace();
-      } else {
-        sin.frame_ops.reserve(in.cost.size());
-        for (const auto& c : in.cost) {
-          sin.frame_ops.push_back(detail::stage_cost_ops(c));
-        }
-      }
       sin.spill_ops.reserve(in.spill_cost.size());
       for (const auto& c : in.spill_cost) {
         sin.spill_ops.push_back(detail::stage_cost_ops(c));
@@ -401,34 +445,9 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
     inputs.push_back(std::move(in));
   }
 
-  detail::FleetSchedule sched =
-      fleet.cross_frame
-          ? detail::schedule_streaming(sinputs, fleet.cores, fleet.engines,
-                                       fleet.pipeline_depth, fleet.steal_engines,
-                                       fleet.spill_wait_frac)
-          : detail::schedule_fleet(inputs, fleet.cores, fleet.engines,
-                                   fleet.pipeline_depth, fleet.steal_engines,
-                                   fleet.spill_wait_frac);
-
   FleetResult result;
-  result.makespan = sched.timeline.makespan();
-  for (const ResourceId core : sched.cores) {
-    result.ps_busy += sched.timeline.busy_time(core);
-  }
-  for (const ResourceId engine : sched.engines) {
-    result.pl_busy += sched.timeline.busy_time(engine);
-  }
-  for (const ResourceId dma : sched.dmas) {
-    result.pl_busy += sched.timeline.busy_time(dma);
-  }
-  // The DMA channels gate the PL draw too (empty on the legacy path, so
-  // its energy integral is unchanged).
-  std::vector<ResourceId> pl_side = sched.engines;
-  pl_side.insert(pl_side.end(), sched.dmas.begin(), sched.dmas.end());
-  const detail::FleetEnergy energy =
-      detail::integrate_fleet_energy(sched.timeline, pl_side, mode);
-  result.energy_mj = energy.loaded_mj;
-  result.energy_gated_mj = energy.gated_mj;
+  const detail::FleetSchedule sched =
+      detail::schedule_streams(fleet, inputs, sinputs, mode, &result);
 
   const SimDuration total_busy = result.ps_busy + result.pl_busy;
   result.streams.reserve(streams.size());

@@ -13,9 +13,13 @@
 // engine wait exceeds a fraction of its frame period spills the frame to
 // the NEON cost model instead of queueing on the PL.
 //
-// The same event-driven core schedules sched::run_pipelined's overlapped
-// path, so a 1-stream fleet at camera-rate-0 reproduces run_pipelined
-// bit-for-bit (tests/test_fleet.cpp locks makespan and energy equality).
+// sched::run_pipelined is this fleet with one stream in batch mode (every
+// frame ready at t=0, unbounded queue, one core, one engine): it measures
+// its frames with detail::measure_stream and schedules them with
+// detail::schedule_streams, the two steps run_fleet runs per stream and per
+// fleet, so a 1-stream fleet at camera-rate-0 reproduces run_pipelined
+// bit-for-bit (tests/test_fleet.cpp and tests/test_streaming.cpp lock
+// makespan and energy equality).
 //
 // Everything is modeled and deterministic: stage costs come from the same
 // per-frame PS/PL-split ledgers as run_pipelined, the dispatch order is a
@@ -66,10 +70,10 @@ struct FleetConfig {
   double spill_wait_frac = 0.0;
   // Resource model used to validate `engines` against the part: the paper's
   // float32 datapath (one instance fits) or the Q2.16 fixed-point datapath
-  // (about seven fit). run_fleet throws std::invalid_argument on an
-  // impossible count.
+  // (about seven fit), at the largest footprint among the PL streams'
+  // RunConfig::engine (the default engine if no stream uses the PL).
+  // run_fleet throws std::invalid_argument on an impossible count.
   bool fixed_point_engines = false;
-  hw::WaveletEngineConfig engine_config;  // per-instance resource footprint
   // Cross-frame line streaming (ISSUE 9): replay every stream through
   // schedule_streaming — batched-FPGA streams at captured batch granularity
   // (an engine slot switching streams keeps its ping-pong buffer state
@@ -120,7 +124,8 @@ struct FleetResult {
 // event-driven dispatch of every stage onto the shared cores/engines, then
 // stats + energy integration. Deterministic at any --threads. Throws
 // std::invalid_argument, before any stream does work, when `fleet.engines`
-// does not fit the part or a paced stream's jitter_frac is outside [0, 1).
+// instances of the largest PL stream engine do not fit the part or a paced
+// stream's jitter_frac is outside [0, 1).
 FleetResult run_fleet(const std::vector<StreamConfig>& streams,
                       const FleetConfig& fleet = {});
 
@@ -177,12 +182,35 @@ struct FleetEnergy {
   double gated_mj = 0.0;
 };
 
-// Shared energy integration (bit-identical between run_fleet and
-// run_pipelined): `mode` power over the whole makespan (loaded), and with
-// the engine draw gated to the merged busy intervals of `engines`.
+// Shared energy integration: `mode` power over the whole makespan (loaded),
+// and with the engine draw gated to the merged busy intervals of `engines`.
 FleetEnergy integrate_fleet_energy(const Timeline& timeline,
                                    const std::vector<ResourceId>& engines,
                                    power::ComputeMode mode);
+
+struct StreamingStreamInput;  // src/sched/streaming.h
+
+// Pass 1 of one stream (run_pipelined, and each run_fleet stream):
+// measure_frames through `backend`, each frame's stage times split into the
+// PS-resident part and the PL remainder (`in->cost`). With `streaming` set,
+// also fills it with `in`'s admission fields and, per frame, the batch
+// stream a BatchedFpgaBackend captures during the pass (with its engine,
+// driver costs and chain length) or, for any other backend, the stage costs
+// as sliced ops. Returns the additive ledger total.
+SimDuration measure_stream(TransformBackend& backend,
+                           const fusion::FuseConfig& fuse,
+                           const std::vector<FramePair>& frames,
+                           FleetStreamInput* in, StreamingStreamInput* streaming);
+
+// Pass 2 of run_pipelined and run_fleet: schedule_streaming over
+// `streaming` when fleet.cross_frame, else schedule_fleet over `stage`.
+// Sets `totals`' makespan, busy times and energy (in `mode`; PL time and
+// the gated draw cover the engines and the DMA channels) and returns the
+// schedule.
+FleetSchedule schedule_streams(const FleetConfig& fleet,
+                               const std::vector<FleetStreamInput>& stage,
+                               const std::vector<StreamingStreamInput>& streaming,
+                               power::ComputeMode mode, FleetResult* totals);
 
 }  // namespace detail
 

@@ -1,13 +1,8 @@
 #include "src/sched/pipeline.h"
 
-#include <algorithm>
-#include <array>
-
 #include "src/hw/clock.h"
 #include "src/hw/cost_constants.h"
-#include "src/power/recorder.h"
 #include "src/sched/fleet.h"
-#include "src/simd/kernels.h"
 
 namespace vf::sched {
 
@@ -155,132 +150,65 @@ void BatchedFpgaBackend::sync(Phase charge_to) {
 
 // --- frame-level pipelining -------------------------------------------------
 
-namespace {
-
-struct StageCost {
-  SimDuration ps, pl;
-  const char* label;
-};
-
-SimDuration clamp_nonneg(SimDuration d) {
-  return d > SimDuration::zero() ? d : SimDuration::zero();
-}
-
-}  // namespace
-
 PipelineRunResult run_pipelined(TransformBackend& backend,
                                 const std::vector<FramePair>& frames,
-                                const PipelineOptions& options) {
+                                const RunConfig& config) {
   PipelineRunResult result;
   result.frames = static_cast<int>(frames.size());
+  const bool overlap = config.pipeline_depth > 1;
+
+  // The overlapped schedule is a one-stream fleet in batch mode: every frame
+  // ready at t=0, an unbounded queue, one PS core and one engine slot. Only
+  // a BatchedFpgaBackend records a batch stream to replay across frames;
+  // every other backend keeps the stage-granular overlap.
+  FleetConfig fleet;  // one engine, no spill by default
+  fleet.cores = 1;
+  fleet.pipeline_depth = config.pipeline_depth;
+  fleet.cross_frame = overlap && config.cross_frame &&
+                      dynamic_cast<BatchedFpgaBackend*>(&backend) != nullptr;
 
   // Pass 1: numerics (fanned out over the host pool, one frame at a time per
-  // thread) and the in-order accounting replay overlapped with them, giving
-  // per-frame stage costs split into the work the PS core must execute and
-  // the PL-resident remainder it may overlap.
-  //
-  // Cross-frame streaming (ISSUE 9) records each frame's op stream during
-  // this same pass; backends without a batch trace fall back to the legacy
-  // stage-granular overlap silently.
-  constexpr int kStages = 4;
-  BatchedFpgaBackend* streaming_backend = nullptr;
-  if (options.overlap && options.cross_frame) {
-    streaming_backend = dynamic_cast<BatchedFpgaBackend*>(&backend);
-    if (streaming_backend) streaming_backend->enable_stream_trace();
-  }
-  std::vector<std::array<StageCost, kStages>> cost;
-  cost.reserve(frames.size());
-  for (const FrameRunResult& r :
-       detail::measure_frames(backend, options.fuse, frames)) {
-    result.serial_total += r.times.total();
-    cost.push_back({{
-        {clamp_nonneg(r.times.prep - r.pl_times.prep), r.pl_times.prep, "prep"},
-        {clamp_nonneg(r.times.forward - r.pl_times.forward), r.pl_times.forward,
-         "fwd"},
-        {clamp_nonneg(r.times.fusion - r.pl_times.fusion), r.pl_times.fusion,
-         "fus"},
-        {clamp_nonneg(r.times.inverse - r.pl_times.inverse), r.pl_times.inverse,
-         "inv"},
-    }});
-  }
+  // thread) and the in-order accounting replay overlapped with them.
+  std::vector<detail::FleetStreamInput> stage(1);
+  stage[0].arrivals.assign(frames.size(), SimDuration::zero());
+  std::vector<detail::StreamingStreamInput> streaming(fleet.cross_frame ? 1 : 0);
+  result.serial_total = detail::measure_stream(
+      backend, config.fuse, frames, &stage[0],
+      fleet.cross_frame ? &streaming[0] : nullptr);
 
-  // Pass 2: re-schedule the stages on a fresh timeline. The PS part of a
-  // stage (driver calls, fusion rule, prep) runs on the PS core; the PL part
-  // follows it on the engine+DMA resource. Stages of one frame chain by data
-  // dependency; stages of *different* frames share only the resources, which
-  // is where the overlap comes from.
-  //
-  // Energy in both branches: `energy_mj` keeps the paper's methodology (the
-  // loaded bitstream's +3.6% draw for the whole run when the backend uses
-  // the PL at all); `energy_gated_mj` charges the engine draw only while the
-  // PL/DMA resource is actually busy — and because intervals are merged,
-  // concurrent PS+PL activity is charged once.
+  // Pass 2: the PS part of a stage (driver calls, fusion rule, prep) runs on
+  // the PS core; the PL part follows it on the engine. Stages of one frame
+  // chain by data dependency; stages of *different* frames share only the
+  // resources, which is where the overlap comes from. `energy_mj` keeps the
+  // paper's methodology (the loaded bitstream's draw for the whole run when
+  // the backend uses the PL at all); `energy_gated_mj` charges the engine
+  // draw only while the PL side is busy.
   const power::ComputeMode mode = backend.compute_mode();
-  if (streaming_backend) {
-    // Streaming replay: the captured batch stream re-schedules at line
-    // granularity on one core + one engine slot (with its own DMA channel).
-    // Ping-pong buffer state persists across frames, so the next frame's
-    // rows fill buffer B while the current frame's last batch computes out
-    // of buffer A, and descriptor chains amortize the driver entry.
-    detail::StreamingStreamInput in;
-    in.arrivals.assign(frames.size(), SimDuration::zero());
-    in.frame_ops = streaming_backend->take_stream_trace();
-    in.engine = streaming_backend->accelerator().engine();
-    in.costs = streaming_backend->accelerator().costs();
-    in.sg_chain_len = streaming_backend->accelerator().batching().sg_chain_len;
-    const detail::FleetSchedule sched = detail::schedule_streaming(
-        {in}, /*cores=*/1, /*engines=*/1, options.depth < 1 ? 1 : options.depth,
-        /*steal_engines=*/true, /*spill_wait_frac=*/0.0);
-    result.makespan = sched.timeline.makespan();
-    result.ps_busy = sched.timeline.busy_time(sched.cores[0]);
-    result.pl_busy = sched.timeline.busy_time(sched.engines[0]) +
-                     sched.timeline.busy_time(sched.dmas[0]);
-    const detail::FleetEnergy energy = detail::integrate_fleet_energy(
-        sched.timeline, {sched.engines[0], sched.dmas[0]}, mode);
-    result.energy_mj = energy.loaded_mj;
-    result.energy_gated_mj = energy.gated_mj;
-  } else if (options.overlap) {
-    // Overlapped schedule = a 1-stream fleet with every frame ready at t=0
-    // and an unbounded queue. Sharing detail::schedule_fleet (rather than a
-    // second scheduler) is what makes the fleet's 1-stream case reproduce
-    // this path bit-for-bit (tests/test_fleet.cpp).
-    detail::FleetStreamInput in;
-    in.arrivals.assign(frames.size(), SimDuration::zero());
-    in.cost.reserve(cost.size());
-    for (const auto& c : cost) {
-      in.cost.push_back({{{c[0].ps, c[0].pl},
-                          {c[1].ps, c[1].pl},
-                          {c[2].ps, c[2].pl},
-                          {c[3].ps, c[3].pl}}});
-    }
-    const detail::FleetSchedule sched = detail::schedule_fleet(
-        {in}, /*cores=*/1, /*engines=*/1,
-        options.depth < 1 ? 1 : options.depth,
-        /*steal_engines=*/true, /*spill_wait_frac=*/0.0);
-    result.makespan = sched.timeline.makespan();
-    result.ps_busy = sched.timeline.busy_time(sched.cores[0]);
-    result.pl_busy = sched.timeline.busy_time(sched.engines[0]);
-    const detail::FleetEnergy energy =
-        detail::integrate_fleet_energy(sched.timeline, sched.engines, mode);
-    result.energy_mj = energy.loaded_mj;
-    result.energy_gated_mj = energy.gated_mj;
+  if (overlap) {
+    FleetResult totals;
+    detail::schedule_streams(fleet, stage, streaming, mode, &totals);
+    result.makespan = totals.makespan;
+    result.ps_busy = totals.ps_busy;
+    result.pl_busy = totals.pl_busy;
+    result.energy_mj = totals.energy_mj;
+    result.energy_gated_mj = totals.energy_gated_mj;
   } else {
     // Serial schedule: every stage waits for the previous one, frames do
     // not overlap — the event-queue equivalent of the additive ledger.
+    static constexpr const char* kLabels[4] = {"prep", "fwd", "fus", "inv"};
     Timeline tl;
     const ResourceId ps = tl.add_resource("PS core");
     const ResourceId pl = tl.add_resource("PL engine + DMA");
-    const int n = result.frames;
     SimDuration prev;
-    for (int f = 0; f < n; ++f) {
-      for (int s = 0; s < kStages; ++s) {
-        const StageCost& c = cost[static_cast<std::size_t>(f)][static_cast<std::size_t>(s)];
+    for (const auto& frame : stage[0].cost) {
+      for (std::size_t s = 0; s < frame.size(); ++s) {
+        const detail::FleetStageCost& c = frame[s];
         SimDuration end = prev;
         if (c.ps > SimDuration::zero() || c.pl == SimDuration::zero()) {
-          end = tl.schedule(ps, c.label, prev, c.ps).end;
+          end = tl.schedule(ps, kLabels[s], prev, c.ps).end;
         }
         if (c.pl > SimDuration::zero()) {
-          end = tl.schedule(pl, c.label, end, c.pl).end;
+          end = tl.schedule(pl, kLabels[s], end, c.pl).end;
         }
         prev = end;
       }
@@ -296,22 +224,6 @@ PipelineRunResult run_pipelined(TransformBackend& backend,
   result.sustained_fps =
       result.makespan.sec() > 0.0 ? result.frames / result.makespan.sec() : 0.0;
   return result;
-}
-
-PipelineRunResult run_pipelined(TransformBackend& backend,
-                                const std::vector<FramePair>& frames,
-                                const RunConfig& config) {
-  PipelineOptions options;
-  options.overlap = config.pipeline_depth > 1;
-  options.depth = config.pipeline_depth;
-  options.cross_frame = config.cross_frame;
-  options.fuse = config.fuse;
-  return run_pipelined(backend, frames, options);
-}
-
-PipelineRunResult probe_pipelined(TransformBackend& backend, const FrameSize& size,
-                                  int frames, const PipelineOptions& options) {
-  return run_pipelined(backend, make_sweep_frames(size, frames), options);
 }
 
 PipelineRunResult probe_pipelined(TransformBackend& backend,

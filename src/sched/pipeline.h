@@ -14,12 +14,14 @@
 //
 //   run_pipelined          frame-level software pipelining: while the PL
 //                          transforms frame N, the PS runs frame N-1's
-//                          fusion rule and frame N+1's prep. Stage costs
-//                          come from the per-frame ledger (split into
-//                          PS-resident and PL-resident parts) and are
-//                          re-scheduled on a Timeline; with overlap
-//                          disabled the schedule degenerates to the serial
-//                          ledger sum (DESIGN.md §2 invariant).
+//                          fusion rule and frame N+1's prep. It is the
+//                          fleet scheduler's one-stream case (fleet.h):
+//                          stage costs come from the per-frame ledger
+//                          (split into PS-resident and PL-resident parts)
+//                          and are re-scheduled by the fleet's event-driven
+//                          core; pipeline_depth <= 1 keeps the serial
+//                          schedule, which degenerates to the ledger sum
+//                          (DESIGN.md §2 invariant).
 //
 // Numerics are untouched in both layers: the same kernels run in the same
 // order, so fused outputs stay bit-identical with every other backend.
@@ -102,23 +104,6 @@ class BatchedFpgaBackend : public TransformBackend {
 
 // --- frame-level pipelining -------------------------------------------------
 
-struct PipelineOptions {
-  // Frame-level overlap. Off reproduces the serial schedule: makespan ==
-  // the additive ledger total (up to float summation order).
-  bool overlap = true;
-  // Frames in flight at once on the overlapped schedule (the 4-stage
-  // software-pipeline window).
-  int depth = 4;
-  // Cross-frame line streaming (ISSUE 9): with overlap on and a
-  // BatchedFpgaBackend, replay the captured batch stream at line granularity
-  // via detail::schedule_streaming — ping-pong buffers persist across frame
-  // boundaries and descriptor chains amortize the driver entry
-  // (RunConfig::batching.sg_chain_len). Ignored (silently legacy) for other
-  // backends. Off keeps the stage-granular schedule bit-identical.
-  bool cross_frame = false;
-  fusion::FuseConfig fuse;
-};
-
 struct PipelineRunResult {
   int frames = 0;
   // Additive ledger sum over frames — what the serial TimedFusionRunner
@@ -142,25 +127,22 @@ struct PipelineRunResult {
   }
 };
 
-// Runs every frame pair through `backend` (detail::measure_frames: numerics
-// fanned out over the host pool, accounting replayed in frame order by one
-// thread alongside them, per-frame PS/PL-split stage costs), then
-// re-schedules the stages on a Timeline with the 4-stage software pipeline
-// prep -> forward -> fusion -> inverse.
+// Runs every frame pair through `backend` (detail::measure_stream: numerics
+// fanned out over the host pool, accounting replayed in frame order beside
+// them), then schedules the 4-stage software pipeline prep -> forward ->
+// fusion -> inverse as a one-stream fleet in batch mode
+// (detail::schedule_streams: one PS core, one engine, every frame ready at
+// t=0, config.pipeline_depth frames in flight); pipeline_depth <= 1 is the
+// serial schedule. config.cross_frame replays a BatchedFpgaBackend's
+// captured batch stream at line granularity instead (other backends ignore
+// it). config.fuse drives the numerics; the modeled hardware is the
+// backend's own.
 PipelineRunResult run_pipelined(TransformBackend& backend,
                                 const std::vector<FramePair>& frames,
-                                const PipelineOptions& options = {});
+                                const RunConfig& config = {});
 
-// RunConfig spelling: pipeline_depth <= 1 disables the overlap.
-PipelineRunResult run_pipelined(TransformBackend& backend,
-                                const std::vector<FramePair>& frames,
-                                const RunConfig& config);
-
-// Convenience: run_pipelined over the deterministic sweep scene.
-PipelineRunResult probe_pipelined(TransformBackend& backend, const FrameSize& size,
-                                  int frames, const PipelineOptions& options = {});
-
-// RunConfig spelling: frame size and count come from the config.
+// run_pipelined over the deterministic sweep scene of config.frame_size and
+// config.frames.
 PipelineRunResult probe_pipelined(TransformBackend& backend,
                                   const RunConfig& config);
 

@@ -1,12 +1,12 @@
 // The unified run-configuration API for the sched layer (PR 7 redesign).
 //
 // Every backend used to grow its own ad-hoc constructor signature
-// (ArmBackend(HostConfig), FpgaBackend(engine, costs, host),
-// AdaptiveBackend(Options), ...), which made "place this stream on that
-// engine with this host config" inexpressible the moment the fleet scheduler
-// needed it. RunConfig is the one bag of knobs every backend understands,
-// and make_backend() is the only construction path the rest of the tree
-// uses (the pre-PR-7 per-backend signatures are gone).
+// (ArmBackend(HostConfig), FpgaBackend(engine, costs, host), ...), which
+// made "place this stream on that engine with this host config"
+// inexpressible the moment the fleet scheduler needed it. RunConfig is the
+// one bag of knobs every backend understands: each backend is built from a
+// RunConfig (FpgaBackend also from the BackendKind it models), and
+// make_backend() is the construction path the rest of the tree uses.
 #pragma once
 
 #include <memory>
@@ -60,8 +60,9 @@ struct RunConfig {
   // (stream index modulo engine count). Ignored outside run_fleet.
   int engine_id = -1;
 
-  // Scheduling: frames in flight for the event-queue pipeline (1 = serial
-  // schedule), and the adaptive router's NEON/FPGA crossover.
+  // Scheduling: frames in flight for the event-queue pipeline (<= 1 = the
+  // serial schedule), and the NEON/FPGA crossover of the FpgaBackend's
+  // router when built as BackendKind::kAdaptive.
   int pipeline_depth = 4;
   int adaptive_threshold_samples = hw::cost::kAdaptiveThresholdSamples;
 

@@ -57,6 +57,47 @@ TEST(EngineFit, RunFleetRejectsAnEngineCountThePartCannotHold) {
   }
 }
 
+// The engine count is checked against the largest engine the streams model
+// (their RunConfig::engine), not against a default footprint: a float engine
+// with 28 coefficient slots does not fit the part at all, and a 32-slot
+// fixed-point engine fits three times, not seven.
+TEST(EngineFit, RunFleetChecksTheStreamsOwnEngines) {
+  const auto instances = [](const hw::WaveletEngineConfig& engine, bool fixed) {
+    return hw::max_engine_instances(
+        hw::DevicePart{},
+        fixed ? hw::estimate_engine_resources_fixed(engine, hw::FixedPointFormat{})
+              : hw::estimate_engine_resources(engine));
+  };
+  std::vector<sched::StreamConfig> streams = {
+      camera_stream({32, 24}, 2, 30.0), camera_stream({32, 24}, 2, 30.0)};
+
+  streams[1].run.engine.slots = 28;
+  ASSERT_EQ(instances(streams[1].run.engine, false), 0);
+  sched::FleetConfig float_fleet;
+  float_fleet.engines = 1;
+  EXPECT_THROW(sched::run_fleet(streams, float_fleet), std::invalid_argument);
+
+  streams[1].run.engine.slots = 32;
+  ASSERT_EQ(instances(streams[1].run.engine, true), 3);
+  ASSERT_GE(instances(streams[0].run.engine, true), 7);
+  sched::FleetConfig fixed_fleet;
+  fixed_fleet.engines = 7;
+  fixed_fleet.fixed_point_engines = true;
+  EXPECT_THROW(sched::run_fleet(streams, fixed_fleet), std::invalid_argument);
+  fixed_fleet.engines = 3;
+  EXPECT_EQ(sched::run_fleet(streams, fixed_fleet).arrived, 4);
+
+  // With no PL stream the default engine still bounds the count (every
+  // engine is laid out), and a CPU stream's engine is never on the part.
+  sched::FleetConfig two_engines;
+  two_engines.engines = 2;
+  EXPECT_THROW(sched::run_fleet({}, two_engines), std::invalid_argument);
+  std::vector<sched::StreamConfig> cpu = {camera_stream({32, 24}, 2, 30.0)};
+  cpu[0].backend = sched::BackendKind::kNeon;
+  cpu[0].run.engine.slots = 28;
+  EXPECT_EQ(sched::run_fleet(cpu, sched::FleetConfig{}).arrived, 2);
+}
+
 TEST(Fleet, RunFleetRejectsJitterOutsideTheUnitInterval) {
   for (const double jitter : {-0.1, 1.0, 1.5}) {
     std::vector<sched::StreamConfig> streams = {
@@ -86,6 +127,9 @@ TEST(BackendFactory, BuildsEveryKindWithMatchingNameAndMode) {
     EXPECT_STREQ(sched::backend_name(c.kind), c.name);
     EXPECT_EQ(backend->compute_mode(), c.mode);
   }
+  // The serial FPGA backend models only its two kinds.
+  EXPECT_THROW(sched::FpgaBackend({}, sched::BackendKind::kNeon),
+               std::invalid_argument);
 }
 
 // --- 1-stream fleet == run_pipelined ----------------------------------------

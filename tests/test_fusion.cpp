@@ -79,8 +79,9 @@ TEST(Fusion, BackendsProduceIdenticalFusedOutput) {
   const auto pairs = sched::make_sweep_frames({35, 35}, 1);
   sched::ArmBackend arm;
   sched::FpgaBackend fpga;
-  sched::AdaptiveBackend adaptive;
-  sched::TimedFusionRunner ra(arm), rf(fpga), rx(adaptive);
+  const auto adaptive =
+      sched::make_backend(sched::BackendKind::kAdaptive, sched::RunConfig{});
+  sched::TimedFusionRunner ra(arm), rf(fpga), rx(*adaptive);
   const auto a = ra.run_frame_pair(pairs[0].visible, pairs[0].thermal);
   const auto f = rf.run_frame_pair(pairs[0].visible, pairs[0].thermal);
   const auto x = rx.run_frame_pair(pairs[0].visible, pairs[0].thermal);

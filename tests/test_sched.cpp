@@ -1,6 +1,9 @@
 // Scheduler behavior: the paper's crossovers and the adaptive router.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
 #include "src/sched/adaptive.h"
 #include "src/sched/calibrate.h"
 
@@ -73,7 +76,7 @@ TEST(Crossover, EnergyBreakPointIsLaterThanTimeBreakPoint) {
 TEST(Crossover, FpgaAndAdaptiveEnergyBeatArmAtFullFrame) {
   sched::ArmBackend arm;
   sched::FpgaBackend fpga;
-  sched::AdaptiveBackend adaptive;
+  sched::FpgaBackend adaptive({}, sched::BackendKind::kAdaptive);
   const auto ra = sched::probe_backend(arm, {88, 72}, 4);
   const auto rf = sched::probe_backend(fpga, {88, 72}, 4);
   const auto rx = sched::probe_backend(adaptive, {88, 72}, 4);
@@ -82,14 +85,14 @@ TEST(Crossover, FpgaAndAdaptiveEnergyBeatArmAtFullFrame) {
 }
 
 TEST(Adaptive, RoutesAllLinesToNeonBelowTheCrossover) {
-  sched::AdaptiveBackend backend;  // calibrated default threshold
+  sched::FpgaBackend backend({}, sched::BackendKind::kAdaptive);
   sched::probe_backend(backend, {32, 24}, 2);
   EXPECT_EQ(backend.router().lines_on_fpga(), 0);
   EXPECT_GT(backend.router().lines_on_simd(), 0);
 }
 
 TEST(Adaptive, RoutesLongLinesToFpgaAboveTheCrossover) {
-  sched::AdaptiveBackend backend;
+  sched::FpgaBackend backend({}, sched::BackendKind::kAdaptive);
   sched::probe_backend(backend, {88, 72}, 2);
   EXPECT_GT(backend.router().lines_on_fpga(), 0);
   // Deep-level short lines stay on NEON.
@@ -100,7 +103,7 @@ TEST(Adaptive, NeverWorseThanBestStaticAcrossTheSweep) {
   for (const sched::FrameSize& size : sched::paper_frame_sizes()) {
     sched::NeonBackend neon;
     sched::FpgaBackend fpga;
-    sched::AdaptiveBackend adaptive;
+    sched::FpgaBackend adaptive({}, sched::BackendKind::kAdaptive);
     const auto rn = sched::probe_backend(neon, size, 2);
     const auto rf = sched::probe_backend(fpga, size, 2);
     const auto rx = sched::probe_backend(adaptive, size, 2);
@@ -111,7 +114,7 @@ TEST(Adaptive, NeverWorseThanBestStaticAcrossTheSweep) {
 
 TEST(Adaptive, BeatsStaticFpgaAtFullFrame) {
   sched::FpgaBackend fpga;
-  sched::AdaptiveBackend adaptive;
+  sched::FpgaBackend adaptive({}, sched::BackendKind::kAdaptive);
   const auto rf = sched::probe_backend(fpga, {88, 72}, 2);
   const auto rx = sched::probe_backend(adaptive, {88, 72}, 2);
   EXPECT_LT(rx.total.sec(), rf.total.sec());
@@ -120,7 +123,7 @@ TEST(Adaptive, BeatsStaticFpgaAtFullFrame) {
 TEST(Adaptive, ThresholdExtremesMatchStaticEngines) {
   sched::RunConfig all_fpga;
   all_fpga.adaptive_threshold_samples = 0;
-  sched::AdaptiveBackend bx(all_fpga);
+  sched::FpgaBackend bx(all_fpga, sched::BackendKind::kAdaptive);
   sched::FpgaBackend bf;
   const auto rx = sched::probe_backend(bx, {64, 48}, 2);
   const auto rf = sched::probe_backend(bf, {64, 48}, 2);
@@ -129,7 +132,7 @@ TEST(Adaptive, ThresholdExtremesMatchStaticEngines) {
 
   sched::RunConfig all_neon;
   all_neon.adaptive_threshold_samples = 1 << 20;
-  sched::AdaptiveBackend bn(all_neon);
+  sched::FpgaBackend bn(all_neon, sched::BackendKind::kAdaptive);
   sched::NeonBackend neon;
   const auto rn1 = sched::probe_backend(bn, {64, 48}, 2);
   const auto rn2 = sched::probe_backend(neon, {64, 48}, 2);
@@ -143,6 +146,84 @@ TEST(Calibrate, PicksAMidRangeThreshold) {
   EXPECT_GT(cal.best_threshold, 0);
   EXPECT_LT(cal.best_threshold, 1 << 20);
   ASSERT_EQ(cal.candidates.size(), cal.costs.size());
+}
+
+// --- paper sweep lock -------------------------------------------------------
+
+// The serial Fig. 9/10 numbers (bench_paper's sweep) at 2 frames per cell,
+// recorded with %.17g from the library while the adaptive configuration was
+// still a backend class of its own. Compared bitwise: any change to the
+// serial engine models, the router or the probe shows here first.
+TEST(PaperSweep, ProbesMatchTheRecordedValuesBitwise) {
+  const struct {
+    int width, height;
+    const char* backend;
+    double prep, forward, fusion, inverse, total, energy_mj;
+  } expected[] = {
+      {32, 24, "ARM", 0.0017290806754221388, 0.03048465290806731, 0.0014467542213883675, 0.015363362101313447, 0.049023849906191262, 26.144419154971796},
+      {32, 24, "NEON", 0.0017290806754221388, 0.027553861163226789, 0.0014467542213883675, 0.012999363001876192, 0.043729059061913489, 23.320707197718463},
+      {32, 24, "FPGA", 0.0017290806754221388, 0.038523681500938302, 0.0014467542213883675, 0.019269680750469084, 0.060969197148217885, 33.685481424390382},
+      {32, 24, "Adaptive", 0.0017290806754221388, 0.027553861163226789, 0.0014467542213883675, 0.012999363001876192, 0.043729059061913489, 24.160305131707204},
+      {35, 35, "ARM", 0.0027579737335834899, 0.0515621463414642, 0.0024686679174484062, 0.025987602251407328, 0.082776390243903417, 44.144648917073688},
+      {35, 35, "NEON", 0.0027579737335834899, 0.046559627767354707, 0.0024686679174484062, 0.021952542739211947, 0.073738812157598546, 39.324908523647302},
+      {35, 35, "FPGA", 0.0027579737335834899, 0.050482522776735178, 0.0024686679174484062, 0.025257261388367525, 0.080966425816134599, 44.733950263414364},
+      {35, 35, "Adaptive", 0.0027579737335834899, 0.046559627767354707, 0.0024686679174484062, 0.021952542739211947, 0.073738812157598546, 40.740693717073199},
+      {40, 40, "ARM", 0.0036022514071294559, 0.062739212007504111, 0.0030140712945590999, 0.031621763602251413, 0.10097729831144409, 53.851193189493124},
+      {40, 40, "NEON", 0.0036022514071294559, 0.056633395872420902, 0.0030140712945590999, 0.026696765478424065, 0.089946484052533526, 47.968459945216125},
+      {40, 40, "FPGA", 0.0036022514071294559, 0.055298059287054321, 0.0030140712945590999, 0.027660229643527399, 0.089574611632270276, 49.489972926829324},
+      {40, 40, "Adaptive", 0.0036022514071294559, 0.045894436022513731, 0.0030140712945590999, 0.022555569230769287, 0.075066327954971576, 41.474146195121797},
+      {64, 48, "ARM", 0.0069163227016885553, 0.11958514071294701, 0.0057870168855534698, 0.060276712945590977, 0.19256519324578, 102.69501755797447},
+      {64, 48, "NEON", 0.0069163227016885553, 0.10786197373358376, 0.0057870168855534698, 0.05082071654784269, 0.17138602986866847, 91.40016972896089},
+      {64, 48, "FPGA", 0.0069163227016885553, 0.077782083001876154, 0.0057870168855534698, 0.03890672150093831, 0.1293921440900565, 71.489159609756214},
+      {64, 48, "Adaptive", 0.0069163227016885553, 0.070401769906190736, 0.0057870168855534698, 0.034753212757973752, 0.11785832225140652, 65.116723043902098},
+      {88, 72, "ARM", 0.014264915572232646, 0.24515242026266071, 0.011935722326454025, 0.12357475422138975, 0.39492781238273711, 210.61500234371368},
+      {88, 72, "NEON", 0.014264915572232646, 0.22097338836773578, 0.011935722326454025, 0.1040717616510311, 0.35124578791745353, 187.31937869637795},
+      {88, 72, "FPGA", 0.014264915572232646, 0.11216475857410459, 0.011935722326454025, 0.056095499287054311, 0.19446089575984557, 107.43964490731467},
+      {88, 72, "Adaptive", 0.014264915572232646, 0.10756468232645043, 0.011935722326454025, 0.05347348652908053, 0.18723880675421761, 103.44944073170524},
+  };
+  const sched::BackendKind kinds[] = {sched::BackendKind::kArm,
+                                      sched::BackendKind::kNeon,
+                                      sched::BackendKind::kFpga,
+                                      sched::BackendKind::kAdaptive};
+  std::size_t i = 0;
+  for (const sched::FrameSize& size : sched::paper_frame_sizes()) {
+    for (const sched::BackendKind kind : kinds) {
+      ASSERT_LT(i, std::size(expected));
+      const auto& e = expected[i++];
+      ASSERT_EQ(size.width, e.width);
+      ASSERT_EQ(size.height, e.height);
+      const auto backend = sched::make_backend(kind, sched::RunConfig{});
+      ASSERT_STREQ(backend->name(), e.backend);
+      const sched::ProbeResult r = sched::probe_backend(*backend, size, 2);
+      const std::string cell = size.label() + " " + e.backend;
+      EXPECT_EQ(r.prep.sec(), e.prep) << cell;
+      EXPECT_EQ(r.forward.sec(), e.forward) << cell;
+      EXPECT_EQ(r.fusion.sec(), e.fusion) << cell;
+      EXPECT_EQ(r.inverse.sec(), e.inverse) << cell;
+      EXPECT_EQ(r.total.sec(), e.total) << cell;
+      EXPECT_EQ(r.energy_mj, e.energy_mj) << cell;
+    }
+  }
+  EXPECT_EQ(i, std::size(expected));
+}
+
+TEST(PaperSweep, AdaptiveRouterCountsMatchTheRecordedValues) {
+  const struct {
+    int width, height;
+    long long lines_on_fpga, lines_on_simd;
+  } expected[] = {
+      {32, 24, 0, 2352},
+      {35, 35, 0, 3072},
+      {40, 40, 1920, 1440},
+      {64, 48, 3264, 1440},
+      {88, 72, 5760, 960},
+  };
+  for (const auto& e : expected) {
+    sched::FpgaBackend adaptive({}, sched::BackendKind::kAdaptive);
+    sched::probe_backend(adaptive, {e.width, e.height}, 2);
+    EXPECT_EQ(adaptive.router().lines_on_fpga(), e.lines_on_fpga) << e.width;
+    EXPECT_EQ(adaptive.router().lines_on_simd(), e.lines_on_simd) << e.width;
+  }
 }
 
 }  // namespace

@@ -43,7 +43,8 @@ TEST(Streaming, DefaultsAreLegacy) {
   EXPECT_FALSE(sched::RunConfig{}.cross_frame);
   EXPECT_EQ(driver::PipelinedWaveletAccelerator::Batching{}.sg_chain_len, 1);
   EXPECT_FALSE(sched::FleetConfig{}.cross_frame);
-  EXPECT_FALSE(sched::PipelineOptions{}.cross_frame);
+  // The run_pipelined defaults: 4 frames in flight, stage-granular overlap.
+  EXPECT_EQ(sched::RunConfig{}.pipeline_depth, 4);
 }
 
 // --- scatter-gather chain on the serial accelerator --------------------------

@@ -353,9 +353,11 @@ TEST(PipelinedRunner, OverlapDisabledMatchesTheAdditiveLedger) {
   for (const sched::FrameSize& size : {sched::FrameSize{35, 35},
                                        sched::FrameSize{88, 72}}) {
     sched::FpgaBackend fpga;
-    sched::PipelineOptions options;
-    options.overlap = false;
-    const auto r = sched::probe_pipelined(fpga, size, 3, options);
+    sched::RunConfig serial;
+    serial.frame_size = size;
+    serial.frames = 3;
+    serial.pipeline_depth = 1;
+    const auto r = sched::probe_pipelined(fpga, serial);
     EXPECT_NEAR(r.makespan.sec(), r.serial_total.sec(),
                 r.serial_total.sec() * 1e-9)
         << size.label();
@@ -366,13 +368,16 @@ TEST(PipelinedRunner, CpuBackendsGainNothingFpgaGains) {
   // Every stage of a CPU backend needs the PS core, so the pipeline cannot
   // overlap anything; the FPGA backends offload the transforms to the PL
   // and overlap them with the fusion rule and prep of neighboring frames.
+  sched::RunConfig run;
+  run.frame_size = {64, 48};
+  run.frames = 4;
   sched::NeonBackend neon;
-  const auto rn = sched::probe_pipelined(neon, {64, 48}, 4);
+  const auto rn = sched::probe_pipelined(neon, run);
   EXPECT_NEAR(rn.makespan.sec(), rn.serial_total.sec(),
               rn.serial_total.sec() * 1e-9);
 
   sched::BatchedFpgaBackend batched;
-  const auto rb = sched::probe_pipelined(batched, {64, 48}, 4);
+  const auto rb = sched::probe_pipelined(batched, run);
   EXPECT_LT(rb.makespan.sec(), rb.serial_total.sec());
 }
 
@@ -384,26 +389,31 @@ TEST(PipelinedRunner, SustainedFpsBeatsTheSerialRunnerByAtLeast1p3x) {
   const auto rs = sched::probe_backend(serial, {88, 72}, frames);
   const double serial_fps = frames / rs.total.sec();
 
+  sched::RunConfig run;
+  run.frame_size = {88, 72};
+  run.frames = frames;
   sched::BatchedFpgaBackend batched;
-  const auto rp = sched::probe_pipelined(batched, {88, 72}, frames);
+  const auto rp = sched::probe_pipelined(batched, run);
   EXPECT_GE(rp.sustained_fps, 1.3 * serial_fps);
 
   // The frame overlap also beats the batched backend's own serial schedule.
   sched::BatchedFpgaBackend batched_serial;
-  sched::PipelineOptions no_overlap;
-  no_overlap.overlap = false;
-  const auto rb = sched::probe_pipelined(batched_serial, {88, 72}, frames,
-                                         no_overlap);
+  sched::RunConfig no_overlap = run;
+  no_overlap.pipeline_depth = 1;
+  const auto rb = sched::probe_pipelined(batched_serial, no_overlap);
   EXPECT_LT(rp.makespan.sec(), rb.makespan.sec());
 }
 
 TEST(PipelinedRunner, EnergyPerFrameDropsWithThePipeline) {
   const int frames = 4;
   sched::BatchedFpgaBackend serial_b, piped_b;
-  sched::PipelineOptions no_overlap;
-  no_overlap.overlap = false;
-  const auto rs = sched::probe_pipelined(serial_b, {88, 72}, frames, no_overlap);
-  const auto rp = sched::probe_pipelined(piped_b, {88, 72}, frames);
+  sched::RunConfig run;
+  run.frame_size = {88, 72};
+  run.frames = frames;
+  sched::RunConfig no_overlap = run;
+  no_overlap.pipeline_depth = 1;
+  const auto rs = sched::probe_pipelined(serial_b, no_overlap);
+  const auto rp = sched::probe_pipelined(piped_b, run);
   EXPECT_LT(rp.energy_per_frame_mj(), rs.energy_per_frame_mj());
   // Gating the engine draw to PL-busy intervals can only save more.
   EXPECT_LE(rp.energy_gated_mj, rp.energy_mj);
