@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     return fuse_frames(a, b, fusion::FuseConfig{}, backend);
   };
   auto fuse_dwt = [&](const ImageF& a, const ImageF& b) {
-    return fuse_frames_dwt(a, b, fusion::DwtFuseConfig{}, backend);
+    return fuse_frames_dwt(a, b, fusion::FuseConfig{}, backend);
   };
   auto fuse_lap = [&](const ImageF& a, const ImageF& b) {
     return fusion::fuse_frames_laplacian(a, b, fusion::LaplacianFuseConfig{});

@@ -23,8 +23,6 @@ class Rng {
     return x * 0x2545f4914f6cdd1dull;
   }
 
-  std::uint32_t next_u32() { return static_cast<std::uint32_t>(next_u64() >> 32); }
-
   // Uniform in [0, 1).
   double next_double() {
     return static_cast<double>(next_u64() >> 11) * (1.0 / 9007199254740992.0);

@@ -18,7 +18,6 @@ class SimDuration {
   static constexpr SimDuration seconds(double s) { return SimDuration(s); }
   static constexpr SimDuration milliseconds(double ms) { return SimDuration(ms * 1e-3); }
   static constexpr SimDuration microseconds(double us) { return SimDuration(us * 1e-6); }
-  static constexpr SimDuration nanoseconds(double ns) { return SimDuration(ns * 1e-9); }
   static constexpr SimDuration zero() { return SimDuration(0.0); }
 
   constexpr double sec() const { return seconds_; }

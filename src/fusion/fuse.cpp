@@ -118,7 +118,7 @@ FusionOutcome fuse_frames_with_quality(const image::ImageF& a, const image::Imag
 }
 
 image::ImageF fuse_frames_dwt(const image::ImageF& a, const image::ImageF& b,
-                              const DwtFuseConfig& config, dwt::LineFilter& filter) {
+                              const FuseConfig& config, dwt::LineFilter& filter) {
   dwt::TreePyramid pa = dwt::forward_tree(a, config.transform, 0, 0, filter);
   dwt::TreePyramid pb = dwt::forward_tree(b, config.transform, 0, 0, filter);
   dwt::TreePyramid fused;

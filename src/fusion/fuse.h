@@ -16,10 +16,6 @@ struct FuseConfig {
   dwt::TransformConfig transform;
 };
 
-struct DwtFuseConfig {
-  dwt::TransformConfig transform;
-};
-
 struct FusionOutcome {
   image::ImageF fused;
   image::FusionQuality quality;
@@ -40,7 +36,7 @@ FusionOutcome fuse_frames_with_quality(const image::ImageF& a, const image::Imag
 
 // Critically sampled single-tree DWT baseline.
 image::ImageF fuse_frames_dwt(const image::ImageF& a, const image::ImageF& b,
-                              const DwtFuseConfig& config, dwt::LineFilter& filter);
+                              const FuseConfig& config, dwt::LineFilter& filter);
 
 // Fuses an already-computed pyramid pair into `out`: the fusion stage of the
 // staged pass. Throws std::invalid_argument when the pyramids differ in

@@ -17,10 +17,8 @@ class ClockDomain {
 
   const std::string& name() const { return name_; }
   double hz() const { return hz_; }
-  double mhz() const { return hz_ * 1e-6; }
 
   SimDuration cycles(double n) const { return SimDuration::seconds(n / hz_); }
-  double cycles_in(SimDuration d) const { return d.sec() * hz_; }
 
  private:
   std::string name_;

@@ -17,10 +17,6 @@ namespace detail {
 
 namespace {
 
-constexpr const char* kStageLabels[4] = {"prep", "fwd", "fus", "inv"};
-
-SimDuration max_of(SimDuration a, SimDuration b) { return a > b ? a : b; }
-
 SimDuration clamp_nonneg(SimDuration d) {
   return d > SimDuration::zero() ? d : SimDuration::zero();
 }
@@ -41,200 +37,19 @@ std::array<FleetStageCost, 4> split_stage_costs(const FrameRunResult& r) {
 FleetSchedule schedule_fleet(const std::vector<FleetStreamInput>& streams,
                              int cores, int engines, int pipeline_depth,
                              bool steal_engines, double spill_wait_frac) {
-  FleetSchedule out;
-  const int ns = static_cast<int>(streams.size());
-  if (cores < 1) cores = 1;
-  if (engines < 1) engines = 1;
-  if (pipeline_depth < 1) pipeline_depth = 1;
-  for (int c = 0; c < cores; ++c) {
-    out.cores.push_back(out.timeline.add_resource("PS core " + std::to_string(c)));
+  std::vector<StreamingStreamInput> blocks(streams.size());
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    const FleetStreamInput& in = streams[s];
+    StreamingStreamInput& out = blocks[s];
+    out.arrivals = in.arrivals;
+    out.period = in.period;
+    out.queue_depth = in.queue_depth;
+    out.home_engine = in.home_engine;
+    out.frame_ops.reserve(in.cost.size());
+    for (const auto& c : in.cost) out.frame_ops.push_back(stage_block_ops(c));
   }
-  for (int e = 0; e < engines; ++e) {
-    out.engines.push_back(
-        out.timeline.add_resource("PL engine " + std::to_string(e)));
-  }
-
-  struct StreamState {
-    int arrival_ptr = 0;  // next frame whose arrival is unprocessed
-    int queue_len = 0;    // admitted frames whose prep has not dispatched
-    int in_flight = 0;    // prep dispatched, inverse not yet dispatched
-    std::vector<int> admitted;       // admitted frame indices, arrival order
-    std::array<int, 4> stage_ptr{};  // per stage: next position in `admitted`
-    std::vector<std::array<SimDuration, 4>> done;  // per frame, stage end
-    std::vector<char> spilled;
-  };
-  std::vector<StreamState> state(static_cast<std::size_t>(ns));
-  out.frames.resize(static_cast<std::size_t>(ns));
-  out.stream_ps_busy.assign(static_cast<std::size_t>(ns), SimDuration::zero());
-  out.stream_pl_busy.assign(static_cast<std::size_t>(ns), SimDuration::zero());
-  for (int s = 0; s < ns; ++s) {
-    const std::size_t n = streams[static_cast<std::size_t>(s)].arrivals.size();
-    state[static_cast<std::size_t>(s)].done.resize(n);
-    state[static_cast<std::size_t>(s)].spilled.assign(n, 0);
-    out.frames[static_cast<std::size_t>(s)].resize(n);
-  }
-
-  auto stream_at = [&](int s) -> const FleetStreamInput& {
-    return streams[static_cast<std::size_t>(s)];
-  };
-  auto core_of = [&](int s) { return out.cores[static_cast<std::size_t>(s % cores)]; };
-  auto stage_cost = [&](int s, int f, int g) -> const FleetStageCost& {
-    const FleetStreamInput& in = stream_at(s);
-    const bool spilled = state[static_cast<std::size_t>(s)]
-                             .spilled[static_cast<std::size_t>(f)] != 0 &&
-                         !in.spill_cost.empty();
-    const auto& set = spilled ? in.spill_cost : in.cost;
-    return set[static_cast<std::size_t>(f)][static_cast<std::size_t>(g)];
-  };
-  // Earliest-free engine this stream may use: any engine when stealing is
-  // on, only the home engine otherwise. Ties prefer the home engine, then
-  // the lowest id, so placement is deterministic.
-  auto pick_engine = [&](int s) {
-    const int home = ((stream_at(s).home_engine % engines) + engines) % engines;
-    if (!steal_engines) return home;
-    int best = home;
-    SimDuration best_free = out.timeline.free_at(out.engines[static_cast<std::size_t>(home)]);
-    for (int e = 0; e < engines; ++e) {
-      const SimDuration free = out.timeline.free_at(out.engines[static_cast<std::size_t>(e)]);
-      if (free < best_free) {
-        best = e;
-        best_free = free;
-      }
-    }
-    return best;
-  };
-
-  // Event-driven dispatch: each iteration commits either the eligible stage
-  // with the earliest feasible start (ties: later stage = older frame, then
-  // frame, then stream) or, when one comes strictly earlier, the next
-  // arrival (admission/drop decision). A dispatch whose start equals an
-  // arrival time goes first — the queue is measured *at* the arrival
-  // instant, after earlier work has left it.
-  for (;;) {
-    int bs = -1, bstage = -1, bframe = -1;
-    SimDuration bready, bstart;
-    for (int s = 0; s < ns; ++s) {
-      StreamState& st = state[static_cast<std::size_t>(s)];
-      for (int g = 3; g >= 0; --g) {
-        if (st.stage_ptr[static_cast<std::size_t>(g)] >=
-            static_cast<int>(st.admitted.size())) {
-          continue;
-        }
-        const int pos = st.stage_ptr[static_cast<std::size_t>(g)];
-        const int f = st.admitted[static_cast<std::size_t>(pos)];
-        SimDuration ready;
-        if (g == 0) {
-          if (st.in_flight >= pipeline_depth) continue;
-          ready = stream_at(s).arrivals[static_cast<std::size_t>(f)];
-        } else {
-          // Stages drain the admitted list in the same order, so stage g-1
-          // of this frame has dispatched iff its pointer moved past ours.
-          if (st.stage_ptr[static_cast<std::size_t>(g - 1)] <= pos) continue;
-          ready = st.done[static_cast<std::size_t>(f)][static_cast<std::size_t>(g - 1)];
-        }
-        const FleetStageCost& c = stage_cost(s, f, g);
-        SimDuration start;
-        if (c.ps > SimDuration::zero() || c.pl == SimDuration::zero()) {
-          start = max_of(ready, out.timeline.free_at(core_of(s)));
-        } else {
-          start = max_of(ready, out.timeline.free_at(
-                                    out.engines[static_cast<std::size_t>(pick_engine(s))]));
-        }
-        const bool better =
-            bs < 0 || start < bstart ||
-            (start == bstart &&
-             (g > bstage || (g == bstage && (f < bframe || (f == bframe && s < bs)))));
-        if (better) {
-          bs = s;
-          bstage = g;
-          bframe = f;
-          bready = ready;
-          bstart = start;
-        }
-      }
-    }
-
-    int as = -1;
-    SimDuration at;
-    for (int s = 0; s < ns; ++s) {
-      const StreamState& st = state[static_cast<std::size_t>(s)];
-      if (st.arrival_ptr >= static_cast<int>(stream_at(s).arrivals.size())) continue;
-      const SimDuration a =
-          stream_at(s).arrivals[static_cast<std::size_t>(st.arrival_ptr)];
-      if (as < 0 || a < at) {
-        as = s;
-        at = a;
-      }
-    }
-
-    if (bs < 0 && as < 0) break;
-
-    if (as >= 0 && (bs < 0 || at < bstart)) {
-      // Admission: drop on overflow of the admitted-but-unstarted backlog.
-      StreamState& st = state[static_cast<std::size_t>(as)];
-      const int f = st.arrival_ptr++;
-      const FleetStreamInput& in = stream_at(as);
-      if (in.queue_depth > 0 && st.queue_len >= in.queue_depth) {
-        out.frames[static_cast<std::size_t>(as)][static_cast<std::size_t>(f)]
-            .dropped = true;
-      } else {
-        st.admitted.push_back(f);
-        ++st.queue_len;
-      }
-      continue;
-    }
-
-    StreamState& st = state[static_cast<std::size_t>(bs)];
-    const FleetStreamInput& in = stream_at(bs);
-    FleetFrameOutcome& outcome =
-        out.frames[static_cast<std::size_t>(bs)][static_cast<std::size_t>(bframe)];
-    if (bstage == 0) {
-      --st.queue_len;
-      ++st.in_flight;
-      // Spill decision at first dispatch: when the shortest engine wait
-      // (measured from the frame's arrival) already exceeds the configured
-      // fraction of the frame period, the PL is saturated for this frame —
-      // run it on the NEON cost model instead of queueing.
-      if (spill_wait_frac > 0.0 && !in.spill_cost.empty() &&
-          in.period > SimDuration::zero()) {
-        const SimDuration engine_free = out.timeline.free_at(
-            out.engines[static_cast<std::size_t>(pick_engine(bs))]);
-        const SimDuration arrival =
-            in.arrivals[static_cast<std::size_t>(bframe)];
-        const SimDuration wait = engine_free > arrival
-                                     ? engine_free - arrival
-                                     : SimDuration::zero();
-        if (wait > in.period * spill_wait_frac) {
-          st.spilled[static_cast<std::size_t>(bframe)] = 1;
-          outcome.spilled = true;
-        }
-      }
-    }
-    const FleetStageCost& c = stage_cost(bs, bframe, bstage);
-    SimDuration end = bready;
-    if (c.ps > SimDuration::zero() || c.pl == SimDuration::zero()) {
-      end = out.timeline
-                .schedule(core_of(bs), kStageLabels[bstage], bready, c.ps)
-                .end;
-      out.stream_ps_busy[static_cast<std::size_t>(bs)] += c.ps;
-    }
-    if (c.pl > SimDuration::zero()) {
-      const int e = pick_engine(bs);
-      end = out.timeline
-                .schedule(out.engines[static_cast<std::size_t>(e)],
-                          kStageLabels[bstage], end, c.pl)
-                .end;
-      out.stream_pl_busy[static_cast<std::size_t>(bs)] += c.pl;
-    }
-    st.done[static_cast<std::size_t>(bframe)][static_cast<std::size_t>(bstage)] = end;
-    ++st.stage_ptr[static_cast<std::size_t>(bstage)];
-    if (bstage == 3) {
-      --st.in_flight;
-      outcome.completion = end;
-      outcome.latency = end - in.arrivals[static_cast<std::size_t>(bframe)];
-    }
-  }
-  return out;
+  return schedule_streaming(blocks, cores, engines, pipeline_depth,
+                            steal_engines, spill_wait_frac);
 }
 
 FleetEnergy integrate_fleet_energy(const Timeline& timeline,
@@ -255,55 +70,43 @@ FleetEnergy integrate_fleet_energy(const Timeline& timeline,
 SimDuration measure_stream(TransformBackend& backend,
                            const fusion::FuseConfig& fuse,
                            const std::vector<FramePair>& frames,
-                           FleetStreamInput* in, StreamingStreamInput* streaming) {
+                           bool cross_frame, StreamingStreamInput* in) {
   BatchedFpgaBackend* traced =
-      streaming ? dynamic_cast<BatchedFpgaBackend*>(&backend) : nullptr;
+      cross_frame ? dynamic_cast<BatchedFpgaBackend*>(&backend) : nullptr;
   if (traced) traced->enable_stream_trace();
   SimDuration serial_total;
-  in->cost.reserve(frames.size());
-  for (const FrameRunResult& r : measure_frames(backend, fuse, frames)) {
+  const std::vector<FrameRunResult> results = measure_frames(backend, fuse, frames);
+  if (!traced) in->frame_ops.reserve(results.size());
+  for (const FrameRunResult& r : results) {
     serial_total += r.times.total();
-    in->cost.push_back(split_stage_costs(r));
-  }
-  if (!streaming) return serial_total;
-  streaming->arrivals = in->arrivals;
-  streaming->period = in->period;
-  streaming->queue_depth = in->queue_depth;
-  streaming->home_engine = in->home_engine;
-  if (traced) {
-    streaming->frame_ops = traced->take_stream_trace();
-    streaming->engine = traced->accelerator().engine();
-    streaming->costs = traced->accelerator().costs();
-    streaming->sg_chain_len = traced->accelerator().batching().sg_chain_len;
-  } else {
+    if (traced) continue;
     // CPU backends and the serial FPGA replay their stage-granular costs as
-    // sliced ops on the same scheduler.
-    streaming->frame_ops.reserve(in->cost.size());
-    for (const auto& c : in->cost) {
-      streaming->frame_ops.push_back(stage_cost_ops(c));
-    }
+    // sliced ops when streaming across frames, as stage blocks otherwise.
+    const std::array<FleetStageCost, 4> cost = split_stage_costs(r);
+    in->frame_ops.push_back(cross_frame ? stage_cost_ops(cost)
+                                        : stage_block_ops(cost));
+  }
+  if (traced) {
+    in->frame_ops = traced->take_stream_trace();
+    in->engine = traced->accelerator().engine();
+    in->costs = traced->accelerator().costs();
+    in->sg_chain_len = traced->accelerator().batching().sg_chain_len;
   }
   return serial_total;
 }
 
 FleetSchedule schedule_streams(const FleetConfig& fleet,
-                               const std::vector<FleetStreamInput>& stage,
-                               const std::vector<StreamingStreamInput>& streaming,
+                               const std::vector<StreamingStreamInput>& streams,
                                power::ComputeMode mode, FleetResult* totals) {
   FleetSchedule sched =
-      fleet.cross_frame
-          ? schedule_streaming(streaming, fleet.cores, fleet.engines,
-                               fleet.pipeline_depth, fleet.steal_engines,
-                               fleet.spill_wait_frac)
-          : schedule_fleet(stage, fleet.cores, fleet.engines,
-                           fleet.pipeline_depth, fleet.steal_engines,
-                           fleet.spill_wait_frac);
+      schedule_streaming(streams, fleet.cores, fleet.engines,
+                         fleet.pipeline_depth, fleet.steal_engines,
+                         fleet.spill_wait_frac);
   totals->makespan = sched.timeline.makespan();
   for (const ResourceId core : sched.cores) {
     totals->ps_busy += sched.timeline.busy_time(core);
   }
-  // The DMA channels (the streaming replay's only) count as PL time and gate
-  // the PL draw too.
+  // The DMA channels count as PL time and gate the PL draw too.
   std::vector<ResourceId> pl_side = sched.engines;
   pl_side.insert(pl_side.end(), sched.dmas.begin(), sched.dmas.end());
   for (const ResourceId r : pl_side) totals->pl_busy += sched.timeline.busy_time(r);
@@ -375,10 +178,7 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
   // factory-built backend (exactly run_pipelined's measurement pass). The
   // NEON spill costs are shape-only, so one probed frame covers the whole
   // stream.
-  std::vector<detail::FleetStreamInput> inputs;
-  inputs.reserve(streams.size());
-  std::vector<detail::StreamingStreamInput> sinputs;
-  if (fleet.cross_frame) sinputs.reserve(streams.size());
+  std::vector<detail::StreamingStreamInput> inputs(streams.size());
   power::ComputeMode mode = power::ComputeMode::kArmOnly;
   // The synthetic frames depend only on (frame size, window length), so
   // streams of one shape share them; each stream still fuses and replays
@@ -391,7 +191,7 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
   std::vector<SweepWindow> windows;
   for (std::size_t s = 0; s < streams.size(); ++s) {
     const StreamConfig& sc = streams[s];
-    detail::FleetStreamInput in;
+    detail::StreamingStreamInput& in = inputs[s];
     in.queue_depth = sc.queue_depth;
     in.home_engine = sc.run.engine_id >= 0 ? sc.run.engine_id
                                            : static_cast<int>(s);
@@ -420,9 +220,7 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
       window = windows.end() - 1;
     }
     const std::vector<FramePair>& pairs = window->pairs;
-    detail::StreamingStreamInput sin;
-    detail::measure_stream(*backend, sc.run.fuse, pairs, &in,
-                           fleet.cross_frame ? &sin : nullptr);
+    detail::measure_stream(*backend, sc.run.fuse, pairs, fleet.cross_frame, &in);
 
     const bool cpu_stream = sc.backend == BackendKind::kArm ||
                             sc.backend == BackendKind::kNeon;
@@ -432,22 +230,16 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
       TimedFusionRunner neon_runner(*neon, sc.run.fuse);
       const auto probe = detail::split_stage_costs(
           neon_runner.run_frame_pair(pairs[0].visible, pairs[0].thermal));
-      in.spill_cost.assign(static_cast<std::size_t>(frames), probe);
-    }
-
-    if (fleet.cross_frame) {
-      sin.spill_ops.reserve(in.spill_cost.size());
-      for (const auto& c : in.spill_cost) {
-        sin.spill_ops.push_back(detail::stage_cost_ops(c));
+      for (int f = 0; f < frames; ++f) {
+        in.spill_ops.push_back(fleet.cross_frame ? detail::stage_cost_ops(probe)
+                                                 : detail::stage_block_ops(probe));
       }
-      sinputs.push_back(std::move(sin));
     }
-    inputs.push_back(std::move(in));
   }
 
   FleetResult result;
   const detail::FleetSchedule sched =
-      detail::schedule_streams(fleet, inputs, sinputs, mode, &result);
+      detail::schedule_streams(fleet, inputs, mode, &result);
 
   const SimDuration total_busy = result.ps_busy + result.pl_busy;
   result.streams.reserve(streams.size());

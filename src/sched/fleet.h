@@ -1,30 +1,33 @@
 // Fleet scheduler: N concurrent fusion streams over M modeled PL engines
-// and K PS cores (PR 7 tentpole; ROADMAP "multi-stream fleet scheduler").
+// and K PS cores (ROADMAP "multi-stream fleet scheduler").
 //
 // The production north star is judged on per-stream latency percentiles and
 // dropped frames, not aggregate fps. Streams arrive at camera rate
 // (configurable fps + deterministic jitter) instead of all-at-t=0, carry a
-// bounded frame queue with drop-on-overflow, and an admission/placement
-// layer dispatches their pipeline stages onto shared timeline resources:
-// K PS cores (one home core per stream) and M PL engine slots, bounded by
-// the Table-I resource model (hw::max_engine_instances — the paper's float
-// engine fits the xc7z020 once; the Q2.16 fixed-point datapath about seven
-// times). Idle engines may be stolen across streams, and a stream whose
-// engine wait exceeds a fraction of its frame period spills the frame to
-// the NEON cost model instead of queueing on the PL.
+// bounded frame queue with drop-on-overflow, and share K PS cores (one home
+// core per stream) and M PL engine slots, bounded by the Table-I resource
+// model (hw::max_engine_instances — the paper's float engine fits the
+// xc7z020 once; the Q2.16 fixed-point datapath about seven times). Idle
+// engines may be stolen across streams, and a frame whose engine wait
+// exceeds a fraction of its frame period spills to the NEON cost model
+// instead of queueing on the PL.
 //
-// sched::run_pipelined is this fleet with one stream in batch mode (every
-// frame ready at t=0, unbounded queue, one core, one engine): it measures
-// its frames with detail::measure_stream and schedules them with
-// detail::schedule_streams, the two steps run_fleet runs per stream and per
-// fleet, so a 1-stream fleet at camera-rate-0 reproduces run_pipelined
-// bit-for-bit (tests/test_fleet.cpp and tests/test_streaming.cpp lock
-// makespan and energy equality).
+// There is one scheduler: every stream's frames become op lists replayed by
+// detail::schedule_streaming (src/sched/streaming.h), which owns admission,
+// the pipeline-depth window, engine placement and the spill.
+// FleetConfig::cross_frame selects only the op granularity: stage blocks
+// (off) or captured line batches (on). sched::run_pipelined is this fleet
+// with one stream in batch mode (every frame ready at t=0, unbounded queue,
+// one core, one engine): it measures its frames with detail::measure_stream
+// and schedules them with detail::schedule_streams, the two steps run_fleet
+// runs per stream and per fleet, so a 1-stream fleet at camera-rate-0
+// reproduces run_pipelined bit-for-bit (tests/test_fleet.cpp and
+// tests/test_streaming.cpp lock makespan and energy equality).
 //
-// Everything is modeled and deterministic: stage costs come from the same
-// per-frame PS/PL-split ledgers as run_pipelined, the dispatch order is a
-// pure function of those costs, and energy integrates over the merged
-// engine-busy intervals via PowerRecorder::run_timeline (DESIGN.md §4).
+// Everything is modeled and deterministic: op costs come from the same
+// per-frame PS/PL-split ledgers as the serial runner, the dispatch order is
+// a pure function of those costs, and energy integrates over the merged
+// PL-side busy intervals (DESIGN.md §4).
 #pragma once
 
 #include <array>
@@ -74,13 +77,12 @@ struct FleetConfig {
   // RunConfig::engine (the default engine if no stream uses the PL).
   // run_fleet throws std::invalid_argument on an impossible count.
   bool fixed_point_engines = false;
-  // Cross-frame line streaming (ISSUE 9): replay every stream through
-  // schedule_streaming — batched-FPGA streams at captured batch granularity
-  // (an engine slot switching streams keeps its ping-pong buffer state
-  // instead of draining, and descriptor chains of the streams' RunConfig
-  // sg_chain_len amortize the driver entry), other backends as sliced
-  // stage-granular ops on the same replay. Off (default) keeps the legacy
-  // stage-granular schedule bit-identical.
+  // Op granularity of the replay. On: cross-frame line streaming —
+  // batched-FPGA streams at captured batch granularity (an engine slot
+  // switching streams keeps its ping-pong buffer state instead of draining,
+  // and descriptor chains of the streams' RunConfig sg_chain_len amortize
+  // the driver entry), other backends as sliced stage ops. Off (default):
+  // every stream as stage blocks (streaming.h, stage_block_ops).
   bool cross_frame = false;
 };
 
@@ -119,10 +121,10 @@ struct FleetResult {
   }
 };
 
-// Runs the fleet: per-stream pass 1 (detail::measure_frames through the
-// stream's factory-built backend, per-frame PS/PL-split stage costs), then the
-// event-driven dispatch of every stage onto the shared cores/engines, then
-// stats + energy integration. Deterministic at any --threads. Throws
+// Runs the fleet: per-stream pass 1 (detail::measure_stream through the
+// stream's factory-built backend), then the replay of every stream's ops on
+// the shared cores/engines (detail::schedule_streams), then stats + energy
+// integration. Deterministic at any --threads. Throws
 // std::invalid_argument, before any stream does work, when `fleet.engines`
 // instances of the largest PL stream engine do not fit the part or a paced
 // stream's jitter_frac is outside [0, 1).
@@ -137,13 +139,11 @@ struct FleetStageCost {
   SimDuration ps, pl;
 };
 
+// One stream of per-frame stage costs, for schedule_fleet.
 struct FleetStreamInput {
   // Per frame: arrival time and the 4-stage (prep/fwd/fus/inv) cost split.
   std::vector<SimDuration> arrivals;
   std::vector<std::array<FleetStageCost, 4>> cost;
-  // Non-empty to enable the NEON spill: per-frame stage costs of the same
-  // frames on the NEON cost model (all-PS).
-  std::vector<std::array<FleetStageCost, 4>> spill_cost;
   SimDuration period;   // frame period; zero = batch mode (no spill, no jitter)
   int queue_depth = 0;  // <= 0 = unbounded
   int home_engine = 0;
@@ -159,20 +159,14 @@ struct FleetFrameOutcome {
 struct FleetSchedule {
   Timeline timeline;
   std::vector<ResourceId> cores, engines;
-  // Per-engine ACP DMA channels — only populated by the streaming replay
-  // (schedule_streaming, src/sched/streaming.h); empty on the stage-granular
-  // path, so legacy accounting is unchanged.
+  // Per-engine ACP DMA channels; only line batches place events on them.
   std::vector<ResourceId> dmas;
   std::vector<std::vector<FleetFrameOutcome>> frames;  // per stream, per frame
   std::vector<SimDuration> stream_ps_busy, stream_pl_busy;
 };
 
-// Event-driven non-delay list scheduling: among all eligible stage dispatches
-// (stage-chain and pipeline-depth gated, per-stream FIFO), the one with the
-// earliest feasible start commits first; ties break by stage (older frames
-// first), frame, then stream. Arrivals interleave in simulated-time order,
-// and a frame is dropped at its arrival instant when the stream's admitted-
-// but-unstarted backlog has reached queue_depth.
+// schedule_streaming over each frame's stage blocks (stage_block_ops). The
+// inputs carry no spill ops, so spill_wait_frac has no effect here.
 FleetSchedule schedule_fleet(const std::vector<FleetStreamInput>& streams,
                              int cores, int engines, int pipeline_depth,
                              bool steal_engines, double spill_wait_frac);
@@ -191,25 +185,23 @@ FleetEnergy integrate_fleet_energy(const Timeline& timeline,
 struct StreamingStreamInput;  // src/sched/streaming.h
 
 // Pass 1 of one stream (run_pipelined, and each run_fleet stream):
-// measure_frames through `backend`, each frame's stage times split into the
-// PS-resident part and the PL remainder (`in->cost`). With `streaming` set,
-// also fills it with `in`'s admission fields and, per frame, the batch
-// stream a BatchedFpgaBackend captures during the pass (with its engine,
-// driver costs and chain length) or, for any other backend, the stage costs
-// as sliced ops. Returns the additive ledger total.
+// measure_frames through `backend`, filling `in->frame_ops`. With
+// `cross_frame` set, a BatchedFpgaBackend's frames are the batch stream it
+// captures during the pass (and `in` takes its engine, driver costs and
+// chain length), any other backend's the stage costs as sliced ops
+// (stage_cost_ops); otherwise every frame is its stage blocks
+// (stage_block_ops). Returns the additive ledger total.
 SimDuration measure_stream(TransformBackend& backend,
                            const fusion::FuseConfig& fuse,
                            const std::vector<FramePair>& frames,
-                           FleetStreamInput* in, StreamingStreamInput* streaming);
+                           bool cross_frame, StreamingStreamInput* in);
 
-// Pass 2 of run_pipelined and run_fleet: schedule_streaming over
-// `streaming` when fleet.cross_frame, else schedule_fleet over `stage`.
+// Pass 2 of run_pipelined and run_fleet: schedule_streaming over `streams`.
 // Sets `totals`' makespan, busy times and energy (in `mode`; PL time and
 // the gated draw cover the engines and the DMA channels) and returns the
 // schedule.
 FleetSchedule schedule_streams(const FleetConfig& fleet,
-                               const std::vector<FleetStreamInput>& stage,
-                               const std::vector<StreamingStreamInput>& streaming,
+                               const std::vector<StreamingStreamInput>& streams,
                                power::ComputeMode mode, FleetResult* totals);
 
 }  // namespace detail

@@ -169,12 +169,10 @@ PipelineRunResult run_pipelined(TransformBackend& backend,
 
   // Pass 1: numerics (fanned out over the host pool, one frame at a time per
   // thread) and the in-order accounting replay overlapped with them.
-  std::vector<detail::FleetStreamInput> stage(1);
-  stage[0].arrivals.assign(frames.size(), SimDuration::zero());
-  std::vector<detail::StreamingStreamInput> streaming(fleet.cross_frame ? 1 : 0);
-  result.serial_total = detail::measure_stream(
-      backend, config.fuse, frames, &stage[0],
-      fleet.cross_frame ? &streaming[0] : nullptr);
+  std::vector<detail::StreamingStreamInput> stream(1);
+  stream[0].arrivals.assign(frames.size(), SimDuration::zero());
+  result.serial_total = detail::measure_stream(backend, config.fuse, frames,
+                                               fleet.cross_frame, &stream[0]);
 
   // Pass 2: the PS part of a stage (driver calls, fusion rule, prep) runs on
   // the PS core; the PL part follows it on the engine. Stages of one frame
@@ -186,31 +184,25 @@ PipelineRunResult run_pipelined(TransformBackend& backend,
   const power::ComputeMode mode = backend.compute_mode();
   if (overlap) {
     FleetResult totals;
-    detail::schedule_streams(fleet, stage, streaming, mode, &totals);
+    detail::schedule_streams(fleet, stream, mode, &totals);
     result.makespan = totals.makespan;
     result.ps_busy = totals.ps_busy;
     result.pl_busy = totals.pl_busy;
     result.energy_mj = totals.energy_mj;
     result.energy_gated_mj = totals.energy_gated_mj;
   } else {
-    // Serial schedule: every stage waits for the previous one, frames do
-    // not overlap — the event-queue equivalent of the additive ledger.
+    // Serial schedule: every stage block waits for the previous one, frames
+    // do not overlap — the event-queue equivalent of the additive ledger.
     static constexpr const char* kLabels[4] = {"prep", "fwd", "fus", "inv"};
     Timeline tl;
     const ResourceId ps = tl.add_resource("PS core");
     const ResourceId pl = tl.add_resource("PL engine + DMA");
     SimDuration prev;
-    for (const auto& frame : stage[0].cost) {
-      for (std::size_t s = 0; s < frame.size(); ++s) {
-        const detail::FleetStageCost& c = frame[s];
-        SimDuration end = prev;
-        if (c.ps > SimDuration::zero() || c.pl == SimDuration::zero()) {
-          end = tl.schedule(ps, kLabels[s], prev, c.ps).end;
-        }
-        if (c.pl > SimDuration::zero()) {
-          end = tl.schedule(pl, kLabels[s], end, c.pl).end;
-        }
-        prev = end;
+    for (const auto& ops : stream[0].frame_ops) {
+      for (const detail::StreamOp& op : ops) {
+        if (op.kind == detail::StreamOp::Kind::kStageBoundary) continue;
+        const bool on_pl = op.kind == detail::StreamOp::Kind::kPlBlock;
+        prev = tl.schedule(on_pl ? pl : ps, kLabels[op.stage], prev, op.ps).end;
       }
     }
     result.makespan = tl.makespan();

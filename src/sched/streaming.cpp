@@ -15,6 +15,36 @@ constexpr const char* kStageLabels[4] = {"prep", "fwd", "fus", "inv"};
 
 SimDuration max_of(SimDuration a, SimDuration b) { return a > b ? a : b; }
 
+StreamOp timed_op(StreamOp::Kind kind, int stage, SimDuration d) {
+  StreamOp op;
+  op.kind = kind;
+  op.stage = stage;
+  op.ps = d;
+  return op;
+}
+
+// A frame's four stages as ops: the PS part (sliced, or one block), the PL
+// part as one opaque block, and a boundary between stages.
+std::vector<StreamOp> stage_ops(const std::array<FleetStageCost, 4>& cost,
+                                bool slice_ps) {
+  std::vector<StreamOp> ops;
+  for (int g = 0; g < 4; ++g) {
+    const FleetStageCost& c = cost[static_cast<std::size_t>(g)];
+    if (slice_ps) {
+      append_sliced_ps(&ops, g, c.ps);
+    } else if (c.ps > SimDuration::zero()) {
+      ops.push_back(timed_op(StreamOp::Kind::kPs, g, c.ps));
+    }
+    if (c.pl > SimDuration::zero()) {
+      ops.push_back(timed_op(StreamOp::Kind::kPlBlock, g, c.pl));
+    }
+    if (g < 3) {
+      ops.push_back(timed_op(StreamOp::Kind::kStageBoundary, g, SimDuration::zero()));
+    }
+  }
+  return ops;
+}
+
 }  // namespace
 
 void append_sliced_ps(std::vector<StreamOp>* ops, int stage, SimDuration d) {
@@ -26,33 +56,16 @@ void append_sliced_ps(std::vector<StreamOp>* ops, int stage, SimDuration d) {
   if (n < 1) n = 1;
   const SimDuration slice = d * (1.0 / n);
   for (int i = 0; i < n; ++i) {
-    StreamOp op;
-    op.kind = StreamOp::Kind::kPs;
-    op.stage = stage;
-    op.ps = slice;
-    ops->push_back(op);
+    ops->push_back(timed_op(StreamOp::Kind::kPs, stage, slice));
   }
 }
 
 std::vector<StreamOp> stage_cost_ops(const std::array<FleetStageCost, 4>& cost) {
-  std::vector<StreamOp> ops;
-  for (int g = 0; g < 4; ++g) {
-    append_sliced_ps(&ops, g, cost[static_cast<std::size_t>(g)].ps);
-    if (cost[static_cast<std::size_t>(g)].pl > SimDuration::zero()) {
-      StreamOp pl;
-      pl.kind = StreamOp::Kind::kPlBlock;
-      pl.stage = g;
-      pl.ps = cost[static_cast<std::size_t>(g)].pl;
-      ops.push_back(pl);
-    }
-    if (g < 3) {
-      StreamOp boundary;
-      boundary.kind = StreamOp::Kind::kStageBoundary;
-      boundary.stage = g;
-      ops.push_back(boundary);
-    }
-  }
-  return ops;
+  return stage_ops(cost, /*slice_ps=*/true);
+}
+
+std::vector<StreamOp> stage_block_ops(const std::array<FleetStageCost, 4>& cost) {
+  return stage_ops(cost, /*slice_ps=*/false);
 }
 
 FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& streams,
@@ -150,9 +163,8 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
                ? spill_of(in, static_cast<std::size_t>(f))
                : in.frame_ops[static_cast<std::size_t>(f)];
   };
-  // Earliest-free engine this stream may use (same policy as schedule_fleet:
-  // any engine when stealing, the home slot otherwise; ties prefer home,
-  // then the lowest id).
+  // Earliest-free engine this stream may use: any engine when stealing, the
+  // home slot otherwise; ties prefer home, then the lowest id.
   auto pick_engine = [&](int s) {
     const int home = ((stream_at(s).home_engine % engines) + engines) % engines;
     if (!steal_engines) return home;
@@ -220,11 +232,10 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
   // with the earliest feasible start (ties: lower stream, then older
   // frame), unless the next arrival comes strictly earlier — the
   // admission/drop decision is made at the arrival instant, after earlier
-  // work has left the queue (same contract as schedule_fleet). A stream's
-  // candidates are its in-flight frames plus, while the pipeline-depth
-  // window has room, its oldest unstarted frame, so each dispatch looks at
-  // no more than pipeline_depth + 1 frames per stream however long the
-  // window is.
+  // work has left the queue. A stream's candidates are its in-flight frames
+  // plus, while the pipeline-depth window has room, its oldest unstarted
+  // frame, so each dispatch looks at no more than pipeline_depth + 1 frames
+  // per stream however long the window is.
   for (;;) {
     int bs = -1, bframe = -1;
     SimDuration bready, bstart;
@@ -276,10 +287,18 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
         out.frames[static_cast<std::size_t>(as)][static_cast<std::size_t>(f)]
             .dropped = true;
       } else {
-        st.admitted.push_back(f);
-        ++st.queue_len;
-        st.fs[static_cast<std::size_t>(f)].ps_end = in.arrivals[static_cast<std::size_t>(f)];
+        FrameState& fs = st.fs[static_cast<std::size_t>(f)];
+        fs.ps_end = in.arrivals[static_cast<std::size_t>(f)];
         apply_boundaries(as, f);
+        if (fs.op_ptr < static_cast<int>(frame_ops(as, f).size())) {
+          st.admitted.push_back(f);
+          ++st.queue_len;
+        } else {
+          // A frame with no work (all-zero stage costs) completes on
+          // arrival instead of never starting and blocking its stream.
+          out.frames[static_cast<std::size_t>(as)][static_cast<std::size_t>(f)]
+              .completion = fs.ps_end;
+        }
       }
       continue;
     }
@@ -294,10 +313,10 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
       --st.queue_len;
       st.in_flight.push_back(bframe);
       ++st.next_start;
-      // Spill decision at first dispatch (schedule_fleet's policy): when
-      // the shortest engine wait measured from the arrival already exceeds
-      // the configured fraction of the frame period, this frame runs on
-      // the NEON cost model instead of queueing on the saturated PL.
+      // Spill decision at first dispatch: when the shortest engine wait
+      // measured from the arrival already exceeds the configured fraction
+      // of the frame period, this frame runs on the NEON cost model
+      // instead of queueing on the saturated PL.
       if (spill_wait_frac > 0.0 && !in.spill_ops.empty() &&
           in.period > SimDuration::zero()) {
         const SimDuration engine_free = out.timeline.free_at(

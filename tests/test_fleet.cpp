@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -245,6 +246,126 @@ TEST(Fleet, StealingIdleEnginesBalancesTheLoad) {
   // tolerance rather than exact equality.
   EXPECT_NEAR(stolen.timeline.makespan().ms(), 240.0, 1e-9);
   EXPECT_NEAR(pinned.timeline.makespan().ms(), 320.0, 1e-9);
+}
+
+// --- one scheduler -----------------------------------------------------------
+
+// schedule_fleet is a view of the streaming replay: on a contended stage-
+// granular fleet (4 camera streams of measured 88x72 batched-FPGA frames on
+// 2 cores and 2 engines, bounded queues, spill on), it places the same
+// events as schedule_streaming over the frames' stage blocks — per stage one
+// PS op with the whole PS part, one PL block, and a stage boundary — and
+// gives every frame the same outcome.
+TEST(Fleet, StageScheduleIsTheReplayOverStageBlocks) {
+  using sched::detail::StreamOp;
+  sched::RunConfig run;
+  run.frame_size = {88, 72};
+  run.frames = 8;
+  sched::BatchedFpgaBackend backend(run);
+  const std::vector<sched::FrameRunResult> measured = sched::detail::measure_frames(
+      backend, run.fuse, sched::make_sweep_frames(run.frame_size, run.frames));
+  auto split = [](SimDuration total, SimDuration pl) {
+    return sched::detail::FleetStageCost{
+        total > pl ? total - pl : SimDuration::zero(), pl};
+  };
+  std::vector<std::array<sched::detail::FleetStageCost, 4>> cost;
+  for (const sched::FrameRunResult& r : measured) {
+    cost.push_back({{split(r.times.prep, r.pl_times.prep),
+                     split(r.times.forward, r.pl_times.forward),
+                     split(r.times.fusion, r.pl_times.fusion),
+                     split(r.times.inverse, r.pl_times.inverse)}});
+  }
+
+  std::vector<sched::detail::FleetStreamInput> stage(4);
+  std::vector<sched::detail::StreamingStreamInput> blocks(4);
+  for (std::size_t s = 0; s < stage.size(); ++s) {
+    sched::detail::FleetStreamInput& in = stage[s];
+    in.period = SimDuration::seconds(1.0 / 60.0);
+    in.queue_depth = 2;
+    in.home_engine = static_cast<int>(s);
+    in.cost = cost;
+    for (int f = 0; f < run.frames; ++f) {
+      in.arrivals.push_back(in.period * static_cast<double>(f) +
+                            SimDuration::microseconds(static_cast<double>(
+                                (7 * f + 3 * static_cast<int>(s)) % 5 * 100)));
+    }
+    sched::detail::StreamingStreamInput& b = blocks[s];
+    b.arrivals = in.arrivals;
+    b.period = in.period;
+    b.queue_depth = in.queue_depth;
+    b.home_engine = in.home_engine;
+    for (const auto& frame : cost) {
+      std::vector<StreamOp> ops;
+      auto add = [&](StreamOp::Kind kind, int g, SimDuration d) {
+        StreamOp op;
+        op.kind = kind;
+        op.stage = g;
+        op.ps = d;
+        ops.push_back(op);
+      };
+      for (int g = 0; g < 4; ++g) {
+        const sched::detail::FleetStageCost& c = frame[static_cast<std::size_t>(g)];
+        if (c.ps > SimDuration::zero()) add(StreamOp::Kind::kPs, g, c.ps);
+        if (c.pl > SimDuration::zero()) add(StreamOp::Kind::kPlBlock, g, c.pl);
+        if (g < 3) add(StreamOp::Kind::kStageBoundary, g, SimDuration::zero());
+      }
+      b.frame_ops.push_back(std::move(ops));
+    }
+  }
+  const sched::detail::FleetSchedule fleet = sched::detail::schedule_fleet(
+      stage, /*cores=*/2, /*engines=*/2, /*pipeline_depth=*/4,
+      /*steal_engines=*/true, /*spill_wait_frac=*/0.5);
+  const sched::detail::FleetSchedule replay = sched::detail::schedule_streaming(
+      blocks, /*cores=*/2, /*engines=*/2, /*pipeline_depth=*/4,
+      /*steal_engines=*/true, /*spill_wait_frac=*/0.5);
+
+  const std::vector<Timeline::Event>& got = fleet.timeline.events();
+  const std::vector<Timeline::Event>& want = replay.timeline.events();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(fleet.timeline.resource_name(got[i].resource),
+              replay.timeline.resource_name(want[i].resource))
+        << "event " << i;
+    EXPECT_STREQ(got[i].label, want[i].label) << "event " << i;
+    EXPECT_TRUE(got[i].start == want[i].start && got[i].end == want[i].end)
+        << "event " << i << ": [" << got[i].start.us() << ", " << got[i].end.us()
+        << "] vs [" << want[i].start.us() << ", " << want[i].end.us() << "] us";
+  }
+  int dropped = 0;
+  ASSERT_EQ(fleet.frames.size(), replay.frames.size());
+  for (std::size_t s = 0; s < fleet.frames.size(); ++s) {
+    ASSERT_EQ(fleet.frames[s].size(), replay.frames[s].size());
+    for (std::size_t f = 0; f < fleet.frames[s].size(); ++f) {
+      const sched::detail::FleetFrameOutcome& a = fleet.frames[s][f];
+      const sched::detail::FleetFrameOutcome& b = replay.frames[s][f];
+      EXPECT_EQ(a.dropped, b.dropped) << "stream " << s << " frame " << f;
+      EXPECT_EQ(a.spilled, b.spilled) << "stream " << s << " frame " << f;
+      EXPECT_TRUE(a.completion == b.completion && a.latency == b.latency)
+          << "stream " << s << " frame " << f << ": " << a.completion.us() << " vs "
+          << b.completion.us() << " us";
+      dropped += b.dropped ? 1 : 0;
+    }
+  }
+  // The fleet really is contended: 4 cameras at 60 fps overrun 2 engines.
+  EXPECT_GT(dropped, 0);
+}
+
+// A frame whose stage costs are all zero has no ops to dispatch. It must
+// complete on arrival, not wait forever and hold back the frames behind it.
+TEST(Fleet, FrameWithoutWorkCompletesOnArrival) {
+  const SimDuration ms = SimDuration::milliseconds(1);
+  const std::array<sched::detail::FleetStageCost, 4> work = {
+      {{ms, ms}, {ms, ms}, {ms, ms}, {ms, ms}}};
+  sched::detail::FleetStreamInput in;
+  in.arrivals = {SimDuration::zero(), ms, ms * 2.0};
+  in.cost = {work, {}, work};
+  const sched::detail::FleetSchedule s = sched::detail::schedule_fleet(
+      {in}, /*cores=*/1, /*engines=*/1, /*pipeline_depth=*/4,
+      /*steal_engines=*/true, /*spill_wait_frac=*/0.0);
+  ASSERT_EQ(s.frames[0].size(), 3u);
+  EXPECT_TRUE(s.frames[0][1].completion == ms);
+  EXPECT_TRUE(s.frames[0][1].latency == SimDuration::zero());
+  EXPECT_GT(s.frames[0][2].completion, s.frames[0][0].completion);
 }
 
 // --- NEON spill --------------------------------------------------------------

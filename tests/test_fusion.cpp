@@ -53,14 +53,14 @@ TEST(Fusion, DwtBaselineRunsAndPreservesSelfFusion) {
   const auto pairs = sched::make_sweep_frames({35, 35}, 1);
   const ImageF& img = pairs[0].visible;
   dwt::ScalarLineFilter filter;
-  const ImageF fused = fuse_frames_dwt(img, img, fusion::DwtFuseConfig{}, filter);
+  const ImageF fused = fuse_frames_dwt(img, img, fusion::FuseConfig{}, filter);
   EXPECT_LT(max_abs_diff(img, fused), 1e-4);
 }
 
 TEST(Fusion, DtcwtUsesFourTimesTheDwtTransformWork) {
   const auto pairs = sched::make_sweep_frames({64, 48}, 1);
   dwt::ScalarLineFilter f_dwt, f_dtcwt;
-  fuse_frames_dwt(pairs[0].visible, pairs[0].thermal, fusion::DwtFuseConfig{}, f_dwt);
+  fuse_frames_dwt(pairs[0].visible, pairs[0].thermal, fusion::FuseConfig{}, f_dwt);
   fuse_frames(pairs[0].visible, pairs[0].thermal, fusion::FuseConfig{}, f_dtcwt);
   EXPECT_EQ(4 * f_dwt.stats().total_macs(), f_dtcwt.stats().total_macs());
 }
