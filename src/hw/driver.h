@@ -6,7 +6,8 @@
 // (Fig. 5) splits the kernel memory into two areas so the next line's input
 // copy overlaps the engine's processing of the current line.
 //
-// Two accounting front-ends share one cost decomposition (LineCost):
+// Two accounting front-ends share one cost decomposition (LineCost), one
+// buffer-fit rule (check_line_fits) and one batch placement (place_batch):
 //
 //   WaveletAccelerator          the additive ledger path — one synchronous
 //                               line request at a time, PS-visible time
@@ -62,6 +63,13 @@ struct DriverCosts {
   double sg_desc_fetch_pl_cycles = hw::cost::kSgDescFetchPlCycles;
 };
 
+// Whether copies ride the ACP DMA channel (PL side, may overlap PS work);
+// otherwise (GP port, or DMA disabled) the CPU moves every word itself.
+inline bool dma_path(const hw::WaveletEngineConfig& engine,
+                     const DriverCosts& costs) {
+  return costs.transfer == TransferMode::kAcpDma && engine.dma_enabled;
+}
+
 // The four cost components of servicing line requests, kept separate so the
 // ledger path and the timeline path charge the same numbers to different
 // schedules (additive vs event-queue).
@@ -70,16 +78,6 @@ struct LineCost {
   SimDuration input;    // input words over the configured transfer path
   SimDuration compute;  // PL engine busy time
   SimDuration output;   // result words back
-
-  // PS-resident portion: the CPU executes the driver call, and with GP-port
-  // transfers it also moves every word itself. Everything else (DMA bursts,
-  // engine busy) lives on the PL side of the fence and can overlap PS work.
-  SimDuration ps_part(const DriverCosts& costs, bool dma_enabled) const {
-    if (costs.transfer == TransferMode::kGpPort || !dma_enabled) {
-      return driver + input + output;
-    }
-    return driver;
-  }
 };
 
 // PS time of one user->kernel driver entry including completion.
@@ -108,7 +106,7 @@ inline SimDuration sg_desc_fetch_time(const DriverCosts& costs) {
 // the PL clock, or CPU-issued GP-port beats at the PS clock.
 inline SimDuration transfer_time(const hw::WaveletEngineConfig& engine,
                                  const DriverCosts& costs, int words) {
-  if (costs.transfer == TransferMode::kGpPort || !engine.dma_enabled) {
+  if (!dma_path(engine, costs)) {
     return hw::ps_clock().cycles(hw::GpPortModel{}.cycles_for_words(words));
   }
   return hw::pl_clock().cycles(hw::AcpDmaModel{}.cycles_for_words(words));
@@ -125,6 +123,83 @@ inline LineCost line_cost(const hw::WaveletEngineConfig& engine,
   return c;
 }
 
+// Throws std::invalid_argument for a line request longer than the kernel
+// buffer (same policy as check_engine_fit: modeling a request the hardware
+// cannot hold would produce plausible-looking nonsense).
+inline void check_line_fits(const hw::WaveletEngineConfig& engine, int words_in) {
+  if (words_in > engine.buffer_words) {
+    throw std::invalid_argument(
+        std::to_string(words_in) + "-word line request does not fit the "
+        "modeled kernel buffer (" + std::to_string(engine.buffer_words) +
+        " words)");
+  }
+}
+
+// One batch of line requests: what place_batch charges, and what the
+// streaming replay (src/sched/streaming.h) re-schedules across frames.
+struct Batch {
+  int words_in = 0;
+  int words_out = 0;
+  double compute_cycles = 0.0;  // PL cycles
+  // True when a barrier() separates this batch from the previous one: its
+  // input depends on outputs of earlier batches (row -> column pass).
+  bool after_barrier = false;
+};
+
+// The ping-pong buffers and descriptor chain of one PL engine slot.
+struct EngineSlot {
+  SimDuration buffer_free[2];  // when the engine has drained each buffer
+  long long batches = 0;       // flips the ping-pong buffer
+  int chain_pos = 0;           // 0: the next batch heads a new chain
+  int chain_owner = -1;        // who armed the chain (the replay's stream)
+
+  // The buffer the next batch fills.
+  int next_buffer(const DriverCosts& costs) const {
+    return costs.double_buffering ? static_cast<int>(batches & 1) : 0;
+  }
+};
+
+struct BatchEvents {
+  ResourceClocks::Event drv, in, comp, out;
+};
+
+// Places one batch on `clocks` (a ResourceClocks, or a Timeline to log the
+// events): driver entry on `ps`, input copy, compute on `pl`, output copy,
+// the copies on `dma` or, off the DMA path, on `ps`. The driver call's
+// copy_from_user writes this batch's kernel buffer, so it also waits for the
+// engine to drain the batch that last used it (Fig. 5); `ready` is the
+// caller's data fence. With chain_len > 1 only a chain head pays the full
+// driver entry; continuations pay a descriptor append on the PS and a
+// descriptor fetch before the input burst. (`inline` is deliberate: without
+// it GCC keeps a template this size out of the accounting hot path.)
+template <class Clocks>
+inline BatchEvents place_batch(Clocks& clocks, EngineSlot& slot, ResourceId ps,
+                               ResourceId dma, ResourceId pl,
+                               const hw::WaveletEngineConfig& engine,
+                               const DriverCosts& costs, int chain_len,
+                               SimDuration ready, const Batch& batch) {
+  const ResourceId xfer = dma_path(engine, costs) ? dma : ps;
+  const bool head = slot.chain_pos == 0;
+  const int buf = slot.next_buffer(costs);
+  BatchEvents ev;
+  ev.drv = clocks.schedule(
+      ps, head ? "drv" : "desc", std::max(ready, slot.buffer_free[buf]),
+      head ? driver_call_time(costs) : sg_desc_build_time(costs));
+  SimDuration in_time = transfer_time(engine, costs, batch.words_in);
+  if (!head) in_time += sg_desc_fetch_time(costs);
+  ev.in = clocks.schedule(xfer, "in", ev.drv.end, in_time);
+  ev.comp = clocks.schedule(pl, "comp", ev.in.end,
+                            hw::pl_clock().cycles(batch.compute_cycles));
+  ev.out = clocks.schedule(xfer, "out", ev.comp.end,
+                           transfer_time(engine, costs, batch.words_out));
+  // The engine has consumed the input buffer once compute ends; the next
+  // batch using this buffer may start filling then.
+  slot.buffer_free[buf] = ev.comp.end;
+  ++slot.batches;
+  slot.chain_pos = (slot.chain_pos + 1) % (chain_len < 1 ? 1 : chain_len);
+  return ev;
+}
+
 // Accounts modeled time for line requests against one engine configuration.
 class WaveletAccelerator {
  public:
@@ -132,11 +207,12 @@ class WaveletAccelerator {
       : engine_(engine), costs_(costs) {}
 
   const hw::WaveletEngineConfig& engine() const { return engine_; }
-  const DriverCosts& costs() const { return costs_; }
 
   // PS-visible time to process one line: `words_in` extended input words,
   // `words_out` result words, `compute_cycles` PL cycles of engine busy time.
+  // Throws std::invalid_argument (check_line_fits) for an over-long line.
   SimDuration line_time(int words_in, int words_out, double compute_cycles) {
+    check_line_fits(engine_, words_in);
     const LineCost cost = line_cost(engine_, costs_, words_in, words_out,
                                     compute_cycles);
 
@@ -152,16 +228,16 @@ class WaveletAccelerator {
     stall_time_ += stall;
 
     const SimDuration total = cost.driver + cost.input + stall + cost.output;
-    busy_time_ += total;
     ++lines_;
-    last_ps_time_ = cost.ps_part(costs_, engine_.dma_enabled);
+    last_ps_time_ = dma_path(engine_, costs_)
+                        ? cost.driver
+                        : cost.driver + cost.input + cost.output;
     last_pl_time_ = total - last_ps_time_;
     return total;
   }
 
   // Accumulated PS wait-for-PL time (what double buffering removes).
   SimDuration stall_time() const { return stall_time_; }
-  SimDuration busy_time() const { return busy_time_; }
   long long lines() const { return lines_; }
 
   // Split of the most recent line_time() between PS-resident work (driver
@@ -170,19 +246,10 @@ class WaveletAccelerator {
   SimDuration last_line_ps_time() const { return last_ps_time_; }
   SimDuration last_line_pl_time() const { return last_pl_time_; }
 
-  void reset() {
-    stall_time_ = SimDuration::zero();
-    busy_time_ = SimDuration::zero();
-    lines_ = 0;
-    last_ps_time_ = SimDuration::zero();
-    last_pl_time_ = SimDuration::zero();
-  }
-
  private:
   hw::WaveletEngineConfig engine_;
   DriverCosts costs_;
   SimDuration stall_time_;
-  SimDuration busy_time_;
   long long lines_ = 0;
   SimDuration last_ps_time_;
   SimDuration last_pl_time_;
@@ -216,19 +283,6 @@ class PipelinedWaveletAccelerator {
     int sg_chain_len = 1;
   };
 
-  // One closed batch, recorded when tracing is enabled (set_trace): the
-  // streaming replay (src/sched/streaming.h) re-schedules exactly these
-  // requests across frame boundaries.
-  struct BatchTrace {
-    int lines = 0;
-    int words_in = 0;
-    int words_out = 0;
-    double compute_cycles = 0.0;
-    // True when a barrier() separates this batch from the previous one: its
-    // input depends on outputs of earlier batches (row -> column pass).
-    bool after_barrier = false;
-  };
-
   PipelinedWaveletAccelerator(const hw::WaveletEngineConfig& engine,
                               const DriverCosts& costs, const Batching& batching,
                               ResourceClocks* clocks, ResourceId ps,
@@ -242,26 +296,20 @@ class PipelinedWaveletAccelerator {
 
   // Record every closed batch into `trace` (nullptr disables). Recording is
   // pure observation: the event schedule is unchanged.
-  void set_trace(std::vector<BatchTrace>* trace) { trace_ = trace; }
+  void set_trace(std::vector<Batch>* trace) { trace_ = trace; }
 
   // Queues one line into the current batch, closing the batch first if the
   // line would overflow the kernel buffer or the per-call line cap. Throws
-  // std::invalid_argument for a line longer than the kernel buffer (same
-  // policy as check_engine_fit: modeling a request the hardware cannot hold
-  // would produce plausible-looking nonsense); nothing is queued then.
+  // std::invalid_argument (check_line_fits) for a line longer than the
+  // kernel buffer; nothing is queued then.
   void submit_line(int words_in, int words_out, double compute_cycles) {
-    if (words_in > engine_.buffer_words) {
-      throw std::invalid_argument(
-          std::to_string(words_in) + "-word line request does not fit the "
-          "modeled kernel buffer (" + std::to_string(engine_.buffer_words) +
-          " words)");
-    }
-    if (pending_.lines > 0 &&
-        (pending_.lines >= batching_.max_lines_per_call ||
+    check_line_fits(engine_, words_in);
+    if (pending_lines_ > 0 &&
+        (pending_lines_ >= batching_.max_lines_per_call ||
          pending_.words_in + words_in > engine_.buffer_words)) {
       close_batch();
     }
-    pending_.lines += 1;
+    ++pending_lines_;
     pending_.words_in += words_in;
     pending_.words_out += words_out;
     pending_.compute_cycles += compute_cycles;
@@ -274,7 +322,7 @@ class PipelinedWaveletAccelerator {
   void barrier() {
     close_batch();
     dep_ready_ = last_output_end_;
-    barrier_pending_ = true;
+    pending_.after_barrier = true;
   }
 
   // Closes any pending batch and returns the completion time of the last
@@ -283,73 +331,29 @@ class PipelinedWaveletAccelerator {
   // so the next batch re-enters the driver (chain head).
   SimDuration flush() {
     close_batch();
-    chain_pos_ = 0;
+    slot_.chain_pos = 0;
     return last_output_end_;
   }
 
   long long lines() const { return lines_; }
-  long long driver_calls() const { return driver_calls_; }
+  long long driver_calls() const { return slot_.batches; }
   // Batches that paid the full driver entry (chain heads). With
   // sg_chain_len = 1 this equals driver_calls().
   long long chain_heads() const { return chain_heads_; }
-  SimDuration last_completion() const { return last_output_end_; }
 
  private:
-  struct Pending {
-    int lines = 0;
-    int words_in = 0;
-    int words_out = 0;
-    double compute_cycles = 0.0;
-  };
-
   void close_batch() {
-    if (pending_.lines == 0) return;
-    // CPU-driven GP-port transfers occupy the PS core; ACP bursts ride the
-    // DMA channel and leave the PS free after the driver call.
-    const bool dma_path =
-        costs_.transfer == TransferMode::kAcpDma && engine_.dma_enabled;
-    const ResourceId xfer = dma_path ? dma_ : ps_;
-
-    // The driver call's copy_from_user writes this batch's kernel buffer, so
-    // it must wait until the engine has drained the batch that last used it —
-    // with one buffer that serializes the ~12k-cycle PS entry with the
-    // engine; with two, the call overlaps the other buffer's processing
-    // (Fig. 5). It also may not run before the outputs this batch's lines
-    // depend on have landed (dep_ready_, see barrier()).
-    //
-    // Scatter-gather chaining (sg_chain_len > 1): only the chain head pays
-    // the full driver entry; continuation batches append a descriptor to
-    // the armed ring (small PS charge) and the DMA fetches it before the
-    // input burst. Chains persist across barriers (descriptors are armed
-    // ahead of the data dependency) and close at flush().
-    const int chain_len = batching_.sg_chain_len < 1 ? 1 : batching_.sg_chain_len;
-    const bool chain_head = chain_pos_ == 0;
-    const int buf = costs_.double_buffering ? (driver_calls_ & 1) : 0;
-    const SimDuration drv_ready = std::max(dep_ready_, buffer_free_[buf]);
-    const ResourceClocks::Event drv = clocks_->schedule(
-        ps_, chain_head ? "drv" : "desc", drv_ready,
-        chain_head ? driver_call_time(costs_) : sg_desc_build_time(costs_));
-    SimDuration in_time = transfer_time(engine_, costs_, pending_.words_in);
-    if (!chain_head) in_time += sg_desc_fetch_time(costs_);
-    const ResourceClocks::Event in = clocks_->schedule(xfer, "in", drv.end, in_time);
-    const ResourceClocks::Event comp = clocks_->schedule(
-        pl_, "comp", in.end, hw::pl_clock().cycles(pending_.compute_cycles));
-    const ResourceClocks::Event out = clocks_->schedule(
-        xfer, "out", comp.end, transfer_time(engine_, costs_, pending_.words_out));
-
-    // The engine has consumed the input buffer once compute ends; the next
-    // batch using this buffer may start filling then.
-    buffer_free_[buf] = comp.end;
-    last_output_end_ = out.end;
-    ++driver_calls_;
-    if (chain_head) ++chain_heads_;
-    chain_pos_ = (chain_pos_ + 1) % chain_len;
-    if (trace_) {
-      trace_->push_back({pending_.lines, pending_.words_in, pending_.words_out,
-                         pending_.compute_cycles, barrier_pending_});
-    }
-    barrier_pending_ = false;
-    pending_ = Pending{};
+    if (pending_lines_ == 0) return;
+    // dep_ready_: outputs these lines depend on (barrier()). Chains persist
+    // across barriers and close at flush().
+    if (slot_.chain_pos == 0) ++chain_heads_;
+    last_output_end_ =
+        place_batch(*clocks_, slot_, ps_, dma_, pl_, engine_, costs_,
+                    batching_.sg_chain_len, dep_ready_, pending_)
+            .out.end;
+    if (trace_) trace_->push_back(pending_);
+    pending_ = Batch{};
+    pending_lines_ = 0;
   }
 
   hw::WaveletEngineConfig engine_;
@@ -357,16 +361,14 @@ class PipelinedWaveletAccelerator {
   Batching batching_;
   ResourceClocks* clocks_;
   ResourceId ps_, dma_, pl_;
-  Pending pending_;
-  SimDuration buffer_free_[2];
+  Batch pending_;
+  int pending_lines_ = 0;
+  EngineSlot slot_;
   SimDuration dep_ready_;
   SimDuration last_output_end_;
   long long lines_ = 0;
-  long long driver_calls_ = 0;
   long long chain_heads_ = 0;
-  int chain_pos_ = 0;
-  bool barrier_pending_ = false;
-  std::vector<BatchTrace>* trace_ = nullptr;
+  std::vector<Batch>* trace_ = nullptr;
 };
 
 }  // namespace vf::driver

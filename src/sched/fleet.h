@@ -21,8 +21,9 @@
 // one core, one engine): it measures its frames with detail::measure_stream
 // and schedules them with detail::schedule_streams, the two steps run_fleet
 // runs per stream and per fleet, so a 1-stream fleet at camera-rate-0
-// reproduces run_pipelined bit-for-bit (tests/test_fleet.cpp and
-// tests/test_streaming.cpp lock makespan and energy equality).
+// reproduces run_pipelined bit-for-bit at every depth, the serial depth 1
+// included (tests/test_fleet.cpp and tests/test_streaming.cpp lock makespan
+// and energy equality).
 //
 // Everything is modeled and deterministic: op costs come from the same
 // per-frame PS/PL-split ledgers as the serial runner, the dispatch order is

@@ -109,14 +109,10 @@ std::vector<std::vector<detail::StreamOp>> BatchedFpgaBackend::take_stream_trace
 
 void BatchedFpgaBackend::drain_trace(Phase stage) {
   for (; batch_drained_ < batch_trace_.size(); ++batch_drained_) {
-    const auto& b = batch_trace_[batch_drained_];
     detail::StreamOp op;
     op.kind = detail::StreamOp::Kind::kBatch;
     op.stage = static_cast<int>(stage);
-    op.words_in = b.words_in;
-    op.words_out = b.words_out;
-    op.compute_cycles = b.compute_cycles;
-    op.after_barrier = b.after_barrier;
+    op.batch = batch_trace_[batch_drained_];
     cur_ops_.push_back(op);
   }
 }
@@ -155,16 +151,15 @@ PipelineRunResult run_pipelined(TransformBackend& backend,
                                 const RunConfig& config) {
   PipelineRunResult result;
   result.frames = static_cast<int>(frames.size());
-  const bool overlap = config.pipeline_depth > 1;
 
-  // The overlapped schedule is a one-stream fleet in batch mode: every frame
-  // ready at t=0, an unbounded queue, one PS core and one engine slot. Only
-  // a BatchedFpgaBackend records a batch stream to replay across frames;
-  // every other backend keeps the stage-granular overlap.
+  // A one-stream fleet in batch mode: every frame ready at t=0, an unbounded
+  // queue, one PS core and one engine slot (depth <= 1: the serial
+  // schedule). Only an overlapped window replays a BatchedFpgaBackend's
+  // captured batch stream; everything else runs as stage blocks.
   FleetConfig fleet;  // one engine, no spill by default
   fleet.cores = 1;
   fleet.pipeline_depth = config.pipeline_depth;
-  fleet.cross_frame = overlap && config.cross_frame &&
+  fleet.cross_frame = config.pipeline_depth > 1 && config.cross_frame &&
                       dynamic_cast<BatchedFpgaBackend*>(&backend) != nullptr;
 
   // Pass 1: numerics (fanned out over the host pool, one frame at a time per
@@ -181,38 +176,13 @@ PipelineRunResult run_pipelined(TransformBackend& backend,
   // paper's methodology (the loaded bitstream's draw for the whole run when
   // the backend uses the PL at all); `energy_gated_mj` charges the engine
   // draw only while the PL side is busy.
-  const power::ComputeMode mode = backend.compute_mode();
-  if (overlap) {
-    FleetResult totals;
-    detail::schedule_streams(fleet, stream, mode, &totals);
-    result.makespan = totals.makespan;
-    result.ps_busy = totals.ps_busy;
-    result.pl_busy = totals.pl_busy;
-    result.energy_mj = totals.energy_mj;
-    result.energy_gated_mj = totals.energy_gated_mj;
-  } else {
-    // Serial schedule: every stage block waits for the previous one, frames
-    // do not overlap — the event-queue equivalent of the additive ledger.
-    static constexpr const char* kLabels[4] = {"prep", "fwd", "fus", "inv"};
-    Timeline tl;
-    const ResourceId ps = tl.add_resource("PS core");
-    const ResourceId pl = tl.add_resource("PL engine + DMA");
-    SimDuration prev;
-    for (const auto& ops : stream[0].frame_ops) {
-      for (const detail::StreamOp& op : ops) {
-        if (op.kind == detail::StreamOp::Kind::kStageBoundary) continue;
-        const bool on_pl = op.kind == detail::StreamOp::Kind::kPlBlock;
-        prev = tl.schedule(on_pl ? pl : ps, kLabels[op.stage], prev, op.ps).end;
-      }
-    }
-    result.makespan = tl.makespan();
-    result.ps_busy = tl.busy_time(ps);
-    result.pl_busy = tl.busy_time(pl);
-    const detail::FleetEnergy energy =
-        detail::integrate_fleet_energy(tl, {pl}, mode);
-    result.energy_mj = energy.loaded_mj;
-    result.energy_gated_mj = energy.gated_mj;
-  }
+  FleetResult totals;
+  detail::schedule_streams(fleet, stream, backend.compute_mode(), &totals);
+  result.makespan = totals.makespan;
+  result.ps_busy = totals.ps_busy;
+  result.pl_busy = totals.pl_busy;
+  result.energy_mj = totals.energy_mj;
+  result.energy_gated_mj = totals.energy_gated_mj;
   result.sustained_fps =
       result.makespan.sec() > 0.0 ? result.frames / result.makespan.sec() : 0.0;
   return result;

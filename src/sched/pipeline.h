@@ -19,9 +19,9 @@
 //                          stage costs come from the per-frame ledger
 //                          (split into PS-resident and PL-resident parts)
 //                          and are re-scheduled by the fleet's event-driven
-//                          core; pipeline_depth <= 1 keeps the serial
-//                          schedule, which degenerates to the ledger sum
-//                          (DESIGN.md §2 invariant).
+//                          core; at pipeline_depth <= 1 that replay is the
+//                          serial schedule, which degenerates to the ledger
+//                          sum (DESIGN.md §2 invariant).
 //
 // Numerics are untouched in both layers: the same kernels run in the same
 // order, so fused outputs stay bit-identical with every other backend.
@@ -96,7 +96,7 @@ class BatchedFpgaBackend : public TransformBackend {
 
   // Streaming trace capture (enable_stream_trace).
   bool tracing_ = false;
-  std::vector<driver::PipelinedWaveletAccelerator::BatchTrace> batch_trace_;
+  std::vector<driver::Batch> batch_trace_;
   std::size_t batch_drained_ = 0;
   std::vector<detail::StreamOp> cur_ops_;
   std::vector<std::vector<detail::StreamOp>> trace_frames_;
@@ -133,10 +133,10 @@ struct PipelineRunResult {
 // fusion -> inverse as a one-stream fleet in batch mode
 // (detail::schedule_streams: one PS core, one engine, every frame ready at
 // t=0, config.pipeline_depth frames in flight); pipeline_depth <= 1 is the
-// serial schedule. config.cross_frame replays a BatchedFpgaBackend's
-// captured batch stream at line granularity instead (other backends ignore
-// it). config.fuse drives the numerics; the modeled hardware is the
-// backend's own.
+// serial schedule. At depth > 1, config.cross_frame replays a
+// BatchedFpgaBackend's captured batch stream at line granularity instead
+// (other backends ignore it). config.fuse drives the numerics; the modeled
+// hardware is the backend's own.
 PipelineRunResult run_pipelined(TransformBackend& backend,
                                 const std::vector<FramePair>& frames,
                                 const RunConfig& config = {});

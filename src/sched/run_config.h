@@ -60,15 +60,15 @@ struct RunConfig {
   // (stream index modulo engine count). Ignored outside run_fleet.
   int engine_id = -1;
 
-  // Scheduling: frames in flight for the event-queue pipeline (<= 1 = the
-  // serial schedule), and the NEON/FPGA crossover of the FpgaBackend's
-  // router when built as BackendKind::kAdaptive.
+  // Scheduling: run_pipelined's frames in flight (a frame starts once the
+  // one this many places earlier has ended; <= 1 = the serial schedule), and
+  // the NEON/FPGA crossover of the FpgaBackend's router (kAdaptive).
   int pipeline_depth = 4;
   int adaptive_threshold_samples = hw::cost::kAdaptiveThresholdSamples;
 
   // Cross-frame line streaming (ISSUE 9): when true and the stream runs on
-  // the batched FPGA path with pipeline_depth > 1, run_pipelined/run_fleet
-  // replay the captured batch stream at line granularity across frame and
+  // the batched FPGA path with pipeline_depth > 1, run_pipelined replays
+  // the captured batch stream at line granularity across frame and
   // level boundaries (ping-pong buffers refill from the next frame's rows
   // while the current frame's last batch is on the engine) instead of the
   // stage-granular overlap. Off (default) keeps every legacy schedule

@@ -13,8 +13,6 @@ namespace {
 
 constexpr const char* kStageLabels[4] = {"prep", "fwd", "fus", "inv"};
 
-SimDuration max_of(SimDuration a, SimDuration b) { return a > b ? a : b; }
-
 StreamOp timed_op(StreamOp::Kind kind, int stage, SimDuration d) {
   StreamOp op;
   op.kind = kind;
@@ -89,31 +87,23 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
   // descriptor chain live with the engine slot, not with a frame or a
   // stream: that is what lets the next frame's rows start filling buffer B
   // while the current frame's last batch still computes out of buffer A.
-  struct EngineState {
-    SimDuration buffer_free[2];
-    long long batches = 0;  // flips the ping-pong buffer
-    int chain_pos = 0;
-    int chain_owner = -1;  // stream id; a switch re-arms the chain
-  };
-  std::vector<EngineState> eng(static_cast<std::size_t>(engines));
+  std::vector<driver::EngineSlot> slots(static_cast<std::size_t>(engines));
 
   struct FrameState {
     int op_ptr = 0;
-    bool started = false;
     bool use_spill = false;
     SimDuration ps_end;        // this frame's serial PS chain (floor: arrival)
     SimDuration dep_ready;     // barrier fence for batch inputs
     SimDuration last_out_end;  // drain point of this frame's outputs so far
   };
+  // The pipeline-depth window: admitted[next_start] may start once
+  // admitted[next_start - depth] has completed, and not before that
+  // completion (so every frame before it has completed too).
   struct StreamState {
     int arrival_ptr = 0;
-    int queue_len = 0;   // admitted frames whose first op has not dispatched
     int next_start = 0;  // index into `admitted` of the first unstarted frame
+    int low = 0;         // admitted[..low) have all completed
     std::vector<int> admitted;
-    // Started frames whose last op has not committed, in start (= frame)
-    // order; at most pipeline_depth long. Frames may finish out of order,
-    // so a finished frame is erased wherever it sits.
-    std::vector<int> in_flight;
     std::vector<FrameState> fs;
   };
   std::vector<StreamState> state(static_cast<std::size_t>(ns));
@@ -155,13 +145,21 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
     return streams[static_cast<std::size_t>(s)];
   };
   auto core_of = [&](int s) { return out.cores[static_cast<std::size_t>(s % cores)]; };
+  auto fs_of = [&](int s, int f) -> FrameState& {
+    return state[static_cast<std::size_t>(s)].fs[static_cast<std::size_t>(f)];
+  };
+  auto outcome_of = [&](int s, int f) -> FleetFrameOutcome& {
+    return out.frames[static_cast<std::size_t>(s)][static_cast<std::size_t>(f)];
+  };
   auto frame_ops = [&](int s, int f) -> const std::vector<StreamOp>& {
     const StreamingStreamInput& in = stream_at(s);
-    const FrameState& fs =
-        state[static_cast<std::size_t>(s)].fs[static_cast<std::size_t>(f)];
+    const FrameState& fs = fs_of(s, f);
     return fs.use_spill && !in.spill_ops.empty()
                ? spill_of(in, static_cast<std::size_t>(f))
                : in.frame_ops[static_cast<std::size_t>(f)];
+  };
+  auto done = [&](int s, int f) {
+    return fs_of(s, f).op_ptr >= static_cast<int>(frame_ops(s, f).size());
   };
   // Earliest-free engine this stream may use: any engine when stealing, the
   // home slot otherwise; ties prefer home, then the lowest id.
@@ -185,43 +183,41 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
   // consumes the previous phase's outputs, so the frame's PS chain may not
   // continue before its drain point, and later batches see the new fence.
   auto apply_boundaries = [&](int s, int f) {
-    FrameState& fs =
-        state[static_cast<std::size_t>(s)].fs[static_cast<std::size_t>(f)];
+    FrameState& fs = fs_of(s, f);
     const std::vector<StreamOp>& ops = frame_ops(s, f);
     while (fs.op_ptr < static_cast<int>(ops.size()) &&
            ops[static_cast<std::size_t>(fs.op_ptr)].kind ==
                StreamOp::Kind::kStageBoundary) {
-      fs.ps_end = max_of(fs.ps_end, fs.last_out_end);
+      fs.ps_end = std::max(fs.ps_end, fs.last_out_end);
       fs.dep_ready = fs.last_out_end;
       ++fs.op_ptr;
     }
   };
   // Feasible (ready, start) of frame (s, f)'s next op, without mutating.
   auto op_times = [&](int s, int f, SimDuration* ready_out) {
-    const FrameState& fs =
-        state[static_cast<std::size_t>(s)].fs[static_cast<std::size_t>(f)];
+    const FrameState& fs = fs_of(s, f);
     const StreamOp& op = frame_ops(s, f)[static_cast<std::size_t>(fs.op_ptr)];
     SimDuration ready = fs.ps_end;
     SimDuration start;
     switch (op.kind) {
       case StreamOp::Kind::kBatch: {
         const int e = pick_engine(s);
-        const EngineState& es = eng[static_cast<std::size_t>(e)];
-        const int buf =
-            stream_at(s).costs.double_buffering ? (es.batches & 1) : 0;
-        ready = max_of(ready, op.after_barrier ? fs.last_out_end : fs.dep_ready);
-        ready = max_of(ready, es.buffer_free[buf]);
-        start = max_of(ready, out.timeline.free_at(core_of(s)));
+        const driver::EngineSlot& slot = slots[static_cast<std::size_t>(e)];
+        ready = std::max(ready,
+                         op.batch.after_barrier ? fs.last_out_end : fs.dep_ready);
+        ready = std::max(ready,
+                         slot.buffer_free[slot.next_buffer(stream_at(s).costs)]);
+        start = std::max(ready, out.timeline.free_at(core_of(s)));
         break;
       }
       case StreamOp::Kind::kPlBlock: {
         const int e = pick_engine(s);
-        start = max_of(ready, out.timeline.free_at(
+        start = std::max(ready, out.timeline.free_at(
                                   out.engines[static_cast<std::size_t>(e)]));
         break;
       }
       default:
-        start = max_of(ready, out.timeline.free_at(core_of(s)));
+        start = std::max(ready, out.timeline.free_at(core_of(s)));
         break;
     }
     *ready_out = ready;
@@ -232,17 +228,14 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
   // with the earliest feasible start (ties: lower stream, then older
   // frame), unless the next arrival comes strictly earlier — the
   // admission/drop decision is made at the arrival instant, after earlier
-  // work has left the queue. A stream's candidates are its in-flight frames
-  // plus, while the pipeline-depth window has room, its oldest unstarted
-  // frame, so each dispatch looks at no more than pipeline_depth + 1 frames
-  // per stream however long the window is.
+  // work has left the queue. A stream's candidates are its unfinished
+  // started frames plus, once the frame pipeline_depth places before it has
+  // completed, its oldest unstarted frame, so each dispatch looks at no more
+  // than pipeline_depth + 1 frames per stream however long the window is.
   for (;;) {
     int bs = -1, bframe = -1;
     SimDuration bready, bstart;
     auto consider = [&](int s, int f) {
-      const FrameState& fs =
-          state[static_cast<std::size_t>(s)].fs[static_cast<std::size_t>(f)];
-      if (fs.op_ptr >= static_cast<int>(frame_ops(s, f).size())) return;
       SimDuration ready;
       const SimDuration start = op_times(s, f, &ready);
       const bool better =
@@ -256,12 +249,28 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
       }
     };
     for (int s = 0; s < ns; ++s) {
-      const StreamState& st = state[static_cast<std::size_t>(s)];
-      for (const int f : st.in_flight) consider(s, f);
-      if (st.next_start < static_cast<int>(st.admitted.size()) &&
-          static_cast<int>(st.in_flight.size()) < pipeline_depth) {
-        consider(s, st.admitted[static_cast<std::size_t>(st.next_start)]);
+      StreamState& st = state[static_cast<std::size_t>(s)];
+      for (int k = st.low; k < st.next_start; ++k) {
+        const int f = st.admitted[static_cast<std::size_t>(k)];
+        if (!done(s, f)) {
+          consider(s, f);
+        } else if (k == st.low) {
+          ++st.low;
+        }
       }
+      // admitted[next_start - depth] has completed iff `low` has passed it.
+      if (st.next_start == static_cast<int>(st.admitted.size()) ||
+          st.low <= st.next_start - pipeline_depth) {
+        continue;
+      }
+      const int f = st.admitted[static_cast<std::size_t>(st.next_start)];
+      if (st.next_start >= pipeline_depth) {
+        const int prev =
+            st.admitted[static_cast<std::size_t>(st.next_start - pipeline_depth)];
+        FrameState& fs = fs_of(s, f);
+        fs.ps_end = std::max(fs.ps_end, outcome_of(s, prev).completion);
+      }
+      consider(s, f);
     }
 
     int as = -1;
@@ -283,21 +292,19 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
       StreamState& st = state[static_cast<std::size_t>(as)];
       const int f = st.arrival_ptr++;
       const StreamingStreamInput& in = stream_at(as);
-      if (in.queue_depth > 0 && st.queue_len >= in.queue_depth) {
-        out.frames[static_cast<std::size_t>(as)][static_cast<std::size_t>(f)]
-            .dropped = true;
+      const int queue_len = static_cast<int>(st.admitted.size()) - st.next_start;
+      if (in.queue_depth > 0 && queue_len >= in.queue_depth) {
+        outcome_of(as, f).dropped = true;
       } else {
         FrameState& fs = st.fs[static_cast<std::size_t>(f)];
         fs.ps_end = in.arrivals[static_cast<std::size_t>(f)];
         apply_boundaries(as, f);
-        if (fs.op_ptr < static_cast<int>(frame_ops(as, f).size())) {
+        if (!done(as, f)) {
           st.admitted.push_back(f);
-          ++st.queue_len;
         } else {
           // A frame with no work (all-zero stage costs) completes on
           // arrival instead of never starting and blocking its stream.
-          out.frames[static_cast<std::size_t>(as)][static_cast<std::size_t>(f)]
-              .completion = fs.ps_end;
+          outcome_of(as, f).completion = fs.ps_end;
         }
       }
       continue;
@@ -305,13 +312,10 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
 
     StreamState& st = state[static_cast<std::size_t>(bs)];
     const StreamingStreamInput& in = stream_at(bs);
-    FrameState& fs = st.fs[static_cast<std::size_t>(bframe)];
-    FleetFrameOutcome& outcome =
-        out.frames[static_cast<std::size_t>(bs)][static_cast<std::size_t>(bframe)];
-    if (!fs.started) {
-      fs.started = true;
-      --st.queue_len;
-      st.in_flight.push_back(bframe);
+    FrameState& fs = fs_of(bs, bframe);
+    FleetFrameOutcome& outcome = outcome_of(bs, bframe);
+    if (st.next_start < static_cast<int>(st.admitted.size()) &&
+        st.admitted[static_cast<std::size_t>(st.next_start)] == bframe) {
       ++st.next_start;
       // Spill decision at first dispatch: when the shortest engine wait
       // measured from the arrival already exceeds the configured fraction
@@ -348,40 +352,26 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
       }
       case StreamOp::Kind::kBatch: {
         const int e = pick_engine(bs);
-        EngineState& es = eng[static_cast<std::size_t>(e)];
-        if (es.chain_owner != bs) {
-          es.chain_owner = bs;
-          es.chain_pos = 0;
+        driver::EngineSlot& slot = slots[static_cast<std::size_t>(e)];
+        if (slot.chain_owner != bs) {  // a stream switch re-arms the chain
+          slot.chain_owner = bs;
+          slot.chain_pos = 0;
         }
-        const int chain_len = in.sg_chain_len < 1 ? 1 : in.sg_chain_len;
-        const bool head = es.chain_pos == 0;
-        const int buf = in.costs.double_buffering ? (es.batches & 1) : 0;
-        if (op.after_barrier) fs.dep_ready = fs.last_out_end;
-        const SimDuration ready =
-            max_of(max_of(fs.ps_end, fs.dep_ready), es.buffer_free[buf]);
-        const Timeline::Event drv = out.timeline.schedule(
-            core_of(bs), head ? "drv" : "desc", ready,
-            head ? driver::driver_call_time(in.costs)
-                 : driver::sg_desc_build_time(in.costs));
-        SimDuration in_time =
-            driver::transfer_time(in.engine, in.costs, op.words_in);
-        if (!head) in_time += driver::sg_desc_fetch_time(in.costs);
-        const Timeline::Event ine = out.timeline.schedule(
-            out.dmas[static_cast<std::size_t>(e)], "in", drv.end, in_time);
-        const Timeline::Event comp = out.timeline.schedule(
-            out.engines[static_cast<std::size_t>(e)], "comp", ine.end,
-            hw::pl_clock().cycles(op.compute_cycles));
-        const Timeline::Event oute = out.timeline.schedule(
-            out.dmas[static_cast<std::size_t>(e)], "out", comp.end,
-            driver::transfer_time(in.engine, in.costs, op.words_out));
-        es.buffer_free[buf] = comp.end;
-        ++es.batches;
-        es.chain_pos = (es.chain_pos + 1) % chain_len;
-        fs.ps_end = drv.end;
-        fs.last_out_end = max_of(fs.last_out_end, oute.end);
-        out.stream_ps_busy[static_cast<std::size_t>(bs)] += drv.duration();
-        out.stream_pl_busy[static_cast<std::size_t>(bs)] +=
-            ine.duration() + comp.duration() + oute.duration();
+        if (op.batch.after_barrier) fs.dep_ready = fs.last_out_end;
+        const ResourceId core = core_of(bs);
+        const driver::BatchEvents b = driver::place_batch(
+            out.timeline, slot, core, out.dmas[static_cast<std::size_t>(e)],
+            out.engines[static_cast<std::size_t>(e)], in.engine, in.costs,
+            in.sg_chain_len, bready, op.batch);
+        fs.ps_end = b.drv.end;
+        fs.last_out_end = std::max(fs.last_out_end, b.out.end);
+        // Each event counts on the side it ran on: GP-port copies are PS time.
+        SimDuration ps_side, pl_side;
+        for (const Timeline::Event& ev : {b.drv, b.in, b.comp, b.out}) {
+          (ev.resource == core ? ps_side : pl_side) += ev.duration();
+        }
+        out.stream_ps_busy[static_cast<std::size_t>(bs)] += ps_side;
+        out.stream_pl_busy[static_cast<std::size_t>(bs)] += pl_side;
         break;
       }
       case StreamOp::Kind::kPlBlock: {
@@ -389,7 +379,7 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
         const Timeline::Event ev = out.timeline.schedule(
             out.engines[static_cast<std::size_t>(e)], label, bready, op.ps);
         fs.ps_end = ev.end;
-        fs.last_out_end = max_of(fs.last_out_end, ev.end);
+        fs.last_out_end = std::max(fs.last_out_end, ev.end);
         out.stream_pl_busy[static_cast<std::size_t>(bs)] += ev.duration();
         break;
       }
@@ -399,9 +389,8 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
     }
     ++fs.op_ptr;
     apply_boundaries(bs, bframe);
-    if (fs.op_ptr >= static_cast<int>(frame_ops(bs, bframe).size())) {
-      st.in_flight.erase(std::find(st.in_flight.begin(), st.in_flight.end(), bframe));
-      outcome.completion = max_of(fs.ps_end, fs.last_out_end);
+    if (done(bs, bframe)) {
+      outcome.completion = std::max(fs.ps_end, fs.last_out_end);
       outcome.latency =
           outcome.completion - in.arrivals[static_cast<std::size_t>(bframe)];
     }

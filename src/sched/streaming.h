@@ -1,8 +1,8 @@
-// The modeled overlapped scheduler: one deterministic replay of op streams
-// on shared PS cores, PL engine slots and their ACP DMA channels. Every
-// overlapped schedule in src/sched runs here (run_pipelined at depth > 1,
-// run_fleet, and detail::schedule_fleet); run_pipelined's depth <= 1 serial
-// loop is the only other one. A frame is a list of ops, at one of two
+// The modeled scheduler: one deterministic replay of op streams on shared
+// PS cores, PL engine slots and their ACP DMA channels. Every schedule in
+// src/sched runs here (run_pipelined at any depth — depth <= 1 is the
+// one-frame-deep replay, i.e. the serial schedule — run_fleet, and
+// detail::schedule_fleet). A frame is a list of ops, at one of two
 // granularities:
 //
 //   - stage blocks (cross_frame off, and schedule_fleet): per stage one PS
@@ -24,7 +24,8 @@
 //
 // Dispatch is non-delay list scheduling, one op at a time: among all
 // eligible next ops (admitted, in the pipeline-depth window), the earliest
-// feasible start commits first; ties break by stream, then frame. Numerics
+// feasible start commits first; ties break by stream, then frame. Batches
+// are placed by driver::place_batch, the serial accelerator's rule. Numerics
 // are untouched — pass 1 runs the exact serial schedule, so fused outputs
 // and serial totals stay bit-identical at either granularity
 // (tests/test_streaming.cpp).
@@ -49,10 +50,7 @@ struct StreamOp {
   Kind kind = Kind::kPs;
   int stage = 0;  // 0..3 (prep/fwd/fus/inv), for event labels
   SimDuration ps;              // kPs / kPlBlock duration
-  int words_in = 0;            // kBatch
-  int words_out = 0;           // kBatch
-  double compute_cycles = 0.0; // kBatch, PL cycles
-  bool after_barrier = false;  // kBatch: input depends on earlier outputs
+  driver::Batch batch;         // kBatch
 };
 
 // Appends `d` of PS work as one or more kPs slices of at most
@@ -90,7 +88,9 @@ struct StreamingStreamInput {
 // and `engines` PL engine slots (each with its own ACP DMA channel, listed
 // in FleetSchedule::dmas). A frame arriving while its stream's admitted-but-
 // unstarted backlog has reached queue_depth is dropped at its arrival
-// instant; at most pipeline_depth frames per stream are in flight. Each PL
+// instant. A frame starts no earlier than the completion of the frame
+// pipeline_depth admitted places before it (so at most pipeline_depth
+// frames per stream are in flight). Each PL
 // op goes to the earliest-free engine when steal_engines is set (ties: the
 // home slot, then the lowest id), else to the home slot. When the wait for
 // that engine, measured from the arrival, exceeds spill_wait_frac of the

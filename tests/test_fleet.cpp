@@ -7,6 +7,7 @@
 #include <array>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/hw/fixed_point.h"
@@ -171,6 +172,57 @@ TEST(Fleet, OneStreamReproducesRunPipelinedBitForBit) {
   EXPECT_EQ(r.dropped, 0);
   EXPECT_EQ(r.completed, frames);
   EXPECT_TRUE(r.streams[0].last_completion == piped.makespan);
+}
+
+// At pipeline_depth 1 a frame starts only once the previous one has ended in
+// model time, so run_pipelined's serial schedule and a 1-core, 1-engine
+// depth-1 fleet are the same replay, for every backend, size and window.
+TEST(Fleet, DepthOneRunPipelinedIsTheOneStreamFleet) {
+  const sched::BackendKind kinds[] = {
+      sched::BackendKind::kArm, sched::BackendKind::kNeon,
+      sched::BackendKind::kFpga, sched::BackendKind::kFpgaBatched,
+      sched::BackendKind::kAdaptive};
+  const sched::FrameSize sizes[] = {{32, 24}, {35, 35}, {40, 40}, {64, 48}, {88, 72}};
+  auto same = [](double x, double y) {
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  };
+  for (const sched::BackendKind kind : kinds) {
+    for (const sched::FrameSize& size : sizes) {
+      for (const int frames : {1, 4, 10}) {
+        sched::RunConfig run;
+        run.frame_size = size;
+        run.frames = frames;
+        run.pipeline_depth = 1;
+        const auto backend = sched::make_backend(kind, run);
+        const sched::PipelineRunResult piped = sched::probe_pipelined(*backend, run);
+
+        sched::StreamConfig stream;
+        stream.backend = kind;
+        stream.run = run;
+        stream.queue_depth = 0;
+        sched::FleetConfig fleet;
+        fleet.cores = 1;
+        fleet.pipeline_depth = 1;
+        const sched::FleetResult r = sched::run_fleet({stream}, fleet);
+
+        const std::string at = std::string(sched::backend_name(kind)) + " " +
+                               std::to_string(size.width) + "x" +
+                               std::to_string(size.height) + " x" +
+                               std::to_string(frames);
+        EXPECT_TRUE(same(r.makespan.sec(), piped.makespan.sec()))
+            << at << ": " << r.makespan.ms() << " vs " << piped.makespan.ms();
+        EXPECT_TRUE(same(r.ps_busy.sec(), piped.ps_busy.sec())) << at;
+        EXPECT_TRUE(same(r.pl_busy.sec(), piped.pl_busy.sec())) << at;
+        EXPECT_TRUE(same(r.energy_mj, piped.energy_mj)) << at;
+        EXPECT_TRUE(same(r.energy_gated_mj, piped.energy_gated_mj)) << at;
+        // One frame at a time, stage after stage: the ledger sum (DESIGN.md
+        // §2), up to the order the two add the same costs in.
+        EXPECT_NEAR(piped.makespan.sec(), piped.serial_total.sec(),
+                    1e-9 * piped.serial_total.sec())
+            << at;
+      }
+    }
+  }
 }
 
 // --- admission / drops -------------------------------------------------------

@@ -126,10 +126,6 @@ TEST(Driver, AccumulatorsTrackLines) {
   accel.line_time(102, 88, 100);
   accel.line_time(58, 44, 58);
   EXPECT_EQ(accel.lines(), 2);
-  EXPECT_GT(accel.busy_time().sec(), 0.0);
-  accel.reset();
-  EXPECT_EQ(accel.lines(), 0);
-  EXPECT_DOUBLE_EQ(accel.busy_time().sec(), 0.0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <stdexcept>
 #include <string>
 
 #include "src/sched/adaptive.h"
@@ -97,6 +98,22 @@ TEST(Adaptive, RoutesLongLinesToFpgaAboveTheCrossover) {
   EXPECT_GT(backend.router().lines_on_fpga(), 0);
   // Deep-level short lines stay on NEON.
   EXPECT_GT(backend.router().lines_on_simd(), 0);
+}
+
+// One buffer-fit rule for every engine model: a line request longer than
+// the 2048-word kernel buffer is refused (4100 samples plus the filter
+// halo), however the line reaches the engine; lines that fit still run.
+TEST(Adaptive, OverLongLinesAreRefusedOnEveryEngineModel) {
+  for (const sched::BackendKind kind :
+       {sched::BackendKind::kFpga, sched::BackendKind::kAdaptive,
+        sched::BackendKind::kFpgaBatched}) {
+    const auto wide = sched::make_backend(kind, {});
+    EXPECT_THROW(sched::probe_backend(*wide, {4100, 8}, 1), std::invalid_argument)
+        << sched::backend_name(kind);
+    const auto fits = sched::make_backend(kind, {});
+    EXPECT_GT(sched::probe_backend(*fits, {2040, 8}, 1).total.sec(), 0.0)
+        << sched::backend_name(kind);
+  }
 }
 
 TEST(Adaptive, NeverWorseThanBestStaticAcrossTheSweep) {

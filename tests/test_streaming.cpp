@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -313,26 +314,26 @@ TEST(Streaming, SaturatedLongWindowFleetLocked) {
   // Fleet totals, then per stream: counts and latencies, completion and
   // busy times, energy (%.17g).
   const std::vector<double> want = {
-      0.26530984662927781, 288, 245, 43, 245,
-      1.2522137101687487, 0.1841284799999903, 146.5836902626755, 144.0440015263398,
+      0.26636570358408501, 288, 241, 47, 241,
+      1.3757329215758427, 0.17484503999999129, 147.16705123020716, 144.49329585034832,
       48, 48, 48, 0, 0,
-      0.020997025936418938, 0.027796246542776168, 0.027796246542776168, 0.17065940747309891,
-      0.15473988742964206, 0.039964800000006115, 19.870287032037751,
-      48, 48, 48, 0, 4,
-      0.02559252679629459, 0.091650137922526881, 0.091650137922526881, 0.25087029131100491,
-      0.23510826821761788, 0.036512160000006469, 27.719804508555249,
-      48, 48, 48, 0, 0,
-      0.022201120241814004, 0.027216071673186959, 0.027216071673186959, 0.17300528127362355,
-      0.15426118198874306, 0.039974880000006194, 19.822462184346083,
-      48, 40, 40, 8, 5,
-      0.023454169780315712, 0.11506901363182426, 0.11506901363182426, 0.24827881881120481,
-      0.23199957073167921, 0.028933680000006172, 26.629141068391956,
-      48, 34, 34, 14, 6,
-      0.026416337012927636, 0.11711484107003599, 0.11711484107003599, 0.24985006429548248,
-      0.23117059181986152, 0.023108160000004572, 25.950026429819072,
+      0.021022338386664403, 0.027189984358583122, 0.027189984358583122, 0.16910496221654861,
+      0.15318979362101182, 0.039997440000006407, 18.335611760167485,
+      48, 42, 42, 6, 5,
+      0.025130536331628317, 0.11439530895863501, 0.11439530895863501, 0.25370050991944482,
+      0.2390663437147949, 0.03058584000000629, 25.592983854074056,
+      48, 47, 47, 1, 5,
+      0.024309397280405487, 0.1096343261381236, 0.1096343261381236, 0.26636570358408501,
+      0.24940452382736714, 0.034870560000006171, 26.980859306536985,
+      48, 44, 44, 4, 5,
+      0.026440405483033072, 0.11208825074731743, 0.11208825074731743, 0.25990760129682733,
+      0.24342045253280753, 0.032295120000006582, 26.168466722347446,
+      48, 33, 33, 15, 7,
+      0.026992166587193007, 0.11542337853581208, 0.11542337853581208, 0.26463030765416257,
+      0.24612791684799951, 0.021452640000004162, 25.396363481031983,
       48, 27, 27, 21, 8,
-      0.034671829128465191, 0.11982215912580471, 0.11982215912580471, 0.26530984662927781,
-      0.2449342099812096, 0.015634800000002804, 26.591969039530156};
+      0.03369943038570701, 0.11617139864120077, 0.11617139864120077, 0.26490469225779523,
+      0.24452389103186586, 0.015643440000003016, 24.692766106053526};
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
@@ -430,6 +431,98 @@ TEST(Streaming, SharedSpillListMatchesPerFrameCopies) {
     EXPECT_EQ(x.resource, y.resource) << i;
     EXPECT_TRUE(same(x.start, y.start) && same(x.end, y.end)) << i;
   }
+}
+
+// The depth-exact window: at depth D a frame's first event may not start
+// before the frame D admitted places earlier has completed, even when that
+// frame's last op (a PL tail) was committed long before it ends.
+TEST(Streaming, FrameStartsOnlyAfterTheFrameDepthPlacesEarlierEnds) {
+  std::vector<sched::detail::StreamingStreamInput> in(2);
+  auto first_ps = [](std::size_t s, int f) {
+    return SimDuration::milliseconds(3.0 + 0.001 * (100.0 * s + f));
+  };
+  for (std::size_t s = 0; s < in.size(); ++s) {
+    for (int f = 0; f < 8; ++f) {
+      in[s].arrivals.push_back(SimDuration::zero());
+      const std::array<sched::detail::FleetStageCost, 4> cost = {{
+          {first_ps(s, f), SimDuration::zero()},
+          {SimDuration::zero(), SimDuration::milliseconds(2.0)},
+          {SimDuration::milliseconds(0.5), SimDuration::zero()},
+          {SimDuration::zero(), SimDuration::milliseconds(1.0)},
+      }};
+      in[s].frame_ops.push_back(sched::detail::stage_block_ops(cost));
+    }
+  }
+  for (const int depth : {1, 2, 3}) {
+    const sched::detail::FleetSchedule sched = sched::detail::schedule_streaming(
+        in, /*cores=*/2, /*engines=*/1, depth, /*steal_engines=*/true,
+        /*spill_wait_frac=*/0.0);
+    for (std::size_t s = 0; s < in.size(); ++s) {
+      for (int f = 0; f < 8; ++f) {
+        // The frame's first event is its prep block, found by its length.
+        const Timeline::Event* first = nullptr;
+        for (const Timeline::Event& ev : sched.timeline.events()) {
+          if (std::abs(ev.duration().sec() - first_ps(s, f).sec()) < 1e-12) {
+            ASSERT_EQ(first, nullptr) << "prep lengths must be unique";
+            first = &ev;
+          }
+        }
+        ASSERT_NE(first, nullptr) << depth << " " << s << "/" << f;
+        if (f < depth) continue;
+        EXPECT_GE(first->start.sec(),
+                  sched.frames[s][static_cast<std::size_t>(f - depth)].completion.sec())
+            << "depth " << depth << " stream " << s << " frame " << f;
+      }
+    }
+  }
+}
+
+// One batch-placement rule: with GP-port transfers and no DMA, the replay
+// puts a batch's copies on the PS core (as the accelerator does during the
+// serial measurement), so no DMA channel gets an event and the PS busy time
+// counts the copies.
+TEST(Streaming, GpPortCopiesRunOnThePsCore) {
+  sched::RunConfig run = streaming_config({32, 24}, 4, 4);
+  run.driver_costs.transfer = driver::TransferMode::kGpPort;
+  run.engine.dma_enabled = false;
+  ASSERT_EQ(run.pipeline_depth, 4);
+  const std::vector<sched::FramePair> frames =
+      sched::make_sweep_frames(run.frame_size, run.frames);
+  sched::BatchedFpgaBackend backend(run);
+  const sched::PipelineRunResult piped = sched::run_pipelined(backend, frames, run);
+
+  // The same schedule, with its events.
+  sched::BatchedFpgaBackend twin(run);
+  std::vector<sched::detail::StreamingStreamInput> in(1);
+  in[0].arrivals.assign(frames.size(), SimDuration::zero());
+  sched::detail::measure_stream(twin, run.fuse, frames, /*cross_frame=*/true, &in[0]);
+  sched::FleetConfig fleet;
+  fleet.cores = 1;
+  fleet.pipeline_depth = run.pipeline_depth;
+  fleet.cross_frame = true;
+  sched::FleetResult totals;
+  const sched::detail::FleetSchedule sched =
+      sched::detail::schedule_streams(fleet, in, twin.compute_mode(), &totals);
+  EXPECT_TRUE(totals.makespan == piped.makespan);
+  EXPECT_TRUE(totals.ps_busy == piped.ps_busy);
+  EXPECT_TRUE(totals.pl_busy == piped.pl_busy);
+
+  SimDuration copies;
+  for (const Timeline::Event& ev : sched.timeline.events()) {
+    EXPECT_NE(ev.resource, sched.dmas[0]) << ev.label;
+    if (std::strcmp(ev.label, "in") == 0 || std::strcmp(ev.label, "out") == 0) {
+      EXPECT_EQ(ev.resource, sched.cores[0]) << ev.label;
+      copies += ev.duration();
+    }
+  }
+  EXPECT_GT(copies.sec(), 0.0);
+  // The PL side is the engine's compute alone; the PS side holds the copies.
+  EXPECT_TRUE(piped.pl_busy == sched.timeline.busy_time(sched.engines[0]));
+  EXPECT_GT(piped.ps_busy.sec(), copies.sec());
+  EXPECT_NEAR(sched.stream_ps_busy[0].sec(), piped.ps_busy.sec(),
+              1e-12 * piped.ps_busy.sec());
+  EXPECT_NEAR(sched.stream_pl_busy[0].sec(), piped.pl_busy.sec(),
+              1e-12 * piped.pl_busy.sec());
 }
 
 }  // namespace
