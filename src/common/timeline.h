@@ -14,6 +14,8 @@
 // (tests/test_timeline.cpp locks this across runs).
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,9 +51,24 @@ class ResourceClocks {
 
   // Schedules a task on `r` that may not start before `ready`; it starts at
   // max(ready, the resource's free time) and occupies the resource for
-  // `duration`. Returns the placed event (with resolved start/end).
+  // `duration`. Returns the placed event (with resolved start/end). Defined
+  // here so a caller that reads only part of the event (driver::place_batch
+  // on the accounting path) keeps it in registers.
   Event schedule(ResourceId r, const char* label, SimDuration ready,
-                 SimDuration duration);
+                 SimDuration duration) {
+    assert(r >= 0 && r < resource_count());
+    assert(duration >= SimDuration::zero());
+    Clock& clock = clocks_[r];
+    Event ev;
+    ev.resource = r;
+    ev.label = label;
+    ev.start = std::max(ready, clock.free_at);
+    ev.end = ev.start + duration;
+    clock.free_at = ev.end;
+    clock.busy += duration;
+    if (ev.end > makespan_) makespan_ = ev.end;
+    return ev;
+  }
 
   // Earliest time a new event could start on `r` (ignoring ready deps).
   SimDuration free_at(ResourceId r) const { return clocks_[r].free_at; }
@@ -85,7 +102,11 @@ class Timeline : public ResourceClocks {
 
   // ResourceClocks::schedule, and the placed event is logged.
   Event schedule(ResourceId r, const char* label, SimDuration ready,
-                 SimDuration duration);
+                 SimDuration duration) {
+    const Event ev = ResourceClocks::schedule(r, label, ready, duration);
+    events_.push_back(ev);
+    return ev;
+  }
 
   const std::vector<Event>& events() const { return events_; }
 

@@ -1,7 +1,6 @@
 #include "src/common/timeline.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace vf {
 
@@ -10,33 +9,9 @@ ResourceId ResourceClocks::add_resource() {
   return static_cast<ResourceId>(clocks_.size()) - 1;
 }
 
-ResourceClocks::Event ResourceClocks::schedule(ResourceId r, const char* label,
-                                               SimDuration ready,
-                                               SimDuration duration) {
-  assert(r >= 0 && r < resource_count());
-  assert(duration >= SimDuration::zero());
-  Clock& clock = clocks_[r];
-  Event ev;
-  ev.resource = r;
-  ev.label = label;
-  ev.start = std::max(ready, clock.free_at);
-  ev.end = ev.start + duration;
-  clock.free_at = ev.end;
-  clock.busy += duration;
-  if (ev.end > makespan_) makespan_ = ev.end;
-  return ev;
-}
-
 ResourceId Timeline::add_resource(std::string name) {
   names_.push_back(std::move(name));
   return ResourceClocks::add_resource();
-}
-
-Timeline::Event Timeline::schedule(ResourceId r, const char* label,
-                                   SimDuration ready, SimDuration duration) {
-  const Event ev = ResourceClocks::schedule(r, label, ready, duration);
-  events_.push_back(ev);
-  return ev;
 }
 
 std::vector<Timeline::Interval> Timeline::busy_intervals(
