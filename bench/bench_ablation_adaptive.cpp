@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     sched::RunConfig run = base;
     run.adaptive_threshold_samples = threshold;
     // Concrete: router stats below.
-    sched::FpgaBackend backend(run, sched::BackendKind::kAdaptive);
+    sched::SerialBackend backend(sched::BackendKind::kAdaptive, run);
     const auto r = probe_backend(backend, {88, 72}, options.frames);
     const std::string label =
         threshold >= (1 << 20) ? "inf (all NEON)" : std::to_string(threshold);

@@ -30,8 +30,8 @@ int main(int argc, char** argv) {
     dual.driver_costs.double_buffering = true;
 
     // Concrete backends: the stall-time readout below needs accelerator().
-    sched::FpgaBackend fpga_single(single);
-    sched::FpgaBackend fpga_dual(dual);
+    sched::SerialBackend fpga_single(sched::BackendKind::kFpga, single);
+    sched::SerialBackend fpga_dual(sched::BackendKind::kFpga, dual);
     const auto rs = probe_backend(fpga_single, size, options.frames);
     const auto rd = probe_backend(fpga_dual, size, options.frames);
     const SimDuration stall_s = fpga_single.accelerator().stall_time();

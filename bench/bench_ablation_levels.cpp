@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     const auto neon = sched::make_backend(EngineChoice::kNeon, run);
     const auto fpga = sched::make_backend(EngineChoice::kFpga, run);
     // Concrete: router stats below.
-    sched::FpgaBackend adaptive(run, sched::BackendKind::kAdaptive);
+    sched::SerialBackend adaptive(sched::BackendKind::kAdaptive, run);
     const auto ra = probe_backend(*arm, {88, 72}, options.frames, config);
     const auto rn = probe_backend(*neon, {88, 72}, options.frames, config);
     const auto rf = probe_backend(*fpga, {88, 72}, options.frames, config);

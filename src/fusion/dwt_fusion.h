@@ -68,10 +68,16 @@ struct FilterStats {
   long long total_macs() const { return analysis_macs + synthesis_macs; }
 };
 
+// The stages of fusing one frame pair, in the order a frame enters them.
+// FusionPlan::replay announces kForward, kFusion and kInverse through
+// LineFilter::begin_stage; kPrep (frame conversion before the transform)
+// belongs to the caller.
+enum class Stage { kPrep, kForward, kFusion, kInverse };
+
 // A LineFilter executes one line-sized kernel request at a time — the same
 // granularity at which the paper's driver feeds the PL engine. Subclasses
 // pick the implementation (scalar / SIMD / fixed-point datapath /
-// time-accounted engine models in src/sched).
+// time-accounted engine models: every sched::TransformBackend is one).
 //
 // The interface is split into two halves so host execution can parallelize
 // without perturbing modeled time:
@@ -105,6 +111,10 @@ class LineFilter {
   // consecutive line requests) must not start a dependent input transfer
   // before the producing outputs have landed.
   virtual void barrier() {}
+
+  // Fired before the first request of each stage of a frame pair, in the
+  // same call stream as account_*() and barrier().
+  virtual void begin_stage(Stage stage) { (void)stage; }
 
   // --- split half: pure numerics + serial accounting -----------------------
   virtual const simd::KernelSet& kernels() const;  // default: active_kernels()

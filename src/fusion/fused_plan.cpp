@@ -103,11 +103,10 @@ bool FusionPlan::applicable(const TransformConfig& config, const LineFilter& fil
   return filter.splittable() && config.levels >= 1;
 }
 
-ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
-                       const StageHooks& hooks) const {
+ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f) const {
   assert(f.splittable());
   ImageF out = fuse(a, b, f.kernels());
-  replay(f, hooks);
+  replay(f);
   return out;
 }
 
@@ -312,9 +311,9 @@ ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
   return out;
 }
 
-void FusionPlan::replay(LineFilter& f, const StageHooks& hooks) const {
+void FusionPlan::replay(LineFilter& f) const {
   const int D = config_.levels;
-  if (hooks.before_forward) hooks.before_forward();
+  f.begin_stage(Stage::kForward);
   for (int x = 0; x < 2; ++x) {
     for (int t = 0; t < 4; ++t) {
       detail::account_forward_tree(rows_, cols_, config_,
@@ -323,7 +322,7 @@ void FusionPlan::replay(LineFilter& f, const StageHooks& hooks) const {
     }
     (void)x;
   }
-  if (hooks.before_fusion) hooks.before_fusion();
+  f.begin_stage(Stage::kFusion);
   for (int p = 0; p < 2; ++p) {
     for (int L = 0; L < D; ++L) {
       const int nb = dims_[L].hr * dims_[L].hc;
@@ -335,7 +334,7 @@ void FusionPlan::replay(LineFilter& f, const StageHooks& hooks) const {
     }
     (void)p;
   }
-  if (hooks.before_inverse) hooks.before_inverse();
+  f.begin_stage(Stage::kInverse);
   for (int t = 0; t < 4; ++t) {
     detail::account_inverse_tree(rows_, cols_, config_,
                                  banks_[t >> 1].data(),

@@ -34,9 +34,9 @@
 // one frame per worker at a time). replay() is the filter's
 // account_*/barrier() bookkeeping, derived from shapes alone and issued in
 // the exact canonical sequence the staged path emits (forward A trees 0-3,
-// forward B trees 0-3, fusion pair/level/subband, inverse trees 0-3).
-// StageHooks let a timed runner interleave its phase transitions with that
-// replay, so every backend observes the same call stream as the staged path.
+// forward B trees 0-3, fusion pair/level/subband, inverse trees 0-3), with
+// LineFilter::begin_stage fired before each stage, so every backend observes
+// the same call stream as the staged path.
 //
 // Bit-identity is by construction, not by tolerance: every line sees the same
 // extended samples as in the staged path, every kernel keeps the scalar
@@ -44,7 +44,6 @@
 // reconstruction accumulates trees in the same order.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "src/fusion/dwt_fusion.h"
@@ -53,17 +52,6 @@ namespace vf::dwt {
 
 class FusionPlan {
  public:
-  // Callbacks fired between the replay stages (never during the numerics,
-  // which make no filter calls besides kernels()). A timed runner hangs its
-  // backend phase transitions here so the modeled call sequence —
-  // set_phase(forward), accounting, set_phase(fusion), ... — is identical
-  // to the staged path's.
-  struct StageHooks {
-    std::function<void()> before_forward;
-    std::function<void()> before_fusion;
-    std::function<void()> before_inverse;
-  };
-
   // Throws std::invalid_argument unless rows, cols and config.levels are
   // all at least 1.
   FusionPlan(int rows, int cols, const TransformConfig& config);
@@ -79,7 +67,7 @@ class FusionPlan {
 
   // Fuse one frame pair: fuse() through filter.kernels(), then replay().
   image::ImageF run(const image::ImageF& a, const image::ImageF& b,
-                    LineFilter& filter, const StageHooks& hooks = {}) const;
+                    LineFilter& filter) const;
 
   // The numeric half: the fused image of one frame pair, computed serially
   // on the calling thread with scratch from its arena. Makes no filter
@@ -88,11 +76,10 @@ class FusionPlan {
   image::ImageF fuse(const image::ImageF& a, const image::ImageF& b,
                      const simd::KernelSet& kernels) const;
 
-  // The accounting half: the staged path's canonical account_*/barrier()
-  // sequence for one frame pair of this plan's shape, with `hooks` fired
-  // between the stages. Reads no samples; call it on the thread that owns
-  // the filter, in frame order.
-  void replay(LineFilter& filter, const StageHooks& hooks = {}) const;
+  // The accounting half: the staged path's canonical begin_stage/account_*/
+  // barrier() sequence for one frame pair of this plan's shape. Reads no
+  // samples; call it on the thread that owns the filter, in frame order.
+  void replay(LineFilter& filter) const;
 
   // Estimated DRAM traffic per frame pair, derived from the pass structure
   // (each plane-sized read/write a pass makes, x4 bytes; block scratch that

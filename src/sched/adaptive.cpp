@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "src/common/rng.h"
@@ -76,67 +77,47 @@ CpuCostModel neon_cost_model() {
 }
 
 namespace {
-void stage_add(StageTimes* times, Phase p, SimDuration d) {
-  switch (p) {
-    case Phase::kPrep:
+void stage_add(StageTimes* times, Stage s, SimDuration d) {
+  switch (s) {
+    case Stage::kPrep:
       times->prep += d;
       break;
-    case Phase::kForward:
+    case Stage::kForward:
       times->forward += d;
       break;
-    case Phase::kFusion:
+    case Stage::kFusion:
       times->fusion += d;
       break;
-    case Phase::kInverse:
+    case Stage::kInverse:
       times->inverse += d;
       break;
   }
 }
 }  // namespace
 
-void TransformBackend::charge(SimDuration d) { ledger_add(phase_, d); }
+void TransformBackend::charge(SimDuration d) { ledger_add(stage_, d); }
 
-void TransformBackend::note_pl(SimDuration d) { ledger_add_pl(phase_, d); }
+void TransformBackend::note_pl(SimDuration d) { ledger_add_pl(stage_, d); }
 
-void TransformBackend::ledger_add(Phase p, SimDuration d) {
-  stage_add(&times_, p, d);
+void TransformBackend::account_magnitude(int n) {
+  charge(hw::ps_clock().cycles(hw::cost::kCpuMagnitudeCyclesPerSample * n));
 }
 
-void TransformBackend::ledger_add_pl(Phase p, SimDuration d) {
-  stage_add(&pl_times_, p, d);
+void TransformBackend::account_select(int n) {
+  charge(hw::ps_clock().cycles(hw::cost::kCpuSelectCyclesPerSample * n));
+}
+
+void TransformBackend::ledger_add(Stage s, SimDuration d) {
+  stage_add(&times_, s, d);
+}
+
+void TransformBackend::ledger_add_pl(Stage s, SimDuration d) {
+  stage_add(&pl_times_, s, d);
 }
 
 SimDuration TransformBackend::prep_time(int pixels) const {
-  return hw::ps_clock().cycles(arm_cost_model().prep_cycles_per_pixel * pixels);
+  return hw::ps_clock().cycles(hw::cost::kCpuPrepCyclesPerPixel * pixels);
 }
-
-// --- CPU backends -----------------------------------------------------------
-
-namespace detail {
-
-void CpuTimedFilter::account_analyze(int out_len, int taps) {
-  owner_->charge(
-      hw::ps_clock().cycles(model_.analysis_line_cycles(2 * out_len, taps)));
-}
-
-void CpuTimedFilter::account_synthesize(int pairs, int taps) {
-  owner_->charge(
-      hw::ps_clock().cycles(model_.synthesis_line_cycles(2 * pairs, taps)));
-}
-
-void CpuTimedFilter::account_magnitude(int n) {
-  // The fusion rule always runs on the PS at scalar rates — the paper only
-  // accelerates the transforms.
-  owner_->charge(hw::ps_clock().cycles(model_.magnitude_cycles_per_sample * n));
-}
-
-void CpuTimedFilter::account_select(int n) {
-  owner_->charge(hw::ps_clock().cycles(model_.select_cycles_per_sample * n));
-}
-
-}  // namespace detail
-
-// --- FPGA backend -----------------------------------------------------------
 
 namespace detail {
 
@@ -159,71 +140,81 @@ void check_engine_fit(const hw::WaveletEngineConfig& engine, int taps,
 
 }  // namespace detail
 
-// The router's per-line decision affects only modeled time (the NEON and FPGA
-// paths execute bit-identical numerics), so routing — including the router's
-// own line counters — lives entirely in accounting, where it runs serially in
-// canonical line order at any thread count. The engine-fit check lives there
-// too: it depends only on the request shape, and accounting sees every
-// request exactly once, in order — so the refusal fires at any pool width
-// for unfittable banks.
-class FpgaBackend::Filter : public detail::CpuTimedFilter {
- public:
-  Filter(FpgaBackend* owner, driver::WaveletAccelerator* accel,
-         LineRouter* router)
-      : CpuTimedFilter(owner, neon_cost_model()), accel_(accel), router_(router) {}
+// --- serial backend ---------------------------------------------------------
 
-  void account_analyze(int out_len, int taps) override {
-    if (router_->use_fpga(2 * out_len + taps)) {
-      engine_line(2 * out_len + taps, 2 * out_len, out_len, taps, false);
-    } else {
-      CpuTimedFilter::account_analyze(out_len, taps);
-    }
+namespace {
+int router_threshold(BackendKind kind, const RunConfig& config) {
+  switch (kind) {
+    case BackendKind::kFpga:
+      return 0;
+    case BackendKind::kAdaptive:
+      return config.adaptive_threshold_samples;
+    case BackendKind::kArm:
+    case BackendKind::kNeon:
+      return std::numeric_limits<int>::max();  // never the engine
+    case BackendKind::kFpgaBatched:
+      break;
   }
+  throw std::invalid_argument(std::string("SerialBackend cannot model ") +
+                              backend_name(kind));
+}
+}  // namespace
 
-  void account_synthesize(int pairs, int taps) override {
-    if (router_->use_fpga(2 * pairs + taps)) {
-      engine_line(2 * pairs + taps, 2 * pairs, pairs, taps, true);
-    } else {
-      CpuTimedFilter::account_synthesize(pairs, taps);
-    }
-  }
-
- private:
-  void engine_line(int words_in, int words_out, int outputs, int taps,
-                   bool synthesis) {
-    detail::check_engine_fit(accel_->engine(), taps, synthesis);
-    owner_->charge(accel_->line_time(
-        words_in, words_out,
-        hw::cost::engine_compute_cycles(outputs, accel_->engine().slots)));
-    owner_->note_pl(accel_->last_line_pl_time());
-  }
-
-  driver::WaveletAccelerator* accel_;
-  LineRouter* router_;
-};
-
-FpgaBackend::FpgaBackend(const RunConfig& config, BackendKind kind)
+SerialBackend::SerialBackend(BackendKind kind, const RunConfig& config)
     : TransformBackend(config.host),
-      name_(backend_name(kind)),
+      kind_(kind),
+      cpu_(kind == BackendKind::kArm ? arm_cost_model() : neon_cost_model()),
       accel_(config.engine, config.driver_costs),
-      router_(kind == BackendKind::kAdaptive ? config.adaptive_threshold_samples
-                                             : 0),
-      filter_(std::make_unique<Filter>(this, &accel_, &router_)) {
-  if (kind != BackendKind::kFpga && kind != BackendKind::kAdaptive) {
-    throw std::invalid_argument(std::string("FpgaBackend cannot model ") +
-                                name_);
+      router_(router_threshold(kind, config)) {}
+
+power::ComputeMode SerialBackend::compute_mode() const {
+  switch (kind_) {
+    case BackendKind::kArm:
+      return power::ComputeMode::kArmOnly;
+    case BackendKind::kNeon:
+      return power::ComputeMode::kArmNeon;
+    default:
+      return power::ComputeMode::kArmFpga;  // bitstream stays loaded
   }
 }
 
-FpgaBackend::~FpgaBackend() = default;
+// The router's per-line decision affects only modeled time (every engine
+// model executes bit-identical numerics), so routing — including the
+// router's own line counters — lives entirely in accounting, where it runs
+// serially in canonical line order at any thread count. The engine-fit check
+// lives there too: it depends only on the request shape, and accounting sees
+// every request exactly once, in order — so the refusal fires at any pool
+// width for unfittable banks.
+void SerialBackend::account_analyze(int out_len, int taps) {
+  if (router_.use_fpga(2 * out_len + taps)) {
+    engine_line(2 * out_len + taps, 2 * out_len, out_len, taps, false);
+  } else {
+    charge(hw::ps_clock().cycles(cpu_.analysis_line_cycles(2 * out_len, taps)));
+  }
+}
 
-dwt::LineFilter& FpgaBackend::line_filter() { return *filter_; }
+void SerialBackend::account_synthesize(int pairs, int taps) {
+  if (router_.use_fpga(2 * pairs + taps)) {
+    engine_line(2 * pairs + taps, 2 * pairs, pairs, taps, true);
+  } else {
+    charge(hw::ps_clock().cycles(cpu_.synthesis_line_cycles(2 * pairs, taps)));
+  }
+}
+
+void SerialBackend::engine_line(int words_in, int words_out, int outputs,
+                                int taps, bool synthesis) {
+  detail::check_engine_fit(accel_.engine(), taps, synthesis);
+  charge(accel_.line_time(
+      words_in, words_out,
+      hw::cost::engine_compute_cycles(outputs, accel_.engine().slots)));
+  note_pl(accel_.last_line_pl_time());
+}
 
 // --- probing ----------------------------------------------------------------
 
 void TimedFusionRunner::begin_frame(int pixels) {
   backend_.begin_frame();
-  backend_.set_phase(Phase::kPrep);
+  backend_.begin_stage(Stage::kPrep);
   backend_.charge(backend_.prep_time(pixels));
 }
 
@@ -236,14 +227,10 @@ FrameRunResult TimedFusionRunner::end_frame() {
 }
 
 FrameRunResult TimedFusionRunner::replay_frame_pair(const dwt::FusionPlan& plan) {
-  // Phase transitions fire where the staged pass would make them: before
-  // forward_dtcwt, before fuse_pyramids, before inverse_dtcwt.
+  // The plan's replay enters the forward, fusion and inverse stages where
+  // the staged pass would (begin_stage).
   begin_frame(2 * plan.rows() * plan.cols());
-  dwt::FusionPlan::StageHooks hooks;
-  hooks.before_forward = [this] { backend_.set_phase(Phase::kForward); };
-  hooks.before_fusion = [this] { backend_.set_phase(Phase::kFusion); };
-  hooks.before_inverse = [this] { backend_.set_phase(Phase::kInverse); };
-  plan.replay(backend_.line_filter(), hooks);
+  plan.replay(backend_);
   return end_frame();
 }
 
@@ -252,7 +239,7 @@ FrameRunResult TimedFusionRunner::run_frame_pair(const image::ImageF& visible,
   // The numerics make no backend calls, so they may run before the frame's
   // accounting opens.
   const dwt::FusionPlan plan(visible.rows(), visible.cols(), config_.transform);
-  image::ImageF fused = plan.fuse(visible, thermal, backend_.line_filter().kernels());
+  image::ImageF fused = plan.fuse(visible, thermal, backend_.kernels());
   FrameRunResult result = replay_frame_pair(plan);
   result.fused = std::move(fused);
   return result;
@@ -289,7 +276,7 @@ std::vector<FrameRunResult> measure_frames(TransformBackend& backend,
 
   // Numerics only read the frames and plans and write their own frames'
   // images; accounting is one thread walking the window in frame order.
-  const simd::KernelSet& kernels = backend.line_filter().kernels();
+  const simd::KernelSet& kernels = backend.kernels();
   const auto fuse_frame = [&](int i) {
     const std::size_t f = static_cast<std::size_t>(i);
     image::ImageF fused =

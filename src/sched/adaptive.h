@@ -1,9 +1,9 @@
-// Engine scheduling on the modeled ZC702: the ARM / NEON / FPGA transform
-// backends and per-phase time accounting. Adaptivity, which the paper's
-// future-work section asks for ("an adaptive system that intelligently
-// selects between the NEON engine and the FPGA"), is a routing policy of the
-// one serial FPGA backend (FpgaBackend's LineRouter), not a backend of its
-// own.
+// Engine scheduling on the modeled ZC702: the transform backends and
+// per-stage time accounting. The paper's ARM, NEON, ARM+FPGA and adaptive
+// configurations are four kinds of one SerialBackend; adaptivity, which the
+// paper's future-work section asks for ("an adaptive system that
+// intelligently selects between the NEON engine and the FPGA"), is its
+// LineRouter policy, not a backend of its own.
 //
 // A backend executes the *same* numerics as every other backend (fused
 // output is bit-identical across engines); what differs is the modeled time
@@ -12,7 +12,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,23 +42,22 @@ std::vector<FramePair> make_sweep_frames(const FrameSize& size, int count);
 
 // --- time accounting --------------------------------------------------------
 
-enum class Phase { kPrep, kForward, kFusion, kInverse };
+using dwt::Stage;
 
 struct StageTimes {
   SimDuration prep, forward, fusion, inverse;
   SimDuration total() const { return prep + forward + fusion + inverse; }
 };
 
-// CPU-side cost model (PS cycles). The named constants (hw/cost_constants.h)
-// reproduce the paper's absolute times — which imply roughly 70 cycles per
-// float MAC on the A9 — and its NEON deltas (-10% forward, -16% inverse).
+// CPU-side line cost model (PS cycles). The named constants
+// (hw/cost_constants.h) reproduce the paper's absolute times — which imply
+// roughly 70 cycles per float MAC on the A9 — and its NEON deltas (-10%
+// forward, -16% inverse). Prep and the fusion rule run at the ARM's scalar
+// rates on every backend (TransformBackend).
 struct CpuCostModel {
   double line_overhead_cycles = hw::cost::kCpuLineOverheadCycles;
   double per_sample_base_cycles = hw::cost::kCpuPerSampleBaseCycles;
   double per_sample_tap_cycles = hw::cost::kCpuPerSampleTapCycles;
-  double magnitude_cycles_per_sample = hw::cost::kCpuMagnitudeCyclesPerSample;
-  double select_cycles_per_sample = hw::cost::kCpuSelectCyclesPerSample;
-  double prep_cycles_per_pixel = hw::cost::kCpuPrepCyclesPerPixel;
   double analysis_factor = 1.0;   // NEON: kNeonAnalysisFactor
   double synthesis_factor = 1.0;  // NEON: kNeonSynthesisFactor
 
@@ -78,13 +76,21 @@ CpuCostModel neon_cost_model();
 
 // --- backends ---------------------------------------------------------------
 
-class TransformBackend {
+// A backend is the LineFilter the fusion plan replays its accounting into:
+// it charges modeled time per line request (account_*), fences dependent
+// requests (barrier) and switches its stage ledger on begin_stage. Numerics
+// come from kernels() (the dispatch set) on every backend, so fused output
+// is bit-identical across engines; the *model*, not the host instruction
+// set, decides what a backend represents.
+class TransformBackend : public dwt::LineFilter {
  public:
-  virtual ~TransformBackend() = default;
+  // Engine models keep pointers into their own backend (the batched
+  // accelerator schedules on the backend's clocks), so a copy would alias.
+  TransformBackend(const TransformBackend&) = delete;
+  TransformBackend& operator=(const TransformBackend&) = delete;
 
   virtual const char* name() const = 0;
   virtual power::ComputeMode compute_mode() const = 0;
-  virtual dwt::LineFilter& line_filter() = 0;
 
   // Host pool for the numeric half of a window of frames
   // (detail::measure_frames fans whole frames out over it). Affects only how
@@ -97,20 +103,20 @@ class TransformBackend {
     times_ = {};
     pl_times_ = {};
   }
-  void set_phase(Phase p) {
-    if (p != phase_) on_phase_exit(phase_);
-    phase_ = p;
+  void begin_stage(Stage s) override {
+    if (s != stage_) on_stage_exit(stage_);
+    stage_ = s;
   }
-  Phase phase() const { return phase_; }
+  Stage stage() const { return stage_; }
   const StageTimes& frame_times() const { return times_; }
 
-  // Per-phase PL-resident portion of frame_times(): DMA transfers, engine
+  // Per-stage PL-resident portion of frame_times(): DMA transfers, engine
   // busy time, PS-waits-for-PL stalls. A frame-level pipeline may overlap
   // this with another frame's PS work; frame_times() minus this is the
   // work the PS core itself must execute.
   const StageTimes& frame_pl_times() const { return pl_times_; }
 
-  // Adds modeled time to the current phase's ledger. Virtual so event-queue
+  // Adds modeled time to the current stage's ledger. Virtual so event-queue
   // backends can route generic PS charges onto a timeline instead.
   virtual void charge(SimDuration d);
 
@@ -118,7 +124,12 @@ class TransformBackend {
   // to frame_times(), only to the split).
   void note_pl(SimDuration d);
 
-  // Called by the runner once the frame's last phase is complete; backends
+  // The fusion rule always runs on the PS at scalar rates — the paper only
+  // accelerates the transforms.
+  void account_magnitude(int n) override;
+  void account_select(int n) override;
+
+  // Called by the runner once the frame's last stage is complete; backends
   // with in-flight work (batched submission) drain and reconcile here.
   virtual void finish_frame() {}
 
@@ -128,14 +139,14 @@ class TransformBackend {
  protected:
   explicit TransformBackend(const HostConfig& host = {})
       : host_pool_(host::pool(host)) {}
-  void ledger_add(Phase p, SimDuration d);
-  void ledger_add_pl(Phase p, SimDuration d);
-  virtual void on_phase_exit(Phase old_phase) { (void)old_phase; }
+  void ledger_add(Stage s, SimDuration d);
+  void ledger_add_pl(Stage s, SimDuration d);
+  virtual void on_stage_exit(Stage old_stage) { (void)old_stage; }
 
  private:
   StageTimes times_;
   StageTimes pl_times_;
-  Phase phase_ = Phase::kPrep;
+  Stage stage_ = Stage::kPrep;
   ThreadPool* host_pool_ = nullptr;
 };
 
@@ -147,59 +158,7 @@ namespace detail {
 void check_engine_fit(const hw::WaveletEngineConfig& engine, int taps,
                       bool synthesis);
 
-// Charges CPU-model time per line; numerics come from the dispatch set
-// (LineFilter::kernels() default), which is bit-identical across flavours —
-// the *model* constants, not the host instruction set, decide what the
-// backend represents (ARM vs NEON). The serial FPGA backend's filter derives
-// from it: lines its router keeps off the engine, and the fusion rule, run
-// on the PS at the NEON model's rates.
-class CpuTimedFilter : public dwt::LineFilter {
- public:
-  CpuTimedFilter(TransformBackend* owner, CpuCostModel model)
-      : owner_(owner), model_(model) {}
-
-  void account_analyze(int out_len, int taps) override;
-  void account_synthesize(int pairs, int taps) override;
-  void account_magnitude(int n) override;
-  void account_select(int n) override;
-
- protected:
-  TransformBackend* owner_;
-
- private:
-  CpuCostModel model_;
-};
 }  // namespace detail
-
-class ArmBackend : public TransformBackend {
- public:
-  ArmBackend() : ArmBackend(RunConfig{}) {}
-  explicit ArmBackend(const RunConfig& config)
-      : TransformBackend(config.host), filter_(this, arm_cost_model()) {}
-  const char* name() const override { return "ARM"; }
-  power::ComputeMode compute_mode() const override {
-    return power::ComputeMode::kArmOnly;
-  }
-  dwt::LineFilter& line_filter() override { return filter_; }
-
- private:
-  detail::CpuTimedFilter filter_;
-};
-
-class NeonBackend : public TransformBackend {
- public:
-  NeonBackend() : NeonBackend(RunConfig{}) {}
-  explicit NeonBackend(const RunConfig& config)
-      : TransformBackend(config.host), filter_(this, neon_cost_model()) {}
-  const char* name() const override { return "NEON"; }
-  power::ComputeMode compute_mode() const override {
-    return power::ComputeMode::kArmNeon;
-  }
-  dwt::LineFilter& line_filter() override { return filter_; }
-
- private:
-  detail::CpuTimedFilter filter_;
-};
 
 // Per-line NEON/FPGA routing decision + statistics.
 class LineRouter {
@@ -223,37 +182,39 @@ class LineRouter {
   long long simd_lines_ = 0;
 };
 
-// The serial-driver FPGA engine (one driver call per line on the
-// WaveletAccelerator, the paper's calibrated Fig. 9/10 model), with a
-// LineRouter choosing the engine per line: a line request shorter than the
-// threshold runs on the NEON cost model instead. Threshold 0 routes every
-// line to the engine (the paper's static ARM+FPGA configuration,
-// make_backend(kFpga)); make_backend(kAdaptive) uses
-// RunConfig::adaptive_threshold_samples. The fusion rule runs on the PS at
-// scalar rates either way.
-class FpgaBackend : public TransformBackend {
+// The paper's four serial configurations as one additive-ledger model: each
+// line request is charged either to a CPU cost model or, one driver call per
+// line, to the WaveletAccelerator (the paper's calibrated Fig. 9/10 engine
+// model). A LineRouter picks the engine per line: a request shorter than its
+// threshold runs on the CPU model. The kind sets the CPU model, the
+// threshold, name() and compute_mode():
+//   kArm       ARM model, no line on the engine;
+//   kNeon      NEON model, no line on the engine;
+//   kFpga      threshold 0: every line on the engine (static ARM+FPGA);
+//   kAdaptive  threshold RunConfig::adaptive_threshold_samples, short lines
+//              on the NEON model.
+// kFpgaBatched is BatchedFpgaBackend's (pipeline.h) and throws
+// std::invalid_argument here.
+class SerialBackend final : public TransformBackend {
  public:
-  FpgaBackend() : FpgaBackend(RunConfig{}) {}
-  // `kind` is BackendKind::kFpga or BackendKind::kAdaptive; anything else
-  // throws std::invalid_argument.
-  explicit FpgaBackend(const RunConfig& config,
-                       BackendKind kind = BackendKind::kFpga);
-  ~FpgaBackend() override;
-  const char* name() const override { return name_; }
-  power::ComputeMode compute_mode() const override {
-    return power::ComputeMode::kArmFpga;  // bitstream stays loaded
-  }
-  dwt::LineFilter& line_filter() override;
+  explicit SerialBackend(BackendKind kind, const RunConfig& config = {});
+  const char* name() const override { return backend_name(kind_); }
+  power::ComputeMode compute_mode() const override;
+
+  void account_analyze(int out_len, int taps) override;
+  void account_synthesize(int pairs, int taps) override;
 
   const LineRouter& router() const { return router_; }
   const driver::WaveletAccelerator& accelerator() const { return accel_; }
 
  private:
-  class Filter;
-  const char* name_;
+  void engine_line(int words_in, int words_out, int outputs, int taps,
+                   bool synthesis);
+
+  BackendKind kind_;
+  CpuCostModel cpu_;
   driver::WaveletAccelerator accel_;
   LineRouter router_;
-  std::unique_ptr<Filter> filter_;
 };
 
 // --- probing / timed runs ---------------------------------------------------
@@ -264,7 +225,7 @@ struct FrameRunResult {
   image::ImageF fused;
 };
 
-// Runs the full fusion pipeline on one backend, clocking each phase.
+// Runs the full fusion pipeline on one backend, clocking each stage.
 class TimedFusionRunner {
  public:
   explicit TimedFusionRunner(TransformBackend& backend,

@@ -24,19 +24,10 @@ const char* backend_name(BackendKind kind) {
 
 std::unique_ptr<TransformBackend> make_backend(BackendKind kind,
                                                const RunConfig& config) {
-  switch (kind) {
-    case BackendKind::kArm:
-      return std::make_unique<ArmBackend>(config);
-    case BackendKind::kNeon:
-      return std::make_unique<NeonBackend>(config);
-    case BackendKind::kFpga:
-      return std::make_unique<FpgaBackend>(config);
-    case BackendKind::kFpgaBatched:
-      return std::make_unique<BatchedFpgaBackend>(config);
-    case BackendKind::kAdaptive:
-      return std::make_unique<FpgaBackend>(config, BackendKind::kAdaptive);
+  if (kind == BackendKind::kFpgaBatched) {
+    return std::make_unique<BatchedFpgaBackend>(config);
   }
-  return nullptr;
+  return std::make_unique<SerialBackend>(kind, config);
 }
 
 }  // namespace vf::sched

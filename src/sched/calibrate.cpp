@@ -22,7 +22,7 @@ ThresholdCalibration calibrate_adaptive_threshold(CrossoverMetric metric,
     for (const FrameSize& size : sizes) {
       RunConfig run;
       run.adaptive_threshold_samples = threshold;
-      FpgaBackend backend(run, BackendKind::kAdaptive);
+      SerialBackend backend(BackendKind::kAdaptive, run);
       const ProbeResult r = probe_backend(backend, size, frames, config);
       cost += metric == CrossoverMetric::kTotalTime ? r.total.sec() : r.energy_mj;
     }

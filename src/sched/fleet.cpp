@@ -193,8 +193,7 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
     const StreamConfig& sc = streams[s];
     detail::StreamingStreamInput& in = inputs[s];
     in.queue_depth = sc.queue_depth;
-    in.home_engine = sc.run.engine_id >= 0 ? sc.run.engine_id
-                                           : static_cast<int>(s);
+    in.home_engine = static_cast<int>(s);
     const int frames = sc.run.frames;
     if (sc.arrival.fps > 0.0) {
       in.period = SimDuration::seconds(1.0 / sc.arrival.fps);

@@ -66,7 +66,7 @@ struct FleetConfig {
   // Frames of one stream in flight at once (run_pipelined's 4-stage window).
   int pipeline_depth = 4;
   // Placement policy: steal any idle engine vs stay on the home engine
-  // (stream's RunConfig::engine_id, or stream index modulo M).
+  // (stream index modulo M).
   bool steal_engines = true;
   // > 0: when the shortest engine wait at admission exceeds this fraction of
   // the stream's frame period, the frame falls back to the NEON cost model

@@ -1,6 +1,5 @@
 #include "src/sched/pipeline.h"
 
-#include "src/hw/clock.h"
 #include "src/hw/cost_constants.h"
 #include "src/sched/fleet.h"
 
@@ -8,59 +7,31 @@ namespace vf::sched {
 
 // --- BatchedFpgaBackend -----------------------------------------------------
 
-// Batch submission and buffer ping-pong depend only on the request sequence
-// (sizes + barriers), never on sample values, so the whole clock
-// interaction lives in accounting: the serial account_*/barrier() replay
-// reproduces the exact event schedule at any host thread count. The fusion
-// rule routes through kernels() (the dispatch set) instead of hard-coding
-// the scalar magnitude/select kernels as the old combined overrides did.
-class BatchedFpgaBackend::Filter : public dwt::LineFilter {
- public:
-  Filter(BatchedFpgaBackend* owner, driver::PipelinedWaveletAccelerator* accel)
-      : owner_(owner), accel_(accel), cpu_(arm_cost_model()) {}
-
-  void barrier() override { accel_->barrier(); }
-
-  void account_analyze(int out_len, int taps) override {
-    detail::check_engine_fit(accel_->engine(), taps, /*synthesis=*/false);
-    accel_->submit_line(2 * out_len + taps, 2 * out_len,
-                        hw::cost::engine_compute_cycles(out_len,
-                                                        accel_->engine().slots));
-  }
-
-  void account_synthesize(int pairs, int taps) override {
-    detail::check_engine_fit(accel_->engine(), taps, /*synthesis=*/true);
-    accel_->submit_line(2 * pairs + taps, 2 * pairs,
-                        hw::cost::engine_compute_cycles(pairs,
-                                                        accel_->engine().slots));
-  }
-
-  void account_magnitude(int n) override {
-    owner_->charge(hw::ps_clock().cycles(cpu_.magnitude_cycles_per_sample * n));
-  }
-
-  void account_select(int n) override {
-    owner_->charge(hw::ps_clock().cycles(cpu_.select_cycles_per_sample * n));
-  }
-
- private:
-  BatchedFpgaBackend* owner_;
-  driver::PipelinedWaveletAccelerator* accel_;
-  CpuCostModel cpu_;
-};
-
 BatchedFpgaBackend::BatchedFpgaBackend(const RunConfig& config)
     : TransformBackend(config.host),
       ps_(clocks_.add_resource()),
       dma_(clocks_.add_resource()),
       pl_(clocks_.add_resource()),
       accel_(config.engine, config.driver_costs, config.batching, &clocks_,
-             ps_, dma_, pl_),
-      filter_(std::make_unique<Filter>(this, &accel_)) {}
+             ps_, dma_, pl_) {}
 
-BatchedFpgaBackend::~BatchedFpgaBackend() = default;
+// Batch submission and buffer ping-pong depend only on the request sequence
+// (sizes + barriers), never on sample values, so the whole clock
+// interaction lives in accounting: the serial account_*/barrier() replay
+// reproduces the exact event schedule at any host thread count.
+void BatchedFpgaBackend::account_analyze(int out_len, int taps) {
+  detail::check_engine_fit(accel_.engine(), taps, /*synthesis=*/false);
+  accel_.submit_line(2 * out_len + taps, 2 * out_len,
+                     hw::cost::engine_compute_cycles(out_len,
+                                                     accel_.engine().slots));
+}
 
-dwt::LineFilter& BatchedFpgaBackend::line_filter() { return *filter_; }
+void BatchedFpgaBackend::account_synthesize(int pairs, int taps) {
+  detail::check_engine_fit(accel_.engine(), taps, /*synthesis=*/true);
+  accel_.submit_line(2 * pairs + taps, 2 * pairs,
+                     hw::cost::engine_compute_cycles(pairs,
+                                                     accel_.engine().slots));
+}
 
 void BatchedFpgaBackend::charge(SimDuration d) {
   // Generic PS work (prep, fusion-rule kernels) becomes a PS event; the
@@ -68,25 +39,29 @@ void BatchedFpgaBackend::charge(SimDuration d) {
   // ledger_add here — adding both would double-charge.
   clocks_.schedule(ps_, "ps", ps_ready_, d);
   if (tracing_) {
-    drain_trace(phase());
-    detail::append_sliced_ps(&cur_ops_, static_cast<int>(phase()), d);
+    drain_trace(stage());
+    detail::append_sliced_ps(&cur_ops_, static_cast<int>(stage()), d);
   }
 }
 
-void BatchedFpgaBackend::on_phase_exit(Phase old_phase) {
-  sync(old_phase);
+void BatchedFpgaBackend::on_stage_exit(Stage old_stage) {
+  sync(old_stage);
   if (tracing_) {
-    drain_trace(old_phase);
-    push_stage_boundary(old_phase);
+    drain_trace(old_stage);
+    push_stage_boundary(old_stage);
   }
 }
 
 void BatchedFpgaBackend::finish_frame() {
-  sync(phase());
+  sync(stage());
   if (tracing_) {
-    drain_trace(phase());
+    drain_trace(stage());
+    // The next frame's list starts at this one's size, so a run of frames
+    // of one shape fills each list without regrowing it.
+    const std::size_t ops = cur_ops_.size();
     trace_frames_.push_back(std::move(cur_ops_));
     cur_ops_.clear();
+    cur_ops_.reserve(ops);
     batch_trace_.clear();
     batch_drained_ = 0;
   }
@@ -107,7 +82,7 @@ std::vector<std::vector<detail::StreamOp>> BatchedFpgaBackend::take_stream_trace
   return std::move(trace_frames_);
 }
 
-void BatchedFpgaBackend::drain_trace(Phase stage) {
+void BatchedFpgaBackend::drain_trace(Stage stage) {
   for (; batch_drained_ < batch_trace_.size(); ++batch_drained_) {
     detail::StreamOp op;
     op.kind = detail::StreamOp::Kind::kBatch;
@@ -117,9 +92,9 @@ void BatchedFpgaBackend::drain_trace(Phase stage) {
   }
 }
 
-void BatchedFpgaBackend::push_stage_boundary(Phase stage) {
+void BatchedFpgaBackend::push_stage_boundary(Stage stage) {
   // A leading or doubled boundary carries no information (the next frame's
-  // set_phase(kPrep) re-exits the previous frame's kInverse after
+  // begin_stage(kPrep) re-exits the previous frame's kInverse after
   // finish_frame already drained it) — skip those.
   if (cur_ops_.empty() ||
       cur_ops_.back().kind == detail::StreamOp::Kind::kStageBoundary) {
@@ -131,7 +106,7 @@ void BatchedFpgaBackend::push_stage_boundary(Phase stage) {
   cur_ops_.push_back(op);
 }
 
-void BatchedFpgaBackend::sync(Phase charge_to) {
+void BatchedFpgaBackend::sync(Stage charge_to) {
   accel_.flush();
   const SimDuration now = clocks_.makespan();
   ledger_add(charge_to, now - mark_);
@@ -139,7 +114,7 @@ void BatchedFpgaBackend::sync(Phase charge_to) {
   ledger_add_pl(charge_to, pl_busy - mark_pl_busy_);
   mark_ = now;
   mark_pl_busy_ = pl_busy;
-  // A phase consumes the previous phase's outputs: later PS work must wait
+  // A stage consumes the previous stage's outputs: later PS work must wait
   // for the drain point.
   ps_ready_ = now;
 }

@@ -27,7 +27,6 @@
 // order, so fused outputs stay bit-identical with every other backend.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "src/common/timeline.h"
@@ -38,8 +37,8 @@ namespace vf::sched {
 
 // FPGA backend with batched line submission and transfer-granularity double
 // buffering. Modeled time is computed on internal ResourceClocks over three
-// resources (PS core, ACP DMA, PL engine); the additive per-phase ledger is
-// reconciled from makespan deltas at phase boundaries, so
+// resources (PS core, ACP DMA, PL engine); the additive per-stage ledger is
+// reconciled from makespan deltas at stage boundaries, so
 // frame_times().total() is the PS-visible end-to-end time, overlap included.
 // No event is logged (nothing reads a per-line schedule; the streaming
 // replay re-schedules from the batch trace instead), so accounting a frame
@@ -50,14 +49,15 @@ class BatchedFpgaBackend : public TransformBackend {
  public:
   BatchedFpgaBackend() : BatchedFpgaBackend(RunConfig{}) {}
   explicit BatchedFpgaBackend(const RunConfig& config);
-  ~BatchedFpgaBackend() override;
 
   const char* name() const override { return "FPGA+batch"; }
   power::ComputeMode compute_mode() const override {
     return power::ComputeMode::kArmFpga;
   }
-  dwt::LineFilter& line_filter() override;
 
+  void barrier() override { accel_.barrier(); }
+  void account_analyze(int out_len, int taps) override;
+  void account_synthesize(int pairs, int taps) override;
   void charge(SimDuration d) override;
   void finish_frame() override;
 
@@ -72,19 +72,17 @@ class BatchedFpgaBackend : public TransformBackend {
   std::vector<std::vector<detail::StreamOp>> take_stream_trace();
 
  protected:
-  void on_phase_exit(Phase old_phase) override;
+  void on_stage_exit(Stage old_stage) override;
 
  private:
-  class Filter;
-
   // Closes in-flight batches and charges the makespan growth since the last
   // sync to `charge_to` (PL/DMA busy growth goes to the PL split ledger).
-  void sync(Phase charge_to);
+  void sync(Stage charge_to);
 
   // Converts accelerator batches closed since the last drain into kBatch
   // ops, then (optionally) appends a stage boundary; no-ops unless tracing.
-  void drain_trace(Phase stage);
-  void push_stage_boundary(Phase stage);
+  void drain_trace(Stage stage);
+  void push_stage_boundary(Stage stage);
 
   ResourceClocks clocks_;
   ResourceId ps_, dma_, pl_;
@@ -92,7 +90,6 @@ class BatchedFpgaBackend : public TransformBackend {
   SimDuration mark_;          // makespan at last sync
   SimDuration mark_pl_busy_;  // PL+DMA busy time at last sync
   SimDuration ps_ready_;      // PS events wait for drained outputs
-  std::unique_ptr<Filter> filter_;
 
   // Streaming trace capture (enable_stream_trace).
   bool tracing_ = false;

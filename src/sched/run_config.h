@@ -1,11 +1,10 @@
 // The unified run-configuration API for the sched layer (PR 7 redesign).
 //
-// Every backend used to grow its own ad-hoc constructor signature
-// (ArmBackend(HostConfig), FpgaBackend(engine, costs, host), ...), which
-// made "place this stream on that engine with this host config"
+// Every backend used to grow its own ad-hoc constructor signature, which
+// made "run this stream on that hardware with this host config"
 // inexpressible the moment the fleet scheduler needed it. RunConfig is the
 // one bag of knobs every backend understands: each backend is built from a
-// RunConfig (FpgaBackend also from the BackendKind it models), and
+// RunConfig (SerialBackend also from the BackendKind it models), and
 // make_backend() is the construction path the rest of the tree uses.
 #pragma once
 
@@ -56,13 +55,10 @@ struct RunConfig {
   hw::WaveletEngineConfig engine;
   driver::DriverCosts driver_costs;
   driver::PipelinedWaveletAccelerator::Batching batching;
-  // Which PL engine slot a fleet places this stream on; -1 = auto
-  // (stream index modulo engine count). Ignored outside run_fleet.
-  int engine_id = -1;
 
   // Scheduling: run_pipelined's frames in flight (a frame starts once the
   // one this many places earlier has ended; <= 1 = the serial schedule), and
-  // the NEON/FPGA crossover of the FpgaBackend's router (kAdaptive).
+  // the NEON/FPGA crossover of SerialBackend's router (kAdaptive).
   int pipeline_depth = 4;
   int adaptive_threshold_samples = hw::cost::kAdaptiveThresholdSamples;
 

@@ -129,8 +129,8 @@ TEST(BackendFactory, BuildsEveryKindWithMatchingNameAndMode) {
     EXPECT_STREQ(sched::backend_name(c.kind), c.name);
     EXPECT_EQ(backend->compute_mode(), c.mode);
   }
-  // The serial FPGA backend models only its two kinds.
-  EXPECT_THROW(sched::FpgaBackend({}, sched::BackendKind::kNeon),
+  // The serial backend models every kind but the batched engine.
+  EXPECT_THROW(sched::SerialBackend(sched::BackendKind::kFpgaBatched),
                std::invalid_argument);
 }
 

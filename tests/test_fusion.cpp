@@ -77,16 +77,17 @@ TEST(Fusion, LaplacianSelfFusionIsNearIdentity) {
 
 TEST(Fusion, BackendsProduceIdenticalFusedOutput) {
   const auto pairs = sched::make_sweep_frames({35, 35}, 1);
-  sched::ArmBackend arm;
-  sched::FpgaBackend fpga;
-  const auto adaptive =
-      sched::make_backend(sched::BackendKind::kAdaptive, sched::RunConfig{});
-  sched::TimedFusionRunner ra(arm), rf(fpga), rx(*adaptive);
-  const auto a = ra.run_frame_pair(pairs[0].visible, pairs[0].thermal);
-  const auto f = rf.run_frame_pair(pairs[0].visible, pairs[0].thermal);
-  const auto x = rx.run_frame_pair(pairs[0].visible, pairs[0].thermal);
-  EXPECT_EQ(0.0, max_abs_diff(a.fused, f.fused));
-  EXPECT_EQ(0.0, max_abs_diff(a.fused, x.fused));
+  ImageF reference;
+  for (const sched::BackendKind kind :
+       {sched::BackendKind::kArm, sched::BackendKind::kNeon,
+        sched::BackendKind::kFpga, sched::BackendKind::kFpgaBatched,
+        sched::BackendKind::kAdaptive}) {
+    const auto backend = sched::make_backend(kind, sched::RunConfig{});
+    sched::TimedFusionRunner runner(*backend);
+    const auto r = runner.run_frame_pair(pairs[0].visible, pairs[0].thermal);
+    if (kind == sched::BackendKind::kArm) reference = r.fused;
+    EXPECT_EQ(0.0, max_abs_diff(reference, r.fused)) << backend->name();
+  }
 }
 
 // Fusing frames of different shapes is a caller error, not undefined

@@ -361,23 +361,23 @@ TEST(HostParallelIdentity, PipelinedRunInvariantAcrossThreads) {
 
 // --- one host path: the fused plan against the staged reference ------------
 
-// The staged pass with the timed runner's phase points: each stage of
-// forward_dtcwt x2 -> fuse_pyramids -> inverse_dtcwt preceded by its hook.
+// The staged pass with the timed runner's stage points: each stage of
+// forward_dtcwt x2 -> fuse_pyramids -> inverse_dtcwt preceded by its
+// begin_stage.
 image::ImageF staged_fuse(const image::ImageF& a, const image::ImageF& b,
-                          const dwt::TransformConfig& config, dwt::LineFilter& f,
-                          const dwt::FusionPlan::StageHooks& hooks = {}) {
-  if (hooks.before_forward) hooks.before_forward();
+                          const dwt::TransformConfig& config, dwt::LineFilter& f) {
+  f.begin_stage(dwt::Stage::kForward);
   const dwt::DtcwtPyramid pa = dwt::forward_dtcwt(a, config, f);
   const dwt::DtcwtPyramid pb = dwt::forward_dtcwt(b, config, f);
-  if (hooks.before_fusion) hooks.before_fusion();
+  f.begin_stage(dwt::Stage::kFusion);
   dwt::DtcwtPyramid fused;
   fusion::fuse_pyramids(pa, pb, &fused, f);
-  if (hooks.before_inverse) hooks.before_inverse();
+  f.begin_stage(dwt::Stage::kInverse);
   return dwt::inverse_dtcwt(fused, config, f);
 }
 
 // One filter call as a backend sees it: 'a'nalyze, 's'ynthesize,
-// 'm'agnitude, 'x' select, 'b'arrier, or a stage hook 'F'/'U'/'I'.
+// 'm'agnitude, 'x' select, 'b'arrier, or begin_stage 'F'/'U'/'I'.
 struct Call {
   char what;
   int n, taps;
@@ -387,7 +387,7 @@ struct Call {
 };
 
 // Logs every account_* call with its arguments, every barrier() and every
-// stage hook. Every backend's modeled time is a function of this sequence.
+// begin_stage. Every backend's modeled time is a function of this sequence.
 class RecordingFilter : public dwt::LineFilter {
  public:
   void barrier() override { log.push_back({'b', 0, 0}); }
@@ -400,10 +400,8 @@ class RecordingFilter : public dwt::LineFilter {
   void account_magnitude(int n) override { log.push_back({'m', n, 0}); }
   void account_select(int n) override { log.push_back({'x', n, 0}); }
 
-  dwt::FusionPlan::StageHooks hooks() {
-    return {[this] { log.push_back({'F', 0, 0}); },
-            [this] { log.push_back({'U', 0, 0}); },
-            [this] { log.push_back({'I', 0, 0}); }};
+  void begin_stage(dwt::Stage stage) override {
+    log.push_back({"PFUI"[static_cast<int>(stage)], 0, 0});
   }
 
   std::vector<Call> log;
@@ -416,7 +414,7 @@ const sched::FrameSize kPathSizes[] = {{9, 7},  {33, 25}, {1, 16},
                                        {16, 1}, {88, 71}, {88, 72}};
 
 // FusionPlan::run must issue exactly the staged pass's calls, in the same
-// order, with the hooks at the same points, and fuse the same bits.
+// order, with the stage changes at the same points, and fuse the same bits.
 TEST(HostPathIdentity, PlanReplaysTheStagedCallSequence) {
   for (const sched::FrameSize& size : kPathSizes) {
     const auto frames = sched::make_sweep_frames(size, 1);
@@ -425,11 +423,11 @@ TEST(HostPathIdentity, PlanReplaysTheStagedCallSequence) {
       dwt::TransformConfig config;
       config.levels = levels;
       RecordingFilter staged, planned;
-      const image::ImageF want = staged_fuse(frames[0].visible, frames[0].thermal,
-                                             config, staged, staged.hooks());
+      const image::ImageF want =
+          staged_fuse(frames[0].visible, frames[0].thermal, config, staged);
       const dwt::FusionPlan plan(size.height, size.width, config);
       const image::ImageF got =
-          plan.run(frames[0].visible, frames[0].thermal, planned, planned.hooks());
+          plan.run(frames[0].visible, frames[0].thermal, planned);
       EXPECT_TRUE(same_bits(got, want)) << label;
       ASSERT_EQ(planned.log.size(), staged.log.size()) << label;
       const auto diff = std::mismatch(planned.log.begin(), planned.log.end(),

@@ -39,7 +39,7 @@ TEST(FrameSweep, FramesAreDeterministicAndInRange) {
 }
 
 TEST(Probe, DeterministicModeledTimes) {
-  sched::NeonBackend b1, b2;
+  sched::SerialBackend b1(sched::BackendKind::kNeon), b2(sched::BackendKind::kNeon);
   const auto r1 = sched::probe_backend(b1, {35, 35}, 2);
   const auto r2 = sched::probe_backend(b2, {35, 35}, 2);
   EXPECT_DOUBLE_EQ(r1.total.sec(), r2.total.sec());
@@ -50,8 +50,10 @@ TEST(Probe, DeterministicModeledTimes) {
 
 TEST(Crossover, NeonWinsBelowFpgaWinsAbove) {
   // The paper's Fig. 9 break point sits between 35x35 and 40x40.
-  sched::NeonBackend neon_s, neon_l;
-  sched::FpgaBackend fpga_s, fpga_l;
+  sched::SerialBackend neon_s(sched::BackendKind::kNeon);
+  sched::SerialBackend neon_l(sched::BackendKind::kNeon);
+  sched::SerialBackend fpga_s(sched::BackendKind::kFpga);
+  sched::SerialBackend fpga_l(sched::BackendKind::kFpga);
   const auto ns = sched::probe_backend(neon_s, {35, 35}, 4);
   const auto fs = sched::probe_backend(fpga_s, {35, 35}, 4);
   EXPECT_LT(ns.total.sec(), fs.total.sec()) << "NEON must win below the break point";
@@ -63,8 +65,10 @@ TEST(Crossover, NeonWinsBelowFpgaWinsAbove) {
 TEST(Crossover, EnergyBreakPointIsLaterThanTimeBreakPoint) {
   // At 40x40 the FPGA already wins on time but its +19.2 mW static draw
   // keeps NEON ahead on energy (paper: energy break between 40x40 and 64x48).
-  sched::NeonBackend neon40, neon64;
-  sched::FpgaBackend fpga40, fpga64;
+  sched::SerialBackend neon40(sched::BackendKind::kNeon);
+  sched::SerialBackend neon64(sched::BackendKind::kNeon);
+  sched::SerialBackend fpga40(sched::BackendKind::kFpga);
+  sched::SerialBackend fpga64(sched::BackendKind::kFpga);
   const auto n40 = sched::probe_backend(neon40, {40, 40}, 4);
   const auto f40 = sched::probe_backend(fpga40, {40, 40}, 4);
   EXPECT_LT(f40.total.sec(), n40.total.sec());
@@ -75,9 +79,9 @@ TEST(Crossover, EnergyBreakPointIsLaterThanTimeBreakPoint) {
 }
 
 TEST(Crossover, FpgaAndAdaptiveEnergyBeatArmAtFullFrame) {
-  sched::ArmBackend arm;
-  sched::FpgaBackend fpga;
-  sched::FpgaBackend adaptive({}, sched::BackendKind::kAdaptive);
+  sched::SerialBackend arm(sched::BackendKind::kArm);
+  sched::SerialBackend fpga(sched::BackendKind::kFpga);
+  sched::SerialBackend adaptive(sched::BackendKind::kAdaptive);
   const auto ra = sched::probe_backend(arm, {88, 72}, 4);
   const auto rf = sched::probe_backend(fpga, {88, 72}, 4);
   const auto rx = sched::probe_backend(adaptive, {88, 72}, 4);
@@ -86,14 +90,14 @@ TEST(Crossover, FpgaAndAdaptiveEnergyBeatArmAtFullFrame) {
 }
 
 TEST(Adaptive, RoutesAllLinesToNeonBelowTheCrossover) {
-  sched::FpgaBackend backend({}, sched::BackendKind::kAdaptive);
+  sched::SerialBackend backend(sched::BackendKind::kAdaptive);
   sched::probe_backend(backend, {32, 24}, 2);
   EXPECT_EQ(backend.router().lines_on_fpga(), 0);
   EXPECT_GT(backend.router().lines_on_simd(), 0);
 }
 
 TEST(Adaptive, RoutesLongLinesToFpgaAboveTheCrossover) {
-  sched::FpgaBackend backend({}, sched::BackendKind::kAdaptive);
+  sched::SerialBackend backend(sched::BackendKind::kAdaptive);
   sched::probe_backend(backend, {88, 72}, 2);
   EXPECT_GT(backend.router().lines_on_fpga(), 0);
   // Deep-level short lines stay on NEON.
@@ -118,9 +122,9 @@ TEST(Adaptive, OverLongLinesAreRefusedOnEveryEngineModel) {
 
 TEST(Adaptive, NeverWorseThanBestStaticAcrossTheSweep) {
   for (const sched::FrameSize& size : sched::paper_frame_sizes()) {
-    sched::NeonBackend neon;
-    sched::FpgaBackend fpga;
-    sched::FpgaBackend adaptive({}, sched::BackendKind::kAdaptive);
+    sched::SerialBackend neon(sched::BackendKind::kNeon);
+    sched::SerialBackend fpga(sched::BackendKind::kFpga);
+    sched::SerialBackend adaptive(sched::BackendKind::kAdaptive);
     const auto rn = sched::probe_backend(neon, size, 2);
     const auto rf = sched::probe_backend(fpga, size, 2);
     const auto rx = sched::probe_backend(adaptive, size, 2);
@@ -130,8 +134,8 @@ TEST(Adaptive, NeverWorseThanBestStaticAcrossTheSweep) {
 }
 
 TEST(Adaptive, BeatsStaticFpgaAtFullFrame) {
-  sched::FpgaBackend fpga;
-  sched::FpgaBackend adaptive({}, sched::BackendKind::kAdaptive);
+  sched::SerialBackend fpga(sched::BackendKind::kFpga);
+  sched::SerialBackend adaptive(sched::BackendKind::kAdaptive);
   const auto rf = sched::probe_backend(fpga, {88, 72}, 2);
   const auto rx = sched::probe_backend(adaptive, {88, 72}, 2);
   EXPECT_LT(rx.total.sec(), rf.total.sec());
@@ -140,8 +144,8 @@ TEST(Adaptive, BeatsStaticFpgaAtFullFrame) {
 TEST(Adaptive, ThresholdExtremesMatchStaticEngines) {
   sched::RunConfig all_fpga;
   all_fpga.adaptive_threshold_samples = 0;
-  sched::FpgaBackend bx(all_fpga, sched::BackendKind::kAdaptive);
-  sched::FpgaBackend bf;
+  sched::SerialBackend bx(sched::BackendKind::kAdaptive, all_fpga);
+  sched::SerialBackend bf(sched::BackendKind::kFpga);
   const auto rx = sched::probe_backend(bx, {64, 48}, 2);
   const auto rf = sched::probe_backend(bf, {64, 48}, 2);
   EXPECT_NEAR(rx.forward.sec(), rf.forward.sec(), 1e-12);
@@ -149,8 +153,8 @@ TEST(Adaptive, ThresholdExtremesMatchStaticEngines) {
 
   sched::RunConfig all_neon;
   all_neon.adaptive_threshold_samples = 1 << 20;
-  sched::FpgaBackend bn(all_neon, sched::BackendKind::kAdaptive);
-  sched::NeonBackend neon;
+  sched::SerialBackend bn(sched::BackendKind::kAdaptive, all_neon);
+  sched::SerialBackend neon(sched::BackendKind::kNeon);
   const auto rn1 = sched::probe_backend(bn, {64, 48}, 2);
   const auto rn2 = sched::probe_backend(neon, {64, 48}, 2);
   EXPECT_NEAR(rn1.forward.sec(), rn2.forward.sec(), 1e-12);
@@ -236,7 +240,7 @@ TEST(PaperSweep, AdaptiveRouterCountsMatchTheRecordedValues) {
       {88, 72, 5760, 960},
   };
   for (const auto& e : expected) {
-    sched::FpgaBackend adaptive({}, sched::BackendKind::kAdaptive);
+    sched::SerialBackend adaptive(sched::BackendKind::kAdaptive);
     sched::probe_backend(adaptive, {e.width, e.height}, 2);
     EXPECT_EQ(adaptive.router().lines_on_fpga(), e.lines_on_fpga) << e.width;
     EXPECT_EQ(adaptive.router().lines_on_simd(), e.lines_on_simd) << e.width;

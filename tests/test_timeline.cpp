@@ -263,7 +263,7 @@ TEST(PipelinedAccelerator, DoubleBufferingOverlapsFillWithProcessing) {
 
 TEST(BatchedFpga, FusedOutputBitIdenticalToArm) {
   const auto pairs = sched::make_sweep_frames({40, 40}, 1);
-  sched::ArmBackend arm;
+  sched::SerialBackend arm(sched::BackendKind::kArm);
   sched::BatchedFpgaBackend batched;
   sched::TimedFusionRunner run_arm(arm), run_batched(batched);
   const auto ra = run_arm.run_frame_pair(pairs[0].visible, pairs[0].thermal);
@@ -278,14 +278,14 @@ TEST(BatchedFpga, MovesTheTimeBreakPointLeftOf35x35) {
   // The serial ledger's break point sits between 35x35 and 40x40 (NEON wins
   // at 35x35 — tests/test_sched.cpp). Transfer-granularity double buffering
   // amortizes the ~12k-cycle driver entry and moves it left of 35x35.
-  sched::NeonBackend neon;
+  sched::SerialBackend neon(sched::BackendKind::kNeon);
   sched::BatchedFpgaBackend batched;
   const auto rn = sched::probe_backend(neon, {35, 35}, 4);
   const auto rb = sched::probe_backend(batched, {35, 35}, 4);
   EXPECT_LT(rb.total.sec(), rn.total.sec());
 
   // And it stays ahead at the sizes the serial FPGA already won.
-  sched::NeonBackend neon_l;
+  sched::SerialBackend neon_l(sched::BackendKind::kNeon);
   sched::BatchedFpgaBackend batched_l;
   const auto rnl = sched::probe_backend(neon_l, {88, 72}, 4);
   const auto rbl = sched::probe_backend(batched_l, {88, 72}, 4);
@@ -294,7 +294,7 @@ TEST(BatchedFpga, MovesTheTimeBreakPointLeftOf35x35) {
 
 TEST(BatchedFpga, FasterThanSerialFpgaEverywhere) {
   for (const sched::FrameSize& size : sched::paper_frame_sizes()) {
-    sched::FpgaBackend serial;
+    sched::SerialBackend serial(sched::BackendKind::kFpga);
     sched::BatchedFpgaBackend batched;
     const auto rs = sched::probe_backend(serial, size, 2);
     const auto rb = sched::probe_backend(batched, size, 2);
@@ -316,9 +316,9 @@ TEST(SerialPath, Fig9NumbersUnchangedByTheTimelineRefactor) {
   // With pipelining disabled (i.e. the plain backends every Fig. 9/10 bench
   // uses), the modeled totals must reproduce the seed ledger exactly; these
   // constants were recorded from the pre-refactor model.
-  sched::ArmBackend arm;
-  sched::NeonBackend neon;
-  sched::FpgaBackend fpga;
+  sched::SerialBackend arm(sched::BackendKind::kArm);
+  sched::SerialBackend neon(sched::BackendKind::kNeon);
+  sched::SerialBackend fpga(sched::BackendKind::kFpga);
   const auto ra = sched::probe_backend(arm, {88, 72}, 10);
   const auto rn = sched::probe_backend(neon, {88, 72}, 10);
   const auto rf = sched::probe_backend(fpga, {88, 72}, 10);
@@ -330,7 +330,7 @@ TEST(SerialPath, Fig9NumbersUnchangedByTheTimelineRefactor) {
 }
 
 TEST(SerialPath, PlSplitNeverExceedsTheLedger) {
-  sched::FpgaBackend fpga;
+  sched::SerialBackend fpga(sched::BackendKind::kFpga);
   sched::TimedFusionRunner runner(fpga);
   const auto pairs = sched::make_sweep_frames({64, 48}, 1);
   const auto r = runner.run_frame_pair(pairs[0].visible, pairs[0].thermal);
@@ -339,7 +339,7 @@ TEST(SerialPath, PlSplitNeverExceedsTheLedger) {
   EXPECT_LE(r.pl_times.inverse.sec(), r.times.inverse.sec());
   EXPECT_DOUBLE_EQ(r.pl_times.prep.sec(), 0.0);
 
-  sched::ArmBackend arm;
+  sched::SerialBackend arm(sched::BackendKind::kArm);
   sched::TimedFusionRunner arm_runner(arm);
   const auto ra = arm_runner.run_frame_pair(pairs[0].visible, pairs[0].thermal);
   EXPECT_DOUBLE_EQ(ra.pl_times.total().sec(), 0.0);  // no PL work on the CPU
@@ -352,7 +352,7 @@ TEST(PipelinedRunner, OverlapDisabledMatchesTheAdditiveLedger) {
   // reproduces the additive ledger (up to float summation order).
   for (const sched::FrameSize& size : {sched::FrameSize{35, 35},
                                        sched::FrameSize{88, 72}}) {
-    sched::FpgaBackend fpga;
+    sched::SerialBackend fpga(sched::BackendKind::kFpga);
     sched::RunConfig serial;
     serial.frame_size = size;
     serial.frames = 3;
@@ -371,7 +371,7 @@ TEST(PipelinedRunner, CpuBackendsGainNothingFpgaGains) {
   sched::RunConfig run;
   run.frame_size = {64, 48};
   run.frames = 4;
-  sched::NeonBackend neon;
+  sched::SerialBackend neon(sched::BackendKind::kNeon);
   const auto rn = sched::probe_pipelined(neon, run);
   EXPECT_NEAR(rn.makespan.sec(), rn.serial_total.sec(),
               rn.serial_total.sec() * 1e-9);
@@ -383,9 +383,9 @@ TEST(PipelinedRunner, CpuBackendsGainNothingFpgaGains) {
 
 TEST(PipelinedRunner, SustainedFpsBeatsTheSerialRunnerByAtLeast1p3x) {
   // Acceptance: at 88x72 the pipelined schedule sustains >= 1.3x the fps of
-  // the serial runner (the seed FpgaBackend through probe_backend).
+  // the serial runner (the serial FPGA backend through probe_backend).
   const int frames = 6;
-  sched::FpgaBackend serial;
+  sched::SerialBackend serial(sched::BackendKind::kFpga);
   const auto rs = sched::probe_backend(serial, {88, 72}, frames);
   const double serial_fps = frames / rs.total.sec();
 
