@@ -21,11 +21,6 @@ int main(int argc, char** argv) {
   print_header("Ablation A1 — GP-port CPU transfers vs ACP DMA bursts",
                "§V: GP ports need ~25 CPU cycles per 32-bit word");
 
-  const hw::GpPortModel gp;
-  const hw::AcpDmaModel acp;
-  const hw::ClockDomain ps = hw::ps_clock();
-  const hw::ClockDomain pl = hw::pl_clock();
-
   TextTable table({"payload", "words", "GP port (us)", "ACP DMA (us)", "speedup"});
   struct Case {
     const char* label;
@@ -40,8 +35,8 @@ int main(int argc, char** argv) {
   };
   json::Value jlines = json::Value::array();
   for (const Case& c : cases) {
-    const double gp_us = ps.cycles(gp.cycles_for_words(c.words)).us();
-    const double acp_us = pl.cycles(acp.cycles_for_words(c.words)).us();
+    const double gp_us = hw::ps_cycles(hw::gp_port_cycles(c.words)).us();
+    const double acp_us = hw::pl_cycles(hw::acp_dma_cycles(c.words)).us();
     table.add_row({c.label, std::to_string(c.words), TextTable::num(gp_us, 2),
                    TextTable::num(acp_us, 2), TextTable::num(gp_us / acp_us, 1) + "x"});
     jlines.push(json::Value::object()

@@ -2,10 +2,10 @@
 // (google-benchmark). Everything else in bench/ reports *modeled* ZC702
 // time; this binary shows the kernel library is real code with a real
 // vectorization speedup on the build host, across the kernel families
-// (analyze, synthesize, magnitude, select, average, their multi-line forms
-// and the row and column passes of the fused plan) in both flavours: scalar,
-// and simd at the widest instruction set the host runs (its name is the
-// JSON's simd_isa field).
+// (analyze, synthesize, magnitude, select, average, the multi-line analyze
+// and synthesize forms and the row and column passes of the fused plan) in
+// both flavours: scalar, and simd at the widest instruction set the host
+// runs (its name is the JSON's simd_isa field).
 //
 // Extra flag (stripped before google-benchmark sees the command line):
 //   --json PATH   write the collected per-benchmark timings as JSON
@@ -136,41 +136,6 @@ void BM_SynthesizeMl(benchmark::State& state, const vf::simd::KernelSet& k) {
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * nlines * pairs);
-}
-
-void BM_MagnitudeMl(benchmark::State& state, const vf::simd::KernelSet& k) {
-  const int len = static_cast<int>(state.range(0));
-  const int nlines = vf::simd::kMaxLinesPerCall;
-  const auto re = randv(nlines * len, 17);
-  const auto im = randv(nlines * len, 18);
-  std::vector<float> mag(static_cast<std::size_t>(nlines) * len);
-  for (auto _ : state) {
-    k.magnitude_ml(re.data(), im.data(), nlines, len, len, mag.data(), len);
-    benchmark::DoNotOptimize(mag.data());
-  }
-  state.SetItemsProcessed(state.iterations() * nlines * len);
-}
-
-void BM_SelectMl(benchmark::State& state, const vf::simd::KernelSet& k) {
-  const int len = static_cast<int>(state.range(0));
-  const int nlines = vf::simd::kMaxLinesPerCall;
-  const int n = nlines * len;
-  const auto a_re = randv(n, 19);
-  const auto a_im = randv(n, 20);
-  const auto b_re = randv(n, 21);
-  const auto b_im = randv(n, 22);
-  std::vector<float> mag_a(static_cast<std::size_t>(n));
-  std::vector<float> mag_b(static_cast<std::size_t>(n));
-  vf::simd::complex_magnitude_scalar(a_re.data(), a_im.data(), n, mag_a.data());
-  vf::simd::complex_magnitude_scalar(b_re.data(), b_im.data(), n, mag_b.data());
-  std::vector<float> out_re(static_cast<std::size_t>(n));
-  std::vector<float> out_im(static_cast<std::size_t>(n));
-  for (auto _ : state) {
-    k.select_ml(a_re.data(), a_im.data(), b_re.data(), b_im.data(), mag_a.data(),
-                mag_b.data(), nlines, len, len, out_re.data(), out_im.data(), len);
-    benchmark::DoNotOptimize(out_re.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
 }
 
 void BM_Average(benchmark::State& state, const vf::simd::KernelSet& k) {
@@ -318,12 +283,6 @@ void register_benches() {
         (std::string("BM_SynthesizeMl/") + k->name).c_str(), BM_SynthesizeMl, *k)
         ->Arg(44)
         ->Arg(1024);
-    benchmark::RegisterBenchmark(
-        (std::string("BM_MagnitudeMl/") + k->name).c_str(), BM_MagnitudeMl, *k)
-        ->Arg(198);  // 1584 total over 8 lines
-    benchmark::RegisterBenchmark((std::string("BM_SelectMl/") + k->name).c_str(),
-                                 BM_SelectMl, *k)
-        ->Arg(198);
     benchmark::RegisterBenchmark(
         (std::string("BM_AnalyzeMagCols/") + k->name).c_str(), BM_AnalyzeMagCols, *k)
         ->Arg(44);

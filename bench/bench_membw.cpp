@@ -158,10 +158,8 @@ int main(int argc, char** argv) {
   json::Value jaxi = json::Value::array();
   for (const int words : {16, 64, 256, 1024, 2048}) {
     const double bytes = static_cast<double>(words) * 4.0;
-    const double gp_s =
-        hw::ps_clock().cycles(hw::GpPortModel{}.cycles_for_words(words)).sec();
-    const double acp_s =
-        hw::pl_clock().cycles(hw::AcpDmaModel{}.cycles_for_words(words)).sec();
+    const double gp_s = hw::ps_cycles(hw::gp_port_cycles(words)).sec();
+    const double acp_s = hw::pl_cycles(hw::acp_dma_cycles(words)).sec();
     const double gp_mib = bytes / gp_s / (1024.0 * 1024.0);
     const double acp_mib = bytes / acp_s / (1024.0 * 1024.0);
     axi.add_row({std::to_string(words) + " words", TextTable::num(gp_mib, 1),

@@ -114,11 +114,10 @@ int main(int argc, char** argv) {
   std::printf("shape check: FPGA loses at 32x24 and 35x35, ties near 40x40, and\n"
               "wins clearly at 64x48 and 88x72 (paper: outperforms past 40x40).\n\n");
 
-  const power::PowerModel pm;
   std::printf("modeled power: ARM/NEON %.1f mW, ARM+FPGA %.1f mW (+%.1f mW net)\n\n",
-              pm.system_power_mw(power::ComputeMode::kArmOnly),
-              pm.system_power_mw(power::ComputeMode::kArmFpga),
-              pm.config().pl_engine_net_mw);
+              power::system_power_mw(power::ComputeMode::kArmOnly),
+              power::system_power_mw(power::ComputeMode::kArmFpga),
+              hw::cost::kPlEngineNetMw);
   system_table("fig10_energy", "[Fig. 10] total energy (mJ)", "mJ", 1, "energy_mj",
                [](const sched::ProbeResult& r) { return r.energy_mj; });
   const Cell& full = cells.back();  // 88x72
@@ -133,7 +132,7 @@ int main(int argc, char** argv) {
   // trace ("power values, measured by power-recording software running
   // simultaneously"). Replay the 88x72 ARM+FPGA run through the sampled
   // recorder and compare against the exact integral.
-  power::PowerRecorder recorder(pm, SimDuration::milliseconds(1));
+  power::PowerRecorder recorder(SimDuration::milliseconds(1));
   recorder.run_segment(/*pl_engine_active=*/true, SimDuration::seconds(full.fpga.total.sec()));
   std::printf("power-recorder methodology at 88x72 ARM+FPGA: sampled %.1f mJ vs exact\n"
               "%.1f mJ (%.3f%% sampling error at a 1 ms period) — the paper's sampled\n"

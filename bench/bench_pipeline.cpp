@@ -21,15 +21,14 @@
 //      subject.
 //
 // Flags (shared with every bench): --frames N, --pipeline, --threads N,
-// --json PATH, --cross-frame, --sg-chain N. The smoke run under ctest uses
-// the defaults; --frames raises the sweep depth.
+// --json PATH, --sg-chain N. The smoke run under ctest uses the defaults;
+// --frames raises the sweep depth.
 #include <algorithm>
 #include <chrono>
 #include <optional>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/fusion/fused_plan.h"
 
 namespace {
 
@@ -106,9 +105,8 @@ int main(int argc, char** argv) {
       double serial_mj_frame = 0.0;
       with_backend(choice, config, [&](sched::TransformBackend& b) {
         piped = sched::probe_pipelined(b, piped_cfg);
-        serial_mj_frame = power::PowerModel().energy_mj(b.compute_mode(),
-                                                        piped.serial_total) /
-                          options.frames;
+        serial_mj_frame =
+            power::energy_mj(b.compute_mode(), piped.serial_total) / options.frames;
       });
       const double serial_fps = options.frames / piped.serial_total.sec();
       if (size.width == 88 && size.height == 72) {
@@ -239,48 +237,6 @@ int main(int argc, char** argv) {
                .set("wall_max_n_threads", threaded_wall.max)
                .set("speedup", serial_wall.median / threaded_wall.median)
                .set("modeled_identical", modeled_identical));
-
-  // --- 5b: estimated DRAM traffic and arithmetic intensity -------------------
-  // Derived from the pass structure (pass counts x band sizes, 4 bytes per
-  // element move — see FusionPlan::estimate_traffic), not measured: the
-  // point is the pass-count ratio the fused plan removes over a staged
-  // pass, and the host bandwidth the plan implies at section [4]'s width-1
-  // median wall-clock, which can be sanity-checked against bench_membw's
-  // STREAM numbers.
-  {
-    const dwt::FusionPlan plan(72, 88, config.fuse.transform);
-    const dwt::FusionPlan::Traffic traffic = plan.estimate_traffic();
-    const double fused_gbps = traffic.fused_bytes *
-                              static_cast<double>(options.frames) /
-                              serial_wall.median * 1e-9;
-    TextTable tt({"pass", "est. MB/frame pair", "flops/byte",
-                  "implied GB/s at measured wall"});
-    tt.add_row({"staged", TextTable::num(traffic.staged_bytes * 1e-6, 3),
-                TextTable::num(traffic.flops / traffic.staged_bytes, 2), "-"});
-    tt.add_row({"fused", TextTable::num(traffic.fused_bytes * 1e-6, 3),
-                TextTable::num(traffic.flops / traffic.fused_bytes, 2),
-                TextTable::num(fused_gbps, 2)});
-    std::printf("\n[5b] estimated transform traffic at 88x72\n\n%s\n",
-                tt.to_string().c_str());
-    std::printf("fused/staged bytes ratio: %.2fx fewer bytes per frame pair.\n"
-                "cross-check: the implied GB/s must sit below the copy/triad\n"
-                "bandwidth bench_membw reports, and the fused row's higher\n"
-                "flops/byte is the point — fewer DRAM passes per MAC.\n",
-                traffic.staged_bytes / traffic.fused_bytes);
-    jrun.set("transform_traffic",
-             json::Value::object()
-                 .set("staged_bytes_per_frame_pair", traffic.staged_bytes)
-                 .set("fused_bytes_per_frame_pair", traffic.fused_bytes)
-                 .set("bytes_ratio_staged_over_fused",
-                      traffic.staged_bytes / traffic.fused_bytes)
-                 .set("flops_per_frame_pair", traffic.flops)
-                 .set("arith_intensity_staged", traffic.flops / traffic.staged_bytes)
-                 .set("arith_intensity_fused", traffic.flops / traffic.fused_bytes)
-                 // "wall" in the key exempts it from the baseline drift
-                 // check — it is derived from host wall-clock, unlike the
-                 // modeled byte/flop counts above.
-                 .set("wall_implied_gbps_fused", fused_gbps));
-  }
 
   // --- 6: cross-frame streaming + scatter-gather driver ----------------------
   // The streaming replay keeps the engine's ping-pong buffers hot across

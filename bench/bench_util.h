@@ -38,9 +38,6 @@ inline constexpr int kPaperFrameCount = 10;  // "10 input frames were decomposed
 //   --threads N    host pool width for the numeric work (default: all
 //                  hardware threads; modeled time is bit-identical at any N)
 //   --json PATH    also write the bench's results as JSON
-//   --cross-frame  cross-frame line streaming where the bench supports it
-//                  (run_pipelined/run_fleet batched-FPGA paths; ignored
-//                  otherwise — modeled outputs stay legacy without it)
 //   --sg-chain N   scatter-gather descriptor chain length (default 1 = flat
 //                  per-batch driver entries, the legacy schedule)
 //
@@ -51,7 +48,6 @@ struct BenchOptions {
   bool pipeline = false;
   int threads = 0;  // 0 = hardware_concurrency
   std::string json_path;
-  bool cross_frame = false;
   int sg_chain_len = 1;
 };
 
@@ -74,8 +70,6 @@ inline BenchOptions parse_bench_options(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       options.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--cross-frame") == 0) {
-      options.cross_frame = true;
     } else if (std::strcmp(argv[i], "--sg-chain") == 0 && i + 1 < argc) {
       options.sg_chain_len = std::atoi(argv[++i]);
       if (options.sg_chain_len < 1) {
@@ -86,7 +80,7 @@ inline BenchOptions parse_bench_options(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "unknown argument '%s' (supported: --frames N, --pipeline, "
-                   "--threads N, --json PATH, --cross-frame, --sg-chain N)\n",
+                   "--threads N, --json PATH, --sg-chain N)\n",
                    argv[i]);
       std::exit(2);
     }
@@ -139,14 +133,13 @@ using EngineChoice = sched::BackendKind;
 
 inline const char* engine_label(EngineChoice e) { return sched::backend_name(e); }
 
-// The harness flags (--frames/--threads/--cross-frame/--sg-chain) folded into
+// The harness flags (--frames/--threads/--sg-chain) folded into
 // the one RunConfig every backend is built from, so each sweep explicitly
 // carries the host pool it runs the numerics on.
 inline sched::RunConfig bench_run_config(const BenchOptions& options) {
   sched::RunConfig config;
   config.frames = options.frames;
   config.host.threads = host::default_threads();
-  config.cross_frame = options.cross_frame;
   config.batching.sg_chain_len = options.sg_chain_len;
   return config;
 }

@@ -368,7 +368,7 @@ ImageF synthesize_level(const ImageF& ll, const LevelBands& bands,
 namespace detail {
 
 FilterBank bank_for_level(const TransformConfig& config, int level, int tree) {
-  const Wavelet base = level == 0 ? config.level1 : config.higher;
+  const Wavelet base = level == 0 ? config.level1 : Wavelet::kQshift14A;
   switch (base) {
     // Q-shift pairs: tree B is the time-reversed mate (half-sample delay).
     case Wavelet::kQshift14A:
@@ -376,8 +376,7 @@ FilterBank bank_for_level(const TransformConfig& config, int level, int tree) {
     case Wavelet::kQshift14B:
       return make_filter_bank(tree ? Wavelet::kQshift14A : base);
     // Biorthogonal banks have no q-shift mate; tree B is the one-sample
-    // delayed bank (Kingsbury's level-1 construction) at any level, so a
-    // non-q-shift `higher` still yields a consistent dual tree.
+    // delayed bank (Kingsbury's level-1 construction).
     case Wavelet::kLeGall53:
     case Wavelet::kCdf97:
       return make_filter_bank(base, tree ? 1 : 0);

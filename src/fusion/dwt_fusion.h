@@ -204,10 +204,11 @@ void synthesize_line(LineFilter& f, const FilterBank& bank, const float* lo,
 // kernel flavour and emit the same account_*/barrier() sequence, so fused
 // bits and modeled time/energy are identical (tests/test_host_parallel.cpp).
 
+// Levels >= 2 always run the q-shift pair (tree A kQshift14A, tree B its
+// reverse).
 struct TransformConfig {
   int levels = 3;
   Wavelet level1 = Wavelet::kLeGall53;
-  Wavelet higher = Wavelet::kQshift14A;  // tree A; tree B is its reverse
 };
 
 struct LevelBands {

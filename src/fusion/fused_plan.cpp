@@ -342,60 +342,4 @@ void FusionPlan::replay(LineFilter& f) const {
   }
 }
 
-FusionPlan::Traffic FusionPlan::estimate_traffic() const {
-  Traffic t;
-  const int D = config_.levels;
-  const int DL = D - 1;
-  for (int L = 0; L < D; ++L) {
-    const LevelDims& d = dims_[L];
-    const double P = static_cast<double>(d.rp) * d.cp;  // padded plane elems
-    const double Q = P / 4.0;                           // one band plane
-    const double rc = static_cast<double>(d.r) * d.c;
-    const int row_taps = banks_[0][L].taps();
-    const int col_taps = banks_[0][L].taps();
-    const int row_staps = banks_[0][L].synth_taps();
-    const int col_staps = banks_[0][L].synth_taps();
-
-    // FLOPs are layout-independent: 2 per MAC over 8 forward and 4 inverse
-    // tree-level transforms, plus the fusion rule (4 per magnitude element,
-    // 1 per select, 2 per residue average).
-    t.flops += 8.0 * (P * 2.0 * row_taps + P * 2.0 * col_taps);
-    t.flops += 4.0 * (P * 2.0 * col_staps + P * 2.0 * row_staps);
-    t.flops += 2.0 * 3.0 * (2.0 * 4.0 * Q + Q);
-    if (L == DL) t.flops += 4.0 * 2.0 * Q;
-
-    // Staged: per tree-level, forward = row pass (r+w) + transpose
-    // of both half-planes (r+w) + column pass (r+w) + transpose of the four
-    // quarter planes back (r+w) = 8P element moves; x8 trees. Inverse
-    // mirrors it with 4 transposes of quarter/half planes = 8P; x4 trees.
-    // Fusion: per band, two magnitude passes (2r+1w each over Q) and one
-    // select (6r+2w over Q); x3 bands x2 pairs; + residue average x4 trees.
-    double staged = 8.0 * 8.0 * P + 4.0 * 8.0 * P;
-    staged += 2.0 * 3.0 * (2.0 * 3.0 * Q + 8.0 * Q);
-    if (L == DL) staged += 4.0 * 3.0 * Q;
-    t.staged_bytes += 4.0 * staged;
-
-    // Fused: level-0 row passes are shared across pairs (4 instead of 8);
-    // the column pass reads the half planes once and writes bands once (the
-    // magnitude and shallow-level select happen in cache); the inverse reads
-    // each fused band exactly once. Per pair and level:
-    //   rows: 4 passes x (r+w) = 8P (only levels > 0; level 0 shared = 4P
-    //         across BOTH pairs, charged once below)
-    //   cols: read 4 half planes (4P) + write 4 tll (P) + band writes
-    //         (6Q shallow / 18Q deep incl. mags)
-    //   ll:   shallow transpose back 4 x (r+w over Q) = 2P; deep average
-    //         2 x (2r+1w over Q) = 6Q
-    //   inv:  col pass reads (Q ll + 3Q bands shallow / Q + 12Q deep) +
-    //         writes half planes (P) + row pass (r+w = 2P) + transpose or
-    //         crop to next level (2 x rc).
-    double fused = L == 0 ? 4.0 * P : 2.0 * 8.0 * P;
-    fused += 2.0 * (4.0 * P + P);
-    fused += 2.0 * (L == DL ? 18.0 * Q : 6.0 * Q);
-    fused += L == DL ? 2.0 * 6.0 * Q : 2.0 * 2.0 * P;
-    fused += 2.0 * 2.0 * ((L == DL ? 13.0 * Q : 4.0 * Q) + P + 2.0 * P + 2.0 * rc);
-    t.fused_bytes += 4.0 * fused;
-  }
-  return t;
-}
-
 }  // namespace vf::dwt

@@ -81,25 +81,6 @@ class FusionPlan {
   // samples; call it on the thread that owns the filter, in frame order.
   void replay(LineFilter& filter) const;
 
-  // Estimated DRAM traffic per frame pair, derived from the pass structure
-  // (each plane-sized read/write a pass makes, x4 bytes; block scratch that
-  // stays cache-resident is not charged). `staged_bytes` models a staged
-  // pass over whole planes — per tree-level a row pass, a column pass and
-  // the transposes that make columns contiguous, then a separate fusion
-  // pass — as the reference this plan is measured against; `fused_bytes`
-  // models the plan's pass structure as it stood when bench_pipeline's
-  // baseline was locked (band planes then stored transposed, one LL
-  // transpose per level; the row-major plan skips those moves, so this is
-  // an upper bound). `flops` counts the transform MACs (x2) plus the
-  // fusion-rule ops, for arithmetic-intensity reporting in bench_pipeline
-  // --json.
-  struct Traffic {
-    double staged_bytes = 0.0;
-    double fused_bytes = 0.0;
-    double flops = 0.0;
-  };
-  Traffic estimate_traffic() const;
-
  private:
   struct LevelDims {
     int r, c;    // pre-padding input dims of this level

@@ -9,27 +9,26 @@
 
 namespace vf::hw {
 
-struct GpPortModel {
-  // PS cycles per 32-bit word with the CPU issuing each beat (paper: ~25).
-  int cycles_per_word = 25;
+// PS cycles per 32-bit word with the CPU issuing each beat (paper: ~25).
+inline constexpr int kGpPortCyclesPerWord = 25;
 
-  double cycles_for_words(int words) const {
-    return static_cast<double>(words) * cycles_per_word;
-  }
-};
+// ACP DMA burst shape, in PL cycles.
+inline constexpr int kAcpSetupCycles = 40;    // descriptor write + DMA start
+inline constexpr int kAcpWordsPerBeat = 2;    // 64-bit path, two 32-bit words
+inline constexpr int kAcpBeatsPerBurst = 16;  // AXI burst length
+inline constexpr int kAcpBurstOverhead = 2;   // address/response per burst
 
-struct AcpDmaModel {
-  int setup_cycles = 40;       // descriptor write + DMA start, in PL cycles
-  int words_per_beat = 2;      // 64-bit data path moves two 32-bit words
-  int beats_per_burst = 16;    // AXI burst length
-  int burst_overhead = 2;      // address/response cycles per burst
+// PS cycles to move `words` over the GP port.
+constexpr double gp_port_cycles(int words) {
+  return static_cast<double>(words) * kGpPortCyclesPerWord;
+}
 
-  double cycles_for_words(int words) const {
-    const int beats = (words + words_per_beat - 1) / words_per_beat;
-    const int bursts = (beats + beats_per_burst - 1) / beats_per_burst;
-    return static_cast<double>(setup_cycles) + beats +
-           static_cast<double>(bursts) * burst_overhead;
-  }
-};
+// PL cycles to move `words` by ACP DMA.
+constexpr double acp_dma_cycles(int words) {
+  const int beats = (words + kAcpWordsPerBeat - 1) / kAcpWordsPerBeat;
+  const int bursts = (beats + kAcpBeatsPerBurst - 1) / kAcpBeatsPerBurst;
+  return static_cast<double>(kAcpSetupCycles) + beats +
+         static_cast<double>(bursts) * kAcpBurstOverhead;
+}
 
 }  // namespace vf::hw

@@ -40,27 +40,11 @@ namespace vf::driver {
 enum class TransferMode { kAcpDma, kGpPort };
 enum class CompletionMode { kPolling, kInterrupt };
 
+// The driver's ablation switches; its calibrated costs are hw::cost's.
 struct DriverCosts {
   TransferMode transfer = TransferMode::kAcpDma;
   CompletionMode completion = CompletionMode::kPolling;
   bool double_buffering = true;
-
-  // Per-call user->kernel entry: ioctl + copy_from_user + engine kick.
-  // Dominates for short lines; this is exactly why the paper's FPGA loses
-  // below the 35x35..40x40 break point (value calibrated against Fig. 9).
-  double call_overhead_ps_cycles = hw::cost::kDriverCallPsCycles;
-  // One status-register read across the GP port.
-  double poll_ps_cycles = hw::cost::kStatusPollPsCycles;
-  double expected_polls = hw::cost::kExpectedPollsPerCall;
-  // Sleep + IRQ + wake path when completion = kInterrupt.
-  double irq_latency_ps_cycles = hw::cost::kIrqLatencyPsCycles;
-
-  // Scatter-gather chain costs (ISSUE 9): a batch that continues an armed
-  // descriptor chain pays a PS-side descriptor append instead of the full
-  // driver entry, plus a DMA-side descriptor fetch before its input burst.
-  // Only consulted when Batching::sg_chain_len > 1.
-  double sg_desc_build_ps_cycles = hw::cost::kSgDescBuildPsCycles;
-  double sg_desc_fetch_pl_cycles = hw::cost::kSgDescFetchPlCycles;
 };
 
 // Whether copies ride the ACP DMA channel (PL side, may overlap PS work);
@@ -82,34 +66,35 @@ struct LineCost {
 
 // PS time of one user->kernel driver entry including completion.
 inline SimDuration driver_call_time(const DriverCosts& costs) {
-  SimDuration t = hw::ps_clock().cycles(costs.call_overhead_ps_cycles);
+  SimDuration t = hw::ps_cycles(hw::cost::kDriverCallPsCycles);
   if (costs.completion == CompletionMode::kPolling) {
-    t += hw::ps_clock().cycles(costs.poll_ps_cycles * costs.expected_polls);
+    t += hw::ps_cycles(hw::cost::kStatusPollPsCycles *
+                       hw::cost::kExpectedPollsPerCall);
   } else {
-    t += hw::ps_clock().cycles(costs.irq_latency_ps_cycles);
+    t += hw::ps_cycles(hw::cost::kIrqLatencyPsCycles);
   }
   return t;
 }
 
-// PS time to append one descriptor to an already-armed scatter-gather ring
-// (user-space bd fill + tail-pointer bump — no kernel entry).
-inline SimDuration sg_desc_build_time(const DriverCosts& costs) {
-  return hw::ps_clock().cycles(costs.sg_desc_build_ps_cycles);
+// A batch that continues an armed scatter-gather chain pays these two
+// instead of the full driver entry. PS time to append one descriptor to the
+// already-armed ring (user-space bd fill + tail-pointer bump — no kernel
+// entry):
+inline SimDuration sg_desc_build_time() {
+  return hw::ps_cycles(hw::cost::kSgDescBuildPsCycles);
 }
 
 // DMA-side time to fetch the next chained descriptor before its burst.
-inline SimDuration sg_desc_fetch_time(const DriverCosts& costs) {
-  return hw::pl_clock().cycles(costs.sg_desc_fetch_pl_cycles);
+inline SimDuration sg_desc_fetch_time() {
+  return hw::pl_cycles(hw::cost::kSgDescFetchPlCycles);
 }
 
 // Time to move `words` over the configured PS<->PL path: ACP DMA bursts at
 // the PL clock, or CPU-issued GP-port beats at the PS clock.
 inline SimDuration transfer_time(const hw::WaveletEngineConfig& engine,
                                  const DriverCosts& costs, int words) {
-  if (!dma_path(engine, costs)) {
-    return hw::ps_clock().cycles(hw::GpPortModel{}.cycles_for_words(words));
-  }
-  return hw::pl_clock().cycles(hw::AcpDmaModel{}.cycles_for_words(words));
+  if (!dma_path(engine, costs)) return hw::ps_cycles(hw::gp_port_cycles(words));
+  return hw::pl_cycles(hw::acp_dma_cycles(words));
 }
 
 inline LineCost line_cost(const hw::WaveletEngineConfig& engine,
@@ -119,7 +104,7 @@ inline LineCost line_cost(const hw::WaveletEngineConfig& engine,
   c.driver = driver_call_time(costs);
   c.input = transfer_time(engine, costs, words_in);
   c.output = transfer_time(engine, costs, words_out);
-  c.compute = hw::pl_clock().cycles(compute_cycles);
+  c.compute = hw::pl_cycles(compute_cycles);
   return c;
 }
 
@@ -184,12 +169,12 @@ inline BatchEvents place_batch(Clocks& clocks, EngineSlot& slot, ResourceId ps,
   BatchEvents ev;
   ev.drv = clocks.schedule(
       ps, head ? "drv" : "desc", std::max(ready, slot.buffer_free[buf]),
-      head ? driver_call_time(costs) : sg_desc_build_time(costs));
+      head ? driver_call_time(costs) : sg_desc_build_time());
   SimDuration in_time = transfer_time(engine, costs, batch.words_in);
-  if (!head) in_time += sg_desc_fetch_time(costs);
+  if (!head) in_time += sg_desc_fetch_time();
   ev.in = clocks.schedule(xfer, "in", ev.drv.end, in_time);
   ev.comp = clocks.schedule(pl, "comp", ev.in.end,
-                            hw::pl_clock().cycles(batch.compute_cycles));
+                            hw::pl_cycles(batch.compute_cycles));
   ev.out = clocks.schedule(xfer, "out", ev.comp.end,
                            transfer_time(engine, costs, batch.words_out));
   // The engine has consumed the input buffer once compute ends; the next
@@ -277,7 +262,7 @@ class PipelinedWaveletAccelerator {
     int max_lines_per_call = 16;
     // Scatter-gather descriptor chain length: one driver entry (ioctl) arms
     // up to this many batches; the rest of the chain pays only the
-    // descriptor build/fetch charges (DriverCosts::sg_*). 1 = every batch
+    // descriptor build/fetch charges (sg_desc_*_time). 1 = every batch
     // is a chain head, i.e. the flat per-batch driver entry — bit-identical
     // to the pre-SG schedule.
     int sg_chain_len = 1;
@@ -342,7 +327,10 @@ class PipelinedWaveletAccelerator {
   long long chain_heads() const { return chain_heads_; }
 
  private:
-  void close_batch() {
+  // Out of line on purpose: inlined into every caller of submit_line (the
+  // per-line accounting path), the once-per-batch placement slowed the
+  // per-line calls, and paper_88x72 host_fps read ~2.6% lower.
+  [[gnu::noinline]] void close_batch() {
     if (pending_lines_ == 0) return;
     // dep_ready_: outputs these lines depend on (barrier()). Chains persist
     // across barriers and close at flush().

@@ -1,55 +1,38 @@
 // System power model and the sampled power recorder (paper §VI).
 //
 // The paper measures energy by integrating "power values, measured by
-// power-recording software running simultaneously" with the fusion run. The
-// PowerModel holds the two steady-state operating points the paper reports
-// (ARM-only vs ARM+FPGA, +19.2 mW / +3.6% net for the PL engine); the
-// PowerRecorder replays a run through a fixed-period sampler and exposes both
-// the sampled integral and the exact one so the benches can quantify the
-// methodology's error.
+// power-recording software running simultaneously" with the fusion run.
+// system_power_mw() holds the two steady-state operating points the paper
+// reports (ARM-only vs ARM+FPGA, +19.2 mW / +3.6% net for the PL engine;
+// hw::cost::kSystemMw / kPlEngineNetMw); the PowerRecorder replays a run
+// through a fixed-period sampler and exposes both the sampled integral and
+// the exact one so the benches can quantify the methodology's error.
 #pragma once
 
 #include <vector>
 
 #include "src/common/sim_time.h"
 #include "src/common/timeline.h"
+#include "src/hw/cost_constants.h"
 
 namespace vf::power {
 
 enum class ComputeMode { kArmOnly, kArmNeon, kArmFpga };
 
-struct PowerConfig {
-  // Total system draw while fusing on the PS only. 19.2 mW is +3.6% of this,
-  // matching the paper's reported net cost of the PL engine.
-  double system_mw = 533.3;
-  double pl_engine_net_mw = 19.2;
-};
-
-class PowerModel {
- public:
-  PowerModel() = default;
-  explicit PowerModel(const PowerConfig& config) : config_(config) {}
-
-  const PowerConfig& config() const { return config_; }
-
-  double system_power_mw(ComputeMode mode) const {
-    switch (mode) {
-      case ComputeMode::kArmOnly:
-      case ComputeMode::kArmNeon:  // NEON adds no measurable system draw
-        return config_.system_mw;
-      case ComputeMode::kArmFpga:
-        return config_.system_mw + config_.pl_engine_net_mw;
-    }
-    return config_.system_mw;
+inline double system_power_mw(ComputeMode mode) {
+  switch (mode) {
+    case ComputeMode::kArmOnly:
+    case ComputeMode::kArmNeon:  // NEON adds no measurable system draw
+      return hw::cost::kSystemMw;
+    case ComputeMode::kArmFpga:
+      return hw::cost::kSystemMw + hw::cost::kPlEngineNetMw;
   }
+  return hw::cost::kSystemMw;
+}
 
-  double energy_mj(ComputeMode mode, SimDuration t) const {
-    return system_power_mw(mode) * t.sec();  // mW * s = mJ
-  }
-
- private:
-  PowerConfig config_;
-};
+inline double energy_mj(ComputeMode mode, SimDuration t) {
+  return system_power_mw(mode) * t.sec();  // mW * s = mJ
+}
 
 // Sample-and-hold integrator with a fixed sampling period (the paper's
 // power-recording software). Segments are replayed in order; each completed
@@ -57,8 +40,7 @@ class PowerModel {
 // than one period is the sampling error.
 class PowerRecorder {
  public:
-  PowerRecorder(const PowerModel& model, SimDuration period)
-      : model_(model), period_(period) {}
+  explicit PowerRecorder(SimDuration period) : period_(period) {}
 
   void run_segment(bool pl_engine_active, SimDuration duration) {
     run_segment(pl_engine_active ? ComputeMode::kArmFpga : ComputeMode::kArmOnly,
@@ -66,7 +48,7 @@ class PowerRecorder {
   }
 
   void run_segment(ComputeMode mode, SimDuration duration) {
-    const double mw = model_.system_power_mw(mode);
+    const double mw = system_power_mw(mode);
     exact_mj_ += mw * duration.sec();
     double remaining = duration.sec();
     while (remaining > 0.0) {
@@ -113,7 +95,6 @@ class PowerRecorder {
   double exact_energy_mj() const { return exact_mj_; }
 
  private:
-  PowerModel model_;
   SimDuration period_;
   double into_period_ = 0.0;
   double sampled_mj_ = 0.0;

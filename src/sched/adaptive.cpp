@@ -63,19 +63,6 @@ std::vector<FramePair> make_sweep_frames(const FrameSize& size, int count) {
   return pairs;
 }
 
-// --- cost models ------------------------------------------------------------
-
-CpuCostModel arm_cost_model() { return CpuCostModel{}; }
-
-CpuCostModel neon_cost_model() {
-  CpuCostModel model;
-  // The paper's NEON port gains -10% on the forward transform and -16% on
-  // the inverse (whose interleaved synthesis loop vectorizes better).
-  model.analysis_factor = hw::cost::kNeonAnalysisFactor;
-  model.synthesis_factor = hw::cost::kNeonSynthesisFactor;
-  return model;
-}
-
 namespace {
 void stage_add(StageTimes* times, Stage s, SimDuration d) {
   switch (s) {
@@ -100,11 +87,11 @@ void TransformBackend::charge(SimDuration d) { ledger_add(stage_, d); }
 void TransformBackend::note_pl(SimDuration d) { ledger_add_pl(stage_, d); }
 
 void TransformBackend::account_magnitude(int n) {
-  charge(hw::ps_clock().cycles(hw::cost::kCpuMagnitudeCyclesPerSample * n));
+  charge(hw::ps_cycles(hw::cost::kCpuMagnitudeCyclesPerSample * n));
 }
 
 void TransformBackend::account_select(int n) {
-  charge(hw::ps_clock().cycles(hw::cost::kCpuSelectCyclesPerSample * n));
+  charge(hw::ps_cycles(hw::cost::kCpuSelectCyclesPerSample * n));
 }
 
 void TransformBackend::ledger_add(Stage s, SimDuration d) {
@@ -116,7 +103,7 @@ void TransformBackend::ledger_add_pl(Stage s, SimDuration d) {
 }
 
 SimDuration TransformBackend::prep_time(int pixels) const {
-  return hw::ps_clock().cycles(hw::cost::kCpuPrepCyclesPerPixel * pixels);
+  return hw::ps_cycles(hw::cost::kCpuPrepCyclesPerPixel * pixels);
 }
 
 namespace detail {
@@ -158,12 +145,25 @@ int router_threshold(BackendKind kind, const RunConfig& config) {
   throw std::invalid_argument(std::string("SerialBackend cannot model ") +
                               backend_name(kind));
 }
+
+// PS cycles of one CPU line request of `samples` outputs: the named constants
+// reproduce the paper's absolute times (roughly 70 cycles per float MAC on
+// the A9) and, through `factor`, its NEON deltas (-10% forward, -16%
+// inverse; 1 on the ARM).
+double cpu_line_cycles(double factor, int samples, int taps) {
+  using namespace hw::cost;
+  return kCpuLineOverheadCycles +
+         factor * samples * (kCpuPerSampleBaseCycles + kCpuPerSampleTapCycles * taps);
+}
 }  // namespace
 
 SerialBackend::SerialBackend(BackendKind kind, const RunConfig& config)
     : TransformBackend(config.host),
       kind_(kind),
-      cpu_(kind == BackendKind::kArm ? arm_cost_model() : neon_cost_model()),
+      analysis_factor_(kind == BackendKind::kArm ? 1.0
+                                                 : hw::cost::kNeonAnalysisFactor),
+      synthesis_factor_(kind == BackendKind::kArm ? 1.0
+                                                  : hw::cost::kNeonSynthesisFactor),
       accel_(config.engine, config.driver_costs),
       router_(router_threshold(kind, config)) {}
 
@@ -189,7 +189,7 @@ void SerialBackend::account_analyze(int out_len, int taps) {
   if (router_.use_fpga(2 * out_len + taps)) {
     engine_line(2 * out_len + taps, 2 * out_len, out_len, taps, false);
   } else {
-    charge(hw::ps_clock().cycles(cpu_.analysis_line_cycles(2 * out_len, taps)));
+    charge(hw::ps_cycles(cpu_line_cycles(analysis_factor_, 2 * out_len, taps)));
   }
 }
 
@@ -197,7 +197,7 @@ void SerialBackend::account_synthesize(int pairs, int taps) {
   if (router_.use_fpga(2 * pairs + taps)) {
     engine_line(2 * pairs + taps, 2 * pairs, pairs, taps, true);
   } else {
-    charge(hw::ps_clock().cycles(cpu_.synthesis_line_cycles(2 * pairs, taps)));
+    charge(hw::ps_cycles(cpu_line_cycles(synthesis_factor_, 2 * pairs, taps)));
   }
 }
 
@@ -329,8 +329,7 @@ ProbeResult probe_backend(TransformBackend& backend, const FrameSize& size,
     probe.inverse += r.times.inverse;
   }
   probe.total = probe.prep + probe.forward + probe.fusion + probe.inverse;
-  const power::PowerModel pm;
-  probe.energy_mj = pm.energy_mj(backend.compute_mode(), probe.total);
+  probe.energy_mj = power::energy_mj(backend.compute_mode(), probe.total);
   return probe;
 }
 

@@ -49,31 +49,6 @@ struct StageTimes {
   SimDuration total() const { return prep + forward + fusion + inverse; }
 };
 
-// CPU-side line cost model (PS cycles). The named constants
-// (hw/cost_constants.h) reproduce the paper's absolute times — which imply
-// roughly 70 cycles per float MAC on the A9 — and its NEON deltas (-10%
-// forward, -16% inverse). Prep and the fusion rule run at the ARM's scalar
-// rates on every backend (TransformBackend).
-struct CpuCostModel {
-  double line_overhead_cycles = hw::cost::kCpuLineOverheadCycles;
-  double per_sample_base_cycles = hw::cost::kCpuPerSampleBaseCycles;
-  double per_sample_tap_cycles = hw::cost::kCpuPerSampleTapCycles;
-  double analysis_factor = 1.0;   // NEON: kNeonAnalysisFactor
-  double synthesis_factor = 1.0;  // NEON: kNeonSynthesisFactor
-
-  double analysis_line_cycles(int samples, int taps) const {
-    return line_overhead_cycles +
-           analysis_factor * samples * (per_sample_base_cycles + per_sample_tap_cycles * taps);
-  }
-  double synthesis_line_cycles(int samples, int taps) const {
-    return line_overhead_cycles +
-           synthesis_factor * samples * (per_sample_base_cycles + per_sample_tap_cycles * taps);
-  }
-};
-
-CpuCostModel arm_cost_model();
-CpuCostModel neon_cost_model();
-
 // --- backends ---------------------------------------------------------------
 
 // A backend is the LineFilter the fusion plan replays its accounting into:
@@ -183,11 +158,11 @@ class LineRouter {
 };
 
 // The paper's four serial configurations as one additive-ledger model: each
-// line request is charged either to a CPU cost model or, one driver call per
-// line, to the WaveletAccelerator (the paper's calibrated Fig. 9/10 engine
-// model). A LineRouter picks the engine per line: a request shorter than its
-// threshold runs on the CPU model. The kind sets the CPU model, the
-// threshold, name() and compute_mode():
+// line request is charged either at the CPU line cost (hw::cost, ARM or NEON
+// factors) or, one driver call per line, to the WaveletAccelerator (the
+// paper's calibrated Fig. 9/10 engine model). A LineRouter picks the engine
+// per line: a request shorter than its threshold runs on the CPU. The kind
+// sets the CPU factors, the threshold, name() and compute_mode():
 //   kArm       ARM model, no line on the engine;
 //   kNeon      NEON model, no line on the engine;
 //   kFpga      threshold 0: every line on the engine (static ARM+FPGA);
@@ -212,7 +187,10 @@ class SerialBackend final : public TransformBackend {
                    bool synthesis);
 
   BackendKind kind_;
-  CpuCostModel cpu_;
+  // CPU line-cost factors (hw::cost): 1 on the ARM, the NEON stage factors
+  // on every other kind (the adaptive router's short lines run on NEON).
+  double analysis_factor_;
+  double synthesis_factor_;
   driver::WaveletAccelerator accel_;
   LineRouter router_;
 };

@@ -55,13 +55,12 @@ FleetSchedule schedule_fleet(const std::vector<FleetStreamInput>& streams,
 FleetEnergy integrate_fleet_energy(const Timeline& timeline,
                                    const std::vector<ResourceId>& engines,
                                    power::ComputeMode mode) {
-  const power::PowerModel pm;
   FleetEnergy energy;
   const std::vector<Timeline::Interval> busy = timeline.busy_intervals(engines);
-  power::PowerRecorder loaded(pm, SimDuration::milliseconds(1));
+  power::PowerRecorder loaded(SimDuration::milliseconds(1));
   loaded.run_intervals(busy, timeline.makespan(), /*idle=*/mode, /*active=*/mode);
   energy.loaded_mj = loaded.exact_energy_mj();
-  power::PowerRecorder gated(pm, SimDuration::milliseconds(1));
+  power::PowerRecorder gated(SimDuration::milliseconds(1));
   gated.run_intervals(busy, timeline.makespan(), power::ComputeMode::kArmOnly, mode);
   energy.gated_mj = gated.exact_energy_mj();
   return energy;

@@ -47,8 +47,7 @@ std::vector<StreamOp> stage_ops(const std::array<FleetStageCost, 4>& cost,
 
 void append_sliced_ps(std::vector<StreamOp>* ops, int stage, SimDuration d) {
   if (!(d > SimDuration::zero())) return;
-  const SimDuration quantum =
-      hw::ps_clock().cycles(hw::cost::kStreamPsSliceCycles);
+  const SimDuration quantum = hw::ps_cycles(hw::cost::kStreamPsSliceCycles);
   int n = 1;
   if (d > quantum) n = static_cast<int>(std::ceil(d / quantum));
   if (n < 1) n = 1;

@@ -16,8 +16,8 @@
 //     from the next frame's rows while buffer A's last batch is still on the
 //     engine. One ioctl arms a scatter-gather descriptor chain of up to
 //     sg_chain_len batches; continuation batches pay only the descriptor
-//     build/fetch charges (DriverCosts::sg_*), so the ~12k-cycle driver entry
-//     amortizes across the chain, which closes when the engine switches
+//     build/fetch charges (driver::sg_desc_*_time), so the ~12k-cycle driver
+//     entry amortizes across the chain, which closes when the engine switches
 //     streams or fills. Other backends' stages run as PS work sliced at
 //     kStreamPsSliceCycles (stage_cost_ops), so the modeled interrupt-driven
 //     driver can interleave descriptor appends with application work.

@@ -25,17 +25,29 @@ std::vector<Timeline::Interval> Timeline::busy_intervals(
     list_of[r] = static_cast<int>(lists.size());
     lists.emplace_back();
   }
+  // Each list and the merge are sized before they fill: the spans are
+  // counted first. Zero-length events occupy no time.
+  const auto list_for = [&](const Event& ev) {
+    return ev.end > ev.start ? list_of[ev.resource] : -1;
+  };
+  std::vector<std::size_t> count(lists.size(), 0);
   for (const Event& ev : events_) {
-    const int k = list_of[ev.resource];
-    if (k >= 0 && ev.end > ev.start) {  // zero-length events occupy no time
-      lists[static_cast<std::size_t>(k)].emplace_back(ev.start, ev.end);
-    }
+    if (const int k = list_for(ev); k >= 0) ++count[k];
+  }
+  std::size_t total = 0;
+  for (std::size_t k = 0; k < lists.size(); ++k) {
+    lists[k].reserve(count[k]);
+    total += count[k];
+  }
+  for (const Event& ev : events_) {
+    if (const int k = list_for(ev); k >= 0) lists[k].emplace_back(ev.start, ev.end);
   }
   // K-way merge by start, coalescing as the spans come out. The union of
   // the spans is unique, so the result does not depend on how equal starts
   // are ordered.
   std::vector<std::size_t> head(lists.size(), 0);
   std::vector<Interval> merged;
+  merged.reserve(total);
   for (;;) {
     const Interval* next = nullptr;
     std::size_t from = 0;

@@ -26,8 +26,6 @@ const KernelSet& scalar_kernels() {
       average_scalar,
       dual_corr_decimate2_ml_scalar,
       dual_corr_decimate2_ileave_ml_scalar,
-      complex_magnitude_ml_scalar,
-      select_by_magnitude_ml_scalar,
       analyze_mag_ml_scalar,
       select_synth_ml_scalar,
       analyze_rows_scalar,

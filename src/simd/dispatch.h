@@ -42,12 +42,6 @@ struct KernelSet {
   void (*synthesize_ml)(const float* x, int x_stride, int nlines, int pairs,
                         const float* ca, const float* cb, int taps, float* out,
                         int out_stride);
-  void (*magnitude_ml)(const float* re, const float* im, int nlines, int len,
-                       int in_stride, float* mag, int out_stride);
-  void (*select_ml)(const float* a_re, const float* a_im, const float* b_re,
-                    const float* b_im, const float* mag_a, const float* mag_b,
-                    int nlines, int len, int in_stride, float* out_re,
-                    float* out_im, int out_stride);
   void (*analyze_mag_ml)(const float* x_re, const float* x_im, int x_stride,
                          int nlines, int out_len, const float* lp_re,
                          const float* hp_re, const float* lp_im,

@@ -149,27 +149,6 @@ void dual_corr_decimate2_ileave_ml_scalar(const float* x, int x_stride, int nlin
   }
 }
 
-void complex_magnitude_ml_scalar(const float* re, const float* im, int nlines,
-                                 int len, int in_stride, float* mag, int out_stride) {
-  for (int l = 0; l < nlines; ++l) {
-    complex_magnitude_scalar(re + l * in_stride, im + l * in_stride, len,
-                             mag + l * out_stride);
-  }
-}
-
-void select_by_magnitude_ml_scalar(const float* a_re, const float* a_im,
-                                   const float* b_re, const float* b_im,
-                                   const float* mag_a, const float* mag_b,
-                                   int nlines, int len, int in_stride,
-                                   float* out_re, float* out_im, int out_stride) {
-  for (int l = 0; l < nlines; ++l) {
-    select_by_magnitude_scalar(a_re + l * in_stride, a_im + l * in_stride,
-                               b_re + l * in_stride, b_im + l * in_stride,
-                               mag_a + l * in_stride, mag_b + l * in_stride, len,
-                               out_re + l * out_stride, out_im + l * out_stride);
-  }
-}
-
 void analyze_mag_ml_scalar(const float* x_re, const float* x_im, int x_stride,
                            int nlines, int out_len, const float* lp_re,
                            const float* hp_re, const float* lp_im,

@@ -82,15 +82,6 @@ void dual_corr_decimate2_ileave_ml_scalar(const float* x, int x_stride, int nlin
                                           int pairs, const float* ca, const float* cb,
                                           int taps, float* out, int out_stride);
 
-void complex_magnitude_ml_scalar(const float* re, const float* im, int nlines,
-                                 int len, int in_stride, float* mag, int out_stride);
-
-void select_by_magnitude_ml_scalar(const float* a_re, const float* a_im,
-                                   const float* b_re, const float* b_im,
-                                   const float* mag_a, const float* mag_b,
-                                   int nlines, int len, int in_stride,
-                                   float* out_re, float* out_im, int out_stride);
-
 // --- fused per-line cross-stage kernels ---------------------------------------
 //
 //   analyze_mag_ml:  per line l: analyze the re-tree line with (lp_re, hp_re)

@@ -518,25 +518,6 @@ VF_TARGET void synthesize_ml(const float* x, int x_stride, int nlines, int pairs
   }
 }
 
-VF_TARGET void magnitude_ml(const float* re, const float* im, int nlines, int len,
-                            int in_stride, float* mag, int out_stride) {
-  for (int l = 0; l < nlines; ++l) {
-    magnitude(re + l * in_stride, im + l * in_stride, len, mag + l * out_stride);
-  }
-}
-
-VF_TARGET void select_ml(const float* a_re, const float* a_im, const float* b_re,
-                         const float* b_im, const float* mag_a,
-                         const float* mag_b, int nlines, int len, int in_stride,
-                         float* out_re, float* out_im, int out_stride) {
-  for (int l = 0; l < nlines; ++l) {
-    const int i = l * in_stride;
-    const int o = l * out_stride;
-    select(a_re + i, a_im + i, b_re + i, b_im + i, mag_a + i, mag_b + i, len,
-           out_re + o, out_im + o);
-  }
-}
-
 VF_TARGET void analyze_mag_ml(const float* x_re, const float* x_im, int x_stride,
                               int nlines, int out_len, const float* lp_re,
                               const float* hp_re, const float* lp_im,
@@ -748,8 +729,6 @@ const KernelSet& kernel_set() {
       average,
       analyze_ml,
       synthesize_ml,
-      magnitude_ml,
-      select_ml,
       analyze_mag_ml,
       select_synth_ml,
       analyze_rows,

@@ -541,10 +541,9 @@ TEST(Fleet, EnergyIntegrationMatchesPerModeTimelineReplay) {
        {power::ComputeMode::kArmFpga, power::ComputeMode::kArmNeon}) {
     const sched::detail::FleetEnergy got =
         sched::detail::integrate_fleet_energy(sched.timeline, pl, mode);
-    const power::PowerModel pm;
-    power::PowerRecorder loaded(pm, SimDuration::milliseconds(1));
+    power::PowerRecorder loaded(SimDuration::milliseconds(1));
     loaded.run_timeline(sched.timeline, pl, mode, mode);
-    power::PowerRecorder gated(pm, SimDuration::milliseconds(1));
+    power::PowerRecorder gated(SimDuration::milliseconds(1));
     gated.run_timeline(sched.timeline, pl, power::ComputeMode::kArmOnly, mode);
     const double want_loaded = loaded.exact_energy_mj();
     const double want_gated = gated.exact_energy_mj();

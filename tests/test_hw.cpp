@@ -10,35 +10,32 @@ namespace {
 using namespace vf;
 
 TEST(Clock, Zc702Domains) {
-  EXPECT_DOUBLE_EQ(hw::ps_clock().hz(), 533e6);
-  EXPECT_DOUBLE_EQ(hw::pl_clock().hz(), 100e6);
-  EXPECT_NEAR(hw::ps_clock().cycles(533).us(), 1.0, 1e-9);
-  EXPECT_NEAR(hw::pl_clock().cycles(100).us(), 1.0, 1e-9);
+  EXPECT_DOUBLE_EQ(hw::kPsHz, 533e6);
+  EXPECT_DOUBLE_EQ(hw::kPlHz, 100e6);
+  EXPECT_NEAR(hw::ps_cycles(533).us(), 1.0, 1e-9);
+  EXPECT_NEAR(hw::pl_cycles(100).us(), 1.0, 1e-9);
 }
 
 TEST(Axi, GpPortCostsTwentyFiveCyclesPerWord) {
-  const hw::GpPortModel gp;
-  EXPECT_DOUBLE_EQ(gp.cycles_for_words(1), 25.0);
-  EXPECT_DOUBLE_EQ(gp.cycles_for_words(100), 2500.0);
+  EXPECT_DOUBLE_EQ(hw::gp_port_cycles(1), 25.0);
+  EXPECT_DOUBLE_EQ(hw::gp_port_cycles(100), 2500.0);
 }
 
 TEST(Axi, AcpDmaBeatsGpPortForLinePayloads) {
-  const hw::GpPortModel gp;
-  const hw::AcpDmaModel acp;
-  const hw::ClockDomain ps = hw::ps_clock();
-  const hw::ClockDomain pl = hw::pl_clock();
+  const auto gp_us = [](int words) {
+    return hw::ps_cycles(hw::gp_port_cycles(words)).us();
+  };
+  const auto acp_us = [](int words) {
+    return hw::pl_cycles(hw::acp_dma_cycles(words)).us();
+  };
   // Despite the 5.3x slower clock, the DMA wins on every wavelet-line-sized
   // payload the pipeline ships.
   for (int words : {36, 102, 190, 2062, 6336}) {
-    const double gp_us = ps.cycles(gp.cycles_for_words(words)).us();
-    const double acp_us = pl.cycles(acp.cycles_for_words(words)).us();
-    EXPECT_LT(acp_us, gp_us) << words;
+    EXPECT_LT(acp_us(words), gp_us(words)) << words;
   }
   // And the advantage grows with payload size.
-  const double r_small = ps.cycles(gp.cycles_for_words(36)).us() /
-                         pl.cycles(acp.cycles_for_words(36)).us();
-  const double r_large = ps.cycles(gp.cycles_for_words(6336)).us() /
-                         pl.cycles(acp.cycles_for_words(6336)).us();
+  const double r_small = gp_us(36) / acp_us(36);
+  const double r_large = gp_us(6336) / acp_us(6336);
   EXPECT_GT(r_large, r_small);
   EXPECT_GT(r_large, 8.0);
 }
@@ -111,11 +108,20 @@ TEST(Driver, GpPortTransfersArePsResident) {
 }
 
 TEST(Driver, DefaultCostsMatchTheNamedConstants) {
-  const driver::DriverCosts costs;
-  EXPECT_DOUBLE_EQ(costs.call_overhead_ps_cycles, hw::cost::kDriverCallPsCycles);
-  EXPECT_DOUBLE_EQ(costs.poll_ps_cycles, hw::cost::kStatusPollPsCycles);
-  EXPECT_DOUBLE_EQ(costs.expected_polls, hw::cost::kExpectedPollsPerCall);
-  EXPECT_DOUBLE_EQ(costs.irq_latency_ps_cycles, hw::cost::kIrqLatencyPsCycles);
+  // Every driver charge is a named constant converted at its clock.
+  driver::DriverCosts costs;  // polling completion
+  EXPECT_EQ(driver::driver_call_time(costs),
+            hw::ps_cycles(hw::cost::kDriverCallPsCycles) +
+                hw::ps_cycles(hw::cost::kStatusPollPsCycles *
+                              hw::cost::kExpectedPollsPerCall));
+  costs.completion = driver::CompletionMode::kInterrupt;
+  EXPECT_EQ(driver::driver_call_time(costs),
+            hw::ps_cycles(hw::cost::kDriverCallPsCycles) +
+                hw::ps_cycles(hw::cost::kIrqLatencyPsCycles));
+  EXPECT_EQ(driver::sg_desc_build_time(),
+            hw::ps_cycles(hw::cost::kSgDescBuildPsCycles));
+  EXPECT_EQ(driver::sg_desc_fetch_time(),
+            hw::pl_cycles(hw::cost::kSgDescFetchPlCycles));
   // II=2 engine schedule: pipeline fill of `slots`, then one pair per 2.
   EXPECT_DOUBLE_EQ(hw::cost::engine_compute_cycles(44, 14), 2.0 * 44 + 14);
 }

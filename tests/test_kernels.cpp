@@ -211,60 +211,6 @@ TEST_P(MultiLineEquivalence, SynthesizeMl) {
   }
 }
 
-TEST_P(MultiLineEquivalence, MagnitudeMl) {
-  const int len = GetParam();
-  for (int nlines : {1, 3, simd::kMaxLinesPerCall}) {
-    const int in_stride = len + 5;
-    const auto re = randv(nlines * in_stride, 27);
-    const auto im = randv(nlines * in_stride, 28);
-    const int out_stride = len + 1;
-    const int out_total = nlines * out_stride;
-    std::vector<float> ref(out_total, 0.0f);
-    for (int l = 0; l < nlines; ++l) {
-      simd::complex_magnitude_scalar(re.data() + l * in_stride,
-                                     im.data() + l * in_stride, len,
-                                     ref.data() + l * out_stride);
-    }
-    for (const simd::KernelSet* k : all_sets()) {
-      std::vector<float> mag(out_total, 0.0f);
-      k->magnitude_ml(re.data(), im.data(), nlines, len, in_stride, mag.data(),
-                      out_stride);
-      expect_bit_identical(ref, mag, std::string("magnitude_ml ") + k->isa);
-    }
-  }
-}
-
-TEST_P(MultiLineEquivalence, SelectMl) {
-  const int len = GetParam();
-  for (int nlines : {1, 3, simd::kMaxLinesPerCall}) {
-    const int in_stride = len + 2;
-    const int total = nlines * in_stride;
-    const auto a_re = randv(total, 29), a_im = randv(total, 30);
-    const auto b_re = randv(total, 31), b_im = randv(total, 32);
-    std::vector<float> mag_a(total, 0.0f), mag_b(total, 0.0f);
-    simd::complex_magnitude_scalar(a_re.data(), a_im.data(), total, mag_a.data());
-    simd::complex_magnitude_scalar(b_re.data(), b_im.data(), total, mag_b.data());
-    const int out_stride = len + 3;
-    const int out_total = nlines * out_stride;
-    std::vector<float> re_ref(out_total, 0.0f), im_ref(out_total, 0.0f);
-    for (int l = 0; l < nlines; ++l) {
-      simd::select_by_magnitude_scalar(
-          a_re.data() + l * in_stride, a_im.data() + l * in_stride,
-          b_re.data() + l * in_stride, b_im.data() + l * in_stride,
-          mag_a.data() + l * in_stride, mag_b.data() + l * in_stride, len,
-          re_ref.data() + l * out_stride, im_ref.data() + l * out_stride);
-    }
-    for (const simd::KernelSet* k : all_sets()) {
-      std::vector<float> re(out_total, 0.0f), im(out_total, 0.0f);
-      k->select_ml(a_re.data(), a_im.data(), b_re.data(), b_im.data(), mag_a.data(),
-                   mag_b.data(), nlines, len, in_stride, re.data(), im.data(),
-                   out_stride);
-      expect_bit_identical(re_ref, re, std::string("select_ml re ") + k->isa);
-      expect_bit_identical(im_ref, im, std::string("select_ml im ") + k->isa);
-    }
-  }
-}
-
 // The half-plane select agrees with each set's two-plane select on the same
 // comparison, and with the plain ternary.
 TEST_P(MultiLineEquivalence, SelectHalf) {

@@ -11,10 +11,9 @@ namespace {
 using namespace vf;
 
 TEST(PowerModel, OperatingPointsMatchThePaper) {
-  const power::PowerModel pm;
-  const double arm = pm.system_power_mw(power::ComputeMode::kArmOnly);
-  const double neon = pm.system_power_mw(power::ComputeMode::kArmNeon);
-  const double fpga = pm.system_power_mw(power::ComputeMode::kArmFpga);
+  const double arm = power::system_power_mw(power::ComputeMode::kArmOnly);
+  const double neon = power::system_power_mw(power::ComputeMode::kArmNeon);
+  const double fpga = power::system_power_mw(power::ComputeMode::kArmFpga);
   EXPECT_DOUBLE_EQ(arm, neon);  // NEON adds no measurable draw
   EXPECT_NEAR(fpga - arm, 19.2, 1e-9);
   // +19.2 mW is the paper's +3.6%.
@@ -22,43 +21,40 @@ TEST(PowerModel, OperatingPointsMatchThePaper) {
 }
 
 TEST(PowerModel, EnergyIsPowerTimesTime) {
-  const power::PowerModel pm;
-  const double mj = pm.energy_mj(power::ComputeMode::kArmOnly, SimDuration::seconds(2));
-  EXPECT_DOUBLE_EQ(mj, 2.0 * pm.system_power_mw(power::ComputeMode::kArmOnly));
+  const double mj =
+      power::energy_mj(power::ComputeMode::kArmOnly, SimDuration::seconds(2));
+  EXPECT_DOUBLE_EQ(mj, 2.0 * power::system_power_mw(power::ComputeMode::kArmOnly));
 }
 
 TEST(PowerRecorder, SampledIntegralTracksExactWithinOnePeriod) {
-  const power::PowerModel pm;
-  power::PowerRecorder rec(pm, SimDuration::milliseconds(1));
+  power::PowerRecorder rec(SimDuration::milliseconds(1));
   rec.run_segment(/*pl_engine_active=*/true, SimDuration::seconds(1.0405));
   const double exact = rec.exact_energy_mj();
   const double sampled = rec.sampled_energy_mj();
   EXPECT_GT(exact, 0.0);
   // Error bounded by the tail (< one sampling period's worth of energy).
   EXPECT_LE(std::fabs(exact - sampled),
-            pm.system_power_mw(power::ComputeMode::kArmFpga) * 1e-3 + 1e-9);
+            power::system_power_mw(power::ComputeMode::kArmFpga) * 1e-3 + 1e-9);
   EXPECT_NEAR(sampled / exact, 1.0, 1e-3);
 }
 
 TEST(PowerRecorder, MixedSegmentsAccumulateBothIntegrals) {
-  const power::PowerModel pm;
-  power::PowerRecorder rec(pm, SimDuration::milliseconds(10));
+  power::PowerRecorder rec(SimDuration::milliseconds(10));
   rec.run_segment(false, SimDuration::milliseconds(25));
   rec.run_segment(true, SimDuration::milliseconds(35));
   const double expected_exact =
-      pm.system_power_mw(power::ComputeMode::kArmOnly) * 0.025 +
-      pm.system_power_mw(power::ComputeMode::kArmFpga) * 0.035;
+      power::system_power_mw(power::ComputeMode::kArmOnly) * 0.025 +
+      power::system_power_mw(power::ComputeMode::kArmFpga) * 0.035;
   EXPECT_NEAR(rec.exact_energy_mj(), expected_exact, 1e-9);
   // 6 full periods sampled: 2 idle + 4 active (sample at each boundary).
   EXPECT_GT(rec.sampled_energy_mj(), 0.0);
   EXPECT_NEAR(rec.sampled_energy_mj(), expected_exact,
-              pm.system_power_mw(power::ComputeMode::kArmFpga) * 0.010);
+              power::system_power_mw(power::ComputeMode::kArmFpga) * 0.010);
 }
 
 TEST(PowerRecorder, ModeOverloadMatchesBoolOverload) {
-  const power::PowerModel pm;
-  power::PowerRecorder by_bool(pm, SimDuration::milliseconds(1));
-  power::PowerRecorder by_mode(pm, SimDuration::milliseconds(1));
+  power::PowerRecorder by_bool(SimDuration::milliseconds(1));
+  power::PowerRecorder by_mode(SimDuration::milliseconds(1));
   by_bool.run_segment(true, SimDuration::milliseconds(7));
   by_mode.run_segment(power::ComputeMode::kArmFpga, SimDuration::milliseconds(7));
   EXPECT_DOUBLE_EQ(by_bool.exact_energy_mj(), by_mode.exact_energy_mj());
@@ -69,53 +65,50 @@ TEST(PowerRecorder, ConcurrentPsAndPlChargeTheEngineDrawOnce) {
   // PS and PL fully overlapped for 10 ms: the system must draw
   // system + 19.2 mW once — not 2x the system draw (naive per-resource
   // integration) and not +2x19.2 (naive per-event mode charging).
-  const power::PowerModel pm;
   Timeline tl;
   const ResourceId ps = tl.add_resource("PS core");
   const ResourceId pl = tl.add_resource("PL engine");
   tl.schedule(ps, "fusion", SimDuration::zero(), SimDuration::milliseconds(10));
   tl.schedule(pl, "fwd", SimDuration::zero(), SimDuration::milliseconds(10));
 
-  power::PowerRecorder rec(pm, SimDuration::milliseconds(1));
+  power::PowerRecorder rec(SimDuration::milliseconds(1));
   rec.run_timeline(tl, {ps, pl});
   const double expected =
-      pm.system_power_mw(power::ComputeMode::kArmFpga) * 0.010;
+      power::system_power_mw(power::ComputeMode::kArmFpga) * 0.010;
   EXPECT_NEAR(rec.exact_energy_mj(), expected, 1e-9);
 }
 
 TEST(PowerRecorder, TimelineIntegrationChargesIdleGapsAtIdleDraw) {
   // PS busy [0,20) ms, PL busy only [5,15) ms: the engine's net draw is
   // charged for the 10 ms the PL is active, the base system draw for all 20.
-  const power::PowerModel pm;
   Timeline tl;
   const ResourceId ps = tl.add_resource("PS core");
   const ResourceId pl = tl.add_resource("PL engine");
   tl.schedule(ps, "cpu", SimDuration::zero(), SimDuration::milliseconds(20));
   tl.schedule(pl, "fwd", SimDuration::milliseconds(5), SimDuration::milliseconds(10));
 
-  power::PowerRecorder rec(pm, SimDuration::milliseconds(1));
+  power::PowerRecorder rec(SimDuration::milliseconds(1));
   rec.run_timeline(tl, {pl});
-  const double expected = pm.system_power_mw(power::ComputeMode::kArmOnly) * 0.020 +
-                          pm.config().pl_engine_net_mw * 0.010;
+  const double expected = power::system_power_mw(power::ComputeMode::kArmOnly) * 0.020 +
+                          hw::cost::kPlEngineNetMw * 0.010;
   EXPECT_NEAR(rec.exact_energy_mj(), expected, 1e-9);
   // The sampled integral tracks within one sampling period's energy (FP
   // accumulation in the sample-and-hold loop can defer the last boundary).
   EXPECT_NEAR(rec.sampled_energy_mj(), expected,
-              pm.system_power_mw(power::ComputeMode::kArmFpga) * 1e-3 + 1e-9);
+              power::system_power_mw(power::ComputeMode::kArmFpga) * 1e-3 + 1e-9);
 }
 
 TEST(PowerRecorder, TimelineIntegrationIsDeterministic) {
   // ctest runs suites with -j; the integration is a pure function of the
   // timeline, so two identical replays must agree bit-for-bit.
   auto integrate = [] {
-    const power::PowerModel pm;
     Timeline tl;
     const ResourceId pl = tl.add_resource("PL");
     for (int i = 0; i < 50; ++i) {
       tl.schedule(pl, "e", SimDuration::microseconds(i * 37),
                   SimDuration::microseconds(11 + i % 7));
     }
-    power::PowerRecorder rec(pm, SimDuration::milliseconds(1));
+    power::PowerRecorder rec(SimDuration::milliseconds(1));
     rec.run_timeline(tl, {pl});
     return rec.exact_energy_mj();
   };

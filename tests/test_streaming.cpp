@@ -345,8 +345,7 @@ TEST(Streaming, SaturatedLongWindowFleetLocked) {
 
 TEST(Streaming, PsSlicingIsDeterministicAndPreservesTotals) {
   std::vector<sched::detail::StreamOp> ops;
-  const SimDuration quantum =
-      hw::ps_clock().cycles(hw::cost::kStreamPsSliceCycles);
+  const SimDuration quantum = hw::ps_cycles(hw::cost::kStreamPsSliceCycles);
   sched::detail::append_sliced_ps(&ops, 2, quantum * 3.5);
   ASSERT_EQ(ops.size(), 4u);  // ceil(3.5) equal slices
   SimDuration total;
