@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
     run.fuse.transform.levels = levels;
     const fusion::FuseConfig& config = run.fuse;
 
-    const auto arm = sched::make_backend(EngineChoice::kArm, run);
-    const auto neon = sched::make_backend(EngineChoice::kNeon, run);
-    const auto fpga = sched::make_backend(EngineChoice::kFpga, run);
+    const auto arm = sched::make_backend(sched::BackendKind::kArm, run);
+    const auto neon = sched::make_backend(sched::BackendKind::kNeon, run);
+    const auto fpga = sched::make_backend(sched::BackendKind::kFpga, run);
     // Concrete: router stats below.
     sched::SerialBackend adaptive(sched::BackendKind::kAdaptive, run);
     const auto ra = probe_backend(*arm, {88, 72}, options.frames, config);

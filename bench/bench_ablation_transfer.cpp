@@ -65,12 +65,11 @@ int main(int argc, char** argv) {
     irq_run.driver_costs.completion = driver::CompletionMode::kInterrupt;
 
     sched::RunConfig gp_run = base;
-    gp_run.driver_costs.transfer = driver::TransferMode::kGpPort;
     gp_run.engine.dma_enabled = false;  // no DMA block in the GP design
 
-    const auto acp_poll = sched::make_backend(EngineChoice::kFpga, paper_run);
-    const auto acp_irq = sched::make_backend(EngineChoice::kFpga, irq_run);
-    const auto gp_poll = sched::make_backend(EngineChoice::kFpga, gp_run);
+    const auto acp_poll = sched::make_backend(sched::BackendKind::kFpga, paper_run);
+    const auto acp_irq = sched::make_backend(sched::BackendKind::kFpga, irq_run);
+    const auto gp_poll = sched::make_backend(sched::BackendKind::kFpga, gp_run);
     const auto r_paper = probe_backend(*acp_poll, size, options.frames);
     const auto r_irq = probe_backend(*acp_irq, size, options.frames);
     const auto r_gp = probe_backend(*gp_poll, size, options.frames);

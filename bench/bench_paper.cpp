@@ -1,8 +1,14 @@
-// The paper's serial frame-size sweep: Fig. 9(a) forward, 9(b) total and
-// 9(c) inverse DT-CWT time, and Fig. 10 energy, for 10 continuously fused
-// frames per frame size on ARM / NEON / FPGA plus this library's adaptive
-// configuration (the FPGA backend with its per-line NEON router). Every
-// (engine, size) cell is probed once and feeds all four tables.
+// The paper's serial frame-size sweep: Fig. 2's stage profile, Fig. 9(a)
+// forward, 9(b) total and 9(c) inverse DT-CWT time, Fig. 10 energy and the
+// sustained frame rate against the 25/30 fps video bars, for 10
+// continuously fused frames per frame size on ARM / NEON / FPGA plus this
+// library's adaptive configuration (the FPGA backend with its per-line NEON
+// router). Every (engine, size) cell is probed once and feeds every table.
+//
+// Fig. 2 (§III): on the ARM at 88x72 the forward and inverse DT-CWT
+// dominate the profile (~45% + ~25% in the paper), which is why they are the
+// acceleration targets. Real time: the related work fuses at 30 fps (Sims &
+// Irvine) and 25 fps (Song et al.), §II.
 //
 // Paper reference points at 88x72 (§VII): forward FPGA -55.6% / NEON -10%
 // vs ARM; total ARM+FPGA -48.1% / ARM+NEON -8%; inverse FPGA -60.6% / NEON
@@ -20,9 +26,9 @@ int main(int argc, char** argv) {
 
   const BenchOptions options = parse_bench_options(argc, argv);
 
-  print_header("Fig. 9(a)/(b)/(c) and Fig. 10 — time and energy vs frame size (" +
-                   std::to_string(options.frames) + " frames)",
-               "Fig. 9(a)-(c), Fig. 10 and their §VII text");
+  print_header("Fig. 2, Fig. 9(a)/(b)/(c) and Fig. 10 — time and energy vs frame "
+               "size (" + std::to_string(options.frames) + " frames)",
+               "Fig. 2, Fig. 9(a)-(c), Fig. 10 and their §VII text");
 
   const sched::RunConfig config = bench_run_config(options);
   struct Cell {
@@ -31,12 +37,46 @@ int main(int argc, char** argv) {
   };
   std::vector<Cell> cells;
   for (const sched::FrameSize& size : sched::paper_frame_sizes()) {
-    cells.push_back({size, run_probe(EngineChoice::kArm, size, config),
-                     run_probe(EngineChoice::kNeon, size, config),
-                     run_probe(EngineChoice::kFpga, size, config),
-                     run_probe(EngineChoice::kAdaptive, size, config)});
+    cells.push_back({size, run_probe(sched::BackendKind::kArm, size, config),
+                     run_probe(sched::BackendKind::kNeon, size, config),
+                     run_probe(sched::BackendKind::kFpga, size, config),
+                     run_probe(sched::BackendKind::kAdaptive, size, config)});
   }
   json::Value run = json_run_header("bench_paper", options);
+  const Cell& full = cells.back();  // 88x72
+
+  // --- Fig. 2: per-frame stage profile of the ARM-only 88x72 cell ----------
+  std::printf("[Fig. 2] profile of the fusion process, ARM only at 88x72 "
+              "(per frame)\n\n");
+  const double frame_ms = full.arm.total.ms() / options.frames;
+  const struct {
+    const char* stage;
+    const char* key;
+    SimDuration sched::ProbeResult::*time;
+  } stages[] = {
+      {"Forward DT-CWT (2 frames)", "forward_ms", &sched::ProbeResult::forward},
+      {"Inverse DT-CWT", "inverse_ms", &sched::ProbeResult::inverse},
+      {"Coefficient fusion rule", "fusion_ms", &sched::ProbeResult::fusion},
+      {"Frame prep / conversion", "prep_ms", &sched::ProbeResult::prep},
+  };
+  TextTable profile({"stage", "time (ms)", "share"});
+  json::Value fig2 = json::Value::object();
+  fig2.set("frame_size", full.size.label());
+  for (const auto& stage : stages) {
+    const double ms = (full.arm.*stage.time).ms() / options.frames;
+    profile.add_row({stage.stage, TextTable::num(ms, 2),
+                     TextTable::num(100.0 * ms / frame_ms, 1) + "%"});
+    fig2.set(stage.key, ms);
+  }
+  profile.add_row({"TOTAL", TextTable::num(frame_ms, 2), "100.0%"});
+  fig2.set("total_ms", frame_ms);
+  run.set("fig2_profile", std::move(fig2));
+  std::printf("%s\n", profile.to_string().c_str());
+  std::printf("shape check: forward + inverse DT-CWT dominate (paper ~45%% + ~25%%;\n"
+              "here %.1f%% + %.1f%%), so the transforms are the acceleration\n"
+              "targets.\n\n",
+              100.0 * full.arm.forward.ms() / full.arm.total.ms(),
+              100.0 * full.arm.inverse.ms() / full.arm.total.ms());
 
   // --- Fig. 9(a) / 9(c): one transform direction per table -----------------
   const auto transform_table = [&](const char* key, const char* title,
@@ -81,14 +121,16 @@ int main(int argc, char** argv) {
     std::printf("%s\n\n", title);
     const std::string u = std::string(" (") + unit + ")";
     TextTable table({"frame size", "ARM Only" + u, "ARM+NEON" + u, "ARM+FPGA" + u,
-                     "Adaptive" + u, "best static"});
+                     "Adaptive" + u, "best static", "Adaptive vs best static"});
     json::Value sweep = json::Value::array();
     for (const Cell& c : cells) {
+      const double best = std::min(value(c.neon), value(c.fpga));
       table.add_row({c.size.label(), TextTable::num(value(c.arm), digits),
                      TextTable::num(value(c.neon), digits),
                      TextTable::num(value(c.fpga), digits),
                      TextTable::num(value(c.adaptive), digits),
-                     value(c.fpga) < value(c.neon) ? "ARM+FPGA" : "ARM+NEON"});
+                     value(c.fpga) < value(c.neon) ? "ARM+FPGA" : "ARM+NEON",
+                     TextTable::num(100.0 * (value(c.adaptive) / best - 1.0), 1) + "%"});
       json::Value row = json::Value::object();
       row.set("frame_size", c.size.label());
       row.set(std::string("arm_") + json_suffix, value(c.arm));
@@ -120,7 +162,6 @@ int main(int argc, char** argv) {
               hw::cost::kPlEngineNetMw);
   system_table("fig10_energy", "[Fig. 10] total energy (mJ)", "mJ", 1, "energy_mj",
                [](const sched::ProbeResult& r) { return r.energy_mj; });
-  const Cell& full = cells.back();  // 88x72
   std::printf("at 88x72: ARM+FPGA saves %.1f%% (paper 46.3%%), ARM+NEON saves %.1f%%\n"
               "(paper 8%%; see EXPERIMENTS.md on the paper's NEON deltas).\n",
               100.0 * (1.0 - full.fpga.energy_mj / full.arm.energy_mj),
@@ -133,7 +174,8 @@ int main(int argc, char** argv) {
   // simultaneously"). Replay the 88x72 ARM+FPGA run through the sampled
   // recorder and compare against the exact integral.
   power::PowerRecorder recorder(SimDuration::milliseconds(1));
-  recorder.run_segment(/*pl_engine_active=*/true, SimDuration::seconds(full.fpga.total.sec()));
+  recorder.run_segment(power::ComputeMode::kArmFpga,
+                       SimDuration::seconds(full.fpga.total.sec()));
   std::printf("power-recorder methodology at 88x72 ARM+FPGA: sampled %.1f mJ vs exact\n"
               "%.1f mJ (%.3f%% sampling error at a 1 ms period) — the paper's sampled\n"
               "measurement approach is sound at these run lengths.\n",
@@ -144,5 +186,48 @@ int main(int argc, char** argv) {
   methodology.set("sampled_energy_mj", recorder.sampled_energy_mj());
   methodology.set("exact_energy_mj", recorder.exact_energy_mj());
   run.set("recorder_methodology", std::move(methodology));
+
+  // --- Real time: sustained fps of every cell against the video bars -------
+  std::printf("\n[Real time] sustained fusion frame rate (frames / Fig. 9(b) total)\n\n");
+  const struct {
+    const char* label;
+    const char* key;
+    sched::ProbeResult Cell::*probe;
+  } engines[] = {{"ARM", "arm_fps", &Cell::arm},
+                 {"NEON", "neon_fps", &Cell::neon},
+                 {"FPGA", "fpga_fps", &Cell::fpga},
+                 {"Adaptive", "adaptive_fps", &Cell::adaptive}};
+  const double bars[] = {25.0, 30.0};
+  TextTable rates({"frame size", "ARM fps", "NEON fps", "FPGA fps", "Adaptive fps",
+                   "25 fps capable", "30 fps capable"});
+  json::Value realtime = json::Value::array();
+  for (const Cell& c : cells) {
+    std::vector<std::string> row = {c.size.label()};
+    std::string capable[2];
+    json::Value jrow = json::Value::object();
+    jrow.set("frame_size", c.size.label());
+    for (const auto& e : engines) {
+      const double fps = options.frames / (c.*e.probe).total.sec();
+      row.push_back(TextTable::num(fps, 1));
+      jrow.set(e.key, fps);
+      for (int i = 0; i < 2; ++i) {
+        if (fps < bars[i]) continue;
+        capable[i] += (capable[i].empty() ? "" : ",") + std::string(e.label);
+      }
+    }
+    for (const std::string& clearing : capable) {
+      row.push_back(clearing.empty() ? "none" : clearing);
+    }
+    rates.add_row(std::move(row));
+    realtime.push(std::move(jrow));
+  }
+  run.set("realtime", json::Value::object().set("sweep", std::move(realtime)));
+  std::printf("%s\n", rates.to_string().c_str());
+  std::printf("the paper's own absolute times imply ~5 fps on the ARM at the full\n"
+              "88x72 frame; acceleration nearly doubles that (%.1f fps) but true video\n"
+              "rate at 88x72 would need roughly another 3x — the 25/30 fps bars are\n"
+              "cleared only at the small extraction sizes (bench_pipeline [2] shows\n"
+              "the pipelined schedule clearing them).\n",
+              options.frames / full.fpga.total.sec());
   return write_json_report(options, run);
 }

@@ -11,7 +11,8 @@
 //      the serial model's break sits between 35x35 and 40x40, the batched
 //      schedule moves it left of 35x35;
 //   2. sustained fps and energy/frame with the 4-stage frame pipeline
-//      (prep | forward | fusion | inverse) against the serial runner;
+//      (prep | forward | fusion | inverse) against the serial runner, and
+//      the video-rate bar (25 or 30 fps) each pipelined rate clears;
 //   3. how the speedup builds with frame depth (pipeline fill amortization);
 //   4. host wall-clock at --threads N against the 1-thread run of the same
 //      workload (the pool fuses whole frames of the window in parallel),
@@ -20,8 +21,8 @@
 //      the one table where the host machine (not the modeled ZC702) is the
 //      subject.
 //
-// Flags (shared with every bench): --frames N, --pipeline, --threads N,
-// --json PATH, --sg-chain N. The smoke run under ctest uses the defaults;
+// Flags (shared with every bench): --frames N, --threads N, --json PATH,
+// --sg-chain N. The smoke run under ctest uses the defaults;
 // --frames raises the sweep depth.
 #include <algorithm>
 #include <chrono>
@@ -60,9 +61,9 @@ int main(int argc, char** argv) {
   json::Value jbreaks = json::Value::array();
   const sched::RunConfig config = bench_run_config(options);
   for (const sched::FrameSize& size : sched::paper_frame_sizes()) {
-    const auto neon = run_probe(EngineChoice::kNeon, size, config);
-    const auto serial = run_probe(EngineChoice::kFpga, size, config);
-    const auto batched = run_probe(EngineChoice::kFpgaBatched, size, config);
+    const auto neon = run_probe(sched::BackendKind::kNeon, size, config);
+    const auto serial = run_probe(sched::BackendKind::kFpga, size, config);
+    const auto batched = run_probe(sched::BackendKind::kFpgaBatched, size, config);
     const bool fpga_wins = batched.total < neon.total;
     if (fpga_wins && first_fpga_win == "none") first_fpga_win = size.label();
     breaks.add_row({size.label(), TextTable::num(neon.total.sec(), 3),
@@ -88,42 +89,44 @@ int main(int argc, char** argv) {
   std::printf("[2] 4-stage frame pipeline at depth %d (sustained fps)\n\n",
               options.frames);
   TextTable fps({"frame size", "engine", "serial fps", "pipelined fps", "speedup",
-                 "mJ/frame serial", "mJ/frame pipelined"});
-  const EngineChoice engines[] = {EngineChoice::kNeon, EngineChoice::kFpga,
-                                  EngineChoice::kFpgaBatched,
-                                  EngineChoice::kAdaptive};
+                 "mJ/frame serial", "mJ/frame pipelined", "video rate"});
+  const sched::BackendKind engines[] = {
+      sched::BackendKind::kNeon, sched::BackendKind::kFpga,
+      sched::BackendKind::kFpgaBatched, sched::BackendKind::kAdaptive};
   double serial_fpga_fps_full = 0.0, piped_batch_fps_full = 0.0;
   json::Value jfps = json::Value::array();
   for (const sched::FrameSize& size : sched::paper_frame_sizes()) {
-    for (EngineChoice choice : engines) {
+    for (sched::BackendKind kind : engines) {
       // One overlapped run per cell: run_pipelined also reports the additive
       // serial total, so the serial row needs no second fusion pass.
       sched::RunConfig piped_cfg;  // stage-granular overlap, 4 frames in flight
       piped_cfg.frame_size = size;
       piped_cfg.frames = options.frames;
-      sched::PipelineRunResult piped;
-      double serial_mj_frame = 0.0;
-      with_backend(choice, config, [&](sched::TransformBackend& b) {
-        piped = sched::probe_pipelined(b, piped_cfg);
-        serial_mj_frame =
-            power::energy_mj(b.compute_mode(), piped.serial_total) / options.frames;
-      });
+      const auto backend = sched::make_backend(kind, config);
+      const sched::PipelineRunResult piped = sched::probe_pipelined(*backend, piped_cfg);
+      const double serial_mj_frame =
+          power::energy_mj(backend->compute_mode(), piped.serial_total) / options.frames;
       const double serial_fps = options.frames / piped.serial_total.sec();
       if (size.width == 88 && size.height == 72) {
-        if (choice == EngineChoice::kFpga) serial_fpga_fps_full = serial_fps;
-        if (choice == EngineChoice::kFpgaBatched) {
+        if (kind == sched::BackendKind::kFpga) serial_fpga_fps_full = serial_fps;
+        if (kind == sched::BackendKind::kFpgaBatched) {
           piped_batch_fps_full = piped.sustained_fps;
         }
       }
-      fps.add_row({size.label(), engine_label(choice),
+      // The related work's real-time bars (Sims & Irvine: 30 fps; Song et
+      // al.: 25 fps, paper §II).
+      const char* video_rate = piped.sustained_fps >= 30.0   ? "30 fps"
+                               : piped.sustained_fps >= 25.0 ? "25 fps"
+                                                             : "-";
+      fps.add_row({size.label(), sched::backend_name(kind),
                    TextTable::num(serial_fps, 1),
                    TextTable::num(piped.sustained_fps, 1),
                    TextTable::num(piped.speedup_vs_serial(), 2) + "x",
                    TextTable::num(serial_mj_frame, 2),
-                   TextTable::num(piped.energy_per_frame_mj(), 2)});
+                   TextTable::num(piped.energy_per_frame_mj(), 2), video_rate});
       jfps.push(json::Value::object()
                     .set("size", size.label())
-                    .set("engine", engine_label(choice))
+                    .set("engine", sched::backend_name(kind))
                     .set("serial_fps", serial_fps)
                     .set("pipelined_fps", piped.sustained_fps)
                     .set("serial_mj_per_frame", serial_mj_frame)
@@ -270,10 +273,8 @@ int main(int argc, char** argv) {
     stream_cfg.cross_frame = true;
     stream_cfg.batching.sg_chain_len = kStreamingChain;
 
-    sched::PipelineRunResult neon;
-    with_backend(EngineChoice::kNeon, legacy_cfg, [&](sched::TransformBackend& b) {
-      neon = sched::probe_pipelined(b, legacy_cfg);
-    });
+    const sched::PipelineRunResult neon = sched::probe_pipelined(
+        *sched::make_backend(sched::BackendKind::kNeon, legacy_cfg), legacy_cfg);
     const sched::PipelineRunResult legacy = piped_at(legacy_cfg);
     const sched::PipelineRunResult streaming = piped_at(stream_cfg);
     if (legacy.makespan < neon.makespan && legacy_break == "none") {

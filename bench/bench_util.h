@@ -29,12 +29,10 @@ namespace vf::bench {
 inline constexpr int kPaperFrameCount = 10;  // "10 input frames were decomposed,
                                              // fused and reconstructed continuously"
 
-// CLI options shared by every bench binary so `bench_realtime` and
-// `bench_pipeline` (and any future bench) parse identically:
+// CLI options shared by every bench binary, so all of them parse
+// identically:
 //
 //   --frames N     frames per probe run (default: the paper's 10)
-//   --pipeline     enable the frame-level event-queue pipeline where the
-//                  bench supports it (ignored otherwise)
 //   --threads N    host pool width for the numeric work (default: all
 //                  hardware threads; modeled time is bit-identical at any N)
 //   --json PATH    also write the bench's results as JSON
@@ -45,7 +43,6 @@ inline constexpr int kPaperFrameCount = 10;  // "10 input frames were decomposed
 // (simd::active_kernels()), so no flag selects either.
 struct BenchOptions {
   int frames = kPaperFrameCount;
-  bool pipeline = false;
   int threads = 0;  // 0 = hardware_concurrency
   std::string json_path;
   int sg_chain_len = 1;
@@ -60,8 +57,6 @@ inline BenchOptions parse_bench_options(int argc, char** argv) {
         std::fprintf(stderr, "--frames wants a positive count, got '%s'\n", argv[i]);
         std::exit(2);
       }
-    } else if (std::strcmp(argv[i], "--pipeline") == 0) {
-      options.pipeline = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       options.threads = std::atoi(argv[++i]);
       if (options.threads < 1) {
@@ -79,8 +74,8 @@ inline BenchOptions parse_bench_options(int argc, char** argv) {
       }
     } else {
       std::fprintf(stderr,
-                   "unknown argument '%s' (supported: --frames N, --pipeline, "
-                   "--threads N, --json PATH, --sg-chain N)\n",
+                   "unknown argument '%s' (supported: --frames N, --threads N, "
+                   "--json PATH, --sg-chain N)\n",
                    argv[i]);
       std::exit(2);
     }
@@ -127,12 +122,6 @@ inline int write_json_report(const BenchOptions& options, const json::Value& run
   return 0;
 }
 
-// The bench spelling of the backend kind is the scheduler's own enum since
-// the PR 7 API redesign; every bench builds backends via make_backend.
-using EngineChoice = sched::BackendKind;
-
-inline const char* engine_label(EngineChoice e) { return sched::backend_name(e); }
-
 // The harness flags (--frames/--threads/--sg-chain) folded into
 // the one RunConfig every backend is built from, so each sweep explicitly
 // carries the host pool it runs the numerics on.
@@ -144,20 +133,13 @@ inline sched::RunConfig bench_run_config(const BenchOptions& options) {
   return config;
 }
 
-// Runs `fn` with a freshly factory-built backend of the requested kind.
-inline void with_backend(EngineChoice choice, const sched::RunConfig& config,
-                         const std::function<void(sched::TransformBackend&)>& fn) {
-  const std::unique_ptr<sched::TransformBackend> backend =
-      sched::make_backend(choice, config);
-  fn(*backend);
-}
-
 // Probe of one engine at one size (fresh backend per call); frame count and
 // fusion settings come from the config.
-inline sched::ProbeResult run_probe(EngineChoice choice, const sched::FrameSize& size,
+inline sched::ProbeResult run_probe(sched::BackendKind kind,
+                                    const sched::FrameSize& size,
                                     const sched::RunConfig& config) {
   const std::unique_ptr<sched::TransformBackend> backend =
-      sched::make_backend(choice, config);
+      sched::make_backend(kind, config);
   return sched::probe_backend(*backend, size, config.frames, config.fuse);
 }
 

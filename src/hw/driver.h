@@ -37,21 +37,18 @@
 
 namespace vf::driver {
 
-enum class TransferMode { kAcpDma, kGpPort };
 enum class CompletionMode { kPolling, kInterrupt };
 
 // The driver's ablation switches; its calibrated costs are hw::cost's.
 struct DriverCosts {
-  TransferMode transfer = TransferMode::kAcpDma;
   CompletionMode completion = CompletionMode::kPolling;
   bool double_buffering = true;
 };
 
 // Whether copies ride the ACP DMA channel (PL side, may overlap PS work);
-// otherwise (GP port, or DMA disabled) the CPU moves every word itself.
-inline bool dma_path(const hw::WaveletEngineConfig& engine,
-                     const DriverCosts& costs) {
-  return costs.transfer == TransferMode::kAcpDma && engine.dma_enabled;
+// without the DMA block (the GP-port design) the CPU moves every word itself.
+inline bool dma_path(const hw::WaveletEngineConfig& engine) {
+  return engine.dma_enabled;
 }
 
 // The four cost components of servicing line requests, kept separate so the
@@ -91,9 +88,8 @@ inline SimDuration sg_desc_fetch_time() {
 
 // Time to move `words` over the configured PS<->PL path: ACP DMA bursts at
 // the PL clock, or CPU-issued GP-port beats at the PS clock.
-inline SimDuration transfer_time(const hw::WaveletEngineConfig& engine,
-                                 const DriverCosts& costs, int words) {
-  if (!dma_path(engine, costs)) return hw::ps_cycles(hw::gp_port_cycles(words));
+inline SimDuration transfer_time(const hw::WaveletEngineConfig& engine, int words) {
+  if (!dma_path(engine)) return hw::ps_cycles(hw::gp_port_cycles(words));
   return hw::pl_cycles(hw::acp_dma_cycles(words));
 }
 
@@ -102,8 +98,8 @@ inline LineCost line_cost(const hw::WaveletEngineConfig& engine,
                           double compute_cycles) {
   LineCost c;
   c.driver = driver_call_time(costs);
-  c.input = transfer_time(engine, costs, words_in);
-  c.output = transfer_time(engine, costs, words_out);
+  c.input = transfer_time(engine, words_in);
+  c.output = transfer_time(engine, words_out);
   c.compute = hw::pl_cycles(compute_cycles);
   return c;
 }
@@ -163,20 +159,20 @@ inline BatchEvents place_batch(Clocks& clocks, EngineSlot& slot, ResourceId ps,
                                const hw::WaveletEngineConfig& engine,
                                const DriverCosts& costs, int chain_len,
                                SimDuration ready, const Batch& batch) {
-  const ResourceId xfer = dma_path(engine, costs) ? dma : ps;
+  const ResourceId xfer = dma_path(engine) ? dma : ps;
   const bool head = slot.chain_pos == 0;
   const int buf = slot.next_buffer(costs);
   BatchEvents ev;
   ev.drv = clocks.schedule(
       ps, head ? "drv" : "desc", std::max(ready, slot.buffer_free[buf]),
       head ? driver_call_time(costs) : sg_desc_build_time());
-  SimDuration in_time = transfer_time(engine, costs, batch.words_in);
+  SimDuration in_time = transfer_time(engine, batch.words_in);
   if (!head) in_time += sg_desc_fetch_time();
   ev.in = clocks.schedule(xfer, "in", ev.drv.end, in_time);
   ev.comp = clocks.schedule(pl, "comp", ev.in.end,
                             hw::pl_cycles(batch.compute_cycles));
   ev.out = clocks.schedule(xfer, "out", ev.comp.end,
-                           transfer_time(engine, costs, batch.words_out));
+                           transfer_time(engine, batch.words_out));
   // The engine has consumed the input buffer once compute ends; the next
   // batch using this buffer may start filling then.
   slot.buffer_free[buf] = ev.comp.end;
@@ -214,9 +210,8 @@ class WaveletAccelerator {
 
     const SimDuration total = cost.driver + cost.input + stall + cost.output;
     ++lines_;
-    last_ps_time_ = dma_path(engine_, costs_)
-                        ? cost.driver
-                        : cost.driver + cost.input + cost.output;
+    last_ps_time_ = dma_path(engine_) ? cost.driver
+                                      : cost.driver + cost.input + cost.output;
     last_pl_time_ = total - last_ps_time_;
     return total;
   }

@@ -27,7 +27,9 @@ struct WaveletEngineConfig {
   int slots = 14;
   // Words per kernel line buffer; two buffers when double buffering.
   int buffer_words = 2048;
-  bool dma_enabled = true;  // HLS-memcpy DMA block on the ACP
+  // HLS-memcpy DMA block on the ACP; false is the GP-port design, where the
+  // CPU moves every word itself (driver::dma_path).
+  bool dma_enabled = true;
 };
 
 // The exact configuration of the paper's Table I row set.

@@ -42,11 +42,6 @@ class PowerRecorder {
  public:
   explicit PowerRecorder(SimDuration period) : period_(period) {}
 
-  void run_segment(bool pl_engine_active, SimDuration duration) {
-    run_segment(pl_engine_active ? ComputeMode::kArmFpga : ComputeMode::kArmOnly,
-                duration);
-  }
-
   void run_segment(ComputeMode mode, SimDuration duration) {
     const double mw = system_power_mw(mode);
     exact_mj_ += mw * duration.sec();

@@ -65,12 +65,12 @@ TEST(Driver, InterruptCompletionCostsMoreThanPollingForShortLines) {
 }
 
 TEST(Driver, GpPortTransferSlowsTheLineDown) {
-  const hw::WaveletEngineConfig engine;
-  driver::DriverCosts acp;
-  driver::DriverCosts gp;
-  gp.transfer = driver::TransferMode::kGpPort;
-  driver::WaveletAccelerator a_acp(engine, acp);
-  driver::WaveletAccelerator a_gp(engine, gp);
+  const hw::WaveletEngineConfig acp;
+  hw::WaveletEngineConfig gp;
+  gp.dma_enabled = false;
+  const driver::DriverCosts costs;
+  driver::WaveletAccelerator a_acp(acp, costs);
+  driver::WaveletAccelerator a_gp(gp, costs);
   EXPECT_LT(a_acp.line_time(190, 176, 190).sec(), a_gp.line_time(190, 176, 190).sec());
 }
 
@@ -98,11 +98,12 @@ TEST(Driver, LineCostDecompositionSumsToLineTime) {
 }
 
 TEST(Driver, GpPortTransfersArePsResident) {
-  driver::DriverCosts costs;
-  costs.transfer = driver::TransferMode::kGpPort;
-  driver::WaveletAccelerator accel({}, costs);
+  hw::WaveletEngineConfig engine;
+  engine.dma_enabled = false;
+  const driver::DriverCosts costs;
+  driver::WaveletAccelerator accel(engine, costs);
   accel.line_time(102, 88, 190.0);
-  const driver::LineCost cost = driver::line_cost({}, costs, 102, 88, 190.0);
+  const driver::LineCost cost = driver::line_cost(engine, costs, 102, 88, 190.0);
   EXPECT_DOUBLE_EQ(accel.last_line_ps_time().sec(),
                    (cost.driver + cost.input + cost.output).sec());
 }

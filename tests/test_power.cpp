@@ -28,7 +28,7 @@ TEST(PowerModel, EnergyIsPowerTimesTime) {
 
 TEST(PowerRecorder, SampledIntegralTracksExactWithinOnePeriod) {
   power::PowerRecorder rec(SimDuration::milliseconds(1));
-  rec.run_segment(/*pl_engine_active=*/true, SimDuration::seconds(1.0405));
+  rec.run_segment(power::ComputeMode::kArmFpga, SimDuration::seconds(1.0405));
   const double exact = rec.exact_energy_mj();
   const double sampled = rec.sampled_energy_mj();
   EXPECT_GT(exact, 0.0);
@@ -40,8 +40,8 @@ TEST(PowerRecorder, SampledIntegralTracksExactWithinOnePeriod) {
 
 TEST(PowerRecorder, MixedSegmentsAccumulateBothIntegrals) {
   power::PowerRecorder rec(SimDuration::milliseconds(10));
-  rec.run_segment(false, SimDuration::milliseconds(25));
-  rec.run_segment(true, SimDuration::milliseconds(35));
+  rec.run_segment(power::ComputeMode::kArmOnly, SimDuration::milliseconds(25));
+  rec.run_segment(power::ComputeMode::kArmFpga, SimDuration::milliseconds(35));
   const double expected_exact =
       power::system_power_mw(power::ComputeMode::kArmOnly) * 0.025 +
       power::system_power_mw(power::ComputeMode::kArmFpga) * 0.035;
@@ -50,15 +50,6 @@ TEST(PowerRecorder, MixedSegmentsAccumulateBothIntegrals) {
   EXPECT_GT(rec.sampled_energy_mj(), 0.0);
   EXPECT_NEAR(rec.sampled_energy_mj(), expected_exact,
               power::system_power_mw(power::ComputeMode::kArmFpga) * 0.010);
-}
-
-TEST(PowerRecorder, ModeOverloadMatchesBoolOverload) {
-  power::PowerRecorder by_bool(SimDuration::milliseconds(1));
-  power::PowerRecorder by_mode(SimDuration::milliseconds(1));
-  by_bool.run_segment(true, SimDuration::milliseconds(7));
-  by_mode.run_segment(power::ComputeMode::kArmFpga, SimDuration::milliseconds(7));
-  EXPECT_DOUBLE_EQ(by_bool.exact_energy_mj(), by_mode.exact_energy_mj());
-  EXPECT_DOUBLE_EQ(by_bool.sampled_energy_mj(), by_mode.sampled_energy_mj());
 }
 
 TEST(PowerRecorder, ConcurrentPsAndPlChargeTheEngineDrawOnce) {

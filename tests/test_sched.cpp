@@ -228,6 +228,15 @@ TEST(PaperSweep, ProbesMatchTheRecordedValuesBitwise) {
   EXPECT_EQ(i, std::size(expected));
 }
 
+// Fig. 2: on the ARM at the paper's full frame the forward and inverse
+// DT-CWT dominate the fusion profile, the forward (two frames) most.
+TEST(PaperSweep, TransformsDominateTheArmProfileAtFullFrame) {
+  sched::SerialBackend arm(sched::BackendKind::kArm);
+  const sched::ProbeResult r = sched::probe_backend(arm, {88, 72}, 2);
+  EXPECT_GT((r.forward + r.inverse).sec(), 0.9 * r.total.sec());
+  EXPECT_GT(r.forward, r.inverse);
+}
+
 TEST(PaperSweep, AdaptiveRouterCountsMatchTheRecordedValues) {
   const struct {
     int width, height;

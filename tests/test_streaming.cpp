@@ -476,13 +476,12 @@ TEST(Streaming, FrameStartsOnlyAfterTheFrameDepthPlacesEarlierEnds) {
   }
 }
 
-// One batch-placement rule: with GP-port transfers and no DMA, the replay
+// One batch-placement rule: with GP-port transfers (no DMA block), the replay
 // puts a batch's copies on the PS core (as the accelerator does during the
 // serial measurement), so no DMA channel gets an event and the PS busy time
 // counts the copies.
 TEST(Streaming, GpPortCopiesRunOnThePsCore) {
   sched::RunConfig run = streaming_config({32, 24}, 4, 4);
-  run.driver_costs.transfer = driver::TransferMode::kGpPort;
   run.engine.dma_enabled = false;
   ASSERT_EQ(run.pipeline_depth, 4);
   const std::vector<sched::FramePair> frames =
