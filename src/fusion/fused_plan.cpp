@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -14,7 +15,8 @@ using image::ImageF;
 
 // tree(pair, side): trees (0,3) form the first complex pair, (1,2) the
 // second; within a pair the re side is row-tree A and the im side row-tree B
-// (see fuse.cpp). col_tree(pair, side) = side == 0 ? pair : 1 - pair.
+// (see fuse.cpp). col_tree(pair, side) = side == 0 ? pair : 1 - pair, i.e.
+// pair ^ side.
 constexpr int kPairRe[2] = {0, 1};
 constexpr int kPairIm[2] = {3, 2};
 
@@ -54,7 +56,7 @@ FusionPlan::FusionPlan(int rows, int cols, const TransformConfig& config)
   for (int level = 0; level < config.levels; ++level) {
     const LevelDims& d = dims_[level];
     band_off_[level + 1] =
-        band_off_[level] + 6 * line_aligned(static_cast<size_t>(d.hr) * d.hc);
+        band_off_[level] + 6 * line_aligned(2 * static_cast<size_t>(d.hr) * d.hc);
   }
   // Row and column passes of a tree share its bank at every level.
   for (int tree = 0; tree < 2; ++tree) {
@@ -124,24 +126,45 @@ ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
   const int D = config_.levels;
   const int DL = D - 1;  // deepest level index
   const LevelDims& d0 = dims_[0];
+  const LevelDims& dd = dims_[DL];
 
   ArenaScope outer;
 
   // One forward row pass: the rp x cp padded plane of an r x c source
-  // (padding comes from the row clamp and the column table) -> rowlo/rowhi,
-  // rp x hc each.
+  // (padding comes from the row clamp and the column table) -> rp x hc of
+  // rowlo/rowhi, whose rows are out_stride apart.
   auto row_pass = [&](const float* src, int src_stride, int L, int tree,
-                      float* rowlo, float* rowhi) {
+                      float* rowlo, float* rowhi, int out_stride) {
     const LevelDims& d = dims_[L];
     const FilterBank& bank = banks_[tree][L];
     k.analyze_rows(src, src_stride, d.r, d.rp, ext_[tree][L].row_cols.data(), d.hc,
-                   bank.lp.data(), bank.hp.data(), bank.taps(), rowlo, rowhi, d.hc);
+                   bank.lp.data(), bank.hp.data(), bank.taps(), rowlo, rowhi,
+                   out_stride);
+  };
+
+  // Planes are packed by column filter. Chain (pair p, side s), one of the
+  // four trees of one frame, filters its columns with column tree p ^ s, so
+  // group g = p ^ s holds chains (0, g) and (1, 1 - g). Every band plane
+  // below is a group's, hr x 2hc (rp x 2hc before the column pass), with
+  // pair p's chain in columns [p*hc, (p+1)*hc): one column-pass call
+  // filters both pairs. The magnitude pairs group 0 with group 1 lane by
+  // lane, since column j of both is the same pair's two sides (swapped for
+  // pair 1; the sum of their squares does not depend on the order).
+
+  // Fused band planes of both groups, all in one block (band_off_);
+  // fused_at(g, L, sb): sb in {0=lh, 1=hl, 2=hh}. Frame A's bands are
+  // written straight into them and the select rule fuses frame B's in place.
+  float* const fused_bands = outer.alloc(band_off_[D]);
+  auto fused_at = [&](int g, int L, int sb) {
+    const size_t q = line_aligned(2 * static_cast<size_t>(dims_[L].hr) * dims_[L].hc);
+    return fused_bands + band_off_[L] + static_cast<size_t>(g * 3 + sb) * q;
   };
 
   // Level-0 row passes, shared across the two complex pairs: in both pairs
   // the re side is row-tree A and the im side row-tree B, so four passes
   // (frame x side) cover all eight (frame x tree) level-0 row transforms the
-  // staged path runs.
+  // staged path runs. Being shared, they cannot sit packed: level 0's
+  // column pass runs one call per pair.
   const float* in[2] = {a.data(), b.data()};
   const size_t half0 = static_cast<size_t>(d0.rp) * d0.hc;
   float* row0lo[2][2];
@@ -150,8 +173,94 @@ ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
     for (int s = 0; s < 2; ++s) {
       row0lo[x][s] = outer.alloc(half0);
       row0hi[x][s] = outer.alloc(half0);
-      row_pass(in[x], cols_, 0, s, row0lo[x][s], row0hi[x][s]);
+      row_pass(in[x], cols_, 0, s, row0lo[x][s], row0hi[x][s], d0.hc);
     }
+  }
+
+  // --- forward: both frames, level by level ------------------------------
+  // ll[x][g]: frame x's lowpass residues of the current level, packed; the
+  // next level's row passes read each chain's half in place.
+  const float* ll[2][2] = {{nullptr, nullptr}, {nullptr, nullptr}};
+  for (int L = 0; L < D; ++L) {
+    const LevelDims& dl = dims_[L];
+    const int w = 2 * dl.hc;
+    const size_t q = static_cast<size_t>(dl.hr) * w;
+    const FilterBank& cb0 = banks_[0][L];
+    const FilterBank& cb1 = banks_[1][L];
+    const int* ext0 = ext_[0][L].col_rows.data();
+    const int* ext1 = ext_[1][L].col_rows.data();
+
+    // ll_next[x][g]: this level's residues, which outlive its scope.
+    float* ll_next[2][2];
+    for (int x = 0; x < 2; ++x) {
+      for (int g = 0; g < 2; ++g) ll_next[x][g] = outer.alloc(q);
+    }
+    ArenaScope level;
+    // band[x][sb][g], mag[x][sb]; frame A's bands are the fused planes.
+    float* band[2][3][2];
+    float* mag[2][3];
+    for (int sb = 0; sb < 3; ++sb) {
+      for (int g = 0; g < 2; ++g) {
+        band[0][sb][g] = fused_at(g, L, sb);
+        band[1][sb][g] = level.alloc(q);
+      }
+      for (int x = 0; x < 2; ++x) mag[x][sb] = level.alloc(q);
+    }
+    for (int x = 0; x < 2; ++x) {
+      // Column passes, analysis + magnitude straight on the row-major
+      // planes, `cols` columns from column `at` of every output plane:
+      // row-lo columns -> ll (both groups) + lh (+ |lh|), row-hi columns ->
+      // hl + hh (+ magnitudes of both).
+      auto columns = [&](const float* lo0, const float* lo1, const float* hi0,
+                         const float* hi1, int in_stride, int cols, int at) {
+        k.analyze_mag_cols(lo0, lo1, in_stride, cols, ext0, ext1, dl.hr,
+                           cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
+                           cb1.hp.data(), cb0.taps(), ll_next[x][0] + at,
+                           band[x][0][0] + at, ll_next[x][1] + at,
+                           band[x][0][1] + at, nullptr, mag[x][0] + at, w);
+        k.analyze_mag_cols(hi0, hi1, in_stride, cols, ext0, ext1, dl.hr,
+                           cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
+                           cb1.hp.data(), cb0.taps(), band[x][1][0] + at,
+                           band[x][2][0] + at, band[x][1][1] + at,
+                           band[x][2][1] + at, mag[x][1] + at, mag[x][2] + at, w);
+      };
+      if (L == 0) {
+        // Pair p's chain of group g is row tree p ^ g.
+        for (int p = 0; p < 2; ++p) {
+          columns(row0lo[x][p], row0lo[x][p ^ 1], row0hi[x][p], row0hi[x][p ^ 1],
+                  d0.hc, d0.hc, p * d0.hc);
+        }
+        continue;
+      }
+      ArenaScope rows;
+      float* rowlo[2];
+      float* rowhi[2];
+      for (int g = 0; g < 2; ++g) {
+        rowlo[g] = rows.alloc(static_cast<size_t>(dl.rp) * w);
+        rowhi[g] = rows.alloc(static_cast<size_t>(dl.rp) * w);
+        for (int p = 0; p < 2; ++p) {
+          row_pass(ll[x][g] + p * dl.c, 2 * dl.c, L, p ^ g, rowlo[g] + p * dl.hc,
+                   rowhi[g] + p * dl.hc, w);
+        }
+      }
+      columns(rowlo[0], rowlo[1], rowhi[0], rowhi[1], w, w, 0);
+    }
+    // The select rule: frame B's sample wherever its magnitude wins.
+    for (int sb = 0; sb < 3; ++sb) {
+      k.select(band[0][sb][0], band[0][sb][1], band[1][sb][0], band[1][sb][1],
+               mag[0][sb], mag[1][sb], static_cast<int>(q), band[0][sb][0],
+               band[0][sb][1]);
+    }
+    for (int x = 0; x < 2; ++x) {
+      for (int g = 0; g < 2; ++g) ll[x][g] = ll_next[x][g];
+    }
+  }
+  // Lowpass residue fusion (not time-accounted, matching average()).
+  const size_t qd = static_cast<size_t>(dd.hr) * 2 * dd.hc;
+  float* ll_fused[2];
+  for (int g = 0; g < 2; ++g) {
+    ll_fused[g] = outer.alloc(qd);
+    k.average(ll[0][g], ll[1][g], static_cast<int>(qd), ll_fused[g]);
   }
 
   // Per-tree reconstructions, padded rp x cp: level 0's row synthesis writes
@@ -164,137 +273,75 @@ ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
     recon[t] = outer.alloc(static_cast<size_t>(d0.rp) * d0.cp);
   }
 
-  for (int p = 0; p < 2; ++p) {
-    ArenaScope pair;
-    const int col_tree[2] = {p, 1 - p};
-
-    // Fused band planes, row-major hr x hc, all in one block (band_off_).
-    // fused_at(L, sb, s): sb in {0=lh, 1=hl, 2=hh}, s = side.
-    float* const fused_bands = pair.alloc(band_off_[D]);
-    auto fused_at = [&](int L, int sb, int s) {
-      const size_t q = line_aligned(static_cast<size_t>(dims_[L].hr) * dims_[L].hc);
-      return fused_bands + band_off_[L] + static_cast<size_t>(sb * 2 + s) * q;
-    };
-    const LevelDims& dd = dims_[DL];
-    const size_t qd = static_cast<size_t>(dd.hr) * dd.hc;
-    float* ll_fused[2] = {pair.alloc(qd), pair.alloc(qd)};
-
-    // --- forward: both frames interleaved, level by level ----------------
-    const float* cur[2][2] = {{nullptr, nullptr}, {nullptr, nullptr}};
-    for (int L = 0; L < D; ++L) {
+  // --- inverse: each group's two chains side by side ---------------------
+  for (int g = 0; g < 2; ++g) {
+    ArenaScope group;
+    // The lowpass input of a level: the fused residues at the deepest
+    // level, else the output plane of the level below, read by stride (the
+    // first hr rows and hc columns of each chain's half are this level's ll).
+    const float* ll_in = ll_fused[g];
+    int ll_stride = 2 * dd.hc;
+    for (int L = DL; L >= 0; --L) {
       const LevelDims& dl = dims_[L];
-      const size_t half = static_cast<size_t>(dl.rp) * dl.hc;
-      const size_t q = static_cast<size_t>(dl.hr) * dl.hc;
+      const int w = 2 * dl.hc;
+      const FilterBank& colb = banks_[g][L];
+      const int* ext = ext_[g][L].col_synth.data();
+      // Level L > 0 writes the next level's packed lowpass input (chain 1
+      // from column c, that level's hc: chain 0's cp - c pad columns land
+      // under it before chain 1 overwrites them); level 0 writes each
+      // chain's own reconstruction plane.
+      const int out_stride = L > 0 ? dl.c + dl.cp : d0.cp;
+      float* padded = L > 0 ? group.alloc(static_cast<size_t>(dl.rp) * out_stride)
+                            : nullptr;
+      // Level 0 runs one column-synthesis call per chain: at its widths
+      // packing saves few lane blocks (none for 2 x 44 columns on 16
+      // lanes), and a packed level needs the plane copy below.
+      const int n = L > 0 ? 2 : 1;  // chains per column-synthesis call
+      const int halo = simd::synth_row_halo(banks_[0][L].synth_taps());
+      const int stride = n * dl.hc + 2 * halo;
 
-      // The lowpass residues survive this level: the next level's row pass
-      // reads them in place.
-      float* ll[2][2];
-      for (int x = 0; x < 2; ++x) {
-        for (int s = 0; s < 2; ++s) ll[x][s] = pair.alloc(q);
-      }
-
-      {
-        ArenaScope level;
-
-        // Row passes (level 0's were shared and precomputed above).
-        float* rowlo[2][2];
-        float* rowhi[2][2];
-        for (int x = 0; x < 2; ++x) {
-          for (int s = 0; s < 2; ++s) {
-            if (L == 0) {
-              rowlo[x][s] = row0lo[x][s];
-              rowhi[x][s] = row0hi[x][s];
-              continue;
-            }
-            rowlo[x][s] = level.alloc(half);
-            rowhi[x][s] = level.alloc(half);
-            row_pass(cur[x][s], dl.c, L, s, rowlo[x][s], rowhi[x][s]);
-          }
-        }
-
-        // Column passes: analysis + magnitude straight on the row-major
-        // planes. Frame A writes its bands into the fused planes, frame B
-        // into scratch; the select rule then keeps B's sample wherever B's
-        // magnitude wins. band[x][sb][side], mag[x][sb].
-        const FilterBank& cb0 = banks_[col_tree[0]][L];
-        const FilterBank& cb1 = banks_[col_tree[1]][L];
-        const int* ext0 = ext_[col_tree[0]][L].col_rows.data();
-        const int* ext1 = ext_[col_tree[1]][L].col_rows.data();
-        float* band[2][3][2];
-        float* mag[2][3];
-        for (int sb = 0; sb < 3; ++sb) {
-          for (int s = 0; s < 2; ++s) {
-            band[0][sb][s] = fused_at(L, sb, s);
-            band[1][sb][s] = level.alloc(q);
-          }
-          for (int x = 0; x < 2; ++x) mag[x][sb] = level.alloc(q);
-        }
-        for (int x = 0; x < 2; ++x) {
-          // Row-lo columns -> ll (both sides) + lh (+ |lh|).
-          k.analyze_mag_cols(rowlo[x][0], rowlo[x][1], dl.hc, dl.hc, ext0, ext1,
-                             dl.hr, cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
-                             cb1.hp.data(), cb0.taps(), ll[x][0], band[x][0][0],
-                             ll[x][1], band[x][0][1], nullptr, mag[x][0], dl.hc);
-          // Row-hi columns -> hl + hh (+ magnitudes of both).
-          k.analyze_mag_cols(rowhi[x][0], rowhi[x][1], dl.hc, dl.hc, ext0, ext1,
-                             dl.hr, cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
-                             cb1.hp.data(), cb0.taps(), band[x][1][0],
-                             band[x][2][0], band[x][1][1], band[x][2][1],
-                             mag[x][1], mag[x][2], dl.hc);
-        }
-        for (int sb = 0; sb < 3; ++sb) {
-          k.select(band[0][sb][0], band[0][sb][1], band[1][sb][0], band[1][sb][1],
-                   mag[0][sb], mag[1][sb], static_cast<int>(q), band[0][sb][0],
-                   band[0][sb][1]);
-        }
-      }  // transient level scope
-
-      for (int x = 0; x < 2; ++x) {
-        for (int s = 0; s < 2; ++s) cur[x][s] = ll[x][s];
-      }
-    }
-    // Lowpass residue fusion (not time-accounted, matching average()).
-    for (int s = 0; s < 2; ++s) {
-      k.average(cur[0][s], cur[1][s], static_cast<int>(qd), ll_fused[s]);
-    }
-
-    // --- inverse: fused bands stream straight into synthesis ------------
-    for (int s = 0; s < 2; ++s) {
-      // The lowpass input of a level: the fused residue at the deepest
-      // level, else the padded output plane of the level below, read by
-      // stride (its first hr rows and hc columns are this level's ll).
-      const float* ll_in = ll_fused[s];
-      int ll_stride = dd.hc;
-      for (int L = DL; L >= 0; --L) {
-        const LevelDims& dl = dims_[L];
-        const FilterBank& colb = banks_[col_tree[s]][L];
-        const FilterBank& rowb = banks_[s][L];
-        const int* ext = ext_[col_tree[s]][L].col_synth.data();
-
-        // The column synthesis writes hc columns into rows of hs floats,
-        // leaving the halo the row synthesis fills and reads in place.
-        const int halo = simd::synth_row_halo(rowb.synth_taps());
-        const int hs = dl.hc + 2 * halo;
-        float* rowlo = pair.alloc(static_cast<size_t>(dl.rp) * hs) + halo;
-        float* rowhi = pair.alloc(static_cast<size_t>(dl.rp) * hs) + halo;
-        float* padded = L > 0 ? pair.alloc(static_cast<size_t>(dl.rp) * dl.cp)
-                              : recon[s == 0 ? kPairRe[p] : kPairIm[p]];
-
-        k.synthesize_cols(ll_in, ll_stride, fused_at(L, 0, s), dl.hc, dl.hc, ext,
-                          dl.hr, colb.ca.data(), colb.cb.data(), colb.synth_taps(),
-                          rowlo, hs);
-        k.synthesize_cols(fused_at(L, 1, s), dl.hc, fused_at(L, 2, s), dl.hc, dl.hc,
+      for (int p0 = 0; p0 < 2; p0 += n) {
+        ArenaScope planes;
+        // The column synthesis writes its chains' hc columns into rows of
+        // `stride` floats, leaving the outer halos the row synthesis fills
+        // and reads in place.
+        float* rowlo = planes.alloc(static_cast<size_t>(dl.rp) * stride) + halo;
+        float* rowhi = planes.alloc(static_cast<size_t>(dl.rp) * stride) + halo;
+        const size_t at = static_cast<size_t>(p0) * dl.hc;
+        k.synthesize_cols(ll_in + at, ll_stride, fused_at(g, L, 0) + at, w, n * dl.hc,
                           ext, dl.hr, colb.ca.data(), colb.cb.data(),
-                          colb.synth_taps(), rowhi, hs);
-        k.synthesize_rows(rowlo, rowhi, hs, dl.rp, dl.hc, rowb.ca.data(),
-                          rowb.cb.data(), rowb.synth_taps(), rowb.synthesis_offset,
-                          padded, dl.cp);
+                          colb.synth_taps(), rowlo, stride);
+        k.synthesize_cols(fused_at(g, L, 1) + at, w, fused_at(g, L, 2) + at, w,
+                          n * dl.hc, ext, dl.hr, colb.ca.data(), colb.cb.data(),
+                          colb.synth_taps(), rowhi, stride);
 
-        ll_in = padded;
-        ll_stride = dl.cp;
+        // Chain i's row synthesis reads planes lo[i], hi[i]. Packed, each
+        // chain's inner halo overlaps the other chain's edge columns, so
+        // chain 1 reads (and writes its halo into) a copy of the planes.
+        float* lo[2] = {rowlo, rowlo};
+        float* hi[2] = {rowhi, rowhi};
+        if (n == 2) {
+          const size_t len = static_cast<size_t>(dl.rp) * stride;
+          lo[1] = planes.alloc(len) + halo;
+          hi[1] = planes.alloc(len) + halo;
+          std::memcpy(lo[1] - halo, rowlo - halo, len * sizeof(float));
+          std::memcpy(hi[1] - halo, rowhi - halo, len * sizeof(float));
+        }
+        for (int i = 0; i < n; ++i) {
+          const int p = p0 + i;
+          const int side = p ^ g;
+          const FilterBank& rowb = banks_[side][L];
+          float* out = L > 0 ? padded + p * dl.c
+                             : recon[side == 0 ? kPairRe[p] : kPairIm[p]];
+          k.synthesize_rows(lo[i] + i * dl.hc, hi[i] + i * dl.hc, stride, dl.rp,
+                            dl.hc, rowb.ca.data(), rowb.cb.data(), rowb.synth_taps(),
+                            rowb.synthesis_offset, out, out_stride);
+        }
       }
+      ll_in = padded;
+      ll_stride = out_stride;
     }
-  }  // pair scope
+  }  // group scope
 
   // Combine the four trees in the staged accumulation order,
   // ((recs[0] + recs[1]) + recs[2]) + recs[3], then x 0.25f.

@@ -15,18 +15,33 @@
 //     over each level's band planes right after it, so the pass count over
 //     band data drops from ~10 to ~3 per frame pair;
 //   * all scratch comes from the calling thread's arena, and every band is
-//     stored row-major (hr x hc). The column passes filter vertically on
-//     those planes, one column per SIMD lane (KernelSet::analyze_mag_cols /
+//     stored row-major. The column passes filter vertically on those
+//     planes, one column per SIMD lane (KernelSet::analyze_mag_cols /
 //     synthesize_cols): in a row-major plane the 8 or 16 floats of one row
 //     are sample r of 8 or 16 adjacent column lines, so nothing is ever
 //     transposed. Extension (and the edge pad of odd sizes) is a per-level
 //     table mapping each extended sample to its source, built once in the
-//     constructor; the next level reads the LL band in place, and the
-//     inverse reads the level below's output plane by stride. Row
-//     synthesis reads its periodic extension in place, from halo columns
-//     of its input planes, and level 0 synthesizes straight into the
-//     per-tree reconstruction planes, so no pass copies a line or a plane
-//     just to re-read it.
+//     constructor;
+//   * planes are packed by column filter. Of a frame's four trees, the two
+//     that filter their columns with the same bank (tree 0 of the first
+//     complex pair and tree 2 of the second, and trees 3 and 1) sit side by
+//     side in one plane of 2*hc columns, so one column-pass call fills the
+//     lanes of both: at the deep levels a lone plane is 22 or 11 columns
+//     wide and would run partly empty blocks. The magnitude pairs the two
+//     packed planes lane by lane, the select rule and the residue average
+//     run over whole packed planes, and the next level's row passes read
+//     each tree's half in place. Level 0 is the exception in both
+//     directions: its forward row passes are shared between the pairs, so
+//     its column pass runs one call per pair, and its inverse column pass
+//     runs one call per tree, because a packed level's row synthesis must
+//     give the second tree a copy of its planes (each tree's halo overlaps
+//     its neighbour) and at level 0's widths packing saves too few lane
+//     blocks to pay for it;
+//   * row synthesis reads its periodic extension in place, from halo
+//     columns of its input planes, and level 0 synthesizes straight into
+//     the per-tree reconstruction planes. Row passes stay one call per tree
+//     and level: two rows side by side would gain nothing, since the phase
+//     gap between them costs as many lane blocks as it saves.
 //
 // The plan is two halves. fuse() is the numerics: always serial, no filter
 // calls, so one frame pair is one unit of host work that any thread can run
@@ -99,8 +114,9 @@ class FusionPlan {
   std::vector<LevelDims> dims_;      // [level]
   std::vector<FilterBank> banks_[2];  // [tree][level], rows and columns alike
   std::vector<ExtTables> ext_[2];     // [tree][level]
-  // Offset of level L's six fused band planes in fuse()'s band block
-  // ([levels] is the block's size), so fuse() allocates them in one call.
+  // Offset of level L's six fused band planes (two packed groups of three
+  // subbands) in fuse()'s band block ([levels] is the block's size), so
+  // fuse() allocates them in one call.
   std::vector<size_t> band_off_;
 };
 

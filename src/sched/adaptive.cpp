@@ -165,7 +165,9 @@ SerialBackend::SerialBackend(BackendKind kind, const RunConfig& config)
       synthesis_factor_(kind == BackendKind::kArm ? 1.0
                                                   : hw::cost::kNeonSynthesisFactor),
       accel_(config.engine, config.driver_costs),
-      router_(router_threshold(kind, config)) {}
+      router_(router_threshold(kind, config),
+              kind == BackendKind::kAdaptive ? config.engine.buffer_words
+                                             : std::numeric_limits<int>::max()) {}
 
 power::ComputeMode SerialBackend::compute_mode() const {
   switch (kind_) {

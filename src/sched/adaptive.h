@@ -135,15 +135,18 @@ void check_engine_fit(const hw::WaveletEngineConfig& engine, int taps,
 
 }  // namespace detail
 
-// Per-line NEON/FPGA routing decision + statistics.
+// Per-line NEON/FPGA routing decision + statistics: a line goes to the
+// FPGA when it has at least `threshold_samples` and at most `max_samples`
+// samples.
 class LineRouter {
  public:
-  explicit LineRouter(int threshold_samples) : threshold_(threshold_samples) {}
+  LineRouter(int threshold_samples, int max_samples)
+      : threshold_(threshold_samples), max_(max_samples) {}
 
   // `line_samples` is the full line request size (payload + filter window),
   // i.e. the number of words the driver would ship to the engine.
   bool use_fpga(int line_samples) {
-    const bool fpga = line_samples >= threshold_;
+    const bool fpga = line_samples >= threshold_ && line_samples <= max_;
     (fpga ? fpga_lines_ : simd_lines_) += 1;
     return fpga;
   }
@@ -153,6 +156,7 @@ class LineRouter {
 
  private:
   int threshold_;
+  int max_;
   long long fpga_lines_ = 0;
   long long simd_lines_ = 0;
 };
@@ -165,9 +169,14 @@ class LineRouter {
 // sets the CPU factors, the threshold, name() and compute_mode():
 //   kArm       ARM model, no line on the engine;
 //   kNeon      NEON model, no line on the engine;
-//   kFpga      threshold 0: every line on the engine (static ARM+FPGA);
+//   kFpga      threshold 0: every line on the engine (static ARM+FPGA); a
+//              line longer than the engine's kernel buffer throws
+//              std::invalid_argument;
 //   kAdaptive  threshold RunConfig::adaptive_threshold_samples, short lines
-//              on the NEON model.
+//              on the NEON model. A line longer than the kernel buffer
+//              (engine.buffer_words) degrades to the NEON model too, so
+//              Adaptive accepts every shape ARM and NEON accept; its time
+//              is then NEON's for those lines.
 // kFpgaBatched is BatchedFpgaBackend's (pipeline.h) and throws
 // std::invalid_argument here.
 class SerialBackend final : public TransformBackend {

@@ -409,16 +409,21 @@ class RecordingFilter : public dwt::LineFilter {
 
 // Shapes that are all block tail (1x16, 16x1), straddle the 8-line block
 // edge (9x7, 33x25), have odd rows at scale (88x71), and the paper's
-// largest frame.
-const sched::FrameSize kPathSizes[] = {{9, 7},  {33, 25}, {1, 16},
-                                       {16, 1}, {88, 71}, {88, 72}};
+// sizes whose packed planes (two chains of hc columns side by side) sit on
+// each lane-width block edge (2hc = 32, 16 and 8 at 32x24) or pad odd deep
+// levels (35x35, 40x40), plus the paper's largest frame. Every test below
+// runs them at levels 1 to kPathLevels.
+const sched::FrameSize kPathSizes[] = {{9, 7},   {33, 25}, {1, 16},  {16, 1},
+                                       {32, 24}, {35, 35}, {40, 40}, {88, 71},
+                                       {88, 72}};
+constexpr int kPathLevels = 6;
 
 // FusionPlan::run must issue exactly the staged pass's calls, in the same
 // order, with the stage changes at the same points, and fuse the same bits.
 TEST(HostPathIdentity, PlanReplaysTheStagedCallSequence) {
   for (const sched::FrameSize& size : kPathSizes) {
     const auto frames = sched::make_sweep_frames(size, 1);
-    for (int levels = 1; levels <= 4; ++levels) {
+    for (int levels = 1; levels <= kPathLevels; ++levels) {
       const std::string label = size.label() + " levels=" + std::to_string(levels);
       dwt::TransformConfig config;
       config.levels = levels;
@@ -444,7 +449,7 @@ TEST(HostPathIdentity, PlanReplaysTheStagedCallSequence) {
 TEST(HostPathIdentity, FuseFramesMatchesTheStagedBitsAndStats) {
   for (const sched::FrameSize& size : kPathSizes) {
     const auto frames = sched::make_sweep_frames(size, 1);
-    for (int levels = 1; levels <= 4; ++levels) {
+    for (int levels = 1; levels <= kPathLevels; ++levels) {
       const std::string label = size.label() + " levels=" + std::to_string(levels);
       fusion::FuseConfig config;
       config.transform.levels = levels;
@@ -474,7 +479,7 @@ TEST(HostParallelIdentity, ScalarAndSimdDispatchFuseIdentically) {
   ASSERT_FALSE(simd::simd_kernel_sets().empty());
   for (const sched::FrameSize& size : kPathSizes) {
     const auto frames = sched::make_sweep_frames(size, 1);
-    for (int levels = 1; levels <= 4; ++levels) {
+    for (int levels = 1; levels <= kPathLevels; ++levels) {
       const std::string label = size.label() + " levels=" + std::to_string(levels);
       dwt::TransformConfig config;
       config.levels = levels;

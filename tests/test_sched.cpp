@@ -104,19 +104,39 @@ TEST(Adaptive, RoutesLongLinesToFpgaAboveTheCrossover) {
   EXPECT_GT(backend.router().lines_on_simd(), 0);
 }
 
-// One buffer-fit rule for every engine model: a line request longer than
-// the 2048-word kernel buffer is refused (4100 samples plus the filter
+// One buffer-fit rule for every static engine model: a line request longer
+// than the 2048-word kernel buffer is refused (4100 samples plus the filter
 // halo), however the line reaches the engine; lines that fit still run.
+// Adaptive routes such lines to NEON instead (next test).
 TEST(Adaptive, OverLongLinesAreRefusedOnEveryEngineModel) {
   for (const sched::BackendKind kind :
-       {sched::BackendKind::kFpga, sched::BackendKind::kAdaptive,
-        sched::BackendKind::kFpgaBatched}) {
+       {sched::BackendKind::kFpga, sched::BackendKind::kFpgaBatched}) {
     const auto wide = sched::make_backend(kind, {});
     EXPECT_THROW(sched::probe_backend(*wide, {4100, 8}, 1), std::invalid_argument)
         << sched::backend_name(kind);
     const auto fits = sched::make_backend(kind, {});
     EXPECT_GT(sched::probe_backend(*fits, {2040, 8}, 1).total.sec(), 0.0)
         << sched::backend_name(kind);
+  }
+}
+
+// Adaptive accepts every shape ARM accepts: a 2050-wide frame's level-0
+// row lines (2050 samples plus the filter window) exceed the kernel buffer
+// and run on NEON, while its deeper lines still reach the engine.
+TEST(Adaptive, OverLongLinesDegradeToNeon) {
+  sched::RunConfig all_fpga;
+  all_fpga.adaptive_threshold_samples = 0;
+  for (const sched::FrameSize size : {sched::FrameSize{2050, 8},
+                                      sched::FrameSize{4100, 8}}) {
+    sched::SerialBackend arm(sched::BackendKind::kArm);
+    EXPECT_GT(sched::probe_backend(arm, size, 1).total.sec(), 0.0) << size.label();
+    for (const sched::RunConfig& config : {sched::RunConfig{}, all_fpga}) {
+      sched::SerialBackend adaptive(sched::BackendKind::kAdaptive, config);
+      EXPECT_GT(sched::probe_backend(adaptive, size, 1).total.sec(), 0.0)
+          << size.label();
+      EXPECT_GT(adaptive.router().lines_on_simd(), 0) << size.label();
+      EXPECT_GT(adaptive.router().lines_on_fpga(), 0) << size.label();
+    }
   }
 }
 

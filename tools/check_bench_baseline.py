@@ -27,7 +27,7 @@ import sys
 
 # Paths containing any of these substrings are host- or harness-dependent,
 # not modeled output. "host"/"wall"/"threads" cover the host config blocks
-# and wall-clock sections (host_wall_clock, host_layout_sweep);
+# and the wall-clock section (bench_pipeline's host_wall_clock);
 # "iterations"/"ns_per_op"/"items_per_second" are google-benchmark
 # wall-clock measurements in the bench_kernels section (its modeled content
 # is the set of benchmark names, which IS checked — a kernel dropping out of
