@@ -5,7 +5,9 @@
 // (analyze, synthesize, magnitude, select, average, the multi-line analyze
 // and synthesize forms and the row and column passes of the fused plan) in
 // both flavours: scalar, and simd at the widest instruction set the host
-// runs (its name is the JSON's simd_isa field).
+// runs (its name is the JSON's simd_isa field). BM_AccountReplay times the
+// serial accounting replay beside them, the host work the modeled
+// accelerator's bookkeeping costs per frame pair.
 //
 // Extra flag (stripped before google-benchmark sees the command line):
 //   --json PATH   write the collected per-benchmark timings as JSON
@@ -19,6 +21,9 @@
 #include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/fusion/dwt_fusion.h"
+#include "src/fusion/fused_plan.h"
+#include "src/sched/adaptive.h"
+#include "src/sched/pipeline.h"
 #include "src/simd/dispatch.h"
 
 namespace {
@@ -254,6 +259,28 @@ void BM_SynthesizeRows(benchmark::State& state, const vf::simd::KernelSet& k) {
   state.SetItemsProcessed(state.iterations() * static_cast<long long>(s.rows) * s.cols);
 }
 
+// The serial accounting replay: TimedFusionRunner::replay_frame_pair on the
+// batched FPGA backend over a 64-frame window of one paper size, with
+// stream capture off (capture:0) and on (capture:1, the window's op lists
+// taken at its end, as pass 1 of a streaming run does). Items are frame
+// pairs.
+void BM_AccountReplay(benchmark::State& state, vf::sched::FrameSize size) {
+  constexpr int kWindow = 64;
+  const bool capture = state.range(0) != 0;
+  const vf::sched::RunConfig rc;
+  const vf::dwt::FusionPlan plan(size.height, size.width, rc.fuse.transform);
+  vf::sched::BatchedFpgaBackend backend(rc);
+  vf::sched::TimedFusionRunner runner(backend, rc.fuse);
+  for (auto _ : state) {
+    if (capture) backend.enable_stream_trace();
+    for (int f = 0; f < kWindow; ++f) {
+      benchmark::DoNotOptimize(runner.replay_frame_pair(plan).times);
+    }
+    if (capture) benchmark::DoNotOptimize(backend.take_stream_trace());
+  }
+  state.SetItemsProcessed(state.iterations() * kWindow);
+}
+
 void register_benches() {
   const vf::simd::KernelSet* sets[] = {&vf::simd::scalar_kernels(),
                                        &vf::simd::simd_kernels()};
@@ -303,6 +330,14 @@ void register_benches() {
         ->Args({72, 88})
         ->Args({36, 44})
         ->Args({18, 22});
+  }
+  for (const vf::sched::FrameSize size : {vf::sched::FrameSize{32, 24},
+                                          vf::sched::FrameSize{88, 72}}) {
+    benchmark::RegisterBenchmark(("BM_AccountReplay/" + size.label()).c_str(),
+                                 BM_AccountReplay, size)
+        ->ArgName("capture")
+        ->Arg(0)
+        ->Arg(1);
   }
 }
 

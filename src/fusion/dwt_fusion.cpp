@@ -1,6 +1,7 @@
 #include "src/fusion/dwt_fusion.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 
@@ -367,42 +368,48 @@ ImageF synthesize_level(const ImageF& ll, const LevelBands& bands,
 
 namespace detail {
 
-FilterBank bank_for_level(const TransformConfig& config, int level, int tree) {
+const FilterBank& bank_for_level(const TransformConfig& config, int level, int tree) {
+  // make_filter_bank fills about ten vectors, and plans and the staged
+  // passes ask for a bank per tree and level, so every bank is built once.
+  // Biorthogonal banks have no q-shift mate: tree B is the one-sample
+  // delayed bank (Kingsbury's level-1 construction). A q-shift tree B is
+  // the time-reversed mate (half-sample delay).
+  static const std::array<std::array<FilterBank, 2>, 4> banks = [] {
+    std::array<std::array<FilterBank, 2>, 4> t;
+    for (const Wavelet w : {Wavelet::kLeGall53, Wavelet::kCdf97,
+                            Wavelet::kQshift14A, Wavelet::kQshift14B}) {
+      auto& pair = t[static_cast<int>(w)];
+      if (w == Wavelet::kQshift14A || w == Wavelet::kQshift14B) {
+        pair[0] = make_filter_bank(w);
+        pair[1] = make_filter_bank(w == Wavelet::kQshift14A ? Wavelet::kQshift14B
+                                                            : Wavelet::kQshift14A);
+      } else {
+        pair[0] = make_filter_bank(w, 0);
+        pair[1] = make_filter_bank(w, 1);
+      }
+    }
+    return t;
+  }();
   const Wavelet base = level == 0 ? config.level1 : Wavelet::kQshift14A;
-  switch (base) {
-    // Q-shift pairs: tree B is the time-reversed mate (half-sample delay).
-    case Wavelet::kQshift14A:
-      return make_filter_bank(tree ? Wavelet::kQshift14B : base);
-    case Wavelet::kQshift14B:
-      return make_filter_bank(tree ? Wavelet::kQshift14A : base);
-    // Biorthogonal banks have no q-shift mate; tree B is the one-sample
-    // delayed bank (Kingsbury's level-1 construction).
-    case Wavelet::kLeGall53:
-    case Wavelet::kCdf97:
-      return make_filter_bank(base, tree ? 1 : 0);
-  }
-  return make_filter_bank(base, tree ? 1 : 0);
+  return banks[static_cast<int>(base)][tree ? 1 : 0];
 }
 
 // Serial replay of one tree's forward accounting: re-derives the per-level
 // line dimensions (they depend only on the input size, never on the data)
 // and issues the exact account/barrier sequence the serial combined path
-// would have interleaved with the numerics.
+// would have interleaved with the numerics, one run per pass.
 void account_forward_tree(int rows, int cols, const TransformConfig& config,
-                          const FilterBank* row_banks,
-                          const FilterBank* col_banks, LineFilter& f) {
+                          int row_tree, int col_tree, LineFilter& f) {
   int r = rows, c = cols;
   for (int level = 0; level < config.levels; ++level) {
-    const int row_taps = row_banks[level].taps();
-    const int col_taps = col_banks[level].taps();
+    const int row_taps = bank_for_level(config, level, row_tree).taps();
+    const int col_taps = bank_for_level(config, level, col_tree).taps();
     const int rp = r + (r & 1);
     const int cp = c + (c & 1);
-    for (int i = 0; i < rp; ++i) f.account_analyze(cp / 2, row_taps);
+    f.account_analyze_lines(rp, cp / 2, row_taps);
     f.barrier();
-    for (int i = 0; i < cp / 2; ++i) {
-      f.account_analyze(rp / 2, col_taps);
-      f.account_analyze(rp / 2, col_taps);
-    }
+    // Two columns (row-lo and row-hi) per output column.
+    f.account_analyze_lines(cp, rp / 2, col_taps);
     f.barrier();
     r = rp / 2;
     c = cp / 2;
@@ -413,8 +420,7 @@ void account_forward_tree(int rows, int cols, const TransformConfig& config,
 // TreePyramid: the per-level pre-padding dims are re-derived from the input
 // size exactly as forward_tree records them in bands.in_rows/in_cols.
 void account_inverse_tree(int rows, int cols, const TransformConfig& config,
-                          const FilterBank* row_banks,
-                          const FilterBank* col_banks, LineFilter& f) {
+                          int row_tree, int col_tree, LineFilter& f) {
   // Recomputed per level rather than tabulated, so the replay allocates
   // nothing.
   const auto dim_at = [](int n, int level) {
@@ -423,16 +429,12 @@ void account_inverse_tree(int rows, int cols, const TransformConfig& config,
   };
   int rp2 = dim_at(rows, config.levels), cp2 = dim_at(cols, config.levels);
   for (int level = config.levels - 1; level >= 0; --level) {
-    const int col_staps = col_banks[level].synth_taps();
-    const int row_staps = row_banks[level].synth_taps();
-    for (int i = 0; i < cp2; ++i) {
-      f.account_synthesize(rp2, col_staps);
-      f.account_synthesize(rp2, col_staps);
-    }
+    const int col_staps = bank_for_level(config, level, col_tree).synth_taps();
+    const int row_staps = bank_for_level(config, level, row_tree).synth_taps();
+    // Two columns (lo and hi rows of the output) per subband column.
+    f.account_synthesize_lines(2 * cp2, rp2, col_staps);
     f.barrier();
-    for (int i = 0; i < 2 * rp2; ++i) {
-      f.account_synthesize(cp2, row_staps);
-    }
+    f.account_synthesize_lines(2 * rp2, cp2, row_staps);
     f.barrier();
     rp2 = dim_at(rows, level);
     cp2 = dim_at(cols, level);
@@ -451,8 +453,8 @@ TreePyramid forward_tree(const ImageF& img, const TransformConfig& config,
   const ImageF* current = &img;
   ImageF own;
   for (int level = 0; level < config.levels; ++level) {
-    const FilterBank row_bank = detail::bank_for_level(config, level, row_tree);
-    const FilterBank col_bank = detail::bank_for_level(config, level, col_tree);
+    const FilterBank& row_bank = detail::bank_for_level(config, level, row_tree);
+    const FilterBank& col_bank = detail::bank_for_level(config, level, col_tree);
     LevelBands bands;
     bands.in_rows = current->rows();
     bands.in_cols = current->cols();
@@ -476,8 +478,8 @@ ImageF inverse_tree(const TreePyramid& pyr, const TransformConfig& config,
   std::vector<float> scratch;
   ImageF current = pyr.ll;
   for (int level = static_cast<int>(pyr.levels.size()) - 1; level >= 0; --level) {
-    const FilterBank row_bank = detail::bank_for_level(config, level, row_tree);
-    const FilterBank col_bank = detail::bank_for_level(config, level, col_tree);
+    const FilterBank& row_bank = detail::bank_for_level(config, level, row_tree);
+    const FilterBank& col_bank = detail::bank_for_level(config, level, col_tree);
     current = synthesize_level(current, pyr.levels[level], row_bank, col_bank, filter,
                                scratch);
   }

@@ -86,8 +86,11 @@ enum class Stage { kPrep, kForward, kFusion, kInverse };
 //                safe by construction — the frame fan-out
 //                (sched::detail::measure_frames) calls them from pool
 //                workers, one whole frame per worker.
-//   account_*()  modeled-time / statistics bookkeeping: exactly one call per
+//   account_*()  modeled-time / statistics bookkeeping: one charge per
 //                line, in canonical line order, always on the caller thread.
+//                A pass of identical lines (every row of a row pass, every
+//                column of a column pass) arrives as one run,
+//                account_*_lines; the default charges it line by line.
 //                Accounting is inherently order-dependent (double-precision
 //                ledgers, accelerator double-buffer state, event-queue
 //                scheduling), so it is never fanned out; the fan-out runs
@@ -126,6 +129,16 @@ class LineFilter {
     (void)pairs;
     (void)taps;
   }
+  // A run of `lines` identical requests: the same charges as `lines` calls
+  // of the per-line method, which the default makes. A filter overrides a
+  // run form only where charging the run at once is exact, i.e. its ledger
+  // ends bit for bit where the per-line calls would leave it.
+  virtual void account_analyze_lines(int lines, int out_len, int taps) {
+    for (int i = 0; i < lines; ++i) account_analyze(out_len, taps);
+  }
+  virtual void account_synthesize_lines(int lines, int pairs, int taps) {
+    for (int i = 0; i < lines; ++i) account_synthesize(pairs, taps);
+  }
   virtual void account_magnitude(int n) { (void)n; }
   virtual void account_select(int n) { (void)n; }
 
@@ -152,12 +165,19 @@ class ScalarLineFilter : public LineFilter {
  public:
   const simd::KernelSet& kernels() const override { return simd::scalar_kernels(); }
   void account_analyze(int out_len, int taps) override {
-    stats_.analysis_macs += 2LL * out_len * taps;
-    stats_.analysis_lines += 1;
+    account_analyze_lines(1, out_len, taps);
   }
   void account_synthesize(int pairs, int taps) override {
-    stats_.synthesis_macs += 2LL * pairs * taps;
-    stats_.synthesis_lines += 1;
+    account_synthesize_lines(1, pairs, taps);
+  }
+  // Integer counters: a run's sums equal the per-line ones exactly.
+  void account_analyze_lines(int lines, int out_len, int taps) override {
+    stats_.analysis_macs += 2LL * out_len * taps * lines;
+    stats_.analysis_lines += lines;
+  }
+  void account_synthesize_lines(int lines, int pairs, int taps) override {
+    stats_.synthesis_macs += 2LL * pairs * taps * lines;
+    stats_.synthesis_lines += lines;
   }
 
   void reset_stats() { stats_ = {}; }
@@ -250,22 +270,20 @@ image::ImageF inverse_dtcwt(const DtcwtPyramid& pyr, const TransformConfig& conf
 namespace detail {
 
 // The bank a given tree applies at a given level (tree B = one-sample delay
-// at level 1, reversed q-shift at levels >= 2).
-FilterBank bank_for_level(const TransformConfig& config, int level, int tree);
+// at level 1, reversed q-shift at levels >= 2). Every bank comes from one
+// table built on first use (4 wavelets x 2 trees), so a lookup allocates
+// nothing and the reference stays valid for the life of the program.
+const FilterBank& bank_for_level(const TransformConfig& config, int level, int tree);
 
 // Replay one tree's forward / inverse account_*/barrier() sequence for an
 // input of the given pre-padding dims — the exact sequence the staged
 // forward_tree/inverse_tree emit, derived from shapes alone (accounting
-// never reads sample values). The per-level banks (row_banks[level] /
-// col_banks[level], config.levels each) come from the caller: the fused plan
-// replays twelve tree accountings per frame pair, and rebuilding the banks
-// per tree dominated the replay cost.
+// never reads sample values). Each row pass and each column pass is one
+// account_*_lines run.
 void account_forward_tree(int rows, int cols, const TransformConfig& config,
-                          const FilterBank* row_banks,
-                          const FilterBank* col_banks, LineFilter& f);
+                          int row_tree, int col_tree, LineFilter& f);
 void account_inverse_tree(int rows, int cols, const TransformConfig& config,
-                          const FilterBank* row_banks,
-                          const FilterBank* col_banks, LineFilter& f);
+                          int row_tree, int col_tree, LineFilter& f);
 
 }  // namespace detail
 

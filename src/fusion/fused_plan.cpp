@@ -20,9 +20,16 @@ using image::ImageF;
 constexpr int kPairRe[2] = {0, 1};
 constexpr int kPairIm[2] = {3, 2};
 
-int wrap(int k, int n) {
-  k %= n;
-  return k < 0 ? k + n : k;
+// out[k] = min((k - offset) mod n, clamp) for k < len: a periodic
+// extension table, filled by walking the period rather than taking a
+// remainder per entry.
+void fill_periodic(int* out, int len, int offset, int n, int clamp) {
+  int j = (-offset) % n;
+  if (j < 0) j += n;
+  for (int k = 0; k < len; ++k) {
+    out[k] = std::min(j, clamp);
+    if (++j == n) j = 0;
+  }
 }
 
 // Plane sizes inside one arena allocation round up to a 64-byte line, as
@@ -38,66 +45,60 @@ FusionPlan::FusionPlan(int rows, int cols, const TransformConfig& config)
                                 std::to_string(rows) + "x" + std::to_string(cols) +
                                 " at " + std::to_string(config.levels) + " levels");
   }
+  // Two allocations at any depth: the level records and one block holding
+  // every (tree, level)'s extension tables.
+  dims_.resize(static_cast<size_t>(config.levels));
+  size_t ext_len = 0;
   int r = rows, c = cols;
-  dims_.reserve(config.levels);
   for (int level = 0; level < config.levels; ++level) {
-    LevelDims d;
+    LevelDims& d = dims_[level];
     d.r = r;
     d.c = c;
     d.rp = r + (r & 1);
     d.cp = c + (c & 1);
     d.hr = d.rp / 2;
     d.hc = d.cp / 2;
-    dims_.push_back(d);
-    r = d.hr;
-    c = d.hc;
-  }
-  band_off_.assign(static_cast<size_t>(config.levels) + 1, 0);
-  for (int level = 0; level < config.levels; ++level) {
-    const LevelDims& d = dims_[level];
-    band_off_[level + 1] =
-        band_off_[level] + 6 * line_aligned(2 * static_cast<size_t>(d.hr) * d.hc);
-  }
-  // Row and column passes of a tree share its bank at every level.
-  for (int tree = 0; tree < 2; ++tree) {
-    banks_[tree].reserve(config.levels);
-    ext_[tree].reserve(config.levels);
-    for (int level = 0; level < config.levels; ++level) {
-      const LevelDims& d = dims_[level];
-      const FilterBank& bank =
-          banks_[tree].emplace_back(detail::bank_for_level(config_, level, tree));
+    d.band_off = band_floats_;
+    band_floats_ += 6 * line_aligned(2 * static_cast<size_t>(d.hr) * d.hc);
+    // Row and column passes of a tree share its bank at every level.
+    for (int tree = 0; tree < 2; ++tree) {
+      const FilterBank& bank = detail::bank_for_level(config_, level, tree);
       // analyze_mag_cols filters the re and im planes through one tap loop,
       // and the column kernels hold one row pointer per tap; make_filter_bank
       // keeps tree A and tree B on the same window widths (the level-1 delay
       // shifts both window ends; the q-shift reversal stays inside the same
       // 14-tap window), all well inside kMaxTaps.
       assert(bank.taps() <= simd::kMaxTaps && bank.synth_taps() <= simd::kMaxTaps);
+      assert(bank.taps() == detail::bank_for_level(config_, level, 0).taps());
+      assert(bank.synth_taps() == detail::bank_for_level(config_, level, 0).synth_taps());
       // synthesize_rows reads its extension in place, inside the halo.
       assert(bank.synthesis_offset >= 0 && bank.synthesis_offset <= bank.synth_taps());
-      ExtTables e;
+      d.bank[tree] = &bank;
+      d.row_cols[tree] = ext_len;
+      ext_len += static_cast<size_t>(d.cp + bank.taps());
+      d.col_rows[tree] = ext_len;
+      ext_len += static_cast<size_t>(d.rp + bank.taps());
+      d.col_synth[tree] = ext_len;
+      ext_len += static_cast<size_t>(d.rp + bank.synth_taps());
+    }
+    r = d.hr;
+    c = d.hc;
+  }
+  ext_.resize(ext_len);
+  for (const LevelDims& d : dims_) {
+    for (int tree = 0; tree < 2; ++tree) {
+      const FilterBank& bank = *d.bank[tree];
       // Row analysis: the periodic extension of the padded row (column
       // cp - 1 replicates column c - 1 when c is odd).
-      e.row_cols.resize(static_cast<size_t>(d.cp + bank.taps()));
-      for (int k = 0; k < d.cp + bank.taps(); ++k) {
-        e.row_cols[k] = std::min(wrap(k - bank.analysis_offset, d.cp), d.c - 1);
-      }
+      fill_periodic(&ext_[d.row_cols[tree]], d.cp + bank.taps(), bank.analysis_offset,
+                    d.cp, d.c - 1);
       // Column analysis over the rp rows of a row-pass output.
-      e.col_rows.resize(static_cast<size_t>(d.rp + bank.taps()));
-      for (int k = 0; k < d.rp + bank.taps(); ++k) {
-        e.col_rows[k] = wrap(k - bank.analysis_offset, d.rp);
-      }
+      fill_periodic(&ext_[d.col_rows[tree]], d.rp + bank.taps(), bank.analysis_offset,
+                    d.rp, d.rp - 1);
       // Column synthesis: stream row of the interleaved lo/hi extension.
-      e.col_synth.resize(static_cast<size_t>(d.rp + bank.synth_taps()));
-      for (int k = 0; k < d.rp + bank.synth_taps(); ++k) {
-        e.col_synth[k] = wrap(k - bank.synthesis_offset, d.rp);
-      }
-      ext_[tree].push_back(std::move(e));
+      fill_periodic(&ext_[d.col_synth[tree]], d.rp + bank.synth_taps(),
+                    bank.synthesis_offset, d.rp, d.rp - 1);
     }
-  }
-  for (int level = 0; level < config.levels; ++level) {
-    assert(banks_[0][level].taps() == banks_[1][level].taps());
-    assert(banks_[0][level].synth_taps() == banks_[1][level].synth_taps());
-    (void)level;
   }
 }
 
@@ -136,8 +137,8 @@ ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
   auto row_pass = [&](const float* src, int src_stride, int L, int tree,
                       float* rowlo, float* rowhi, int out_stride) {
     const LevelDims& d = dims_[L];
-    const FilterBank& bank = banks_[tree][L];
-    k.analyze_rows(src, src_stride, d.r, d.rp, ext_[tree][L].row_cols.data(), d.hc,
+    const FilterBank& bank = *d.bank[tree];
+    k.analyze_rows(src, src_stride, d.r, d.rp, ext(d.row_cols[tree]), d.hc,
                    bank.lp.data(), bank.hp.data(), bank.taps(), rowlo, rowhi,
                    out_stride);
   };
@@ -151,13 +152,13 @@ ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
   // lane, since column j of both is the same pair's two sides (swapped for
   // pair 1; the sum of their squares does not depend on the order).
 
-  // Fused band planes of both groups, all in one block (band_off_);
+  // Fused band planes of both groups, all in one block (band_off);
   // fused_at(g, L, sb): sb in {0=lh, 1=hl, 2=hh}. Frame A's bands are
   // written straight into them and the select rule fuses frame B's in place.
-  float* const fused_bands = outer.alloc(band_off_[D]);
+  float* const fused_bands = outer.alloc(band_floats_);
   auto fused_at = [&](int g, int L, int sb) {
     const size_t q = line_aligned(2 * static_cast<size_t>(dims_[L].hr) * dims_[L].hc);
-    return fused_bands + band_off_[L] + static_cast<size_t>(g * 3 + sb) * q;
+    return fused_bands + dims_[L].band_off + static_cast<size_t>(g * 3 + sb) * q;
   };
 
   // Level-0 row passes, shared across the two complex pairs: in both pairs
@@ -185,10 +186,10 @@ ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
     const LevelDims& dl = dims_[L];
     const int w = 2 * dl.hc;
     const size_t q = static_cast<size_t>(dl.hr) * w;
-    const FilterBank& cb0 = banks_[0][L];
-    const FilterBank& cb1 = banks_[1][L];
-    const int* ext0 = ext_[0][L].col_rows.data();
-    const int* ext1 = ext_[1][L].col_rows.data();
+    const FilterBank& cb0 = *dl.bank[0];
+    const FilterBank& cb1 = *dl.bank[1];
+    const int* ext0 = ext(dl.col_rows[0]);
+    const int* ext1 = ext(dl.col_rows[1]);
 
     // ll_next[x][g]: this level's residues, which outlive its scope.
     float* ll_next[2][2];
@@ -284,8 +285,8 @@ ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
     for (int L = DL; L >= 0; --L) {
       const LevelDims& dl = dims_[L];
       const int w = 2 * dl.hc;
-      const FilterBank& colb = banks_[g][L];
-      const int* ext = ext_[g][L].col_synth.data();
+      const FilterBank& colb = *dl.bank[g];
+      const int* ext_rows = ext(dl.col_synth[g]);
       // Level L > 0 writes the next level's packed lowpass input (chain 1
       // from column c, that level's hc: chain 0's cp - c pad columns land
       // under it before chain 1 overwrites them); level 0 writes each
@@ -297,7 +298,7 @@ ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
       // packing saves few lane blocks (none for 2 x 44 columns on 16
       // lanes), and a packed level needs the plane copy below.
       const int n = L > 0 ? 2 : 1;  // chains per column-synthesis call
-      const int halo = simd::synth_row_halo(banks_[0][L].synth_taps());
+      const int halo = simd::synth_row_halo(dl.bank[0]->synth_taps());
       const int stride = n * dl.hc + 2 * halo;
 
       for (int p0 = 0; p0 < 2; p0 += n) {
@@ -309,10 +310,10 @@ ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
         float* rowhi = planes.alloc(static_cast<size_t>(dl.rp) * stride) + halo;
         const size_t at = static_cast<size_t>(p0) * dl.hc;
         k.synthesize_cols(ll_in + at, ll_stride, fused_at(g, L, 0) + at, w, n * dl.hc,
-                          ext, dl.hr, colb.ca.data(), colb.cb.data(),
+                          ext_rows, dl.hr, colb.ca.data(), colb.cb.data(),
                           colb.synth_taps(), rowlo, stride);
         k.synthesize_cols(fused_at(g, L, 1) + at, w, fused_at(g, L, 2) + at, w,
-                          n * dl.hc, ext, dl.hr, colb.ca.data(), colb.cb.data(),
+                          n * dl.hc, ext_rows, dl.hr, colb.ca.data(), colb.cb.data(),
                           colb.synth_taps(), rowhi, stride);
 
         // Chain i's row synthesis reads planes lo[i], hi[i]. Packed, each
@@ -330,7 +331,7 @@ ImageF FusionPlan::fuse(const ImageF& a, const ImageF& b,
         for (int i = 0; i < n; ++i) {
           const int p = p0 + i;
           const int side = p ^ g;
-          const FilterBank& rowb = banks_[side][L];
+          const FilterBank& rowb = *dl.bank[side];
           float* out = L > 0 ? padded + p * dl.c
                              : recon[side == 0 ? kPairRe[p] : kPairIm[p]];
           k.synthesize_rows(lo[i] + i * dl.hc, hi[i] + i * dl.hc, stride, dl.rp,
@@ -363,9 +364,7 @@ void FusionPlan::replay(LineFilter& f) const {
   f.begin_stage(Stage::kForward);
   for (int x = 0; x < 2; ++x) {
     for (int t = 0; t < 4; ++t) {
-      detail::account_forward_tree(rows_, cols_, config_,
-                                   banks_[t >> 1].data(),
-                                   banks_[t & 1].data(), f);
+      detail::account_forward_tree(rows_, cols_, config_, t >> 1, t & 1, f);
     }
     (void)x;
   }
@@ -383,9 +382,7 @@ void FusionPlan::replay(LineFilter& f) const {
   }
   f.begin_stage(Stage::kInverse);
   for (int t = 0; t < 4; ++t) {
-    detail::account_inverse_tree(rows_, cols_, config_,
-                                 banks_[t >> 1].data(),
-                                 banks_[t & 1].data(), f);
+    detail::account_inverse_tree(rows_, cols_, config_, t >> 1, t & 1, f);
   }
 }
 

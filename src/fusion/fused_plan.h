@@ -97,27 +97,29 @@ class FusionPlan {
   void replay(LineFilter& filter) const;
 
  private:
+  // One level: its dims, and per tree (rows and columns alike) the bank and
+  // the extension tables of kernels.h's plane kernels, as offsets into ext_.
   struct LevelDims {
     int r, c;    // pre-padding input dims of this level
     int rp, cp;  // padded (even) dims
     int hr, hc;  // subband dims (rp/2, cp/2)
+    const FilterBank* bank[2];
+    size_t row_cols[2];   // row analysis: source column, cp + taps
+    size_t col_rows[2];   // column analysis: source row, rp + taps
+    size_t col_synth[2];  // column synthesis: stream row, rp + synth_taps
+    // Offset of this level's six fused band planes (two packed groups of
+    // three subbands) in fuse()'s band block, so fuse() allocates them in
+    // one call.
+    size_t band_off;
   };
-  // Extension tables of one (tree, level), see kernels.h's plane kernels.
-  struct ExtTables {
-    std::vector<int> row_cols;   // row analysis: source column, cp + taps
-    std::vector<int> col_rows;   // column analysis: source row, rp + taps
-    std::vector<int> col_synth;  // column synthesis: stream row, rp + synth_taps
-  };
+
+  const int* ext(size_t offset) const { return ext_.data() + offset; }
 
   int rows_ = 0, cols_ = 0;
   TransformConfig config_;
-  std::vector<LevelDims> dims_;      // [level]
-  std::vector<FilterBank> banks_[2];  // [tree][level], rows and columns alike
-  std::vector<ExtTables> ext_[2];     // [tree][level]
-  // Offset of level L's six fused band planes (two packed groups of three
-  // subbands) in fuse()'s band block ([levels] is the block's size), so
-  // fuse() allocates them in one call.
-  std::vector<size_t> band_off_;
+  std::vector<LevelDims> dims_;  // [level]
+  std::vector<int> ext_;         // every level's extension tables
+  size_t band_floats_ = 0;       // fuse()'s band block
 };
 
 }  // namespace vf::dwt

@@ -281,7 +281,8 @@ class PipelinedWaveletAccelerator {
   // Queues one line into the current batch, closing the batch first if the
   // line would overflow the kernel buffer or the per-call line cap. Throws
   // std::invalid_argument (check_line_fits) for a line longer than the
-  // kernel buffer; nothing is queued then.
+  // kernel buffer; nothing is queued then. The reference submit_lines is
+  // held to (PipelinedAccelerator.SubmitLinesMatchesLineByLine).
   void submit_line(int words_in, int words_out, double compute_cycles) {
     check_line_fits(engine_, words_in);
     if (pending_lines_ > 0 &&
@@ -294,6 +295,39 @@ class PipelinedWaveletAccelerator {
     pending_.words_out += words_out;
     pending_.compute_cycles += compute_cycles;
     ++lines_;
+  }
+
+  // Queues a run of `lines` identical lines: the same batches as `lines`
+  // submit_line calls, placed a batch at a time. Each step adds as many of
+  // the run's lines as the line cap and the buffer words leave room for,
+  // and a batch is closed only where the next line would not fit, so batch
+  // boundaries fall where the per-line calls put them. Adding k lines at
+  // once is exact while `compute_cycles` is integral (as
+  // hw::cost::engine_compute_cycles is): k * compute_cycles and every
+  // partial sum are then integers a double holds exactly, and the word
+  // counts are ints. Throws like submit_line for an over-long line, before
+  // anything is queued; a run of 0 lines queues nothing.
+  void submit_lines(int lines, int words_in, int words_out, double compute_cycles) {
+    if (lines <= 0) return;
+    check_line_fits(engine_, words_in);
+    const int cap = std::max(batching_.max_lines_per_call, 1);
+    while (lines > 0) {
+      if (pending_lines_ > 0 &&
+          (pending_lines_ >= cap ||
+           pending_.words_in + words_in > engine_.buffer_words)) {
+        close_batch();
+      }
+      int k = std::min(lines, cap - pending_lines_);
+      if (words_in > 0) {
+        k = std::min(k, (engine_.buffer_words - pending_.words_in) / words_in);
+      }
+      pending_lines_ += k;
+      pending_.words_in += k * words_in;
+      pending_.words_out += k * words_out;
+      pending_.compute_cycles += k * compute_cycles;
+      lines_ += k;
+      lines -= k;
+    }
   }
 
   // Data-dependency fence: lines submitted after the barrier consume outputs
@@ -323,8 +357,9 @@ class PipelinedWaveletAccelerator {
 
  private:
   // Out of line on purpose: inlined into every caller of submit_line (the
-  // per-line accounting path), the once-per-batch placement slowed the
-  // per-line calls, and paper_88x72 host_fps read ~2.6% lower.
+  // accounting path when it charged line by line), the once-per-batch
+  // placement slowed the per-line calls, and paper_88x72 host_fps read ~2.6%
+  // lower.
   [[gnu::noinline]] void close_batch() {
     if (pending_lines_ == 0) return;
     // dep_ready_: outputs these lines depend on (barrier()). Chains persist

@@ -2,7 +2,8 @@
 // full multi-frame pipelined fusion must not create a single new arena
 // block (src/common/arena.h documents the contract; this file is the
 // enforcement), replaying a frame's accounting must not call the global
-// operator new at all, and fusing a frame pair calls it once, for the result.
+// operator new at all, fusing a frame pair calls it once, for the result, and
+// building a plan calls it as often at any depth.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -175,6 +176,31 @@ TEST(ArenaZeroAlloc, AccountingReplayAllocatesNothing) {
   }
   EXPECT_EQ(g_news.load() - before, 0);
   EXPECT_GT(total.sec(), 0.0);
+}
+
+// Building a FusionPlan makes the same number of heap allocations at any
+// depth: the banks come from the shared table by pointer, and every
+// (tree, level)'s extension tables share one block. The timed runners build
+// a plan per frame pair, so a per-level cost here would grow with depth.
+TEST(ArenaZeroAlloc, PlanConstructionAllocationsDoNotGrowWithDepth) {
+  for (const sched::FrameSize size : {sched::FrameSize{32, 24},
+                                      sched::FrameSize{88, 72},
+                                      sched::FrameSize{33, 25}}) {
+    auto news = [&](int levels) {
+      dwt::TransformConfig config;
+      config.levels = levels;
+      (void)dwt::FusionPlan(size.height, size.width, config);  // banks built
+      const long long before = g_news.load();
+      const dwt::FusionPlan plan(size.height, size.width, config);
+      return g_news.load() - before;
+    };
+    const long long one_level = news(1);
+    EXPECT_GT(one_level, 0);
+    for (int levels = 2; levels <= 6; ++levels) {
+      EXPECT_EQ(news(levels), one_level)
+          << size.width << "x" << size.height << " levels=" << levels;
+    }
+  }
 }
 
 // FusionPlan::fuse makes exactly one heap allocation per call, the image it

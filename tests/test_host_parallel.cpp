@@ -444,6 +444,97 @@ TEST(HostPathIdentity, PlanReplaysTheStagedCallSequence) {
   }
 }
 
+// Forwards every call to a backend one line at a time: a run reaches it as
+// that many per-line calls (the LineFilter default), the sequence its run
+// forms must charge identically.
+class LineByLine : public dwt::LineFilter {
+ public:
+  explicit LineByLine(sched::TransformBackend& inner) : inner_(inner) {}
+  void barrier() override { inner_.barrier(); }
+  void begin_stage(dwt::Stage stage) override { inner_.begin_stage(stage); }
+  void account_analyze(int out_len, int taps) override {
+    inner_.account_analyze(out_len, taps);
+  }
+  void account_synthesize(int pairs, int taps) override {
+    inner_.account_synthesize(pairs, taps);
+  }
+  void account_magnitude(int n) override { inner_.account_magnitude(n); }
+  void account_select(int n) override { inner_.account_select(n); }
+
+ private:
+  sched::TransformBackend& inner_;
+};
+
+bool same_batch(const driver::Batch& a, const driver::Batch& b) {
+  return a.words_in == b.words_in && a.words_out == b.words_out &&
+         a.compute_cycles == b.compute_cycles && a.after_barrier == b.after_barrier;
+}
+
+bool same_op(const sched::detail::StreamOp& a, const sched::detail::StreamOp& b) {
+  return a.kind == b.kind && a.stage == b.stage && a.ps == b.ps &&
+         same_batch(a.batch, b.batch);
+}
+
+bool same_times(const sched::StageTimes& a, const sched::StageTimes& b) {
+  return a.prep == b.prep && a.forward == b.forward && a.fusion == b.fusion &&
+         a.inverse == b.inverse;
+}
+
+// BatchedFpgaBackend charges each row and column pass of the plan's replay
+// as one run. Fed the same replay line by line (LineByLine), it must end
+// every frame with the same stage times and PL split and capture the same
+// op lists, bit for bit, at every path shape and depth, with flat driver
+// entries and with descriptor chains (two frames each, so the second starts
+// on the first's buffer and chain state).
+TEST(HostPathIdentity, BatchedRunsChargeLikeLineByLine) {
+  for (const sched::FrameSize& size : kPathSizes) {
+    for (int levels = 1; levels <= kPathLevels; ++levels) {
+      for (const int chain : {1, 8}) {
+        const std::string label = size.label() + " levels=" + std::to_string(levels) +
+                                  " chain=" + std::to_string(chain);
+        sched::RunConfig rc;
+        rc.fuse.transform.levels = levels;
+        rc.batching.sg_chain_len = chain;
+        const dwt::FusionPlan plan(size.height, size.width, rc.fuse.transform);
+        sched::BatchedFpgaBackend runs(rc), lines(rc);
+        runs.enable_stream_trace();
+        lines.enable_stream_trace();
+        sched::TimedFusionRunner runner(runs, rc.fuse);
+        LineByLine adapter(lines);
+        for (int frame = 0; frame < 2; ++frame) {
+          const sched::FrameRunResult want = runner.replay_frame_pair(plan);
+          // replay_frame_pair's steps, with the replay routed through the
+          // adapter.
+          lines.begin_frame();
+          lines.begin_stage(dwt::Stage::kPrep);
+          lines.charge(lines.prep_time(2 * plan.rows() * plan.cols()));
+          plan.replay(adapter);
+          lines.finish_frame();
+          EXPECT_TRUE(same_times(want.times, lines.frame_times()))
+              << label << " frame " << frame;
+          EXPECT_TRUE(same_times(want.pl_times, lines.frame_pl_times()))
+              << label << " frame " << frame;
+        }
+        const driver::PipelinedWaveletAccelerator& a = runs.accelerator();
+        const driver::PipelinedWaveletAccelerator& b = lines.accelerator();
+        EXPECT_EQ(a.lines(), b.lines()) << label;
+        EXPECT_EQ(a.driver_calls(), b.driver_calls()) << label;
+        EXPECT_EQ(a.chain_heads(), b.chain_heads()) << label;
+        const auto got = runs.take_stream_trace();
+        const auto want = lines.take_stream_trace();
+        ASSERT_EQ(got.size(), want.size()) << label;
+        for (std::size_t f = 0; f < got.size(); ++f) {
+          ASSERT_EQ(got[f].size(), want[f].size()) << label << " frame " << f;
+          for (std::size_t i = 0; i < got[f].size(); ++i) {
+            EXPECT_TRUE(same_op(got[f][i], want[f][i]))
+                << label << " frame " << f << " op " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 // fuse_frames takes the plan; with scalar kernels it must match the staged
 // scalar reference bit for bit and count the same MACs and lines.
 TEST(HostPathIdentity, FuseFramesMatchesTheStagedBitsAndStats) {

@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/timeline.h"
+#include "src/hw/cost_constants.h"
 #include "src/hw/driver.h"
 #include "src/sched/pipeline.h"
 
@@ -257,6 +261,100 @@ TEST(PipelinedAccelerator, DoubleBufferingOverlapsFillWithProcessing) {
     return tl.makespan();
   };
   EXPECT_LT(makespan(true).sec(), makespan(false).sec());
+}
+
+// submit_lines(n, ...) must place exactly the batches of n submit_line
+// calls. Twin accelerators on twin clocks take the same seeded sequence of
+// runs (0, 1 or many lines; short lines, and long ones of which only 1-3
+// fit a batch), barriers and flushes, one as runs and one line by line, at
+// several line caps and chain lengths; runs often start mid-batch. Every
+// traced batch, the counters and the clocks must then agree bit for bit.
+TEST(PipelinedAccelerator, SubmitLinesMatchesLineByLine) {
+  const int kTaps[] = {5, 7, 9, 14, 16};
+  for (const int cap : {1, 16, 64}) {
+    for (const int chain : {1, 8}) {
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        const std::string label = "cap " + std::to_string(cap) + " chain " +
+                                  std::to_string(chain) + " seed " +
+                                  std::to_string(seed);
+        const driver::PipelinedWaveletAccelerator::Batching batching{cap, chain};
+        ResourceClocks run_clocks, line_clocks;
+        for (ResourceClocks* c : {&run_clocks, &line_clocks}) {
+          for (int r = 0; r < 3; ++r) c->add_resource();
+        }
+        driver::PipelinedWaveletAccelerator runs({}, {}, batching, &run_clocks, 0, 1, 2);
+        driver::PipelinedWaveletAccelerator lines({}, {}, batching, &line_clocks, 0, 1,
+                                                  2);
+        std::vector<driver::Batch> run_trace, line_trace;
+        runs.set_trace(&run_trace);
+        lines.set_trace(&line_trace);
+        Rng rng(0x5b1e5ull * seed + 131u * cap + chain);
+        for (int step = 0; step < 300; ++step) {
+          const int action = rng.next_index(12);
+          if (action == 0) {
+            runs.barrier();
+            lines.barrier();
+            continue;
+          }
+          if (action == 1) {
+            EXPECT_TRUE(runs.flush() == lines.flush()) << label << " step " << step;
+            continue;
+          }
+          const int kind = rng.next_index(4);
+          const int n = kind == 0 ? 0 : kind == 1 ? 1 : 2 + rng.next_index(90);
+          const int taps = kTaps[rng.next_index(5)];
+          // Long lines of 513 to 2048 words, of which only 1-3 fit the
+          // 2048-word buffer; short ones pack dozens.
+          const int outputs = rng.next_index(3) == 0 ? 254 + rng.next_index(763)
+                                                     : 1 + rng.next_index(100);
+          const int words_in = 2 * outputs + taps;
+          const double cycles = hw::cost::engine_compute_cycles(outputs, 14);
+          runs.submit_lines(n, words_in, 2 * outputs, cycles);
+          for (int i = 0; i < n; ++i) lines.submit_line(words_in, 2 * outputs, cycles);
+        }
+        // An over-long run throws before queuing anything.
+        EXPECT_THROW(runs.submit_lines(3, 2049, 2036, 2049), std::invalid_argument);
+        EXPECT_TRUE(runs.flush() == lines.flush()) << label;
+
+        EXPECT_EQ(runs.lines(), lines.lines()) << label;
+        EXPECT_EQ(runs.driver_calls(), lines.driver_calls()) << label;
+        EXPECT_EQ(runs.chain_heads(), lines.chain_heads()) << label;
+        ASSERT_EQ(run_trace.size(), line_trace.size()) << label;
+        for (std::size_t i = 0; i < run_trace.size(); ++i) {
+          const driver::Batch& a = run_trace[i];
+          const driver::Batch& b = line_trace[i];
+          EXPECT_TRUE(a.words_in == b.words_in && a.words_out == b.words_out &&
+                      a.compute_cycles == b.compute_cycles &&
+                      a.after_barrier == b.after_barrier)
+              << label << " batch " << i;
+        }
+        EXPECT_TRUE(run_clocks.makespan() == line_clocks.makespan()) << label;
+        for (ResourceId r = 0; r < 3; ++r) {
+          EXPECT_TRUE(run_clocks.busy_time(r) == line_clocks.busy_time(r)) << label;
+          EXPECT_TRUE(run_clocks.free_at(r) == line_clocks.free_at(r)) << label;
+        }
+      }
+    }
+  }
+}
+
+// A run that starts mid-batch tops the open batch up first: 3 short lines,
+// then a run of 40 at a 16-line cap, is 16 + 16 + 11 lines in 3 calls.
+TEST(PipelinedAccelerator, SubmitLinesFillsTheOpenBatchFirst) {
+  ResourceClocks clocks;
+  for (int r = 0; r < 3; ++r) clocks.add_resource();
+  driver::PipelinedWaveletAccelerator accel({}, {}, {.max_lines_per_call = 16},
+                                            &clocks, 0, 1, 2);
+  std::vector<driver::Batch> trace;
+  accel.set_trace(&trace);
+  accel.submit_lines(3, 100, 88, 102);
+  accel.submit_lines(40, 100, 88, 102);
+  accel.flush();
+  ASSERT_EQ(trace.size(), 3u);
+  EXPECT_EQ(trace[0].words_in, 1600);
+  EXPECT_EQ(trace[1].words_in, 1600);
+  EXPECT_EQ(trace[2].words_in, 1100);
+  EXPECT_EQ(accel.lines(), 43);
 }
 
 // --- batched FPGA backend ---------------------------------------------------
