@@ -58,8 +58,7 @@ class BatchedFpgaBackend : public TransformBackend {
   void barrier() override { accel_.barrier(); }
   void account_analyze(int out_len, int taps) override;
   void account_synthesize(int pairs, int taps) override;
-  // One engine-fit check and one submit_lines per run: exact, because the
-  // accelerator's batches depend only on integral cycles and int words.
+  // One engine-fit check and one submit_lines per run.
   void account_analyze_lines(int lines, int out_len, int taps) override;
   void account_synthesize_lines(int lines, int pairs, int taps) override;
   void charge(SimDuration d) override;
