@@ -24,6 +24,8 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -310,6 +312,7 @@ class PipelinedWaveletAccelerator {
   void submit_lines(int lines, int words_in, int words_out, double compute_cycles) {
     if (lines <= 0) return;
     check_line_fits(engine_, words_in);
+    assert(compute_cycles == std::floor(compute_cycles));
     const int cap = std::max(batching_.max_lines_per_call, 1);
     while (lines > 0) {
       if (pending_lines_ > 0 &&
