@@ -185,29 +185,13 @@ const simd::KernelSet& LineFilter::kernels() const { return simd::active_kernels
 void LineFilter::analyze(const float* ext, int out_len, const float* lp,
                          const float* hp, int taps, float* lo, float* hi) {
   kernels().analyze(ext, out_len, lp, hp, taps, lo, hi);
-  account_analyze(out_len, taps);
+  account_analyze_lines(1, out_len, taps);
 }
 
 void LineFilter::synthesize(const float* ext, int pairs, const float* ca,
                             const float* cb, int taps, float* out) {
   kernels().synthesize(ext, pairs, ca, cb, taps, out);
-  account_synthesize(pairs, taps);
-}
-
-void LineFilter::magnitude(const float* re, const float* im, int n, float* mag) {
-  kernels().magnitude(re, im, n, mag);
-  account_magnitude(n);
-}
-
-void LineFilter::select(const float* a_re, const float* a_im, const float* b_re,
-                        const float* b_im, const float* mag_a, const float* mag_b,
-                        int n, float* out_re, float* out_im) {
-  kernels().select(a_re, a_im, b_re, b_im, mag_a, mag_b, n, out_re, out_im);
-  account_select(n);
-}
-
-void LineFilter::average(const float* a, const float* b, int n, float* out) {
-  kernels().average(a, b, n, out);
+  account_synthesize_lines(1, pairs, taps);
 }
 
 // --- 1-D line transforms ----------------------------------------------------

@@ -74,10 +74,10 @@ struct FilterStats {
 // belongs to the caller.
 enum class Stage { kPrep, kForward, kFusion, kInverse };
 
-// A LineFilter executes one line-sized kernel request at a time — the same
-// granularity at which the paper's driver feeds the PL engine. Subclasses
-// pick the implementation (scalar / SIMD / fixed-point datapath /
-// time-accounted engine models: every sched::TransformBackend is one).
+// A LineFilter executes line-sized kernel requests — the granularity at
+// which the paper's driver feeds the PL engine. Subclasses pick the
+// implementation (scalar / SIMD / fixed-point datapath / time-accounted
+// engine models: every sched::TransformBackend is one).
 //
 // The interface is split into two halves so host execution can parallelize
 // without perturbing modeled time:
@@ -86,23 +86,23 @@ enum class Stage { kPrep, kForward, kFusion, kInverse };
 //                safe by construction — the frame fan-out
 //                (sched::detail::measure_frames) calls them from pool
 //                workers, one whole frame per worker.
-//   account_*()  modeled-time / statistics bookkeeping: one charge per
-//                line, in canonical line order, always on the caller thread.
-//                A pass of identical lines (every row of a row pass, every
-//                column of a column pass) arrives as one run,
-//                account_*_lines; the default charges it line by line.
-//                Accounting is inherently order-dependent (double-precision
-//                ledgers, accelerator double-buffer state, event-queue
-//                scheduling), so it is never fanned out; the fan-out runs
-//                the numerics first and then replays the account_*/barrier()
-//                sequence serially in frame order — which is why modeled
-//                output is bit-identical at any thread count.
+//   account_*()  modeled-time / statistics bookkeeping, one virtual per
+//                charge kind, in canonical order, always on the caller
+//                thread: a run of identical line requests (a whole row or
+//                column pass, or one line of the per-line path) and one
+//                fusion-rule subband. Accounting is inherently
+//                order-dependent (double-precision ledgers, accelerator
+//                double-buffer state, event-queue scheduling), so it is never
+//                fanned out; the fan-out runs the numerics first and then
+//                replays the account_*/barrier() sequence serially in frame
+//                order — which is why modeled output is bit-identical at any
+//                thread count.
 //
-// The combined entry points (analyze/synthesize/magnitude/select) default to
-// kernels() + account_*() and are what the serial path calls; filters whose
-// numerics are not expressible as a KernelSet (the fixed-point datapath)
-// override them and return splittable() == false so every path stays serial
-// and combined.
+// analyze/synthesize are kernels() plus a one-line run, the call the
+// per-line passes make. A filter whose transform numerics are not
+// expressible as a KernelSet (the fixed-point datapath) overrides them and
+// returns splittable() == false, so every path stays serial and per-line.
+// The fusion rule's numerics always come from kernels().
 class LineFilter {
  public:
   virtual ~LineFilter() = default;
@@ -121,55 +121,37 @@ class LineFilter {
 
   // --- split half: pure numerics + serial accounting -----------------------
   virtual const simd::KernelSet& kernels() const;  // default: active_kernels()
-  virtual void account_analyze(int out_len, int taps) {
+  // A run of `lines` identical line requests. Modeled time is charged as if
+  // the lines arrived one at a time: a run must leave a filter's ledger bit
+  // for bit where that many one-line runs would.
+  virtual void account_analyze_lines(int lines, int out_len, int taps) {
+    (void)lines;
     (void)out_len;
     (void)taps;
   }
-  virtual void account_synthesize(int pairs, int taps) {
+  virtual void account_synthesize_lines(int lines, int pairs, int taps) {
+    (void)lines;
     (void)pairs;
     (void)taps;
   }
-  // A run of `lines` identical requests: the same charges as `lines` calls
-  // of the per-line method, which the default makes. A filter overrides a
-  // run form only where charging the run at once is exact, i.e. its ledger
-  // ends bit for bit where the per-line calls would leave it.
-  virtual void account_analyze_lines(int lines, int out_len, int taps) {
-    for (int i = 0; i < lines; ++i) account_analyze(out_len, taps);
-  }
-  virtual void account_synthesize_lines(int lines, int pairs, int taps) {
-    for (int i = 0; i < lines; ++i) account_synthesize(pairs, taps);
-  }
-  virtual void account_magnitude(int n) { (void)n; }
-  virtual void account_select(int n) { (void)n; }
+  // One subband of `n` coefficients through the max-magnitude rule: two
+  // magnitude planes, then the select.
+  virtual void account_select_band(int n) { (void)n; }
 
-  // False when the combined entry points do more than kernels()+account_*()
+  // False when analyze/synthesize do more than kernels()+account_*()
   // (fixed-point quantizing datapath); such filters always run serial.
   virtual bool splittable() const { return true; }
 
-  // --- combined entry points (kernels + accounting) -------------------------
+  // --- one line: kernels + a one-line run -----------------------------------
   virtual void analyze(const float* ext, int out_len, const float* lp, const float* hp,
                        int taps, float* lo, float* hi);
   virtual void synthesize(const float* ext, int pairs, const float* ca, const float* cb,
                           int taps, float* out);
-  // Fusion-rule kernels; whole-subband requests.
-  virtual void magnitude(const float* re, const float* im, int n, float* mag);
-  virtual void select(const float* a_re, const float* a_im, const float* b_re,
-                      const float* b_im, const float* mag_a, const float* mag_b, int n,
-                      float* out_re, float* out_im);
-  // Lowpass-residual averaging. Not time-accounted: the paper folds it into
-  // the fusion rule's bookkeeping, and no backend ever charged for it.
-  virtual void average(const float* a, const float* b, int n, float* out);
 };
 
 class ScalarLineFilter : public LineFilter {
  public:
   const simd::KernelSet& kernels() const override { return simd::scalar_kernels(); }
-  void account_analyze(int out_len, int taps) override {
-    account_analyze_lines(1, out_len, taps);
-  }
-  void account_synthesize(int pairs, int taps) override {
-    account_synthesize_lines(1, pairs, taps);
-  }
   // Integer counters: a run's sums equal the per-line ones exactly.
   void account_analyze_lines(int lines, int out_len, int taps) override {
     stats_.analysis_macs += 2LL * out_len * taps * lines;

@@ -25,18 +25,23 @@ void select_band(const ImageF& a_re, const ImageF& a_im, const ImageF& b_re,
   ArenaScope scratch;
   float* mag_a = scratch.alloc(n);
   float* mag_b = scratch.alloc(n);
-  filter.magnitude(a_re.data(), a_im.data(), n, mag_a);
-  filter.magnitude(b_re.data(), b_im.data(), n, mag_b);
+  const simd::KernelSet& k = filter.kernels();
+  k.magnitude(a_re.data(), a_im.data(), n, mag_a);
+  k.magnitude(b_re.data(), b_im.data(), n, mag_b);
   *out_re = ImageF(a_re.rows(), a_re.cols());
   *out_im = ImageF(a_im.rows(), a_im.cols());
-  filter.select(a_re.data(), a_im.data(), b_re.data(), b_im.data(), mag_a,
-                mag_b, n, out_re->data(), out_im->data());
+  k.select(a_re.data(), a_im.data(), b_re.data(), b_im.data(), mag_a, mag_b, n,
+           out_re->data(), out_im->data());
+  filter.account_select_band(n);
 }
 
+// The lowpass residue average is not time-accounted: the paper folds it into
+// the fusion rule's bookkeeping, and no backend ever charged for it.
 void average_into(const ImageF& a, const ImageF& b, ImageF* out,
                   dwt::LineFilter& filter) {
   *out = ImageF(a.rows(), a.cols());
-  filter.average(a.data(), b.data(), static_cast<int>(a.size()), out->data());
+  filter.kernels().average(a.data(), b.data(), static_cast<int>(a.size()),
+                           out->data());
 }
 
 const ImageF& band(const dwt::LevelBands& lv, int which) {
@@ -128,6 +133,7 @@ image::ImageF fuse_frames_dwt(const image::ImageF& a, const image::ImageF& b,
   const std::size_t max_n = levels > 0 ? pa.levels[0].lh.size() : 0;
   const std::vector<float> zeros(max_n, 0.0f);
   std::vector<float> mag_a(max_n), mag_b(max_n), out_im(max_n);
+  const simd::KernelSet& k = filter.kernels();
   for (int lv = 0; lv < levels; ++lv) {
     fused.levels[lv].in_rows = pa.levels[lv].in_rows;
     fused.levels[lv].in_cols = pa.levels[lv].in_cols;
@@ -136,12 +142,13 @@ image::ImageF fuse_frames_dwt(const image::ImageF& a, const image::ImageF& b,
       const ImageF& bb = band(pb.levels[lv], sb);
       const int n = static_cast<int>(ba.size());
       // Real coefficients: magnitude of (c, 0) is |c|.
-      filter.magnitude(ba.data(), zeros.data(), n, mag_a.data());
-      filter.magnitude(bb.data(), zeros.data(), n, mag_b.data());
+      k.magnitude(ba.data(), zeros.data(), n, mag_a.data());
+      k.magnitude(bb.data(), zeros.data(), n, mag_b.data());
       ImageF& out = band(fused.levels[lv], sb);
       out = ImageF(ba.rows(), ba.cols());
-      filter.select(ba.data(), zeros.data(), bb.data(), zeros.data(), mag_a.data(),
-                    mag_b.data(), n, out.data(), out_im.data());
+      k.select(ba.data(), zeros.data(), bb.data(), zeros.data(), mag_a.data(),
+               mag_b.data(), n, out.data(), out_im.data());
+      filter.account_select_band(n);
     }
   }
   average_into(pa.ll, pb.ll, &fused.ll, filter);

@@ -372,11 +372,7 @@ void FusionPlan::replay(LineFilter& f) const {
   for (int p = 0; p < 2; ++p) {
     for (int L = 0; L < D; ++L) {
       const int nb = dims_[L].hr * dims_[L].hc;
-      for (int sb = 0; sb < 3; ++sb) {
-        f.account_magnitude(nb);
-        f.account_magnitude(nb);
-        f.account_select(nb);
-      }
+      for (int sb = 0; sb < 3; ++sb) f.account_select_band(nb);
     }
     (void)p;
   }

@@ -359,10 +359,12 @@ class PipelinedWaveletAccelerator {
   long long chain_heads() const { return chain_heads_; }
 
  private:
-  // Out of line on purpose: inlined into every caller of submit_line (the
-  // accounting path when it charged line by line), the once-per-batch
-  // placement slowed the per-line calls, and paper_88x72 host_fps read ~2.6%
-  // lower.
+  // Out of line on purpose: the placement runs once per batch, but without
+  // the attribute GCC copies it into every site that can close one
+  // (submit_lines' loop, barrier(), flush()), so BatchedFpgaBackend's run
+  // body, barrier() and sync() grow from 531, 41 and 170 bytes to 1181, 889
+  // and 1041 (`nm -S -C` on pipeline.cpp.o), for no measurable gain in the
+  // accounting replay.
   [[gnu::noinline]] void close_batch() {
     if (pending_lines_ == 0) return;
     // dep_ready_: outputs these lines depend on (barrier()). Chains persist

@@ -86,11 +86,11 @@ void TransformBackend::charge(SimDuration d) { ledger_add(stage_, d); }
 
 void TransformBackend::note_pl(SimDuration d) { ledger_add_pl(stage_, d); }
 
-void TransformBackend::account_magnitude(int n) {
-  charge(hw::ps_cycles(hw::cost::kCpuMagnitudeCyclesPerSample * n));
-}
-
-void TransformBackend::account_select(int n) {
+void TransformBackend::account_select_band(int n) {
+  const SimDuration magnitude =
+      hw::ps_cycles(hw::cost::kCpuMagnitudeCyclesPerSample * n);
+  charge(magnitude);
+  charge(magnitude);
   charge(hw::ps_cycles(hw::cost::kCpuSelectCyclesPerSample * n));
 }
 
@@ -187,29 +187,20 @@ power::ComputeMode SerialBackend::compute_mode() const {
 // lives there too: it depends only on the request shape, and accounting sees
 // every request exactly once, in order — so the refusal fires at any pool
 // width for unfittable banks.
-void SerialBackend::account_analyze(int out_len, int taps) {
-  if (router_.use_fpga(2 * out_len + taps)) {
-    engine_line(2 * out_len + taps, 2 * out_len, out_len, taps, false);
-  } else {
-    charge(hw::ps_cycles(cpu_line_cycles(analysis_factor_, 2 * out_len, taps)));
+void SerialBackend::charge_lines(int lines, int outputs, int taps,
+                                 double cpu_factor, bool synthesis) {
+  const int words_in = 2 * outputs + taps;
+  for (int i = 0; i < lines; ++i) {
+    if (router_.use_fpga(words_in)) {
+      detail::check_engine_fit(accel_.engine(), taps, synthesis);
+      charge(accel_.line_time(
+          words_in, 2 * outputs,
+          hw::cost::engine_compute_cycles(outputs, accel_.engine().slots)));
+      note_pl(accel_.last_line_pl_time());
+    } else {
+      charge(hw::ps_cycles(cpu_line_cycles(cpu_factor, 2 * outputs, taps)));
+    }
   }
-}
-
-void SerialBackend::account_synthesize(int pairs, int taps) {
-  if (router_.use_fpga(2 * pairs + taps)) {
-    engine_line(2 * pairs + taps, 2 * pairs, pairs, taps, true);
-  } else {
-    charge(hw::ps_cycles(cpu_line_cycles(synthesis_factor_, 2 * pairs, taps)));
-  }
-}
-
-void SerialBackend::engine_line(int words_in, int words_out, int outputs,
-                                int taps, bool synthesis) {
-  detail::check_engine_fit(accel_.engine(), taps, synthesis);
-  charge(accel_.line_time(
-      words_in, words_out,
-      hw::cost::engine_compute_cycles(outputs, accel_.engine().slots)));
-  note_pl(accel_.last_line_pl_time());
 }
 
 // --- probing ----------------------------------------------------------------

@@ -100,9 +100,8 @@ class TransformBackend : public dwt::LineFilter {
   void note_pl(SimDuration d);
 
   // The fusion rule always runs on the PS at scalar rates — the paper only
-  // accelerates the transforms.
-  void account_magnitude(int n) override;
-  void account_select(int n) override;
+  // accelerates the transforms: two magnitude charges, then the select.
+  void account_select_band(int n) override;
 
   // Called by the runner once the frame's last stage is complete; backends
   // with in-flight work (batched submission) drain and reconcile here.
@@ -185,15 +184,21 @@ class SerialBackend final : public TransformBackend {
   const char* name() const override { return backend_name(kind_); }
   power::ComputeMode compute_mode() const override;
 
-  void account_analyze(int out_len, int taps) override;
-  void account_synthesize(int pairs, int taps) override;
+  void account_analyze_lines(int lines, int out_len, int taps) override {
+    charge_lines(lines, out_len, taps, analysis_factor_, /*synthesis=*/false);
+  }
+  void account_synthesize_lines(int lines, int pairs, int taps) override {
+    charge_lines(lines, pairs, taps, synthesis_factor_, /*synthesis=*/true);
+  }
 
   const LineRouter& router() const { return router_; }
   const driver::WaveletAccelerator& accelerator() const { return accel_; }
 
  private:
-  void engine_line(int words_in, int words_out, int outputs, int taps,
-                   bool synthesis);
+  // Routes and charges a run line by line: the ledger sums non-integral
+  // seconds, so only the per-line order reproduces its bits.
+  void charge_lines(int lines, int outputs, int taps, double cpu_factor,
+                    bool synthesis);
 
   BackendKind kind_;
   // CPU line-cost factors (hw::cost): 1 on the ARM, the NEON stage factors

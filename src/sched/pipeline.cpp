@@ -19,14 +19,7 @@ BatchedFpgaBackend::BatchedFpgaBackend(const RunConfig& config)
 // (sizes + barriers), never on sample values, so the whole clock
 // interaction lives in accounting: the serial account_*/barrier() replay
 // reproduces the exact event schedule at any host thread count.
-void BatchedFpgaBackend::account_analyze(int out_len, int taps) {
-  account_analyze_lines(1, out_len, taps);
-}
-
-void BatchedFpgaBackend::account_synthesize(int pairs, int taps) {
-  account_synthesize_lines(1, pairs, taps);
-}
-
+//
 // A run goes to the accelerator whole (submit_lines). That is exact only
 // while a line's compute cycles are integral, which holds because the
 // initiation interval and the slot count are.
@@ -36,19 +29,12 @@ static_assert(hw::cost::kEngineInitiationInterval ==
               "submit_lines adds k lines' compute cycles at once, which is "
               "exact only for integral per-line cycles");
 
-void BatchedFpgaBackend::account_analyze_lines(int lines, int out_len, int taps) {
+void BatchedFpgaBackend::submit_run(int lines, int outputs, int taps,
+                                    bool synthesis) {
   if (lines <= 0) return;
-  detail::check_engine_fit(accel_.engine(), taps, /*synthesis=*/false);
-  accel_.submit_lines(lines, 2 * out_len + taps, 2 * out_len,
-                      hw::cost::engine_compute_cycles(out_len,
-                                                      accel_.engine().slots));
-}
-
-void BatchedFpgaBackend::account_synthesize_lines(int lines, int pairs, int taps) {
-  if (lines <= 0) return;
-  detail::check_engine_fit(accel_.engine(), taps, /*synthesis=*/true);
-  accel_.submit_lines(lines, 2 * pairs + taps, 2 * pairs,
-                      hw::cost::engine_compute_cycles(pairs,
+  detail::check_engine_fit(accel_.engine(), taps, synthesis);
+  accel_.submit_lines(lines, 2 * outputs + taps, 2 * outputs,
+                      hw::cost::engine_compute_cycles(outputs,
                                                       accel_.engine().slots));
 }
 

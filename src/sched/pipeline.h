@@ -56,11 +56,12 @@ class BatchedFpgaBackend : public TransformBackend {
   }
 
   void barrier() override { accel_.barrier(); }
-  void account_analyze(int out_len, int taps) override;
-  void account_synthesize(int pairs, int taps) override;
-  // One engine-fit check and one submit_lines per run.
-  void account_analyze_lines(int lines, int out_len, int taps) override;
-  void account_synthesize_lines(int lines, int pairs, int taps) override;
+  void account_analyze_lines(int lines, int out_len, int taps) override {
+    submit_run(lines, out_len, taps, /*synthesis=*/false);
+  }
+  void account_synthesize_lines(int lines, int pairs, int taps) override {
+    submit_run(lines, pairs, taps, /*synthesis=*/true);
+  }
   void charge(SimDuration d) override;
   void finish_frame() override;
 
@@ -78,6 +79,9 @@ class BatchedFpgaBackend : public TransformBackend {
   void on_stage_exit(Stage old_stage) override;
 
  private:
+  // One engine-fit check and one submit_lines per run.
+  void submit_run(int lines, int outputs, int taps, bool synthesis);
+
   // Closes in-flight batches and charges the makespan growth since the last
   // sync to `charge_to` (PL/DMA busy growth goes to the PL split ledger).
   void sync(Stage charge_to);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "src/common/rng.h"
 #include "src/hw/fixed_point.h"
@@ -80,6 +81,26 @@ TEST(FixedPointFilter, FidelityImprovesWithWordWidth) {
   }
   // 24-bit is effectively transparent.
   EXPECT_GT(last_psnr, 60.0);
+}
+
+// The fixed-point filter is not splittable, so fuse_frames takes the staged
+// path: quantized per-line transforms, the fusion rule from kernels(). No
+// float reference pins those bits, so an FNV-1a hash of the fused image's
+// bytes, recorded from the library, does.
+TEST(FixedPointFilter, FusedBitsMatchTheRecordedHash) {
+  const auto pairs = sched::make_sweep_frames({40, 40}, 1);
+  hw::FixedPointLineFilter filter(hw::FixedPointFormat{18, 15});
+  const image::ImageF fused =
+      fuse_frames(pairs[0].visible, pairs[0].thermal, fusion::FuseConfig{}, filter);
+  ASSERT_EQ(fused.rows(), 40);
+  ASSERT_EQ(fused.cols(), 40);
+  std::uint64_t h = 1469598103934665603ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(fused.data());
+  for (std::size_t i = 0; i < fused.size() * sizeof(float); ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  EXPECT_EQ(h, 0xa833793f9a2a70a5ull);
 }
 
 }  // namespace

@@ -376,8 +376,9 @@ image::ImageF staged_fuse(const image::ImageF& a, const image::ImageF& b,
   return dwt::inverse_dtcwt(fused, config, f);
 }
 
-// One filter call as a backend sees it: 'a'nalyze, 's'ynthesize,
-// 'm'agnitude, 'x' select, 'b'arrier, or begin_stage 'F'/'U'/'I'.
+// One filter call as a backend sees it: 'a'nalyze or 's'ynthesize (one
+// entry per line of a run), 'x' one select band, 'b'arrier, or begin_stage
+// 'F'/'U'/'I'.
 struct Call {
   char what;
   int n, taps;
@@ -386,19 +387,19 @@ struct Call {
   }
 };
 
-// Logs every account_* call with its arguments, every barrier() and every
-// begin_stage. Every backend's modeled time is a function of this sequence.
+// Logs every line a run charges with its arguments, every select band,
+// every barrier() and every begin_stage. Every backend's modeled time is a
+// function of this sequence.
 class RecordingFilter : public dwt::LineFilter {
  public:
   void barrier() override { log.push_back({'b', 0, 0}); }
-  void account_analyze(int out_len, int taps) override {
-    log.push_back({'a', out_len, taps});
+  void account_analyze_lines(int lines, int out_len, int taps) override {
+    log.insert(log.end(), lines, Call{'a', out_len, taps});
   }
-  void account_synthesize(int pairs, int taps) override {
-    log.push_back({'s', pairs, taps});
+  void account_synthesize_lines(int lines, int pairs, int taps) override {
+    log.insert(log.end(), lines, Call{'s', pairs, taps});
   }
-  void account_magnitude(int n) override { log.push_back({'m', n, 0}); }
-  void account_select(int n) override { log.push_back({'x', n, 0}); }
+  void account_select_band(int n) override { log.push_back({'x', n, 0}); }
 
   void begin_stage(dwt::Stage stage) override {
     log.push_back({"PFUI"[static_cast<int>(stage)], 0, 0});
@@ -444,26 +445,36 @@ TEST(HostPathIdentity, PlanReplaysTheStagedCallSequence) {
   }
 }
 
-// Forwards every call to a backend one line at a time: a run reaches it as
-// that many per-line calls (the LineFilter default), the sequence its run
-// forms must charge identically.
+// Forwards every call to a backend, a run as that many runs of one line:
+// the sequence the backend's run forms must charge identically.
 class LineByLine : public dwt::LineFilter {
  public:
   explicit LineByLine(sched::TransformBackend& inner) : inner_(inner) {}
   void barrier() override { inner_.barrier(); }
   void begin_stage(dwt::Stage stage) override { inner_.begin_stage(stage); }
-  void account_analyze(int out_len, int taps) override {
-    inner_.account_analyze(out_len, taps);
+  void account_analyze_lines(int lines, int out_len, int taps) override {
+    for (int i = 0; i < lines; ++i) inner_.account_analyze_lines(1, out_len, taps);
   }
-  void account_synthesize(int pairs, int taps) override {
-    inner_.account_synthesize(pairs, taps);
+  void account_synthesize_lines(int lines, int pairs, int taps) override {
+    for (int i = 0; i < lines; ++i) inner_.account_synthesize_lines(1, pairs, taps);
   }
-  void account_magnitude(int n) override { inner_.account_magnitude(n); }
-  void account_select(int n) override { inner_.account_select(n); }
+  void account_select_band(int n) override { inner_.account_select_band(n); }
 
  private:
   sched::TransformBackend& inner_;
 };
+
+// replay_frame_pair's steps on `backend`, with the plan's replay routed
+// through a LineByLine adapter.
+void replay_line_by_line(sched::TransformBackend& backend,
+                         const dwt::FusionPlan& plan) {
+  LineByLine adapter(backend);
+  backend.begin_frame();
+  backend.begin_stage(dwt::Stage::kPrep);
+  backend.charge(backend.prep_time(2 * plan.rows() * plan.cols()));
+  plan.replay(adapter);
+  backend.finish_frame();
+}
 
 bool same_batch(const driver::Batch& a, const driver::Batch& b) {
   return a.words_in == b.words_in && a.words_out == b.words_out &&
@@ -500,16 +511,9 @@ TEST(HostPathIdentity, BatchedRunsChargeLikeLineByLine) {
         runs.enable_stream_trace();
         lines.enable_stream_trace();
         sched::TimedFusionRunner runner(runs, rc.fuse);
-        LineByLine adapter(lines);
         for (int frame = 0; frame < 2; ++frame) {
           const sched::FrameRunResult want = runner.replay_frame_pair(plan);
-          // replay_frame_pair's steps, with the replay routed through the
-          // adapter.
-          lines.begin_frame();
-          lines.begin_stage(dwt::Stage::kPrep);
-          lines.charge(lines.prep_time(2 * plan.rows() * plan.cols()));
-          plan.replay(adapter);
-          lines.finish_frame();
+          replay_line_by_line(lines, plan);
           EXPECT_TRUE(same_times(want.times, lines.frame_times()))
               << label << " frame " << frame;
           EXPECT_TRUE(same_times(want.pl_times, lines.frame_pl_times()))
@@ -530,6 +534,44 @@ TEST(HostPathIdentity, BatchedRunsChargeLikeLineByLine) {
                 << label << " frame " << f << " op " << i;
           }
         }
+      }
+    }
+  }
+}
+
+// SerialBackend's run forms route and charge a run line by line. Fed the
+// same replay as runs of one (LineByLine), each serial kind must end every
+// frame with the same stage times and PL split, route the same lines and
+// leave its engine model in the same state, bit for bit, at every path
+// shape and depth (two frames each).
+TEST(HostPathIdentity, SerialRunsChargeLikeLineByLine) {
+  for (const sched::BackendKind kind :
+       {sched::BackendKind::kArm, sched::BackendKind::kNeon,
+        sched::BackendKind::kFpga, sched::BackendKind::kAdaptive}) {
+    for (const sched::FrameSize& size : kPathSizes) {
+      for (int levels = 1; levels <= kPathLevels; ++levels) {
+        const std::string label = std::string(sched::backend_name(kind)) + " " +
+                                  size.label() + " levels=" + std::to_string(levels);
+        sched::RunConfig rc;
+        rc.fuse.transform.levels = levels;
+        const dwt::FusionPlan plan(size.height, size.width, rc.fuse.transform);
+        sched::SerialBackend runs(kind, rc), lines(kind, rc);
+        sched::TimedFusionRunner runner(runs, rc.fuse);
+        for (int frame = 0; frame < 2; ++frame) {
+          const sched::FrameRunResult want = runner.replay_frame_pair(plan);
+          replay_line_by_line(lines, plan);
+          EXPECT_TRUE(same_times(want.times, lines.frame_times()))
+              << label << " frame " << frame;
+          EXPECT_TRUE(same_times(want.pl_times, lines.frame_pl_times()))
+              << label << " frame " << frame;
+        }
+        EXPECT_EQ(runs.router().lines_on_fpga(), lines.router().lines_on_fpga())
+            << label;
+        EXPECT_EQ(runs.router().lines_on_simd(), lines.router().lines_on_simd())
+            << label;
+        EXPECT_EQ(runs.accelerator().lines(), lines.accelerator().lines()) << label;
+        EXPECT_TRUE(runs.accelerator().stall_time() == lines.accelerator().stall_time())
+            << label;
       }
     }
   }
